@@ -27,9 +27,24 @@ from .errors import (
 DEFAULT_SIZE_BOUND = 4096
 
 
+def _env_size_bound() -> int | None:
+    """MVW_SIZE_BOUND as a positive integer, or None when it is unset."""
+    text = os.environ.get("MVW_SIZE_BOUND")
+    if text is None:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SizeBound(f"MVW_SIZE_BOUND={text} is not a positive integer")
+    return value
+
+
 def size_bound() -> int:
     """The carrier-size cap; MVW_SIZE_BOUND overrides the default."""
-    return int(os.environ.get("MVW_SIZE_BOUND", DEFAULT_SIZE_BOUND))
+    env = _env_size_bound()
+    return DEFAULT_SIZE_BOUND if env is None else env
 
 
 def _checked(rig: FiniteMvwRig, mv_only=False) -> FiniteMvwRig:

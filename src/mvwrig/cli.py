@@ -9,10 +9,9 @@ emitted only when requested.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from . import core, dsl, frames, ideals, spectrum, suites
+from . import builders, core, dsl, frames, ideals, spectrum, suites
 from .errors import (
     AxiomViolation,
     ClosureViolation,
@@ -193,9 +192,8 @@ def _cmd_filters(args) -> int:
             print(rig.describe())
             print(f"  F_{rig.element_name(elems[0])} = {pf.display()}")
         return PASS
-    bound = int(os.environ.get("MVW_SIZE_BOUND", frames.DEFAULT_FRAME_BOUND))
     if args.frame:
-        fr = frames.frame(rig, bound=bound)
+        fr = frames.frame(rig, bound=args.frame_bound)
         if args.json:
             print(dsl.serialize(fr), end="")
             return PASS
@@ -234,9 +232,8 @@ def _cmd_verify(args) -> int:
                 f"unknown suite {name!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
     print(rig.describe())
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
-    bound = int(os.environ.get("MVW_SIZE_BOUND", frames.DEFAULT_FRAME_BOUND))
     for suite in names:
-        for result in suites.run_suite(rig, suite, frame_bound=bound):
+        for result in suites.run_suite(rig, suite, frame_bound=args.frame_bound):
             counts[result.status] += 1
             print(result.line())
     print(f"result: {counts['PASS']} passed, {counts['FAIL']} failed, "
@@ -321,6 +318,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # MVW_SIZE_BOUND is validated before any work; when set it caps the
+        # frame as well as the builders
+        env_bound = builders._env_size_bound()
+        args.frame_bound = frames.DEFAULT_FRAME_BOUND if env_bound is None else env_bound
         return args.fn(args)
     except OrderNotAntisymmetric as exc:
         print(f"FAIL: {exc}")

@@ -203,6 +203,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.params = ()         # variables bound by the formula being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -308,6 +309,7 @@ class _Parser:
                 params.append(self.expect(kind="IDENT", expected=["a variable"]).value)
             self.expect(value=")", expected=["')'"])
             self.expect(value="=", expected=["'='"])
+            self.params = tuple(params)
             body = self.parse_expr()
             want = 1 if opname == "neg" else 2
             if len(params) != want:
@@ -378,6 +380,8 @@ class _Parser:
                 _err(tok.line, tok.column, f"{fn} needs at least two arguments")
             return MinMax(fn, tuple(args))
         if tok.kind == "IDENT":
+            if tok.value not in self.params:
+                _err(tok.line, tok.column, f"unbound variable {tok.value!r}")
             return Var(self.advance().value)
         if tok.kind == "INT":
             return Lit(Fraction(int(self.advance().value)))
@@ -492,8 +496,6 @@ def _eval_expr(node, env):
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Var):
-        if node.name not in env:
-            raise KeyError(node.name)
         return env[node.name]
     if isinstance(node, MinMax):
         vals = [_eval_expr(a, env) for a in node.args]
@@ -664,15 +666,7 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
     mul = table_for("mul", mul_def, unary=False) if mul_def is not None else None
 
     rig = core.derive(neg, add, mul, names=names, name=source.name)
-    if check:
-        report = core.check_mv(rig)
-        if not report.passed:
-            raise AxiomViolation(report, context=source.name)
-        if mul is not None:
-            report = core.check_mvw(rig)
-            if not report.passed:
-                raise AxiomViolation(report, context=source.name)
-    return rig
+    return builders._checked(rig) if check else rig
 
 
 def elaborate_file(text: str, check=True):

@@ -2,10 +2,11 @@
 radicals, congruences, quotients, homomorphisms and the subdirect
 embedding into chains.
 
-All answers are exact: generation runs closures to a fixpoint, nilpotency
-searches are bounded by the carrier size (the power sequence of an element
-cycles within |A| steps), and every structural theorem consumed elsewhere
-is re-verified here rather than assumed.
+All answers are exact: ideals are read off the idempotents (every ideal
+is the down-set of one), generation picks the least listed ideal above the
+seed, nilpotency searches are bounded by the carrier size (the power
+sequence of an element cycles within |A| steps), and every structural
+theorem consumed elsewhere is re-verified here rather than assumed.
 """
 
 from __future__ import annotations
@@ -85,107 +86,76 @@ def is_ideal(rig: FiniteMvwRig, members):
     return True, None
 
 
-# -- generation ------------------------------------------------------------
+# -- enumeration and generation ----------------------------------------------
+#
+# In a finite MV-algebra every MV-ideal is the down-set of an idempotent
+# (e + e = e), namely of the sum of all its members; conversely the down-set
+# of an idempotent is closed under sums.  Cignoli, D'Ottaviano and Mundici,
+# Algebraic Foundations of Many-valued Reasoning, ch. 1 and 3.  The ideals
+# are therefore the down-sets of idempotents that also absorb the product.
 
-def _oplus_closure(rig, seed):
-    out = set(seed)
-    frontier = set(seed)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in out:
-                for c in (rig.add(a, b), rig.add(b, a)):
-                    if c not in out:
-                        fresh.add(c)
-        out |= fresh
-        frontier = fresh
-    return out
+def _ideal_masks(rig, absorb_product=True):
+    """Membership masks of all (MV-)ideals, smallest first."""
+    mul = rig.mul_table
+    masks = []
+    for e in np.flatnonzero(rig.add_table.diagonal() == np.arange(rig.size)):
+        mask = rig.leq_table[:, e]
+        if absorb_product and mul is not None and not (
+                mask[mul[mask]].all() and mask[mul[:, mask]].all()):
+            continue
+        masks.append(mask)
+    return sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist()))
 
 
-def _downward(rig, seed):
-    out = set(seed)
-    for b in seed:
-        out.update(a for a in rig.elements() if rig.leq(a, b))
-    return out
+def _member_mask(rig, members):
+    mask = np.zeros(rig.size, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def _as_ideal(rig, mask) -> Ideal:
+    return Ideal(rig, frozenset(int(a) for a in np.flatnonzero(mask)))
+
+
+def _enumerate(rig, bound, absorb_product):
+    bound = builders.size_bound() if bound is None else bound
+    if rig.size > bound:
+        raise SizeBound(f"carrier of {rig.size} exceeds enumeration bound {bound}")
+    return [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product)]
+
+
+def enumerate_ideals(rig: FiniteMvwRig, bound: int | None = None):
+    """All ideals, smallest first: the down-sets of the idempotents that
+    absorb the product on both sides."""
+    return _enumerate(rig, bound, absorb_product=True)
+
+
+def enumerate_mv_ideals(rig: FiniteMvwRig, bound: int | None = None):
+    """All MV-ideals, smallest first: the down-sets of the idempotents."""
+    return _enumerate(rig, bound, absorb_product=False)
+
+
+def _least_containing(rig, seed, absorb_product):
+    seed = [rig._check(a) for a in seed]
+    for mask in _ideal_masks(rig, absorb_product):
+        if mask[seed].all():
+            return _as_ideal(rig, mask)
 
 
 def generated_mv_ideal(rig: FiniteMvwRig, seed) -> Ideal:
-    """Least MV-ideal containing the seed: downward closure of the
-    sum closure (natural multiples arise from repeated sums)."""
-    seed = set(seed)
-    if not seed:
-        return Ideal(rig, frozenset({0}))
-    members = _downward(rig, _oplus_closure(rig, seed)) | {0}
-    return Ideal(rig, frozenset(members))
-
-
-def _generated_fixpoint(rig, seed):
-    """Least ideal by iterated closure under sums, the order and both
-    one-sided products; correct for noncommutative structures too."""
-    members = {0} | set(seed)
-    while True:
-        before = len(members)
-        members = _downward(rig, _oplus_closure(rig, members))
-        if rig.mul_table is not None:
-            extra = set()
-            for a in members:
-                for b in rig.elements():
-                    extra.add(rig.mul(a, b))
-                    extra.add(rig.mul(b, a))
-            members |= extra
-        if len(members) == before:
-            return members
+    """Least MV-ideal containing the seed: the smallest MV-ideal listed
+    that contains it (MV-ideals are closed under intersection)."""
+    return _least_containing(rig, seed, absorb_product=False)
 
 
 def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
     """Least ideal containing the seed.
 
-    For commutative structures this materializes the dotted-sum formula:
-    downward closure of the sum closure of {a.s} union {s}.  Otherwise it
-    falls back to the two-sided fixpoint closure, which is still the least
-    ideal.
+    Every ideal is the down-set of an idempotent, and ideals are closed
+    under intersection, so the smallest listed ideal containing the seed
+    is the least one.  This holds for noncommutative structures too.
     """
-    seed = {rig._check(a) for a in seed}
-    if not seed:
-        return Ideal(rig, frozenset({0}))
-    if rig.mul_table is None:
-        return generated_mv_ideal(rig, seed)
-    if not rig.commutative:
-        return Ideal(rig, frozenset(_generated_fixpoint(rig, seed)))
-    terms = set(seed)
-    for s in seed:
-        terms.update(rig.mul(a, s) for a in rig.elements())
-    members = _downward(rig, _oplus_closure(rig, terms)) | {0}
-    return Ideal(rig, frozenset(members))
-
-
-def _enumerate_by_closure(rig, generate, bound):
-    bound = builders.size_bound() if bound is None else bound
-    if rig.size > bound:
-        raise SizeBound(f"carrier of {rig.size} exceeds enumeration bound {bound}")
-    zero = generate(rig, set()).members
-    found = {zero}
-    frontier = [zero]
-    while frontier:
-        base = frontier.pop()
-        for a in rig.elements():
-            if a in base:
-                continue
-            bigger = generate(rig, set(base) | {a}).members
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def enumerate_ideals(rig: FiniteMvwRig, bound: int | None = None):
-    """All ideals, smallest first.  Complete: every ideal is the closure of
-    its own elements, so adding generators one at a time reaches all of them."""
-    return [Ideal(rig, s) for s in _enumerate_by_closure(rig, generated_ideal, bound)]
-
-
-def enumerate_mv_ideals(rig: FiniteMvwRig, bound: int | None = None):
-    return [Ideal(rig, s) for s in _enumerate_by_closure(rig, generated_mv_ideal, bound)]
+    return _least_containing(rig, seed, absorb_product=True)
 
 
 # -- classification --------------------------------------------------------
@@ -198,21 +168,23 @@ class IdealClass:
     proper: bool
 
 
+def _prime_clause(mask, table) -> bool:
+    """No value table[a, b] with both a and b outside lies inside."""
+    out = ~mask
+    return not (mask[table] & out[:, None] & out[None, :]).any()
+
+
 def classify_ideal(rig: FiniteMvwRig, ideal: Ideal) -> IdealClass:
     """Raw clause checks; the whole carrier satisfies the prime and maximal
     clauses vacuously, so consumers that need properness combine these with
     the ``proper`` bit (the spectrum admits proper primes only)."""
-    s = ideal.members
-    prime = True
-    if rig.mul_table is not None:
-        prime = all(rig.mul(a, b) not in s or a in s or b in s
-                    for a in rig.elements() for b in rig.elements())
-    mv_prime = all(rig.meet(a, b) not in s or a in s or b in s
-                   for a in rig.elements() for b in rig.elements())
-    maximal = all(generated_ideal(rig, set(s) | {a}).members == frozenset(rig.elements())
-                  for a in rig.elements() if a not in s)
-    return IdealClass(prime=prime, mv_prime=mv_prime, maximal=maximal,
-                      proper=ideal.proper)
+    mask = _member_mask(rig, ideal.members)
+    prime = rig.mul_table is None or _prime_clause(mask, rig.mul_table)
+    # maximal: no proper ideal lies strictly above
+    maximal = not any(m[mask].all() and (m & ~mask).any() and not m.all()
+                      for m in _ideal_masks(rig))
+    return IdealClass(prime=prime, mv_prime=_prime_clause(mask, rig.meet_table),
+                      maximal=maximal, proper=ideal.proper)
 
 
 def prime_ideals(rig: FiniteMvwRig):
@@ -364,8 +336,7 @@ def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
     ok, witness = is_ideal(rig, ideal.members)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    mask = np.zeros(rig.size, dtype=bool)
-    mask[list(ideal.members)] = True
+    mask = _member_mask(rig, ideal.members)
     sym_diff = rig.add_table[rig.monus_table, rig.monus_table.T]
     related = mask[sym_diff]
     class_of = [-1] * rig.size

@@ -230,6 +230,23 @@ def test_size_bound_env(capsys, monkeypatch):
     assert "bound 8" in err
 
 
+def test_size_bound_env_must_be_positive_integer(capsys, monkeypatch):
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("MVW_SIZE_BOUND", value)
+        code, out, err = run(capsys, "verify", str(algebra_path("z1.mvw")))
+        assert code == 2
+        assert err == f"error: MVW_SIZE_BOUND={value} is not a positive integer\n"
+
+
+def test_unbound_variable_exit_2(capsys, tmp_path):
+    src = tmp_path / "unbound.mvw"
+    src.write_text("algebra U {\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - y\n"
+                   "  add(x, y) = min(3, x + y)\n}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert code == 2
+    assert err == "error: 4:16: error: unbound variable 'y'\n"
+
+
 def test_multi_algebra_file_check_all(capsys, tmp_path):
     multi = tmp_path / "multi.mvw"
     multi.write_text("algebra A { builder: zn(1) } algebra B { builder: zn(2) }",

@@ -69,6 +69,13 @@ def test_diagnostic_span_points_at_token():
     assert exc.value.diagnostic.column == 12
 
 
+def test_unbound_variable_rejected_at_parse_time():
+    with pytest.raises(DslSyntaxError) as exc:
+        dsl.parse("algebra A {\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - y\n}")
+    assert (exc.value.diagnostic.line, exc.value.diagnostic.column) == (4, 16)
+    assert "unbound variable 'y'" in str(exc.value)
+
+
 def test_elaborate_z3_matches_builder():
     rig = dsl.elaborate_file(Z3_SRC)[0]
     assert rig.same_tables(builders.build_zn(3))

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mvwrig import ideals
+from mvwrig import builders, ideals, suites
 from mvwrig.errors import (
     GateNotMet,
     NotACongruence,
@@ -59,6 +61,7 @@ def test_generated_ideal_noncommutative_fallback():
             gen = ideals.generated_ideal(m, seed)
             ok, witness = ideals.is_ideal(m, gen.members)
             assert ok, (seed, witness)
+            assert gen.members == frozenset(suites._generated_fixpoint(m, seed)), seed
 
 
 def test_enumerate_ideals_counts(z3, square):
@@ -283,3 +286,66 @@ def test_preimage_of_prime_is_prime():
                     cls = ideals.classify_ideal(a, ideals.Ideal(a, pre))
                     assert ideals.is_ideal(a, pre)[0]
                     assert cls.prime, (a.name, b.name, f.mapping, sorted(p.members))
+
+
+# -- cross-check against the closure route ------------------------------------
+
+def closure_ideals(rig):
+    """Every ideal, smallest first, by a search over the closure oracle of
+    the law suite: adding generators one at a time reaches every ideal."""
+    zero = frozenset({0})
+    found, frontier = {zero}, [zero]
+    while frontier:
+        base = frontier.pop()
+        for a in rig.elements():
+            if a not in base:
+                bigger = frozenset(suites._generated_fixpoint(rig, base | {a}))
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def assert_matches_closure(rig, max_seed=2):
+    assert [i.members for i in ideals.enumerate_ideals(rig)] == closure_ideals(rig)
+    for k in range(max_seed + 1):
+        for seed in itertools.combinations(range(rig.size), k):
+            assert ideals.generated_ideal(rig, seed).members == \
+                frozenset(suites._generated_fixpoint(rig, seed)), (rig.name, seed)
+
+
+LADDER = {
+    "G3xG2": lambda: builders.direct_product(
+        [builders.gamma_zk(3, (1, 1, 1)), builders.gamma_zk(2, (1, 1))]),
+    "Z1^4": lambda: builders.direct_product([builders.build_zn(1)] * 4),
+    "Z2xZ3": lambda: builders.direct_product([builders.build_zn(2), builders.build_zn(3)]),
+}
+
+
+@pytest.mark.parametrize("rig", zoo_items())
+def test_ideals_match_closure_on_zoo(rig):
+    assert_matches_closure(rig)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_ideals_match_closure_on_products(name):
+    assert_matches_closure(LADDER[name]())
+
+
+FACTORS = (
+    [builders.build_zn(n) for n in (1, 2, 3)]
+    + [builders.gamma_zk(k, u) for k, u in ((1, (1,)), (2, (1, 1)), (2, (1, 0)))]
+    + [builders.lift_trivial_product(builders.build_luk_mv(n)) for n in (2, 3, 4)])
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(FACTORS), min_size=2, max_size=3))
+def test_ideals_match_closure_on_products_and_quotients(factors):
+    size = 1
+    for f in factors:
+        size *= f.size
+    assume(size <= 16)
+    rig = builders.direct_product(factors)
+    assert_matches_closure(rig, max_seed=1)
+    for ideal in ideals.enumerate_ideals(rig):
+        assert_matches_closure(ideals.quotient(rig, ideal).rig, max_seed=1)
