@@ -9,6 +9,7 @@ yields a lawful product.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 
@@ -47,6 +48,13 @@ def size_bound() -> int:
     return DEFAULT_SIZE_BOUND if env is None else env
 
 
+def _check_size(what: str, size: int, bound: int | None = None) -> None:
+    """Raise SizeBound before a carrier of ``size`` elements is built."""
+    bound = size_bound() if bound is None else bound
+    if size > bound:
+        raise SizeBound(f"{what} would have {size} elements (bound {bound})")
+
+
 def _checked(rig: FiniteMvwRig, mv_only=False) -> FiniteMvwRig:
     report = core.check_mv(rig)
     if not report.passed:
@@ -63,6 +71,7 @@ def build_zn(n: int) -> FiniteMvwRig:
     xy = min(n, x*y).  Has unit 1, distinct from the top when n > 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_size(f"Z{n} carrier", n + 1)
     idx = np.arange(n + 1)
     neg = n - idx
     add = np.minimum(n, idx[:, None] + idx[None, :])
@@ -75,6 +84,7 @@ def luk_values(n: int) -> list[Fraction]:
     """The n-point rational grid 0, 1/(n-1), .., 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_size(f"L{n} carrier", n)
     return [Fraction(i, n - 1) for i in range(n)]
 
 
@@ -134,10 +144,7 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, bound: int | None = None):
         raise ValueError("matrix dimension must be >= 1")
     if base.mul_table is None:
         raise ValueError("base must have a product")
-    bound = size_bound() if bound is None else bound
-    size = base.size ** (n * n)
-    if size > bound:
-        raise SizeBound(f"matrix carrier would have {size} elements (bound {bound})")
+    _check_size("matrix carrier", base.size ** (n * n), bound)
 
     cells = n * n
     elems = list(itertools.product(range(base.size), repeat=cells))
@@ -198,12 +205,7 @@ def direct_product(rigs, bound: int | None = None) -> FiniteMvwRig:
     rigs = list(rigs)
     if not rigs:
         raise ValueError("need at least one factor")
-    bound = size_bound() if bound is None else bound
-    size = 1
-    for r in rigs:
-        size *= r.size
-    if size > bound:
-        raise SizeBound(f"product carrier would have {size} elements (bound {bound})")
+    _check_size("product carrier", math.prod(r.size for r in rigs), bound)
     acc = rigs[0]
     for r in rigs[1:]:
         acc = _product2(acc, r, name=f"{acc.name}x{r.name}")
@@ -224,12 +226,7 @@ def gamma_zk(k: int, u, bound: int | None = None) -> FiniteMvwRig:
         raise ValueError(f"unit vector must have length {k}")
     if any(c not in (0, 1) for c in u):
         raise InvalidUnit(f"unit vector entries must be 0 or 1, got {u}")
-    bound = size_bound() if bound is None else bound
-    size = 1
-    for c in u:
-        size *= c + 1
-    if size > bound:
-        raise SizeBound(f"interval carrier would have {size} elements (bound {bound})")
+    _check_size("interval carrier", 2 ** sum(u), bound)
 
     elems = list(itertools.product(*[range(c + 1) for c in u]))
     index = {e: i for i, e in enumerate(elems)}

@@ -97,10 +97,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_ideals(args) -> int:
     rig = _load_one(args.file)
-    found = ideals.enumerate_ideals(rig)
     rows = []
-    for ideal in found:
-        cls = ideals.classify_ideal(rig, ideal)
+    for ideal, cls in ideals.classified_ideals(rig):
         if args.prime and not (cls.prime and ideal.proper):
             continue
         if args.mv_prime and not (cls.mv_prime and ideal.proper):

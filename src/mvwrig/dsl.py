@@ -277,16 +277,22 @@ class _Parser:
             hi = int(self.expect(kind="INT", expected=["an integer"]).value)
             if hi < lo:
                 _err(tok.line, tok.column, f"empty range {lo}..{hi}")
-            return RangeCarrier(lo, hi)
-        if tok.value == "[":
+            carrier = RangeCarrier(lo, hi)
+            size = hi - lo + 1
+        elif tok.value == "[":
             self.advance()
             atoms = [self.parse_atom()]
             while self.at(","):
                 self.advance()
                 atoms.append(self.parse_atom())
             self.expect(value="]", expected=["']'"])
-            return ListCarrier(tuple(atoms))
-        self.fail(["an integer range", "'['"])
+            carrier = ListCarrier(tuple(atoms))
+            size = len(atoms)
+        else:
+            self.fail(["an integer range", "'['"])
+        # the cap applies before elaboration builds a value list or a table
+        builders._check_size(f"{tok.line}:{tok.column}: carrier", size)
+        return carrier
 
     def parse_atom(self):
         tok = self.peek()

@@ -53,36 +53,52 @@ def format_subset(rig: FiniteMvwRig, members) -> str:
 
 # -- membership tests ------------------------------------------------------
 
-def is_mv_ideal(rig: FiniteMvwRig, members):
-    """Check 0-membership, downward closure and sum closure.
+def _member_mask(rig, members):
+    mask = np.zeros(rig.size, dtype=bool)
+    mask[[rig._check(a) for a in members]] = True
+    return mask
 
-    Returns (ok, witness); the witness names the violated clause.
+
+def _first_pair(bad, rows, cols):
+    """(rows[i], cols[j]) for the first true bad[i, j] in row-major order,
+    or None when there is none."""
+    if not bad.any():
+        return None
+    i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+    return int(rows[i]), int(cols[j])
+
+
+def is_mv_ideal(rig: FiniteMvwRig, members):
+    """Check 0-membership, downward closure and sum closure, in that order.
+
+    Returns (ok, witness); the witness names the violated clause and its
+    first violating pair, taking members in ascending order.
     """
-    s = set(members)
-    if 0 not in s:
+    mask = _member_mask(rig, members)
+    if not mask[0]:
         return False, ("zero", (0,))
-    for b in s:
-        for a in rig.elements():
-            if rig.leq(a, b) and a not in s:
-                return False, ("downward", (a, b))
-    for a in s:
-        for b in s:
-            if rig.add(a, b) not in s:
-                return False, ("sum", (a, b))
+    inside = np.flatnonzero(mask)
+    below = _first_pair(rig.leq_table[:, inside].T & ~mask, inside, rig.elements())
+    if below is not None:
+        b, a = below
+        return False, ("downward", (a, b))
+    pair = _first_pair(~mask[rig.add_table[np.ix_(inside, inside)]], inside, inside)
+    if pair is not None:
+        return False, ("sum", pair)
     return True, None
 
 
 def is_ideal(rig: FiniteMvwRig, members):
     """An MV-ideal that also absorbs products on both sides."""
     ok, witness = is_mv_ideal(rig, members)
-    if not ok:
+    if not ok or rig.mul_table is None:
         return ok, witness
-    if rig.mul_table is not None:
-        s = set(members)
-        for a in s:
-            for b in rig.elements():
-                if rig.mul(a, b) not in s or rig.mul(b, a) not in s:
-                    return False, ("absorb", (a, b))
+    mask = _member_mask(rig, members)
+    inside = np.flatnonzero(mask)
+    mul = rig.mul_table
+    pair = _first_pair(~mask[mul[inside]] | ~mask[mul[:, inside].T], inside, rig.elements())
+    if pair is not None:
+        return False, ("absorb", pair)
     return True, None
 
 
@@ -95,7 +111,7 @@ def is_ideal(rig: FiniteMvwRig, members):
 # are therefore the down-sets of idempotents that also absorb the product.
 
 def _ideal_masks(rig, absorb_product=True):
-    """Membership masks of all (MV-)ideals, smallest first."""
+    """Membership masks of all (MV-)ideals, one row each, smallest first."""
     mul = rig.mul_table
     masks = []
     for e in np.flatnonzero(rig.add_table.diagonal() == np.arange(rig.size)):
@@ -104,13 +120,7 @@ def _ideal_masks(rig, absorb_product=True):
                 mask[mul[mask]].all() and mask[mul[:, mask]].all()):
             continue
         masks.append(mask)
-    return sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist()))
-
-
-def _member_mask(rig, members):
-    mask = np.zeros(rig.size, dtype=bool)
-    mask[list(members)] = True
-    return mask
+    return np.array(sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist())))
 
 
 def _as_ideal(rig, mask) -> Ideal:
@@ -137,9 +147,8 @@ def enumerate_mv_ideals(rig: FiniteMvwRig, bound: int | None = None):
 
 def _least_containing(rig, seed, absorb_product):
     seed = [rig._check(a) for a in seed]
-    for mask in _ideal_masks(rig, absorb_product):
-        if mask[seed].all():
-            return _as_ideal(rig, mask)
+    masks = _ideal_masks(rig, absorb_product)
+    return _as_ideal(rig, masks[masks[:, seed].all(axis=1).argmax()])
 
 
 def generated_mv_ideal(rig: FiniteMvwRig, seed) -> Ideal:
@@ -174,35 +183,45 @@ def _prime_clause(mask, table) -> bool:
     return not (mask[table] & out[:, None] & out[None, :]).any()
 
 
-def classify_ideal(rig: FiniteMvwRig, ideal: Ideal) -> IdealClass:
+def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
     """Raw clause checks; the whole carrier satisfies the prime and maximal
     clauses vacuously, so consumers that need properness combine these with
-    the ``proper`` bit (the spectrum admits proper primes only)."""
+    the ``proper`` bit (the spectrum admits proper primes only).
+
+    ``_masks`` is the ideal mask list of the structure, for callers that
+    classify many ideals against one list.
+    """
+    masks = _ideal_masks(rig) if _masks is None else _masks
     mask = _member_mask(rig, ideal.members)
     prime = rig.mul_table is None or _prime_clause(mask, rig.mul_table)
-    # maximal: no proper ideal lies strictly above
-    maximal = not any(m[mask].all() and (m & ~mask).any() and not m.all()
-                      for m in _ideal_masks(rig))
+    # maximal: no proper ideal lies strictly above; this is the ideal's row
+    # of the containment matrix of the masks
+    strictly_above = masks[:, mask].all(axis=1) & (masks & ~mask).any(axis=1)
+    maximal = not (strictly_above & ~masks.all(axis=1)).any()
     return IdealClass(prime=prime, mv_prime=_prime_clause(mask, rig.meet_table),
                       maximal=maximal, proper=ideal.proper)
+
+
+def classified_ideals(rig: FiniteMvwRig, absorb_product=True):
+    """(ideal, class) for every ideal, or every MV-ideal, smallest first,
+    each classified against one list of ideal masks."""
+    found = enumerate_ideals(rig)
+    masks = np.array([_member_mask(rig, i.members) for i in found])
+    listed = found if absorb_product else enumerate_mv_ideals(rig)
+    return [(i, classify_ideal(rig, i, masks)) for i in listed]
 
 
 def prime_ideals(rig: FiniteMvwRig):
     """Proper ideals satisfying the product-prime clause: the points of the
     spectrum."""
-    out = []
-    for ideal in enumerate_ideals(rig):
-        if ideal.proper and classify_ideal(rig, ideal).prime:
-            out.append(ideal)
-    return out
+    return [i for i, cls in classified_ideals(rig) if i.proper and cls.prime]
 
 
 def maximal_ideals(rig: FiniteMvwRig):
     """All maximal proper ideals; nonempty for every nontrivial structure."""
     if rig.size == 1:
         raise Trivial("the one-element structure has no proper ideals")
-    out = [i for i in enumerate_ideals(rig)
-           if i.proper and classify_ideal(rig, i).maximal]
+    out = [i for i, cls in classified_ideals(rig) if i.proper and cls.maximal]
     if not out:
         raise MvwError("no maximal ideal found in a nontrivial structure")
     return out
@@ -229,44 +248,31 @@ def _require_commutative(rig):
 
 
 def nilradical(rig: FiniteMvwRig) -> Ideal:
-    """The ideal of nilpotent elements (commutative structures only)."""
-    _require_commutative(rig)
-    members = frozenset(x for x in rig.elements() if is_nilpotent(rig, x))
-    ok, witness = is_ideal(rig, members)
+    """The ideal of nilpotent elements, the radical of the zero ideal
+    (commutative structures only)."""
+    nil = radical(rig, Ideal(rig, frozenset({0})))
+    ok, witness = is_ideal(rig, nil.members)
     if not ok:
         raise MvwError(f"nilpotent set is not an ideal: {witness}")
-    return Ideal(rig, members)
+    return nil
 
 
-def radical(rig: FiniteMvwRig, ideal: Ideal, cross_check: bool = True) -> Ideal:
+def radical(rig: FiniteMvwRig, ideal: Ideal) -> Ideal:
     """Elements with some power in the ideal.
 
-    When ``cross_check`` is set, the result is verified against the
-    intersection of the proper primes containing the ideal (the empty
-    intersection being the whole carrier).
+    The powers x, x^2, .., x^(|A|+1) of every element are walked together,
+    one product-table lookup per step; the power sequence cycles within
+    |A| steps, so the scan is exact.  The law suite compares the result
+    with the intersection of the proper primes above the ideal.
     """
     _require_commutative(rig)
-    direct = set()
-    for x in rig.elements():
-        acc = x
-        for _ in range(rig.size):
-            if acc in ideal.members:
-                direct.add(x)
-                break
-            acc = rig.mul(acc, x)
-        else:
-            if acc in ideal.members:
-                direct.add(x)
-    if cross_check:
-        primes = [p.members for p in prime_ideals(rig) if ideal.members <= p.members]
-        inter = set(rig.elements())
-        for p in primes:
-            inter &= p
-        if set(direct) != inter:
-            raise MvwError(
-                f"radical mismatch on {rig.name}: definition gives "
-                f"{sorted(direct)}, prime intersection gives {sorted(inter)}")
-    return Ideal(rig, frozenset(direct))
+    mask = _member_mask(rig, ideal.members)
+    idx = np.arange(rig.size)
+    acc, rad = idx, mask.copy()
+    for _ in range(rig.size):
+        acc = rig.mul_table[acc, idx]
+        rad |= mask[acc]
+    return _as_ideal(rig, rad)
 
 
 def ideal_join(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
@@ -593,13 +599,8 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
     is an injective MV-homomorphism with surjective coordinates."""
     if rig.size == 1:
         raise Trivial("the one-element algebra has no subdirect decomposition")
-    primes = []
-    for ideal in enumerate_mv_ideals(rig):
-        if not ideal.proper:
-            continue
-        cls = classify_ideal(rig, ideal)
-        if cls.mv_prime:
-            primes.append(ideal)
+    primes = [i for i, cls in classified_ideals(rig, absorb_product=False)
+              if i.proper and cls.mv_prime]
     if not primes:
         raise MvwError(f"no MV-prime ideals found in nontrivial {rig.name}")
     quotients = [mv_quotient(rig, p) for p in primes]

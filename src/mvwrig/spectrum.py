@@ -186,19 +186,6 @@ def spec_map(f: ideals.Homomorphism, spec_b: SpecSpace | None = None,
     return phi
 
 
-def radical_order_check(space: SpecSpace, a: int, b: int) -> bool:
-    """V(a) inside V(b) iff the radical of <b> is inside the radical of <a>;
-    both routes are computed and must agree."""
-    rig = space.rig
-    cond_v = space.base[a] <= space.base[b]
-    rad_a = ideals.radical(rig, ideals.generated_ideal(rig, {a}))
-    rad_b = ideals.radical(rig, ideals.generated_ideal(rig, {b}))
-    cond_r = rad_b.members <= rad_a.members
-    if cond_v != cond_r:
-        raise MvwError(f"radical/open order disagree at ({a}, {b})")
-    return cond_v
-
-
 def covering_edges(sets):
     """Transitive reduction of strict containment among a list of sets."""
     edges = []

@@ -238,6 +238,40 @@ def test_size_bound_env_must_be_positive_integer(capsys, monkeypatch):
         assert err == f"error: MVW_SIZE_BOUND={value} is not a positive integer\n"
 
 
+def test_size_bound_caps_dsl_carriers_and_builders(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MVW_SIZE_BOUND", "10")
+    cases = {
+        "algebra C {\n  elements: 0..20\n  zero: 0\n  neg(x) = 20 - x\n"
+        "  add(x, y) = min(20, x + y)\n}\n":
+            "2:13: carrier would have 21 elements (bound 10)",
+        "algebra N {\n  elements: [" + ", ".join(f"e{i}" for i in range(11)) + "]\n"
+        "  zero: e0\n  neg: [e0]\n  add: [[e0]]\n}\n":
+            "2:13: carrier would have 11 elements (bound 10)",
+        "algebra Z { builder: zn(20) }\n": "Z20 carrier would have 21 elements (bound 10)",
+        "algebra L { builder: luk(11) }\n": "L11 carrier would have 11 elements (bound 10)",
+    }
+    src = tmp_path / "big.mvw"
+    for text, message in cases.items():
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(src))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    monkeypatch.setenv("MVW_SIZE_BOUND", "21")
+    for text in list(cases)[::2]:
+        src.write_text(text, encoding="utf-8")
+        assert run(capsys, "check", str(src))[0] == 0
+
+
+def test_huge_range_rejected_before_elaboration(capsys, tmp_path):
+    # the cap is checked before the 10^8 carrier values are built
+    src = tmp_path / "huge.mvw"
+    src.write_text("algebra H {\n  elements: 0..100000000\n  zero: 0\n"
+                   "  neg(x) = 100000000 - x\n  add(x, y) = min(100000000, x + y)\n}\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert code == 2
+    assert err == "error: 2:13: carrier would have 100000001 elements (bound 4096)\n"
+
+
 def test_unbound_variable_exit_2(capsys, tmp_path):
     src = tmp_path / "unbound.mvw"
     src.write_text("algebra U {\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - y\n"

@@ -349,3 +349,98 @@ def test_ideals_match_closure_on_products_and_quotients(factors):
     assert_matches_closure(rig, max_seed=1)
     for ideal in ideals.enumerate_ideals(rig):
         assert_matches_closure(ideals.quotient(rig, ideal).rig, max_seed=1)
+
+
+# -- cross-check against the scalar definitions --------------------------------
+#
+# The library tests membership and radicals with boolean masks over the
+# operation tables; these loops are the definitions, element by element,
+# visiting members in ascending order as the library's witnesses do.
+
+def scalar_is_mv_ideal(rig, members):
+    s = sorted(set(members))
+    if 0 not in s:
+        return False, ("zero", (0,))
+    for b in s:
+        for a in rig.elements():
+            if rig.leq(a, b) and a not in s:
+                return False, ("downward", (a, b))
+    for a in s:
+        for b in s:
+            if rig.add(a, b) not in s:
+                return False, ("sum", (a, b))
+    return True, None
+
+
+def scalar_is_ideal(rig, members):
+    ok, witness = scalar_is_mv_ideal(rig, members)
+    if not ok:
+        return ok, witness
+    if rig.mul_table is not None:
+        s = sorted(set(members))
+        for a in s:
+            for b in rig.elements():
+                if rig.mul(a, b) not in s or rig.mul(b, a) not in s:
+                    return False, ("absorb", (a, b))
+    return True, None
+
+
+def scalar_radical(rig, members):
+    out = set()
+    for x in rig.elements():
+        acc = x
+        for _ in range(rig.size + 1):
+            if acc in members:
+                out.add(x)
+                break
+            acc = rig.mul(acc, x)
+    return frozenset(out)
+
+
+def candidate_subsets(rig):
+    """Every subset of a carrier of at most 8 elements; otherwise every
+    subset of at most 2 elements and every ideal with one element added
+    or removed."""
+    if rig.size <= 8:
+        return [frozenset(c) for k in range(rig.size + 1)
+                for c in itertools.combinations(range(rig.size), k)]
+    out = {frozenset(c) for k in range(3)
+           for c in itertools.combinations(range(rig.size), k)}
+    for ideal in ideals.enumerate_mv_ideals(rig):
+        out.add(ideal.members)
+        out.update(ideal.members ^ {x} for x in rig.elements())
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+REFERENCE_RIGS = [pytest.param(r, id=k) for k, r in ZOO.items()] + \
+    [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)]
+
+
+@pytest.mark.parametrize("rig", REFERENCE_RIGS)
+def test_membership_and_radicals_match_scalar_definitions(rig):
+    commutative = rig.mul_table is not None and rig.commutative
+    for s in candidate_subsets(rig):
+        assert ideals.is_mv_ideal(rig, s) == scalar_is_mv_ideal(rig, s), sorted(s)
+        assert ideals.is_ideal(rig, s) == scalar_is_ideal(rig, s), sorted(s)
+        if commutative:
+            assert ideals.radical(rig, ideals.Ideal(rig, s)).members == \
+                scalar_radical(rig, s), sorted(s)
+    if commutative:
+        assert ideals.nilradical(rig) == ideals.radical(rig, ideals.Ideal(rig, frozenset({0})))
+
+
+@pytest.mark.parametrize("rig", REFERENCE_RIGS)
+def test_classification_matches_set_definitions(rig):
+    listed = [i.members for i in ideals.enumerate_ideals(rig)]
+    full = frozenset(rig.elements())
+    for ideal, cls in ideals.classified_ideals(rig):
+        assert cls == ideals.classify_ideal(rig, ideal)
+        assert cls.maximal == (not any(ideal.members < j < full for j in listed))
+        assert cls.proper == (ideal.members != full)
+    mv_primes = [i for i, cls in ideals.classified_ideals(rig, absorb_product=False)
+                 if i.proper and cls.mv_prime]
+    out = [i for i in ideals.enumerate_mv_ideals(rig) if i.proper and all(
+        rig.meet(a, b) not in i.members
+        for a in rig.elements() for b in rig.elements()
+        if a not in i.members and b not in i.members)]
+    assert mv_primes == out

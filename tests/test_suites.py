@@ -1,6 +1,7 @@
 import pytest
 
-from mvwrig import suites
+from mvwrig import ideals, suites
+from mvwrig.errors import MvwError
 
 from conftest import zoo_items
 
@@ -40,3 +41,33 @@ def test_listing_matches_suites():
 def test_unknown_suite_rejected(zoo):
     with pytest.raises(KeyError):
         suites.run_suite(zoo["Z1"], "bogus")
+
+
+def test_raising_check_fails_and_the_rest_still_run(zoo, monkeypatch):
+    def broken(rig):
+        raise MvwError("no maximal ideal found in a nontrivial structure")
+
+    monkeypatch.setattr(ideals, "maximal_ideals", broken)
+    results = suites.run_suite(zoo["Z3"], "ideals")
+    # every check reports, and only the two that call the broken function fail
+    assert [r.name for r in results] == [name for name, _, _ in suites.SUITES["ideals"]]
+    failed = {r.name: r.detail for r in results if r.status == "FAIL"}
+    assert failed == {
+        "maximal-exists": "no maximal ideal found in a nontrivial structure",
+        "maximal-implies-prime": "no maximal ideal found in a nontrivial structure",
+    }
+
+
+def test_frame_cap_skips_theta_iso(zoo):
+    # a size cap met inside a check is a SKIPPED naming the cap, not a FAIL
+    results = {r.name: r for r in suites.run_suite(zoo["Z3"], "locale", frame_bound=2)}
+    assert results["theta-iso"].status == "SKIPPED"
+    assert results["theta-iso"].detail == "carrier of 4 exceeds frame bound 2"
+
+
+def test_radical_prime_intersection_catches_a_wrong_radical(zoo, monkeypatch):
+    monkeypatch.setattr(ideals, "radical", lambda rig, ideal: ideal)
+    results = {r.name: r for r in suites.run_suite(zoo["T3"], "ideals")}
+    assert results["radical-prime-intersection"].status == "FAIL"
+    assert results["radical-prime-intersection"].detail == (
+        "radical mismatch on T3: definition gives [0], prime intersection gives [0, 1, 2]")
