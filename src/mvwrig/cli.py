@@ -222,18 +222,19 @@ def _cmd_verify(args) -> int:
     if not args.file:
         raise DslSyntaxError(dsl.ParseDiagnostic("error", 1, 1, "missing input file"))
     rig = _load_one(args.file)
-    names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    for name in names:
-        if name not in suites.SUITE_NAMES:
-            raise DslSyntaxError(dsl.ParseDiagnostic(
-                "error", 1, 1,
-                f"unknown suite {name!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
+    if args.suite != "all" and args.suite not in suites.SUITE_NAMES:
+        raise DslSyntaxError(dsl.ParseDiagnostic(
+            "error", 1, 1,
+            f"unknown suite {args.suite!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
     print(rig.describe())
+    if args.suite == "all":
+        results = suites.run_all(rig, frame_bound=args.frame_bound)
+    else:
+        results = suites.run_suite(rig, args.suite, frame_bound=args.frame_bound)
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
-    for suite in names:
-        for result in suites.run_suite(rig, suite, frame_bound=args.frame_bound):
-            counts[result.status] += 1
-            print(result.line())
+    for result in results:
+        counts[result.status] += 1
+        print(result.line())
     print(f"result: {counts['PASS']} passed, {counts['FAIL']} failed, "
           f"{counts['SKIPPED']} skipped")
     return PASS if counts["FAIL"] == 0 else FAIL

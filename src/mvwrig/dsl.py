@@ -35,7 +35,9 @@ from .errors import (
     AxiomViolation,
     ClosureViolation,
     DslSyntaxError,
+    InvalidUnit,
     SchemaError,
+    SizeBound,
 )
 
 
@@ -175,6 +177,7 @@ class VectorArg:
 class BuilderExpr:
     fn: str
     args: tuple
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -397,14 +400,14 @@ class _Parser:
         self.fail(["a number", "a variable", "'('", "'min'", "'max'"])
 
     def parse_builderexpr(self):
-        fn = self.expect(kind="IDENT", expected=["a builder name"]).value
+        head = self.expect(kind="IDENT", expected=["a builder name"])
         self.expect(value="(", expected=["'('"])
         args = [self.parse_builderarg()]
         while self.at(","):
             self.advance()
             args.append(self.parse_builderarg())
         self.expect(value=")", expected=["')'"])
-        return BuilderExpr(fn, tuple(args))
+        return BuilderExpr(head.value, tuple(args), span=(head.line, head.column))
 
     def parse_builderarg(self):
         tok = self.peek()
@@ -540,32 +543,39 @@ def _run_builder(node, registry, span):
             _err(span[0], span[1],
                  f"builder {node.fn} takes ({_BUILDER_ARITY[node.fn]})")
 
-    if node.fn == "zn":
-        want([int])
-        return builders.build_zn(args[0])
-    if node.fn == "luk":
-        want([int])
-        return builders.build_luk_mv(args[0])
-    if node.fn == "trivial":
-        want([FiniteMvwRig])
-        return builders.lift_trivial_product(args[0])
-    if node.fn == "matrix":
-        want([FiniteMvwRig, int])
-        rig, report = builders.build_matrix_rig(args[0], args[1])
-        if not report.passed:
-            raise AxiomViolation(report, context=rig.name)
-        return rig
-    if node.fn == "product":
-        if len(args) < 2 or not all(isinstance(a, FiniteMvwRig) for a in args):
-            _err(span[0], span[1], "builder product takes at least two algebras")
-        return builders.direct_product(args)
-    if node.fn == "gamma":
-        want([int, tuple])
-        return builders.gamma_zk(args[0], args[1])
-    if node.fn == "sub":
-        want([FiniteMvwRig, tuple])
-        sub, _embedding = builders.subalgebra_closure(args[0], set(args[1]))
-        return sub
+    # the builder's own argument checks and size caps point at its call
+    line, col = node.span
+    try:
+        if node.fn == "zn":
+            want([int])
+            return builders.build_zn(args[0])
+        if node.fn == "luk":
+            want([int])
+            return builders.build_luk_mv(args[0])
+        if node.fn == "trivial":
+            want([FiniteMvwRig])
+            return builders.lift_trivial_product(args[0])
+        if node.fn == "matrix":
+            want([FiniteMvwRig, int])
+            rig, report = builders.build_matrix_rig(args[0], args[1])
+            if not report.passed:
+                raise AxiomViolation(report, context=rig.name)
+            return rig
+        if node.fn == "product":
+            if len(args) < 2 or not all(isinstance(a, FiniteMvwRig) for a in args):
+                _err(span[0], span[1], "builder product takes at least two algebras")
+            return builders.direct_product(args)
+        if node.fn == "gamma":
+            want([int, tuple])
+            return builders.gamma_zk(args[0], args[1])
+        if node.fn == "sub":
+            want([FiniteMvwRig, tuple])
+            sub, _embedding = builders.subalgebra_closure(args[0], set(args[1]))
+            return sub
+    except (ValueError, IndexError, InvalidUnit) as exc:
+        _err(line, col, str(exc))
+    except SizeBound as exc:
+        raise SizeBound(f"{line}:{col}: {exc}") from None
     _err(span[0], span[1], f"unknown builder {node.fn!r}")
 
 

@@ -2,18 +2,25 @@
 
 A filter is a nonempty upward-closed, product-closed subset; a P-filter
 additionally swallows x whenever some finite dotted sum b1.x + .. + bm.x
-belongs to it.  The dotted sums of x form a finite set here (the sum
-closure of the multiples of x), which turns the existential in the
-P-filter clause into a finite membership test.
+belongs to it.  The dotted sums of x form a finite set closed under the
+sum, so they have a largest element: the stable multiple of the sum of
+all multiples b.x.  A P-filter is upward closed, so the dotted-sum clause
+becomes one lookup of that largest sum, and membership tests and
+generation are boolean masks over the operation tables.
 
 The collection of all P-filters, ordered by inclusion, is a frame: meets
 are intersections, joins are generated P-filters, and binary meets
-distribute over arbitrary (here: finite) joins.
+distribute over arbitrary (here: finite) joins.  Every P-filter F is the
+join of the principal filters F_a of its members, with or without a
+commutative product, so the frame is the closure of the n principal
+filters under binary join; no subset scan is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import ideals, spectrum
 from .core import FiniteMvwRig
@@ -26,7 +33,8 @@ from .errors import (
     SizeBound,
 )
 
-#: P-filter enumeration is exponential in the carrier; keep it desk-scale.
+#: Carrier cap for the frame: it bounds the k x k join and meet tables and
+#: the 2^n presentation scan that verifies theta.
 DEFAULT_FRAME_BOUND = 16
 
 
@@ -47,121 +55,108 @@ def _require_product(rig):
         raise GateNotMet("P-filters need a product")
 
 
+def _members(mask) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def dotsum_closure(rig: FiniteMvwRig, x: int) -> frozenset:
     """All finite sums b1.x + .. + bm.x: the sum closure of the multiples
     of x.  Exact in a finite carrier."""
     _require_product(rig)
-    memo = rig.__dict__.setdefault("_dotsum_memo", {})
-    if x in memo:
-        return memo[x]
-    out = {rig.mul(b, rig._check(x)) for b in rig.elements()}
-    frontier = set(out)
-    while frontier:
-        fresh = set()
-        for p in frontier:
-            for q in out:
-                for r in (rig.add(p, q), rig.add(q, p)):
-                    if r not in out:
-                        fresh.add(r)
-        out |= fresh
-        frontier = fresh
-    memo[x] = frozenset(out)
-    return memo[x]
+    sums = set(rig.mul_table[:, rig._check(x)].tolist())
+    while True:
+        idx = sorted(sums)
+        grown = sums | set(rig.add_table[np.ix_(idx, idx)].ravel().tolist())
+        if grown == sums:
+            return frozenset(sums)
+        sums = grown
+
+
+def _dotsum_tops(rig):
+    """The largest dotted sum of every element, as one vector: the stable
+    multiple (t = t + t until it stops changing) of the sum of all
+    multiples b.x.  The dotted sums of x are closed under the sum, so that
+    stable multiple is one of them and lies above all of them.  A summand
+    counted twice leaves the stable multiple unchanged, so the rows are
+    summed by folding in half, an odd middle row meeting itself."""
+    add = rig.add_table
+    t = rig.mul_table
+    while len(t) > 1:
+        half = (len(t) + 1) // 2
+        t = add[t[:half], t[-half:]]
+    t = t[0]
+    while True:
+        doubled = add[t, t]
+        if (doubled == t).all():
+            return t
+        t = doubled
 
 
 def is_filter(rig: FiniteMvwRig, members):
+    """Check nonemptiness, upward closure and product closure, in that order.
+
+    Returns (ok, witness); the witness names the violated clause and its
+    first violating pair, taking members in ascending order.
+    """
     _require_product(rig)
-    s = set(members)
-    if not s:
+    mask = ideals._member_mask(rig, members)
+    if not mask.any():
         return False, ("nonempty", ())
-    for a in s:
-        for b in rig.elements():
-            if rig.leq(a, b) and b not in s:
-                return False, ("upward", (a, b))
-    for a in s:
-        for b in s:
-            if rig.mul(a, b) not in s:
-                return False, ("product", (a, b))
+    inside = np.flatnonzero(mask)
+    pair = ideals._first_pair(rig.leq_table[inside] & ~mask, inside, rig.elements())
+    if pair is not None:
+        return False, ("upward", pair)
+    pair = ideals._first_pair(~mask[rig.mul_table[np.ix_(inside, inside)]], inside, inside)
+    if pair is not None:
+        return False, ("product", pair)
     return True, None
 
 
 def is_pfilter(rig: FiniteMvwRig, members):
-    """Filter clauses plus the dotted-sum absorption clause."""
+    """Filter clauses plus the dotted-sum clause.  A filter is upward
+    closed, so x has a dotted sum inside exactly when its largest one is
+    inside; the witness pairs the first such x with its least dotted sum
+    inside."""
     ok, witness = is_filter(rig, members)
     if not ok:
         return ok, witness
-    s = set(members)
-    for x in rig.elements():
-        if x in s:
-            continue
-        hit = dotsum_closure(rig, x) & s
-        if hit:
-            return False, ("dotted-sum", (x, min(hit)))
+    mask = ideals._member_mask(rig, members)
+    bad = np.flatnonzero(~mask & mask[_dotsum_tops(rig)])
+    if bad.size:
+        x = int(bad[0])
+        return False, ("dotted-sum", (x, min(dotsum_closure(rig, x) & _members(mask))))
     return True, None
 
 
-def _products_closure(rig, seed):
-    """All products of finitely many seed elements (length >= 1)."""
-    out = set(seed)
-    frontier = set(seed)
-    while frontier:
-        fresh = set()
-        for p in frontier:
-            for s in seed:
-                for r in (rig.mul(p, s), rig.mul(s, p)):
-                    if r not in out:
-                        fresh.add(r)
-        out |= fresh
-        frontier = fresh
-    return out
+def _closure(rig, mask, tops):
+    """Least P-filter containing a mask: add the up-set, every product of
+    members and every element whose largest dotted sum is inside, until
+    nothing changes.  Each step adds only elements that any P-filter
+    containing the current set must hold, so the fixpoint is least; at the
+    fixpoint the set is upward closed, so the dotted-sum test is exact."""
+    while True:
+        inside = np.flatnonzero(mask)
+        grown = mask | rig.leq_table[inside].any(axis=0) | mask[tops]
+        grown[rig.mul_table[np.ix_(inside, inside)]] = True
+        if (grown == mask).all():
+            return mask
+        mask = grown
 
 
 def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
-    """Least P-filter containing the seed, by forced closure: every step
-    adds only elements that any P-filter containing the current set must
-    hold, so the fixpoint is least.  Works for noncommutative products
-    too; for commutative ones it agrees with pfilter_by_formula."""
+    """Least P-filter containing the seed, by forced closure on masks.
+    Works for noncommutative products too; the result is verified against
+    every P-filter clause."""
     _require_product(rig)
     seed = {rig._check(a) for a in seed}
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    members = set(seed)
-    while True:
-        fresh = set()
-        for a in members:
-            fresh.update(b for b in rig.elements()
-                         if rig.leq(a, b) and b not in members)
-            fresh.update(rig.mul(a, b) for b in members)
-        for x in rig.elements():
-            if x not in members and dotsum_closure(rig, x) & members:
-                fresh.add(x)
-        fresh -= members
-        if not fresh:
-            break
-        members |= fresh
-    pf = PFilter(rig, frozenset(members))
+    mask = _closure(rig, ideals._member_mask(rig, seed), _dotsum_tops(rig))
+    pf = PFilter(rig, _members(mask))
     ok, witness = is_pfilter(rig, pf.members)
     if not ok:
         raise MvwError(f"generated set fails a P-filter clause: {witness}")
     return pf
-
-
-def pfilter_by_formula(rig: FiniteMvwRig, seed) -> frozenset:
-    """The dotted-sum description of the generated P-filter: x belongs iff
-    some product of seed elements sits below some dotted sum of x.  Equals
-    the generated P-filter on commutative structures (the law suite checks
-    this); on noncommutative ones it can fail product closure."""
-    _require_product(rig)
-    seed = {rig._check(a) for a in seed}
-    if not seed:
-        raise EmptySeed("P-filters are nonempty; seed must be too")
-    prods = _products_closure(rig, seed)
-    members = set()
-    for x in rig.elements():
-        sums = dotsum_closure(rig, x)
-        if any(rig.leq(p, d) for p in prods for d in sums):
-            members.add(x)
-    return frozenset(members)
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
@@ -185,43 +180,24 @@ def pfilter_join(f: PFilter, g: PFilter) -> PFilter:
     return pfilter_generated(f.rig, f.members | g.members)
 
 
-def _upsets(rig, cap=200000):
-    """All upward-closed subsets: unions of principal up-sets."""
-    principal = {frozenset(b for b in rig.elements() if rig.leq(a, b))
-                 for a in rig.elements()}
-    out = {frozenset()} | principal
-    frontier = set(out)
-    while frontier:
-        fresh = set()
-        for u in frontier:
-            for p in principal:
-                w = u | p
-                if w not in out and w not in fresh:
-                    fresh.add(w)
-        if len(out) + len(fresh) > cap:
-            raise SizeBound("too many upward-closed subsets")
-        out |= fresh
-        frontier = fresh
-    return out
-
-
 def all_pfilters(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND):
-    """Every P-filter, found by scanning upward-closed candidates and
-    keeping those that satisfy the product and dotted-sum clauses."""
+    """Every P-filter, canonically sorted: the closure of the principal
+    filters under binary join.  A P-filter F is the union of the F_a for a
+    in F, hence their join, so nothing else can occur."""
     _require_product(rig)
     if rig.size > bound:
         raise SizeBound(f"carrier of {rig.size} exceeds frame bound {bound}")
-    dotsums = {x: dotsum_closure(rig, x) for x in rig.elements()}
-    out = []
-    for cand in _upsets(rig):
-        if not cand:
-            continue
-        if any(rig.mul(a, b) not in cand for a in cand for b in cand):
-            continue
-        if any(x not in cand and (dotsums[x] & cand) for x in rig.elements()):
-            continue
-        out.append(cand)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    tops = _dotsum_tops(rig)
+    principal = [_closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)]
+    found = {}
+    todo = list(principal)
+    while todo:
+        mask = todo.pop()
+        key = _members(mask)
+        if key not in found:
+            found[key] = mask
+            todo.extend(_closure(rig, mask | p, tops) for p in principal)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass
@@ -255,16 +231,19 @@ def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
     by the locale law suite."""
     filters = all_pfilters(rig, bound=bound)
     index = {s: i for i, s in enumerate(filters)}
+    masks = [ideals._member_mask(rig, s) for s in filters]
+    tops = _dotsum_tops(rig)
     k = len(filters)
     join = [[0] * k for _ in range(k)]
     meet = [[0] * k for _ in range(k)]
     for i in range(k):
-        for j in range(k):
-            join[i][j] = index[pfilter_generated(rig, filters[i] | filters[j]).members]
+        for j in range(i, k):
+            joined = _members(_closure(rig, masks[i] | masks[j], tops))
+            join[i][j] = join[j][i] = index[joined]
             inter = filters[i] & filters[j]
             if inter not in index:
                 raise MvwError("intersection of P-filters is not a P-filter")
-            meet[i][j] = index[inter]
+            meet[i][j] = meet[j][i] = index[inter]
     return FrameLA(rig=rig, pfilters=tuple(filters),
                    join_table=tuple(tuple(r) for r in join),
                    meet_table=tuple(tuple(r) for r in meet),

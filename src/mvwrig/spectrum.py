@@ -1,9 +1,10 @@
 """The prime spectrum with the co-Zariski topology.
 
 Points are the proper prime ideals; the basic open attached to an element
-a collects the points containing a.  The space is finite, so the open
-lattice is materialized outright and every topological statement becomes
-a finite assertion.
+a collects the points containing a.  A prime contains a product exactly
+when it contains a factor, so V(a) u V(b) = V(ab) and the basic opens are
+all the opens.  The space is finite, so the open lattice is materialized
+outright and every topological statement becomes a finite assertion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class SpecSpace:
     rig: FiniteMvwRig
     points: tuple            # frozensets of carrier indices, canonically sorted
     base: dict               # element -> frozenset of point indices
-    opens: tuple             # all unions of base sets, canonically sorted
+    opens: tuple             # the distinct base sets, canonically sorted
     unit_gated: bool = False # no unit: unit-dependent theorems are skipped
     warnings: list = field(default_factory=list)
 
@@ -37,8 +38,8 @@ def _canon_sets(sets):
 
 
 def spec(rig: FiniteMvwRig) -> SpecSpace:
-    """Enumerate the proper primes, materialize the basic opens and their
-    unions, and verify the base laws that make them a base."""
+    """Enumerate the proper primes, materialize the basic opens, which
+    form the whole open lattice, and verify the base laws."""
     if rig.mul_table is None:
         raise GateNotMet("spectrum needs a product")
     if not rig.commutative:
@@ -48,15 +49,8 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
     base = {a: frozenset(i for i, p in enumerate(points) if a in p)
             for a in rig.elements()}
 
-    opens = {frozenset()} | set(base.values())
-    while True:
-        fresh = {u | v for u in opens for v in opens} - opens
-        if not fresh:
-            break
-        opens |= fresh
-
     space = SpecSpace(rig=rig, points=points, base=base,
-                      opens=_canon_sets(opens), unit_gated=rig.unit is None)
+                      opens=_canon_sets(set(base.values())), unit_gated=rig.unit is None)
     if space.unit_gated:
         space.warnings.append(
             f"{rig.name} has no unitary element; unit-gated theorems are skipped")

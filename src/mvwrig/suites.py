@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,34 +46,27 @@ class _Ctx:
     def __init__(self, rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
         self.rig = rig
         self.frame_bound = frame_bound
-        self._cache = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def ideal_list(self):
-        return self._get("ideals", lambda: ideals.enumerate_ideals(self.rig))
+        return ideals.enumerate_ideals(self.rig)
 
-    @property
+    @cached_property
     def proper_primes(self):
-        return self._get("primes", lambda: ideals.prime_ideals(self.rig))
+        return ideals.prime_ideals(self.rig)
 
-    @property
+    @cached_property
     def space(self):
-        return self._get("space", lambda: spectrum.spec(self.rig))
+        return spectrum.spec(self.rig)
 
-    @property
+    @cached_property
     def frame(self):
-        return self._get("frame", lambda: frames.frame(self.rig, bound=self.frame_bound))
+        return frames.frame(self.rig, bound=self.frame_bound)
 
-    @property
+    @cached_property
     def principal_filters(self):
-        return self._get("principal",
-                         lambda: {a: frames.principal_pfilter(self.rig, a).members
-                                  for a in self.rig.elements()})
+        return {a: frames.principal_pfilter(self.rig, a).members
+                for a in self.rig.elements()}
 
 
 def _need_product(rig):
@@ -702,19 +696,36 @@ def _check_principal_join_law(ctx):
                 return f"fails at ({a}, {b})"
 
 
+def _pfilter_by_formula(rig, seed, dotsums):
+    """The dotted-sum description of the generated P-filter: x belongs iff
+    some finite product of seed elements sits below some dotted sum of x
+    (``dotsums`` maps each x to all its dotted sums).  The independent
+    oracle for ``pfilter_generated`` on commutative structures; on
+    noncommutative ones it can fail product closure."""
+    prods = set(seed)
+    while True:
+        grown = prods | set(rig.mul_table[np.ix_(sorted(prods), sorted(prods))].flat)
+        if grown == prods:
+            break
+        prods = grown
+    return frozenset(x for x in rig.elements()
+                     if rig.leq_table[np.ix_(sorted(prods), sorted(dotsums[x]))].any())
+
+
 def _check_pfilter_generated_least(ctx):
     r = ctx.rig
     _need_product(r)
     if r.size > SUBSET_SIZE_LIMIT:
         raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
     all_filters = list(ctx.frame.pfilters)
+    dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
     for k in range(1, r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
             gen = frames.pfilter_generated(r, seed).members
             for f in all_filters:
                 if set(seed) <= f and not gen <= f:
                     return f"<{seed}> is not least"
-            if r.commutative and frames.pfilter_by_formula(r, seed) != gen:
+            if r.commutative and _pfilter_by_formula(r, seed, dotsums) != gen:
                 return f"dotted-sum description of <{seed}> differs from the closure"
 
 
@@ -871,13 +882,13 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND):
+def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND, _ctx=None):
     """Run one named suite; gated checks report SKIPPED with the reason,
     and a check that raises reports FAIL with the error, so the remaining
-    checks still run."""
+    checks still run.  ``_ctx`` lets several suites share one context."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    ctx = _Ctx(rig, frame_bound=frame_bound)
+    ctx = _Ctx(rig, frame_bound=frame_bound) if _ctx is None else _ctx
     results = []
     for name, _desc, fn in SUITES[suite]:
         try:
@@ -899,9 +910,12 @@ def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND):
 
 
 def run_all(rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
+    """Every suite in order, sharing one analysis context, so the ideals,
+    the spectrum and the frame are computed once per structure."""
+    ctx = _Ctx(rig, frame_bound=frame_bound)
     out = []
     for suite in SUITE_NAMES:
-        out.extend(run_suite(rig, suite, frame_bound=frame_bound))
+        out.extend(run_suite(rig, suite, frame_bound=frame_bound, _ctx=ctx))
     return out
 
 

@@ -35,6 +35,14 @@ def build_zoo():
 
 ZOO = build_zoo()
 
+#: Products above the zoo's sizes, built on demand.
+LADDER = {
+    "G3xG2": lambda: builders.direct_product(
+        [builders.gamma_zk(3, (1, 1, 1)), builders.gamma_zk(2, (1, 1))]),
+    "Z1^4": lambda: builders.direct_product([builders.build_zn(1)] * 4),
+    "Z2xZ3": lambda: builders.direct_product([builders.build_zn(2), builders.build_zn(3)]),
+}
+
 
 @pytest.fixture(scope="session")
 def zoo():

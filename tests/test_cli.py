@@ -247,8 +247,8 @@ def test_size_bound_caps_dsl_carriers_and_builders(capsys, monkeypatch, tmp_path
         "algebra N {\n  elements: [" + ", ".join(f"e{i}" for i in range(11)) + "]\n"
         "  zero: e0\n  neg: [e0]\n  add: [[e0]]\n}\n":
             "2:13: carrier would have 11 elements (bound 10)",
-        "algebra Z { builder: zn(20) }\n": "Z20 carrier would have 21 elements (bound 10)",
-        "algebra L { builder: luk(11) }\n": "L11 carrier would have 11 elements (bound 10)",
+        "algebra Z { builder: zn(20) }\n": "1:22: Z20 carrier would have 21 elements (bound 10)",
+        "algebra L { builder: luk(11) }\n": "1:22: L11 carrier would have 11 elements (bound 10)",
     }
     src = tmp_path / "big.mvw"
     for text, message in cases.items():
@@ -259,6 +259,24 @@ def test_size_bound_caps_dsl_carriers_and_builders(capsys, monkeypatch, tmp_path
     for text in list(cases)[::2]:
         src.write_text(text, encoding="utf-8")
         assert run(capsys, "check", str(src))[0] == 0
+
+
+@pytest.mark.parametrize("builder, message", [
+    ("zn(0)", "1:22: error: n must be >= 1"),
+    ("luk(0)", "1:22: error: n must be >= 2"),
+    ("matrix(zn(1), 0)", "1:22: error: matrix dimension must be >= 1"),
+    ("matrix(luk(3), 2)", "1:22: error: base must have a product"),
+    ("gamma(3, [1, 1])", "1:22: error: unit vector must have length 3"),
+    ("gamma(2, [1, 2])", "1:22: error: unit vector entries must be 0 or 1, got (1, 2)"),
+    ("sub(zn(3), [9])", "1:22: error: element index 9 out of range 0..3"),
+    # a nested call is located at its own name
+    ("product(zn(1), zn(0))", "1:37: error: n must be >= 1"),
+    ("product(zn(64), zn(64))", "1:22: product carrier would have 4225 elements (bound 4096)"),
+])
+def test_builder_errors_are_located(capsys, tmp_path, builder, message):
+    src = tmp_path / "builder.mvw"
+    src.write_text(f"algebra X {{ builder: {builder} }}\n", encoding="utf-8")
+    assert run(capsys, "check", str(src)) == (2, "", f"error: {message}\n")
 
 
 def test_huge_range_rejected_before_elaboration(capsys, tmp_path):

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from mvwrig import frames, spectrum
+from mvwrig import builders, frames, spectrum, suites
 from mvwrig.errors import EmptySeed, GateNotMet, NotACover
 
-from conftest import ZOO
+from conftest import LADDER, ZOO
 
 
 @pytest.fixture
@@ -50,9 +50,10 @@ def test_pfilter_generated(z3):
 
 def test_pfilter_formula_agrees_on_commutative(z3, square):
     for rig in (z3, square, ZOO["T3"]):
+        dotsums = {x: frames.dotsum_closure(rig, x) for x in rig.elements()}
         for k in range(1, rig.size + 1):
             for seed in itertools.combinations(range(rig.size), k):
-                assert frames.pfilter_by_formula(rig, seed) == \
+                assert suites._pfilter_by_formula(rig, seed, dotsums) == \
                     frames.pfilter_generated(rig, seed).members
 
 
@@ -173,3 +174,148 @@ def test_export_json_doc(square):
     assert doc["pfilters"][0] == [3]
     assert doc["pfilters"][-1] == [0, 1, 2, 3]
     assert sorted(doc["hasse"]) == [[0, 1], [0, 2], [1, 3], [2, 3]]
+
+
+# -- cross-check against the scalar definitions --------------------------------
+#
+# The library tests the P-filter clauses, generates P-filters and builds the
+# frame with boolean masks over the operation tables, reading the dotted-sum
+# clause off the largest dotted sum of each element.  These loops are the
+# definitions, element by element over the tables as Python lists, visiting
+# members in ascending order as the library's witnesses do; the frame
+# reference scans every upward-closed subset.
+
+FRAME_LADDER = dict(LADDER, **{
+    "Z1^3": lambda: builders.direct_product([builders.build_zn(1)] * 3),
+    "M2(Z2)": lambda: builders.build_matrix_rig(builders.build_zn(2), 2)[0],
+})
+REFERENCE_RIGS = [pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None] + \
+    [pytest.param(FRAME_LADDER[k](), id=k) for k in sorted(FRAME_LADDER)]
+
+
+class Scalar:
+    """The scalar definitions on one structure."""
+
+    def __init__(self, rig):
+        self.n = rig.size
+        self.leq = rig.leq_table.tolist()
+        self.add = rig.add_table.tolist()
+        self.mul = rig.mul_table.tolist()
+        self.dotsums = [self._dotsums(x) for x in range(self.n)]
+        self.up = [{b for b in range(self.n) if self.leq[a][b]} for a in range(self.n)]
+
+    def _dotsums(self, x):
+        out = {self.mul[b][x] for b in range(self.n)}
+        frontier = set(out)
+        while frontier:
+            fresh = set()
+            for p in frontier:
+                for q in out:
+                    for r in (self.add[p][q], self.add[q][p]):
+                        if r not in out:
+                            fresh.add(r)
+            out |= fresh
+            frontier = fresh
+        return frozenset(out)
+
+    def is_filter(self, members):
+        s = set(members)
+        if not s:
+            return False, ("nonempty", ())
+        for a in sorted(s):
+            for b in range(self.n):
+                if self.leq[a][b] and b not in s:
+                    return False, ("upward", (a, b))
+        for a in sorted(s):
+            for b in sorted(s):
+                if self.mul[a][b] not in s:
+                    return False, ("product", (a, b))
+        return True, None
+
+    def is_pfilter(self, members):
+        ok, witness = self.is_filter(members)
+        if not ok:
+            return ok, witness
+        s = set(members)
+        for x in range(self.n):
+            hit = self.dotsums[x] & s
+            if x not in s and hit:
+                return False, ("dotted-sum", (x, min(hit)))
+        return True, None
+
+    def generated(self, seed):
+        members = set(seed)
+        while True:
+            fresh = set()
+            for a in members:
+                fresh.update(self.up[a])
+                fresh.update(self.mul[a][b] for b in members)
+            fresh.update(x for x in range(self.n) if self.dotsums[x] & members)
+            fresh -= members
+            if not fresh:
+                return frozenset(members)
+            members |= fresh
+
+    def upsets(self):
+        principal = {frozenset(b for b in range(self.n) if self.leq[a][b])
+                     for a in range(self.n)}
+        out = {frozenset()} | principal
+        frontier = set(out)
+        while frontier:
+            fresh = {u | p for u in frontier for p in principal} - out
+            out |= fresh
+            frontier = fresh
+        return out
+
+    def all_pfilters(self):
+        found = [u for u in self.upsets() if u and self.is_pfilter(u)[0]]
+        return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def candidates(rig, limit):
+    """Every subset of a carrier of at most 8 elements; otherwise every
+    subset of at most ``limit`` elements and every P-filter with one
+    element added or removed."""
+    if rig.size <= 8:
+        return [frozenset(c) for k in range(rig.size + 1)
+                for c in itertools.combinations(range(rig.size), k)]
+    out = {frozenset(c) for k in range(limit + 1)
+           for c in itertools.combinations(range(rig.size), k)}
+    for f in frames.all_pfilters(rig, bound=rig.size):
+        out.update(f ^ {x} for x in rig.elements())
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("rig", REFERENCE_RIGS)
+def test_membership_matches_scalar_definitions(rig):
+    ref = Scalar(rig)
+    tops = frames._dotsum_tops(rig)
+    for x in rig.elements():
+        assert frames.dotsum_closure(rig, x) == ref.dotsums[x]
+        assert tops[x] == max(ref.dotsums[x])
+    for s in candidates(rig, 2):
+        assert frames.is_filter(rig, s) == ref.is_filter(s), sorted(s)
+        assert frames.is_pfilter(rig, s) == ref.is_pfilter(s), sorted(s)
+
+
+@pytest.mark.parametrize("rig", REFERENCE_RIGS)
+def test_generated_pfilters_match_scalar_closure(rig):
+    # seeds of size 2 on the 81-element M2(Z2) would cost seconds
+    ref = Scalar(rig)
+    for seed in candidates(rig, 2 if rig.size <= 32 else 1):
+        if seed:
+            assert frames.pfilter_generated(rig, seed).members == ref.generated(seed), \
+                sorted(seed)
+
+
+@pytest.mark.parametrize("rig", [p for p in REFERENCE_RIGS if p.id != "M2(Z2)"])
+def test_frame_matches_upset_scan(rig):
+    ref = Scalar(rig)
+    filters = ref.all_pfilters()
+    fr = frames.frame(rig, bound=rig.size)
+    assert list(fr.pfilters) == filters
+    index = {f: i for i, f in enumerate(filters)}
+    for i, f in enumerate(filters):
+        for j, g in enumerate(filters):
+            assert fr.join_table[i][j] == index[ref.generated(f | g)]
+            assert fr.meet_table[i][j] == index[f & g]

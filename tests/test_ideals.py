@@ -13,7 +13,7 @@ from mvwrig.errors import (
     Trivial,
 )
 
-from conftest import ZOO, zoo_items
+from conftest import LADDER, ZOO, zoo_items
 
 
 @pytest.fixture
@@ -312,14 +312,6 @@ def assert_matches_closure(rig, max_seed=2):
         for seed in itertools.combinations(range(rig.size), k):
             assert ideals.generated_ideal(rig, seed).members == \
                 frozenset(suites._generated_fixpoint(rig, seed)), (rig.name, seed)
-
-
-LADDER = {
-    "G3xG2": lambda: builders.direct_product(
-        [builders.gamma_zk(3, (1, 1, 1)), builders.gamma_zk(2, (1, 1))]),
-    "Z1^4": lambda: builders.direct_product([builders.build_zn(1)] * 4),
-    "Z2xZ3": lambda: builders.direct_product([builders.build_zn(2), builders.build_zn(3)]),
-}
 
 
 @pytest.mark.parametrize("rig", zoo_items())

@@ -3,7 +3,7 @@ import pytest
 from mvwrig import builders, ideals, spectrum
 from mvwrig.errors import GateNotMet, NotCommutative
 
-from conftest import ZOO
+from conftest import LADDER, ZOO
 
 
 @pytest.fixture
@@ -147,3 +147,25 @@ def test_spec_map_rejects_non_homomorphism():
     from mvwrig.errors import NotAHomomorphism
     with pytest.raises(NotAHomomorphism):
         spectrum.spec_map(ideals.Homomorphism(z3, z3, (0, 2, 1, 3)))
+
+
+def union_closure(sets):
+    """Every union of the given sets, the empty union included."""
+    opens = {frozenset()} | set(sets)
+    while True:
+        fresh = {u | v for u in opens for v in opens} - opens
+        if not fresh:
+            return opens
+        opens |= fresh
+
+
+@pytest.mark.parametrize("rig", [
+    pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)] + [
+    pytest.param(builders.build_zn(63), id="Z63"),
+    pytest.param(builders.direct_product([builders.gamma_zk(3, (1, 1, 1))] * 2), id="G3xG3"),
+])
+def test_opens_are_the_basic_opens(rig):
+    space = spectrum.spec(rig)
+    assert set(space.opens) == set(space.base.values())
+    assert set(space.opens) == union_closure(space.base.values())

@@ -1,6 +1,6 @@
 import pytest
 
-from mvwrig import ideals, suites
+from mvwrig import frames, ideals, spectrum, suites
 from mvwrig.errors import MvwError
 
 from conftest import zoo_items
@@ -71,3 +71,22 @@ def test_radical_prime_intersection_catches_a_wrong_radical(zoo, monkeypatch):
     assert results["radical-prime-intersection"].status == "FAIL"
     assert results["radical-prime-intersection"].detail == (
         "radical mismatch on T3: definition gives [0], prime intersection gives [0, 1, 2]")
+
+
+def test_run_all_shares_one_context(zoo, monkeypatch):
+    # the spectrum and the frame are computed once per structure, not once
+    # per suite
+    calls = []
+    for module, name in ((spectrum, "spec"), (frames, "frame")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for key in ("Z3", "Z1xZ1", "G110"):
+        calls.clear()
+        results = suites.run_all(zoo[key])
+        assert calls.count("spec") == calls.count("frame") == 1, key
+        assert not [r.line() for r in results if r.status == "FAIL"]
