@@ -75,10 +75,8 @@ def _cmd_check(args) -> int:
     worst = PASS
     for rig in rigs:
         print(rig.describe())
-        report = core.check_mv(rig)
-        if rig.mul_table is not None and not args.mv_only:
-            report = report.merged_with(core.check_mvw(rig))
-        elif rig.mv_only:
+        report = core.check_mv(rig) if args.mv_only else core.check_all(rig)
+        if rig.mv_only:
             print("  (no product: MV axioms only)")
         for axiom in report.axioms:
             status = report.status(axiom)

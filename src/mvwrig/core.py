@@ -13,7 +13,10 @@ else is derived:
 
 Axiom checking is exhaustive over all tuples; carriers are desk-scale so
 cubic scans are cheap, and the scans double as the oracle for every other
-module.  Tables are numpy arrays so the cubic checks vectorize.
+module.  Tables are int32 numpy arrays so the cubic checks vectorize: for
+each element x, the scan gathers from the flattened tables at int32 indices
+a·n + b, which keeps every temporary at n^2 cells.  A commutative product
+has the same right-hand laws as left-hand ones, so their scan runs once.
 """
 
 from __future__ import annotations
@@ -218,7 +221,11 @@ class FiniteMvwRig:
 
 
 def _as_table(data, shape, size):
-    arr = np.asarray(data, dtype=np.int32).copy()
+    # an int32 array that owns its memory and is already read-only cannot
+    # change under the structure, so it is kept; anything else is copied
+    arr = np.asarray(data, dtype=np.int32)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
     if arr.shape != shape:
         raise ValueError(f"table has shape {arr.shape}, expected {shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= size):
@@ -249,11 +256,10 @@ def _scan_per_element(n, row_failures):
     total = 0
     samples = []
     for x in range(n):
-        bad = np.argwhere(row_failures(x))
+        bad = np.flatnonzero(row_failures(x))
         total += len(bad)
-        for y, z in bad[:MAX_WITNESSES]:
-            if len(samples) < MAX_WITNESSES:
-                samples.append((x, int(y), int(z)))
+        for cell in bad[:MAX_WITNESSES - len(samples)]:
+            samples.append((x, *divmod(int(cell), n)))
     return total, samples
 
 
@@ -287,7 +293,12 @@ def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
     if rig.mul_table is None:
         raise GateNotMet("structure has no product; nothing to check")
     n = rig.size
-    mul, add, monus, leqb = rig.mul_table, rig.add_table, rig.monus_table, rig.leq_table
+    mul, add, monus = rig.mul_table, rig.add_table, rig.monus_table
+    n32 = np.int32(n)
+    # the tables are read flat at a·n + b in int32, and a <= b fails where
+    # not_leq[a·n + b] holds
+    flat_add, flat_monus = add.ravel(), monus.ravel()
+    not_leq = ~rig.leq_table.ravel()
     report = AxiomReport(axioms=MVW_AXIOMS)
 
     report.failures["MVW-ii"] = _scan_per_element(n, lambda x: mul[x][mul] != mul[mul[x]])
@@ -298,20 +309,33 @@ def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
 
     # For fixed a, row = a*_ and col = _*a cover the left and right laws:
     #   iv)  a(b + c) <= ab + ac        v)  a(b - c) >= ab - ac
-    def subdist(x):
-        out = np.zeros((n, n), dtype=bool)
-        for vec in (mul[x], mul[:, x]):
-            out |= ~leqb[vec[add], add[np.ix_(vec, vec)]]
-        return out
+    # A commutative product has col = row, so its column pass would repeat
+    # the row pass cell for cell.
+    def both_sides(fails):
+        def row_failures(x):
+            out = fails(mul[x])
+            if not rig.commutative:
+                out |= fails(mul[:, x])
+            return out
+        return row_failures
 
-    def superdist(x):
-        out = np.zeros((n, n), dtype=bool)
-        for vec in (mul[x], mul[:, x]):
-            out |= ~leqb[monus[np.ix_(vec, vec)], vec[monus]]
-        return out
+    def subdist(vec):
+        # not_leq at a(b + c)·n + (ab + ac)
+        vec_n = vec * n32
+        cells = flat_add[vec_n[:, None] + vec]
+        cells += vec_n[add]
+        return not_leq[cells]
 
-    report.failures["MVW-iv"] = _scan_per_element(n, subdist)
-    report.failures["MVW-v"] = _scan_per_element(n, superdist)
+    def superdist(vec):
+        # not_leq at (ab - ac)·n + a(b - c)
+        vec_n = vec * n32
+        cells = flat_monus[vec_n[:, None] + vec]
+        cells *= n32
+        cells += vec[monus]
+        return not_leq[cells]
+
+    report.failures["MVW-iv"] = _scan_per_element(n, both_sides(subdist))
+    report.failures["MVW-v"] = _scan_per_element(n, both_sides(superdist))
     return report
 
 

@@ -16,18 +16,25 @@ Grammar (EBNF):
     builderexpr := IDENT "(" arg ("," arg)* ")"
     arg         := INT | IDENT | "[" INT ("," INT)* "]" | builderexpr
 
-Formulas are evaluated with exact rational arithmetic over the whole
-carrier; any value that leaves the carrier raises a closure violation
-with the witness inputs.  Serialization is canonical (fixed key order,
-sorted arrays) so two runs produce identical bytes.
+Formulas are evaluated exactly, over the whole carrier at once: each
+element v enters as the integer v·D (D the lcm of the carrier's
+denominators), every node yields integer numerators over one denominator,
+and the arithmetic runs in int64 while a magnitude bound computed from the
+formula stays below 2^62, on Python-int object arrays beyond.  The first
+cell, in row-major order, whose value leaves the carrier raises a closure
+violation with the witness inputs.  Serialization is canonical (fixed key
+order, sorted arrays) so two runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import builders, core, frames, ideals, spectrum
 from .core import FiniteMvwRig
@@ -501,21 +508,121 @@ def pretty(source: AlgebraSource) -> str:
 
 # -- elaboration --------------------------------------------------------------------
 
-def _eval_expr(node, env):
+#: A formula node whose magnitude bound reaches this is evaluated on
+#: Python-int object arrays instead of int64, so no value can wrap.
+_INT64_LIMIT = 1 << 62
+#: Binary tables are evaluated in blocks of whole rows of about this many
+#: cells, which keeps the temporaries small on large carriers.
+_BLOCK_CELLS = 4096
+
+
+def _exact(nums, bound):
+    """``nums`` as an int64 array while ``bound`` (>= every magnitude in it)
+    stays below the limit, else as an array of Python ints."""
+    if bound < _INT64_LIMIT:
+        return np.asarray(nums, dtype=np.int64)
+    # astype, unlike asarray, turns a NumPy integer scalar into a Python int
+    return np.asarray(nums).astype(object)
+
+
+def _grid_value(node, env):
+    """The exact value of a formula at every point of a grid.
+
+    Returns ``(nums, den, bound)``: the value is ``nums / den`` cell by
+    cell, with ``den`` a positive int and ``|nums| <= bound``.  ``env``
+    maps each variable to such a triple; bounds stay at least 1, so a
+    scale factor never exceeds the bound it multiplies into.
+    """
     if isinstance(node, Lit):
-        return node.value
+        # one-element arrays, not 0-d ones: arithmetic on 0-d object arrays
+        # returns bare Python ints, which NumPy would then narrow
+        bound = max(abs(node.value.numerator), 1)
+        return _exact([node.value.numerator], bound), node.value.denominator, bound
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, MinMax):
-        vals = [_eval_expr(a, env) for a in node.args]
-        return min(vals) if node.fn == "min" else max(vals)
-    a = _eval_expr(node.left, env)
-    b = _eval_expr(node.right, env)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    return a * b
+    args = node.args if isinstance(node, MinMax) else (node.left, node.right)
+    parts = [_grid_value(a, env) for a in args]
+    if isinstance(node, BinOp) and node.op == "*":
+        (a, da, ba), (b, db, bb) = parts
+        bound = ba * bb
+        return _exact(a, bound) * _exact(b, bound), da * db, bound
+    # + and - add the bounds; min and max keep the larger one
+    den = math.lcm(*(d for _, d, _ in parts))
+    scaled_bounds = [b * (den // d) for _, d, b in parts]
+    bound = sum(scaled_bounds) if isinstance(node, BinOp) else max(scaled_bounds)
+    a, b, *rest = (_exact(nums, bound) * (den // d) for nums, d, _ in parts)
+    if isinstance(node, BinOp):
+        return (a + b if node.op == "+" else a - b), den, bound
+    fold = np.minimum if node.fn == "min" else np.maximum
+    out = fold(a, b)
+    for c in rest:
+        out = fold(out, c)
+    return out, den, bound
+
+
+def _carrier_index(nums, den, bound, scaled, scale):
+    """``(pos, hit)``: ``hit`` marks the values ``nums / den`` that are
+    carrier elements, and ``pos`` holds their indices in the sorted scaled
+    carrier there.
+
+    ``nums/den`` is an element ``s/scale`` iff ``den' | nums`` and
+    ``(nums/den')·scale' = s``, where ``g = gcd(den, scale)``,
+    ``den' = den/g`` and ``scale' = scale/g``.
+    """
+    g = math.gcd(den, scale)
+    step, grow = den // g, scale // g
+    cand = _exact(nums // step if step > 1 else nums, bound * grow)
+    if grow > 1:
+        cand = cand * grow
+    if cand.dtype == object or scaled.dtype == object:
+        scaled, cand = scaled.astype(object), cand.astype(object)
+    pos = np.searchsorted(scaled, cand)
+    np.minimum(pos, len(scaled) - 1, out=pos)
+    hit = scaled[pos] == cand
+    if step > 1:
+        hit &= nums % step == 0
+    return pos, hit
+
+
+def _formula_table(opname, formula, values):
+    """The table of a formula over a sorted numeric carrier, as int32
+    carrier indices (one row per value of the first parameter).
+
+    Each carrier value ``v`` enters as the integer ``v·D``, where D is the
+    lcm of the carrier's denominators, and the formula is evaluated over the
+    whole grid at once with exact integer arithmetic.  Raises
+    ClosureViolation at the first cell, in row-major order, whose value is
+    not in the carrier.
+    """
+    n = len(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    bound = max(max(abs(v) for v in ints), 1)
+    scaled = _exact(ints, bound)
+    unary = len(formula.params) == 1
+    rows = n if unary else max(1, _BLOCK_CELLS // n)
+    out = np.empty((n,) if unary else (n, n), dtype=np.int32)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if unary:
+            env = {formula.params[0]: (scaled, scale, bound)}
+        else:
+            # a repeated parameter name binds the column, as a dict would
+            env = {formula.params[0]: (scaled[lo:hi, None], scale, bound),
+                   formula.params[1]: (scaled[None, :], scale, bound)}
+        nums, den, top = _grid_value(formula.body, env)
+        nums = np.broadcast_to(_exact(nums, top), out[lo:hi].shape)
+        pos, hit = _carrier_index(nums, den, top, scaled, scale)
+        misses = np.flatnonzero(~hit)
+        if misses.size:
+            cell = int(misses[0])
+            inputs = (values[lo + cell],) if unary else \
+                (values[lo + cell // n], values[cell % n])
+            raise ClosureViolation(opname, inputs, Fraction(int(nums.flat[cell]), den))
+        out[lo:hi] = pos
+    # read-only, so core.derive keeps the table instead of copying it
+    out.setflags(write=False)
+    return out
 
 
 _BUILDER_ARITY = {
@@ -641,24 +748,7 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
         if isinstance(op, FormulaOp):
             if named:
                 _err(line, col, "formulas need a numeric carrier")
-            if unary:
-                out = []
-                for v in values:
-                    res = _eval_expr(op.body, {op.params[0]: v})
-                    if res not in index:
-                        raise ClosureViolation(opname, (v,), res)
-                    out.append(index[res])
-                return out
-            out = []
-            for v in values:
-                row = []
-                for w in values:
-                    res = _eval_expr(op.body, {op.params[0]: v, op.params[1]: w})
-                    if res not in index:
-                        raise ClosureViolation(opname, (v, w), res)
-                    row.append(index[res])
-                out.append(row)
-            return out
+            return _formula_table(opname, op, values)
         if unary:
             if op.nested or len(op.entries) != size:
                 _err(line, col, f"{opname} table needs {size} entries")

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from mvwrig import builders, core
 from mvwrig.errors import GateNotMet, OrderNotAntisymmetric
 
-from conftest import zoo_items
+from conftest import LADDER, ZOO, zoo_items
 
 Z3_NEG = [3, 2, 1, 0]
 Z3_ADD = [[min(3, x + y) for y in range(4)] for x in range(4)]
@@ -50,6 +51,20 @@ def test_derive_validates_tables():
         core.derive([4, 2, 1, 0], Z3_ADD, Z3_MUL)
     with pytest.raises(ValueError):
         core.derive([3, 2, 1], Z3_ADD, Z3_MUL)
+
+
+def test_derive_keeps_read_only_tables_and_copies_the_rest():
+    neg = np.array(Z3_NEG, dtype=np.int32)
+    neg.setflags(write=False)
+    add = np.array(Z3_ADD, dtype=np.int32)
+    rig = core.derive(neg, add, Z3_MUL)
+    assert rig.neg_table is neg
+    assert not np.shares_memory(rig.add_table, add)
+    add[0, 0] = 3
+    assert rig.add(0, 0) == 0
+    view = np.array(Z3_ADD, dtype=np.int32)[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(core.derive(neg, view, Z3_MUL).add_table, view)
 
 
 def test_check_mv_passes_on_z3(z3):
@@ -197,3 +212,132 @@ def test_join_meet_agree_with_order(rig):
                     assert leq[j, z]
                 if leq[z, x] and leq[z, y]:
                     assert leq[z, m]
+
+
+# -- the scans against the 2-D fancy-indexing scans they replaced ------------------
+
+def _ref_scan_per_element(n, row_failures):
+    total = 0
+    samples = []
+    for x in range(n):
+        bad = np.argwhere(row_failures(x))
+        total += len(bad)
+        for y, z in bad[:core.MAX_WITNESSES]:
+            if len(samples) < core.MAX_WITNESSES:
+                samples.append((x, int(y), int(z)))
+    return total, samples
+
+
+def _ref_check_mv(rig):
+    n = rig.size
+    neg, add = rig.neg_table, rig.add_table
+    idx = np.arange(n)
+    report = core.AxiomReport(axioms=core.MV_AXIOMS)
+    report.record("closure", [])
+    report.failures["MV1"] = _ref_scan_per_element(n, lambda x: add[x][add] != add[add[x]])
+    report.record("MV2", np.argwhere(add != add.T))
+    report.record("MV3", [(int(x),) for x in np.flatnonzero(add[:, 0] != idx)])
+    report.record("MV4", [(int(x),) for x in np.flatnonzero(add[:, rig.u] != rig.u)])
+    report.record("MV5", [(int(x),) for x in np.flatnonzero(neg[neg] != idx)])
+    join = rig.join_table
+    report.record("MV6", np.argwhere(join != join.T))
+    return report
+
+
+def _ref_check_mvw(rig):
+    n = rig.size
+    mul, add, monus, leqb = rig.mul_table, rig.add_table, rig.monus_table, rig.leq_table
+    report = core.AxiomReport(axioms=core.MVW_AXIOMS)
+    report.failures["MVW-ii"] = _ref_scan_per_element(n, lambda x: mul[x][mul] != mul[mul[x]])
+    zero_bad = [(int(a), 0) for a in np.flatnonzero(mul[:, 0] != 0)]
+    zero_bad += [(0, int(a)) for a in np.flatnonzero(mul[0, :] != 0)]
+    report.record("MVW-iii", zero_bad)
+
+    def subdist(x):
+        out = np.zeros((n, n), dtype=bool)
+        for vec in (mul[x], mul[:, x]):
+            out |= ~leqb[vec[add], add[np.ix_(vec, vec)]]
+        return out
+
+    def superdist(x):
+        out = np.zeros((n, n), dtype=bool)
+        for vec in (mul[x], mul[:, x]):
+            out |= ~leqb[monus[np.ix_(vec, vec)], vec[monus]]
+        return out
+
+    report.failures["MVW-iv"] = _ref_scan_per_element(n, subdist)
+    report.failures["MVW-v"] = _ref_scan_per_element(n, superdist)
+    return report
+
+
+def assert_scans_match_reference(rig):
+    report = core.check_mv(rig)
+    ref = _ref_check_mv(rig)
+    assert (report.axioms, report.failures) == (ref.axioms, ref.failures)
+    if rig.mul_table is not None:
+        report = core.check_mvw(rig)
+        ref = _ref_check_mvw(rig)
+        assert (report.axioms, report.failures) == (ref.axioms, ref.failures)
+
+
+def _chain(n, mul):
+    idx = np.arange(n + 1)
+    return core.derive(n - idx, np.minimum(n, idx[:, None] + idx[None, :]), mul(idx, n),
+                       name=f"chain{n}")
+
+
+@pytest.mark.parametrize("rig", zoo_items())
+def test_scans_match_reference_on_zoo(rig):
+    assert_scans_match_reference(rig)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_scans_match_reference_on_ladder(name):
+    assert_scans_match_reference(LADDER[name]())
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_scans_match_reference_on_bad_chains(n):
+    assert_scans_match_reference(_chain(n, lambda i, n: np.minimum(n, i[:, None] + i[None, :])))
+    assert_scans_match_reference(_chain(n, lambda i, n: np.maximum(i[:, None], i[None, :])))
+
+
+@pytest.mark.parametrize("name", ["Z3", "L4", "Z1xZ1"])
+def test_scans_match_reference_on_random_products(name):
+    base = ZOO[name]
+    n = base.size
+    rng = np.random.default_rng(20261018)
+    good = base.mul_table if base.mul_table is not None else np.zeros((n, n), dtype=int)
+    for trial in range(40):
+        mul = rng.integers(0, n, size=(n, n))
+        if trial % 4 == 1:
+            mul = np.minimum(mul, mul.T)            # commutative
+        elif trial % 4 == 2:
+            mul = good.copy()                       # one wrong entry: the left
+            mul[rng.integers(n), rng.integers(n)] = rng.integers(n)  # and right laws part
+        elif trial % 4 == 3:
+            mul = np.where(rng.random((n, n)) < 0.8, good, mul)
+        rig = core.derive(base.neg_table, base.add_table, mul, name=f"{name}/{trial}")
+        assert_scans_match_reference(rig)
+        assert rig.commutative == bool((mul == mul.T).all())
+
+
+def test_scans_match_reference_on_broken_sums():
+    # MV failures: a sum that is max on a chain, and one-entry corruptions
+    rng = np.random.default_rng(5)
+    idx = np.arange(6)
+    rigs = [core.derive(5 - idx, np.maximum(idx[:, None], idx[None, :]),
+                        np.minimum(idx[:, None], idx[None, :]))]
+    for name in ("Z3", "L4", "Z1xZ1", "G3"):
+        base = ZOO[name]
+        n = base.size
+        for _ in range(30):
+            add = base.add_table.copy()
+            add[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            try:
+                rigs.append(core.derive(base.neg_table, add, base.mul_table))
+            except OrderNotAntisymmetric:
+                continue
+    assert len(rigs) > 30
+    for rig in rigs:
+        assert_scans_match_reference(rig)

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvwrig import builders, dsl
 from mvwrig.errors import (
@@ -11,6 +14,12 @@ from mvwrig.errors import (
 )
 
 from conftest import ZOO, algebra_path, golden_path
+
+SHIPPED_SOURCES = [
+    "z3.mvw", "z1.mvw", "z1xz1.mvw", "luk3.mvw", "t3.mvw",
+    "boolmat2.mvw", "gamma110.mvw", "trivial.mvw",
+    "luk3_realprod.mvw", "luk4_realprod.mvw",
+]
 
 Z3_SRC = ("algebra Z3 { elements: 0..3  zero: 0  neg(x) = 3 - x  "
           "add(x,y) = min(3, x + y)  mul(x,y) = min(3, x * y) }")
@@ -170,11 +179,7 @@ def test_elaborate_builder_arity_errors():
         dsl.elaborate_file("algebra P { builder: zn(1) zero: 0 }")
 
 
-@pytest.mark.parametrize("name", [
-    "z3.mvw", "z1.mvw", "z1xz1.mvw", "luk3.mvw", "t3.mvw",
-    "boolmat2.mvw", "gamma110.mvw", "trivial.mvw",
-    "luk3_realprod.mvw", "luk4_realprod.mvw",
-])
+@pytest.mark.parametrize("name", SHIPPED_SOURCES)
 def test_shipped_sources_roundtrip_pretty(name):
     text = algebra_path(name).read_text(encoding="utf-8")
     sources = dsl.parse(text)
@@ -234,3 +239,176 @@ def test_serialize_spec_and_frame_documents():
         golden_path("spec_z1xz1.json").read_text(encoding="utf-8")
     doc = dsl.serialize(frames.frame(square))
     assert '"pfilters"' in doc and '"hasse"' in doc
+
+
+# -- formula tables against the scalar route ----------------------------------------
+
+def _eval_expr(node, env):
+    """The cell-by-cell reference evaluator, in exact Fractions."""
+    if isinstance(node, dsl.Lit):
+        return node.value
+    if isinstance(node, dsl.Var):
+        return env[node.name]
+    if isinstance(node, dsl.MinMax):
+        vals = [_eval_expr(a, env) for a in node.args]
+        return min(vals) if node.fn == "min" else max(vals)
+    a = _eval_expr(node.left, env)
+    b = _eval_expr(node.right, env)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    return a * b
+
+
+def _scalar_table(opname, formula, values):
+    """The table (or the first ClosureViolation) by the cell-by-cell route."""
+    index = {v: i for i, v in enumerate(values)}
+    if len(formula.params) == 1:
+        out = []
+        for v in values:
+            res = _eval_expr(formula.body, {formula.params[0]: v})
+            if res not in index:
+                raise ClosureViolation(opname, (v,), res)
+            out.append(index[res])
+        return out
+    out = []
+    for v in values:
+        row = []
+        for w in values:
+            res = _eval_expr(formula.body, {formula.params[0]: v, formula.params[1]: w})
+            if res not in index:
+                raise ClosureViolation(opname, (v, w), res)
+            row.append(index[res])
+        out.append(row)
+    return out
+
+
+def _outcome(route, opname, formula, values):
+    try:
+        table = route(opname, formula, values)
+    except ClosureViolation as exc:
+        return ("violation", exc.op, exc.inputs, exc.value, str(exc))
+    return ("table", np.asarray(table).tolist())
+
+
+def assert_grid_matches_scalar(opname, formula, values):
+    grid = _outcome(dsl._formula_table, opname, formula, values)
+    scalar = _outcome(_scalar_table, opname, formula, values)
+    assert grid == scalar
+
+
+def _formula(opname, params, body):
+    (source,) = dsl.parse(f"algebra A {{ {opname}({params}) = {body} }}")
+    return source.op(opname)
+
+
+def _carrier_values(source):
+    if isinstance(source.carrier, dsl.RangeCarrier):
+        return [Fraction(v) for v in range(source.carrier.lo, source.carrier.hi + 1)]
+    return sorted(a.value for a in source.carrier.atoms)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SOURCES)
+def test_grid_tables_match_scalar_on_shipped_sources(name):
+    for source in dsl.parse(algebra_path(name).read_text(encoding="utf-8")):
+        for opname, op in source.ops:
+            if isinstance(op, dsl.FormulaOp):
+                assert_grid_matches_scalar(opname, op, _carrier_values(source))
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_grid_tables_match_scalar_on_chains(n):
+    values = [Fraction(v) for v in range(n + 1)]
+    assert_grid_matches_scalar("neg", _formula("neg", "x", f"{n} - x"), values)
+    for opname, body in (("add", f"min({n}, x + y)"), ("mul", f"min({n}, x * y)"),
+                         ("mul", "max(x, y)"), ("mul", "x * y"), ("mul", f"min({n}, x + y)")):
+        assert_grid_matches_scalar(opname, _formula(opname, "x, y", body), values)
+
+
+@pytest.mark.parametrize("params, body", [
+    ("x", "1 - x"),
+    ("x, y", "min(1, x + y)"),
+    ("x, y", "x * y"),
+    ("x, y", "max(0, x + y - 1)"),
+    ("x, y", "min(x, y, 1/2)"),
+    ("x, y", "x * 3 - y * 2"),
+    ("x, x", "x * 2"),
+    ("x, y", "1/2"),
+])
+def test_grid_tables_match_scalar_on_rational_carriers(params, body):
+    opname = "neg" if params == "x" else "mul"
+    for values in ([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+                   [Fraction(k, 4) for k in range(5)],
+                   [Fraction(-1, 2), Fraction(0), Fraction(1, 6), Fraction(1)]):
+        assert_grid_matches_scalar(opname, _formula(opname, params, body), values)
+
+
+def test_grid_tables_switch_to_exact_objects_past_int64():
+    values = [Fraction(v) for v in range(4)]
+    big = "x * y * 10000000000 * 10000000000"
+    formula = _formula("mul", "x, y", f"min(3, {big})")
+    assert_grid_matches_scalar("mul", formula, values)
+    assert dsl._formula_table("mul", formula, values).tolist() == \
+        [[0, 0, 0, 0]] + [[0, 3, 3, 3]] * 3
+    with pytest.raises(ClosureViolation) as exc:
+        dsl._formula_table("mul", _formula("mul", "x, y", big), values)
+    assert str(exc.value) == "mul(1, 1) = 100000000000000000000 is not in the carrier"
+    assert_grid_matches_scalar("mul", _formula("mul", "x, y", big), values)
+
+
+def test_grid_tables_on_a_carrier_past_int64():
+    # the scaled carrier itself needs Python ints: D = 3 * 10^20
+    values = [Fraction(0), Fraction(1, 10 ** 20), Fraction(1, 3), Fraction(1)]
+    for body in ("min(1, x + y)", "x * y", "max(x, y)", "min(x, 1/3)"):
+        assert_grid_matches_scalar("mul", _formula("mul", "x, y", body), values)
+
+
+_LITERALS = st.one_of(
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+    st.integers(10 ** 10, 10 ** 22).map(Fraction),
+    st.builds(Fraction, st.integers(0, 10 ** 12), st.integers(1, 10 ** 11)),
+)
+
+
+def _trees(depth):
+    leaf = st.one_of(st.sampled_from([dsl.Var("x"), dsl.Var("y")]), _LITERALS.map(dsl.Lit))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(dsl.BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(dsl.MinMax, st.sampled_from(["min", "max"]),
+                  st.lists(sub, min_size=2, max_size=3).map(tuple)),
+    )
+
+
+_CARRIERS = st.lists(
+    st.one_of(st.builds(Fraction, st.integers(-6, 30), st.integers(1, 6)),
+              st.builds(Fraction, st.integers(-10, 10 ** 13), st.integers(1, 10 ** 12))),
+    min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_trees(4), _CARRIERS, st.booleans())
+def test_grid_tables_match_scalar_on_random_formulas(body, values, unary):
+    if unary:
+        body = _rename_y(body)
+        assert_grid_matches_scalar("neg", dsl.FormulaOp(("x",), body), values)
+    else:
+        assert_grid_matches_scalar("add", dsl.FormulaOp(("x", "y"), body), values)
+        # a clamp into the carrier's range keeps some tables closed
+        lo, hi = dsl.Lit(values[0]), dsl.Lit(values[-1])
+        clamped = dsl.MinMax("max", (lo, dsl.MinMax("min", (hi, body))))
+        assert_grid_matches_scalar("mul", dsl.FormulaOp(("x", "y"), clamped), values)
+
+
+def _rename_y(node):
+    if isinstance(node, dsl.Var):
+        return dsl.Var("x")
+    if isinstance(node, dsl.BinOp):
+        return dsl.BinOp(node.op, _rename_y(node.left), _rename_y(node.right))
+    if isinstance(node, dsl.MinMax):
+        return dsl.MinMax(node.fn, tuple(_rename_y(a) for a in node.args))
+    return node
