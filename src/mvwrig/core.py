@@ -221,11 +221,7 @@ class FiniteMvwRig:
 
 
 def _as_table(data, shape, size):
-    # an int32 array that owns its memory and is already read-only cannot
-    # change under the structure, so it is kept; anything else is copied
-    arr = np.asarray(data, dtype=np.int32)
-    if arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.copy()
+    arr = np.array(data, dtype=np.int32)
     if arr.shape != shape:
         raise ValueError(f"table has shape {arr.shape}, expected {shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= size):

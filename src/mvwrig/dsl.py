@@ -20,9 +20,10 @@ Formulas are evaluated exactly, over the whole carrier at once: each
 element v enters as the integer v·D (D the lcm of the carrier's
 denominators), every node yields integer numerators over one denominator,
 and the arithmetic runs in int64 while a magnitude bound computed from the
-formula stays below 2^62, on Python-int object arrays beyond.  The first
-cell, in row-major order, whose value leaves the carrier raises a closure
-violation with the witness inputs.  Serialization is canonical (fixed key
+formula, and the denominator the carrier test divides by, stay below 2^62,
+on Python-int object arrays beyond.  The first cell, in row-major order,
+whose value leaves the carrier raises a closure violation with the witness
+inputs.  Serialization is canonical (fixed key
 order, sorted arrays) so two runs produce identical bytes.
 """
 
@@ -571,6 +572,9 @@ def _carrier_index(nums, den, bound, scaled, scale):
     """
     g = math.gcd(den, scale)
     step, grow = den // g, scale // g
+    # a product node multiplies denominators without raising the bound, so
+    # the divisor itself may be past int64
+    nums = _exact(nums, max(bound, step))
     cand = _exact(nums // step if step > 1 else nums, bound * grow)
     if grow > 1:
         cand = cand * grow
@@ -620,8 +624,6 @@ def _formula_table(opname, formula, values):
                 (values[lo + cell // n], values[cell % n])
             raise ClosureViolation(opname, inputs, Fraction(int(nums.flat[cell]), den))
         out[lo:hi] = pos
-    # read-only, so core.derive keeps the table instead of copying it
-    out.setflags(write=False)
     return out
 
 
@@ -766,12 +768,13 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
                     resolve_atom(a, opname, (declared[i], declared[j]))
         return out
 
-    neg = table_for("neg", source.op("neg"), unary=True)
-    add = table_for("add", source.op("add"), unary=False)
+    # the tables are not held here, so derive's copies are the only ones
+    # left while the axioms are checked
     mul_def = source.op("mul")
-    mul = table_for("mul", mul_def, unary=False) if mul_def is not None else None
-
-    rig = core.derive(neg, add, mul, names=names, name=source.name)
+    rig = core.derive(table_for("neg", source.op("neg"), unary=True),
+                      table_for("add", source.op("add"), unary=False),
+                      table_for("mul", mul_def, unary=False) if mul_def is not None else None,
+                      names=names, name=source.name)
     return builders._checked(rig) if check else rig
 
 

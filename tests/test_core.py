@@ -53,18 +53,14 @@ def test_derive_validates_tables():
         core.derive([3, 2, 1], Z3_ADD, Z3_MUL)
 
 
-def test_derive_keeps_read_only_tables_and_copies_the_rest():
+def test_derive_copies_its_tables():
     neg = np.array(Z3_NEG, dtype=np.int32)
     neg.setflags(write=False)
-    add = np.array(Z3_ADD, dtype=np.int32)
-    rig = core.derive(neg, add, Z3_MUL)
-    assert rig.neg_table is neg
-    assert not np.shares_memory(rig.add_table, add)
-    add[0, 0] = 3
-    assert rig.add(0, 0) == 0
-    view = np.array(Z3_ADD, dtype=np.int32)[:]
-    view.setflags(write=False)
-    assert not np.shares_memory(core.derive(neg, view, Z3_MUL).add_table, view)
+    rig = core.derive(neg, Z3_ADD, Z3_MUL)
+    assert not np.shares_memory(rig.neg_table, neg)
+    neg.setflags(write=True)
+    neg[0] = 0
+    assert rig.neg(0) == 3
 
 
 def test_check_mv_passes_on_z3(z3):

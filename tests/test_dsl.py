@@ -355,6 +355,15 @@ def test_grid_tables_switch_to_exact_objects_past_int64():
         dsl._formula_table("mul", _formula("mul", "x, y", big), values)
     assert str(exc.value) == "mul(1, 1) = 100000000000000000000 is not in the carrier"
     assert_grid_matches_scalar("mul", _formula("mul", "x, y", big), values)
+    # a denominator past int64 with small numerators
+    tiny = "1/10000000000000000000"
+    with pytest.raises(ClosureViolation) as exc:
+        dsl._formula_table("mul", _formula("mul", "x, y", f"x * y * {tiny}"), values)
+    assert str(exc.value) == "mul(1, 1) = 1/10000000000000000000 is not in the carrier"
+    for opname, params, body in (("mul", "x, y", f"x * y * {tiny}"),
+                                 ("neg", "x", f"x * {tiny}"),
+                                 ("mul", "x, y", f"min(1, x * y * {tiny} * 10000000000000000000)")):
+        assert_grid_matches_scalar(opname, _formula(opname, params, body), values)
 
 
 def test_grid_tables_on_a_carrier_past_int64():
@@ -368,6 +377,7 @@ _LITERALS = st.one_of(
     st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
     st.integers(10 ** 10, 10 ** 22).map(Fraction),
     st.builds(Fraction, st.integers(0, 10 ** 12), st.integers(1, 10 ** 11)),
+    st.builds(Fraction, st.integers(0, 12), st.integers(10 ** 18, 10 ** 22)),
 )
 
 
