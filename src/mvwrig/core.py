@@ -359,20 +359,26 @@ def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:
 
     Returns the restricted structure and the embedding (sub index ->
     parent index).  Element 0 must belong to the subset; ordering by
-    parent index keeps it at index 0.
+    parent index keeps it at index 0.  Each table is a gather of the
+    parent's, renumbered; the first value to escape is reported.
     """
     members = sorted(set(subset))
     if not members or members[0] != 0:
         raise ValueError("subset must contain the zero element")
-    back = {p: i for i, p in enumerate(members)}
-    try:
-        neg = [back[rig.neg(p)] for p in members]
-        add = [[back[rig.add(p, q)] for q in members] for p in members]
-        mul = None
-        if rig.mul_table is not None:
-            mul = [[back[rig.mul(p, q)] for q in members] for p in members]
-    except KeyError as exc:
-        raise ValueError(f"subset not closed: element {exc.args[0]} escapes") from exc
-    names = tuple(rig.element_name(p) for p in members)
-    sub = derive(neg, add, mul, names=names, name=f"{rig.name}|sub")
-    return sub, tuple(members)
+    inside = [p for p in members if p < rig.size]
+    back = np.full(rig.size, -1)
+    back[inside] = range(len(inside))
+
+    def renumbered(part):
+        if (back[part] < 0).any():
+            raise ValueError(f"subset not closed: element {part[back[part] < 0][0]} escapes")
+        return back[part]
+
+    neg = renumbered(rig.neg_table[inside])
+    for p in members[len(inside):]:
+        rig._check(p)
+    block = np.ix_(inside, inside)
+    add = renumbered(rig.add_table[block])
+    mul = None if rig.mul_table is None else renumbered(rig.mul_table[block])
+    names = tuple(rig.carrier.names[p] for p in members)
+    return derive(neg, add, mul, names=names, name=f"{rig.name}|sub"), tuple(members)

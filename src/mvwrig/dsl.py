@@ -65,6 +65,13 @@ def _err(line, column, message, witness=()):
     raise DslSyntaxError(ParseDiagnostic("error", line, column, message, witness))
 
 
+def _rational(tok) -> Fraction:
+    num, den = tok.value.split("/")
+    if int(den) == 0:
+        _err(tok.line, tok.column, "zero denominator")
+    return Fraction(int(num), int(den))
+
+
 # -- tokens -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -310,8 +317,7 @@ class _Parser:
         if tok.kind == "INT":
             return NumberAtom(Fraction(int(self.advance().value)))
         if tok.kind == "RATIONAL":
-            num, den = self.advance().value.split("/")
-            return NumberAtom(Fraction(int(num), int(den)))
+            return NumberAtom(_rational(self.advance()))
         if tok.kind == "IDENT":
             return NameAtom(self.advance().value)
         self.fail(["a name", "a number"])
@@ -403,8 +409,7 @@ class _Parser:
         if tok.kind == "INT":
             return Lit(Fraction(int(self.advance().value)))
         if tok.kind == "RATIONAL":
-            num, den = self.advance().value.split("/")
-            return Lit(Fraction(int(num), int(den)))
+            return Lit(_rational(self.advance()))
         self.fail(["a number", "a variable", "'('", "'min'", "'max'"])
 
     def parse_builderexpr(self):

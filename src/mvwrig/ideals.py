@@ -2,11 +2,15 @@
 radicals, congruences, quotients, homomorphisms and the subdirect
 embedding into chains.
 
-All answers are exact: ideals are read off the idempotents (every ideal
-is the down-set of one), generation picks the least listed ideal above the
-seed, nilpotency searches are bounded by the carrier size (the power
-sequence of an element cycles within |A| steps), and every structural
-theorem consumed elsewhere is re-verified here rather than assumed.
+All answers are exact and read off the operation tables: ideals are the
+down-sets of idempotents, generation picks the least listed ideal above
+the seed, nilpotency searches are bounded by the carrier size (the power
+sequence of an element cycles within |A| steps), and congruences,
+homomorphisms, quotients and restrictions are whole-table gathers.  The
+library computes each object once and verifies it once, by its defining
+clauses (an ideal's congruence, a map's homomorphism clauses); theorems
+about the result, such as the axioms of a quotient, are re-checked by the
+law suites in ``suites``, not on every call.
 """
 
 from __future__ import annotations
@@ -127,44 +131,50 @@ def _as_ideal(rig, mask) -> Ideal:
     return Ideal(rig, frozenset(int(a) for a in np.flatnonzero(mask)))
 
 
-def _enumerate(rig, bound, absorb_product):
+def _check_bound(rig, bound):
     bound = builders.size_bound() if bound is None else bound
     if rig.size > bound:
         raise SizeBound(f"carrier of {rig.size} exceeds enumeration bound {bound}")
-    return [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product)]
 
 
-def enumerate_ideals(rig: FiniteMvwRig, bound: int | None = None):
+def enumerate_ideals(rig: FiniteMvwRig, bound: int | None = None, _masks=None):
     """All ideals, smallest first: the down-sets of the idempotents that
-    absorb the product on both sides."""
-    return _enumerate(rig, bound, absorb_product=True)
+    absorb the product on both sides.
+
+    ``_masks`` is the ideal mask list of the structure, for callers that
+    already hold it.
+    """
+    _check_bound(rig, bound)
+    return [_as_ideal(rig, m) for m in (_ideal_masks(rig) if _masks is None else _masks)]
 
 
 def enumerate_mv_ideals(rig: FiniteMvwRig, bound: int | None = None):
     """All MV-ideals, smallest first: the down-sets of the idempotents."""
-    return _enumerate(rig, bound, absorb_product=False)
+    _check_bound(rig, bound)
+    return [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product=False)]
 
 
-def _least_containing(rig, seed, absorb_product):
-    seed = [rig._check(a) for a in seed]
-    masks = _ideal_masks(rig, absorb_product)
-    return _as_ideal(rig, masks[masks[:, seed].all(axis=1).argmax()])
+def _least_containing(rig, seed_mask, masks):
+    """The first, hence least, listed mask holding the seed mask."""
+    return _as_ideal(rig, masks[masks[:, seed_mask].all(axis=1).argmax()])
 
 
 def generated_mv_ideal(rig: FiniteMvwRig, seed) -> Ideal:
     """Least MV-ideal containing the seed: the smallest MV-ideal listed
     that contains it (MV-ideals are closed under intersection)."""
-    return _least_containing(rig, seed, absorb_product=False)
+    return _least_containing(rig, _member_mask(rig, seed), _ideal_masks(rig, False))
 
 
-def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
+def generated_ideal(rig: FiniteMvwRig, seed, _masks=None) -> Ideal:
     """Least ideal containing the seed.
 
     Every ideal is the down-set of an idempotent, and ideals are closed
     under intersection, so the smallest listed ideal containing the seed
     is the least one.  This holds for noncommutative structures too.
+    ``_masks`` is the ideal mask list of the structure.
     """
-    return _least_containing(rig, seed, absorb_product=True)
+    masks = _ideal_masks(rig) if _masks is None else _masks
+    return _least_containing(rig, _member_mask(rig, seed), masks)
 
 
 # -- classification --------------------------------------------------------
@@ -205,9 +215,9 @@ def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
 def classified_ideals(rig: FiniteMvwRig, absorb_product=True):
     """(ideal, class) for every ideal, or every MV-ideal, smallest first,
     each classified against one list of ideal masks."""
-    found = enumerate_ideals(rig)
-    masks = np.array([_member_mask(rig, i.members) for i in found])
-    listed = found if absorb_product else enumerate_mv_ideals(rig)
+    _check_bound(rig, None)
+    masks = _ideal_masks(rig)
+    listed = enumerate_ideals(rig, _masks=masks) if absorb_product else enumerate_mv_ideals(rig)
     return [(i, classify_ideal(rig, i, masks)) for i in listed]
 
 
@@ -279,9 +289,15 @@ def ideal_join(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
     return generated_ideal(rig, i.members | j.members)
 
 
-def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
-    pairs = {rig.mul(a, b) for a in i.members for b in j.members}
-    return generated_ideal(rig, pairs)
+def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal, _masks=None) -> Ideal:
+    """The ideal generated by the products ab with a in i and b in j: the
+    least listed ideal holding the block mul[i, j].  ``_masks`` is the ideal
+    mask list of the structure."""
+    if rig.mul_table is None:
+        raise GateNotMet("structure has no product")
+    seed = np.zeros(rig.size, dtype=bool)
+    seed[rig.mul_table[np.ix_(_member_mask(rig, i.members), _member_mask(rig, j.members))]] = True
+    return _least_containing(rig, seed, _ideal_masks(rig) if _masks is None else _masks)
 
 
 # -- congruences ------------------------------------------------------------
@@ -290,12 +306,6 @@ def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
 class Congruence:
     rig: FiniteMvwRig
     class_of: tuple[int, ...]
-
-    def classes(self):
-        buckets = {}
-        for x, c in enumerate(self.class_of):
-            buckets.setdefault(c, set()).add(x)
-        return tuple(frozenset(buckets[c]) for c in sorted(buckets))
 
     def together(self, x, y) -> bool:
         return self.class_of[x] == self.class_of[y]
@@ -313,28 +323,48 @@ def _normalize_partition(rig, class_of):
 
 
 def is_congruence(rig: FiniteMvwRig, class_of):
-    """Exact compatibility check of a partition with every operation."""
+    """Exact compatibility check of a partition with every operation.
+
+    Each x is compared with the least element b of its class, one gather
+    per operation and side.  The witness is the first failure with classes
+    in order of their least elements, x ascending within its class, and at
+    each x the negation first, then for each y the sum on the left and on
+    the right, then the product on the left and on the right.
+    """
     if len(class_of) != rig.size:
         return False, ("shape", (len(class_of),))
-    buckets = {}
-    for x, c in enumerate(class_of):
-        buckets.setdefault(c, []).append(x)
-    for cls in buckets.values():
-        base = cls[0]
-        for x in cls[1:]:
-            if class_of[rig.neg(base)] != class_of[rig.neg(x)]:
-                return False, ("neg", (base, x))
-            for y in rig.elements():
-                if class_of[rig.add(base, y)] != class_of[rig.add(x, y)]:
-                    return False, ("add", (base, x, y))
-                if class_of[rig.add(y, base)] != class_of[rig.add(y, x)]:
-                    return False, ("add", (y, base, x))
-                if rig.mul_table is not None:
-                    if class_of[rig.mul(base, y)] != class_of[rig.mul(x, y)]:
-                        return False, ("mul", (base, x, y))
-                    if class_of[rig.mul(y, base)] != class_of[rig.mul(y, x)]:
-                        return False, ("mul", (y, base, x))
-    return True, None
+    least = {}
+    rep = np.array([least.setdefault(c, x) for x, c in enumerate(class_of)])
+    neg_bad = rep[rig.neg_table[rep]] != rep[rig.neg_table]
+    clauses = []    # [x, y]: b op y ~ x op y, then y op b ~ y op x
+    for op in (rig.add_table, rig.mul_table):
+        if op is not None:
+            clauses.append(rep[op[rep]] != rep[op])
+            clauses.append(rep[op[:, rep]].T != rep[op.T])
+    bad = np.stack(clauses, axis=2)
+    row_bad = neg_bad | bad.any(axis=(1, 2))
+    if not row_bad.any():
+        return True, None
+    order = np.argsort(rep, kind="stable")
+    x = int(order[row_bad[order].argmax()])
+    base = int(rep[x])
+    if neg_bad[x]:
+        return False, ("neg", (base, x))
+    y, k = divmod(int(bad[x].argmax()), len(clauses))
+    return False, ("add" if k < 2 else "mul", (base, x, y) if k % 2 == 0 else (y, base, x))
+
+
+def _ideal_congruence(rig, mask) -> Congruence:
+    """x ~ y iff (x - y) + (y - x) lies in the ideal given by the mask; each
+    class is labelled by the rank of its least element."""
+    related = mask[rig.add_table[rig.monus_table, rig.monus_table.T]]
+    least = related.argmax(axis=1)
+    label = np.cumsum(least == np.arange(rig.size)) - 1
+    cong = Congruence(rig, tuple(int(c) for c in label[least]))
+    ok, witness = is_congruence(rig, cong.class_of)
+    if not ok:
+        raise MvwError(f"ideal congruence failed compatibility: {witness}")
+    return cong
 
 
 def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
@@ -342,21 +372,7 @@ def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
     ok, witness = is_ideal(rig, ideal.members)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    mask = _member_mask(rig, ideal.members)
-    sym_diff = rig.add_table[rig.monus_table, rig.monus_table.T]
-    related = mask[sym_diff]
-    class_of = [-1] * rig.size
-    nxt = 0
-    for x in rig.elements():
-        if class_of[x] < 0:
-            for y in np.flatnonzero(related[x]):
-                class_of[int(y)] = nxt
-            nxt += 1
-    cong = Congruence(rig, _normalize_partition(rig, tuple(class_of)))
-    ok, witness = is_congruence(rig, cong.class_of)
-    if not ok:
-        raise MvwError(f"ideal congruence failed compatibility: {witness}")
-    return cong
+    return _ideal_congruence(rig, _member_mask(rig, ideal.members))
 
 
 def ideal_from_congruence(rig: FiniteMvwRig, cong) -> Ideal:
@@ -366,7 +382,7 @@ def ideal_from_congruence(rig: FiniteMvwRig, cong) -> Ideal:
     ok, witness = is_congruence(rig, class_of)
     if not ok:
         raise NotACongruence(*witness)
-    members = frozenset(x for x in rig.elements() if class_of[x] == class_of[0])
+    members = frozenset(x for x, c in enumerate(class_of) if c == class_of[0])
     ok, witness = is_ideal(rig, members)
     if not ok:
         raise MvwError(f"zero class is not an ideal: {witness}")
@@ -384,42 +400,28 @@ class QuotientRig:
     reps: tuple[int, ...]
 
 
-def _quotient_impl(rig, ideal, keep_product):
-    cong = congruence_from_ideal(rig, ideal)
-    classes = cong.classes()
-    reps = sorted(min(c) for c in classes)
-    proj = [0] * rig.size
-    for i, r in enumerate(reps):
-        cls = next(c for c in classes if r in c)
-        for x in cls:
-            proj[x] = i
-    k = len(reps)
-    neg = [proj[rig.neg(r)] for r in reps]
-    add = [[proj[rig.add(r, s)] for s in reps] for r in reps]
-    mul = None
-    if keep_product and rig.mul_table is not None:
-        mul = [[proj[rig.mul(r, s)] for s in reps] for r in reps]
-    names = tuple("[" + rig.element_name(r) + "]" for r in reps)
+def _quotient_impl(rig, ideal, cong):
+    """The tables of the classes, read at their least elements and projected;
+    the congruence numbers its classes by their least elements."""
+    proj = np.array(cong.class_of)
+    # a class's least element is where the running maximum label steps up
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(proj), prepend=-1) > 0)
+    block = np.ix_(reps, reps)
+    mul = None if rig.mul_table is None else proj[rig.mul_table[block]]
+    names = tuple(f"[{rig.carrier.names[r]}]" for r in reps)
     qname = f"{rig.name}/{format_subset(rig, ideal.members)}"
-    q = core.derive(neg, add, mul, names=names, name=qname)
-    report = core.check_mv(q) if mul is None else core.check_all(q)
-    if not report.passed:
-        raise MvwError(f"quotient failed axioms: {report.failed_axioms()}")
-    return QuotientRig(parent=rig, ideal=ideal, rig=q,
-                       projection=tuple(proj), reps=tuple(reps))
+    q = core.derive(proj[rig.neg_table[reps]], proj[rig.add_table[block]], mul,
+                    names=names, name=qname)
+    return QuotientRig(parent=rig, ideal=ideal, rig=q, projection=cong.class_of,
+                       reps=tuple(int(r) for r in reps))
 
 
 def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
     """The structure of congruence classes; the projection is a surjective
-    homomorphism whose kernel is the ideal."""
-    q = _quotient_impl(rig, ideal, keep_product=True)
-    proj = Homomorphism(rig, q.rig, q.projection)
-    ok, witness = check_homomorphism(proj)
-    if not ok:
-        raise MvwError(f"projection is not a homomorphism: {witness}")
-    if kernel(proj).members != ideal.members:
-        raise MvwError("projection kernel differs from the ideal")
-    return q
+    homomorphism whose kernel is the ideal.  The congruence is verified
+    here; the ``quotient-axioms`` law check verifies the axioms of the
+    result, the projection and its kernel."""
+    return _quotient_impl(rig, ideal, congruence_from_ideal(rig, ideal))
 
 
 def mv_quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
@@ -432,7 +434,8 @@ def mv_quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
     if rig.mul_table is not None:
         mv = core.derive(rig.neg_table, rig.add_table, None,
                          names=rig.carrier.names, name=rig.name)
-    return _quotient_impl(mv, Ideal(mv, ideal.members), keep_product=False)
+    cong = _ideal_congruence(mv, _member_mask(mv, ideal.members))
+    return _quotient_impl(mv, Ideal(mv, ideal.members), cong)
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -448,31 +451,36 @@ class Homomorphism:
 
 
 def check_homomorphism(f: Homomorphism, require_product=None):
-    """Exact verification of the homomorphism clauses.
+    """Exact verification of the homomorphism clauses, one gather per
+    operation: m[a.add] against b.add[m, m], and likewise for neg and mul.
 
-    The product clause applies when both sides carry a product (or always,
-    with ``require_product=True``).
+    The witness is the first failure with x ascending, the negation clause
+    at x before the sum clauses at (x, y) for ascending y.  The product
+    clause applies when both sides carry a product (or always, with
+    ``require_product=True``).
     """
     a, b, m = f.source, f.target, f.mapping
     if len(m) != a.size or any(not 0 <= v < b.size for v in m):
         return False, ("total", ())
     if m[0] != 0:
         return False, ("zero", (0,))
-    for x in a.elements():
-        if m[a.neg(x)] != b.neg(m[x]):
-            return False, ("neg", (x,))
-        for y in a.elements():
-            if m[a.add(x, y)] != b.add(m[x], m[y]):
-                return False, ("add", (x, y))
+    m = np.asarray(m)
+    block = np.ix_(m, m)
+    # column 0 holds the negation clause at x, column y + 1 the sum at (x, y)
+    mv_bad = np.column_stack([m[a.neg_table] != b.neg_table[m],
+                              m[a.add_table] != b.add_table[block]])
+    pair = _first_pair(mv_bad, range(a.size), range(-1, a.size))
+    if pair is not None:
+        x, y = pair
+        return False, ("neg", (x,)) if y < 0 else ("add", (x, y))
     if require_product is None:
         require_product = a.mul_table is not None and b.mul_table is not None
     if require_product:
         if a.mul_table is None or b.mul_table is None:
             return False, ("product-missing", ())
-        for x in a.elements():
-            for y in a.elements():
-                if m[a.mul(x, y)] != b.mul(m[x], m[y]):
-                    return False, ("mul", (x, y))
+        pair = _first_pair(m[a.mul_table] != b.mul_table[block], range(a.size), range(a.size))
+        if pair is not None:
+            return False, ("mul", pair)
     return True, None
 
 
@@ -490,7 +498,7 @@ def _preserves_product(f: Homomorphism) -> bool:
 def kernel(f: Homomorphism) -> Ideal:
     """The preimage of 0; an ideal (an MV-ideal when the map is only a
     homomorphism of the underlying MV-algebras)."""
-    members = frozenset(x for x in f.source.elements() if f.mapping[x] == 0)
+    members = frozenset(x for x, v in enumerate(f.mapping) if v == 0)
     test = is_ideal if _preserves_product(f) else is_mv_ideal
     ok, witness = test(f.source, members)
     if not ok:
@@ -512,20 +520,6 @@ def image(f: Homomorphism):
     return core.restrict(target, set(f.mapping))
 
 
-def enumerate_homomorphisms(a: FiniteMvwRig, b: FiniteMvwRig, limit: int = 10 ** 6):
-    """All homomorphisms a -> b by exhaustive map search (desk scale)."""
-    import itertools
-    total = b.size ** max(a.size - 1, 0)
-    if total > limit:
-        raise SizeBound(f"{total} candidate maps exceed limit {limit}")
-    out = []
-    for rest in itertools.product(range(b.size), repeat=a.size - 1):
-        f = Homomorphism(a, b, (0,) + rest)
-        if check_homomorphism(f)[0]:
-            out.append(f)
-    return out
-
-
 @dataclass
 class FirstIso:
     hom: Homomorphism
@@ -537,7 +531,9 @@ class FirstIso:
 
 def first_iso(f: Homomorphism) -> FirstIso:
     """The canonical isomorphism between the quotient by the kernel and the
-    image; failure would indicate an implementation bug and aborts."""
+    image.  The map is verified, and the induced map is checked to be well
+    defined and bijective; the ``first-iso`` law check verifies that it is
+    a homomorphism.  Failure would indicate an implementation bug and aborts."""
     both = _preserves_product(f)
     verify_homomorphism(f)
     k = kernel(f)
@@ -545,40 +541,39 @@ def first_iso(f: Homomorphism) -> FirstIso:
     img, embedding = image(f)
     back = {p: i for i, p in enumerate(embedding)}
     phi_bar = tuple(back[f.mapping[r]] for r in q.reps)
-    for x in f.source.elements():
-        if phi_bar[q.projection[x]] != back[f.mapping[x]]:
-            raise MvwError("induced map is not well defined")
+    if any(phi_bar[c] != back[v] for c, v in zip(q.projection, f.mapping)):
+        raise MvwError("induced map is not well defined")
     if sorted(phi_bar) != list(range(img.size)):
         raise MvwError("induced map is not a bijection")
-    iso = Homomorphism(q.rig, img, phi_bar)
-    ok, witness = check_homomorphism(iso, require_product=both or None)
-    if not ok:
-        raise MvwError(f"induced map fails a clause: {witness}")
-    return FirstIso(hom=f, quot=q, image_rig=img,
-                    image_embedding=embedding, iso=iso)
+    return FirstIso(hom=f, quot=q, image_rig=img, image_embedding=embedding,
+                    iso=Homomorphism(q.rig, img, phi_bar))
 
 
-def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
+def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal, _masks=None):
     """The bijection between ideals above the given one and ideals of the
-    quotient, verified in both directions and order-preserving."""
+    quotient, verified in both directions and order-preserving.  Each ideal
+    above maps to its image mask under the projection.  ``_masks`` is the
+    ideal mask list of the structure."""
     q = quotient(rig, ideal)
-    above = [j for j in enumerate_ideals(rig) if ideal.members <= j.members]
-    below = enumerate_ideals(q.rig)
-    below_sets = {j.members for j in below}
+    masks = _ideal_masks(rig) if _masks is None else _masks
+    above = masks[masks[:, _member_mask(rig, ideal.members)].all(axis=1)]
+    below = {m.tobytes(): b for b, m in enumerate(_ideal_masks(q.rig))}
+    images = np.zeros((len(above), q.rig.size), dtype=bool)
+    rows, cols = np.nonzero(above)
+    images[rows, np.asarray(q.projection)[cols]] = True
     pairs = []
-    for j in above:
-        img = frozenset(q.projection[a] for a in j.members)
-        if img not in below_sets:
-            raise MvwError(f"image of {j.display()} is not an ideal of the quotient")
-        pairs.append((j, Ideal(q.rig, img)))
-    if len({img.members for _, img in pairs}) != len(pairs):
+    for j, img in zip(above, images):
+        if img.tobytes() not in below:
+            raise MvwError(f"image of {_as_ideal(rig, j).display()} is not an ideal "
+                           f"of the quotient")
+        pairs.append((_as_ideal(rig, j), _as_ideal(q.rig, img)))
+    if len({img.tobytes() for img in images}) != len(pairs):
         raise MvwError("correspondence is not injective")
     if len(pairs) != len(below):
         raise MvwError("correspondence is not surjective")
-    for j1, i1 in pairs:
-        for j2, i2 in pairs:
-            if (j1.members <= j2.members) != (i1.members <= i2.members):
-                raise MvwError("correspondence does not preserve inclusion")
+    # [j1, j2]: some member of j1 lies outside j2
+    if ((above @ ~above.T) != (images @ ~images.T)).any():
+        raise MvwError("correspondence does not preserve inclusion")
     return pairs
 
 
@@ -608,13 +603,11 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
         if not (q.rig.leq_table | q.rig.leq_table.T).all():
             raise MvwError(f"quotient by {q.ideal.display()} is not a chain")
     product = builders.direct_product([q.rig for q in quotients])
-    mapping = []
-    for x in rig.elements():
-        idx = 0
-        for q in quotients:
-            idx = idx * q.rig.size + q.projection[x]
-        mapping.append(idx)
-    emb = Homomorphism(rig, product, tuple(mapping))
+    mapping = np.zeros(rig.size, dtype=np.int64)
+    for q in quotients:
+        mapping = mapping * q.rig.size + np.asarray(q.projection)
+    mapping = tuple(int(v) for v in mapping)
+    emb = Homomorphism(rig, product, mapping)
     ok, witness = check_homomorphism(emb, require_product=False)
     if not ok:
         raise MvwError(f"canonical map fails a clause: {witness}")
@@ -624,4 +617,4 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
         if set(q.projection) != set(range(q.rig.size)):
             raise MvwError("a coordinate projection is not surjective")
     return ChangEmbedding(rig=rig, primes=primes, quotients=quotients,
-                          product=product, mapping=tuple(mapping))
+                          product=product, mapping=mapping)

@@ -14,6 +14,7 @@ from mvwrig import builders, cli, core, dsl, frames, ideals, spectrum, suites
 from mvwrig.errors import ClosureViolation
 
 from conftest import ZOO, algebra_path, golden_path
+from test_ideals import enumerate_homomorphisms
 
 AXIOM_SUITE_BUDGET_SECONDS = 60.0
 
@@ -113,8 +114,10 @@ def test_ideal_theory():
     hom_count = 0
     for a in small:
         for b in small:
-            for f in ideals.enumerate_homomorphisms(a, b):
-                ideals.first_iso(f)
+            for f in enumerate_homomorphisms(a, b):
+                fi = ideals.first_iso(f)
+                assert ideals.check_homomorphism(
+                    fi.iso, require_product=ideals._preserves_product(f) or None)[0]
                 hom_count += 1
     assert hom_count > 0
 

@@ -299,6 +299,19 @@ def test_unbound_variable_exit_2(capsys, tmp_path):
     assert err == "error: 4:16: error: unbound variable 'y'\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("  elements: [0, 1/0]\n", "2:17: error: zero denominator"),
+    ("  elements: 0..1\n  zero: 0\n  neg(x) = 1 - x\n  add(x, y) = min(1, x + y * 0/0)\n",
+     "5:30: error: zero denominator"),
+])
+def test_zero_denominator_exit_2(capsys, tmp_path, body, message):
+    src = tmp_path / "zero_den.mvw"
+    src.write_text("algebra D {\n" + body + "}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_multi_algebra_file_check_all(capsys, tmp_path):
     multi = tmp_path / "multi.mvw"
     multi.write_text("algebra A { builder: zn(1) } algebra B { builder: zn(2) }",

@@ -337,3 +337,54 @@ def test_scans_match_reference_on_broken_sums():
     assert len(rigs) > 30
     for rig in rigs:
         assert_scans_match_reference(rig)
+
+
+# -- restrict against the element-by-element route ------------------------------
+
+def _ref_restrict(rig, subset):
+    """The induced structure's tables by looking up each parent value, one
+    pair at a time; a KeyError names the first value that escapes."""
+    members = sorted(set(subset))
+    if not members or members[0] != 0:
+        raise ValueError("subset must contain the zero element")
+    back = {p: i for i, p in enumerate(members)}
+    try:
+        neg = [back[rig.neg(p)] for p in members]
+        add = [[back[rig.add(p, q)] for q in members] for p in members]
+        mul = None
+        if rig.mul_table is not None:
+            mul = [[back[rig.mul(p, q)] for q in members] for p in members]
+    except KeyError as exc:
+        raise ValueError(f"subset not closed: element {exc.args[0]} escapes") from exc
+    names = tuple(rig.element_name(p) for p in members)
+    return core.derive(neg, add, mul, names=names, name=f"{rig.name}|sub"), tuple(members)
+
+
+def _outcome(restrict, rig, subset):
+    try:
+        sub, embedding = restrict(rig, subset)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    return sub.carrier, sub.name, embedding, sub.neg_table.tolist(), \
+        sub.add_table.tolist(), None if sub.mul_table is None else sub.mul_table.tolist()
+
+
+_G3 = builders.gamma_zk(3, (1, 1, 1))
+RESTRICT_RIGS = [pytest.param(r, id=k) for k, r in ZOO.items()] + \
+    [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)] + \
+    [pytest.param(builders.direct_product([_G3, _G3]), id="G3xG3")]
+
+
+@pytest.mark.parametrize("rig", RESTRICT_RIGS)
+def test_restrict_matches_reference(rig):
+    rng = np.random.default_rng(rig.size)
+    n = rig.size
+    subsets = [set(range(n)), {0}, {0, rig.u}, {1}, set(), {0, n}, {0, rig.u, n + 3},
+               {0, -1}]
+    for _ in range(10):
+        seed = rng.choice(n, size=min(n, 2), replace=False).tolist()
+        subsets.append(set(builders.subalgebra_closure(rig, seed)[1]))
+        subsets.append({0} | set(rng.choice(n, size=rng.integers(1, n + 1)).tolist()))
+    for subset in subsets:
+        assert _outcome(core.restrict, rig, subset) == _outcome(_ref_restrict, rig, subset), \
+            sorted(subset)

@@ -85,6 +85,18 @@ def test_unbound_variable_rejected_at_parse_time():
     assert "unbound variable 'y'" in str(exc.value)
 
 
+@pytest.mark.parametrize("body, where", [
+    ("  elements: [0, 1/0]\n", (2, 17)),
+    ("  elements: [0, 1]\n  neg: [1, 2/0]\n", (3, 12)),
+    ("  elements: 0..3\n  neg(x) = 3 - x * 1/0\n", (3, 20)),
+])
+def test_zero_denominator_is_located(body, where):
+    with pytest.raises(DslSyntaxError) as exc:
+        dsl.parse("algebra A {\n" + body + "}")
+    assert (exc.value.diagnostic.line, exc.value.diagnostic.column) == where
+    assert exc.value.diagnostic.message == "zero denominator"
+
+
 def test_elaborate_z3_matches_builder():
     rig = dsl.elaborate_file(Z3_SRC)[0]
     assert rig.same_tables(builders.build_zn(3))

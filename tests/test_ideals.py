@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvwrig import builders, ideals, suites
+from mvwrig import builders, core, ideals, suites
 from mvwrig.errors import (
     GateNotMet,
     NotACongruence,
@@ -14,6 +15,16 @@ from mvwrig.errors import (
 )
 
 from conftest import LADDER, ZOO, zoo_items
+
+
+def enumerate_homomorphisms(a, b, limit=10 ** 6):
+    """All homomorphisms a -> b by exhaustive search over the b^(a-1) maps
+    that send 0 to 0 (desk scale)."""
+    total = b.size ** max(a.size - 1, 0)
+    assert total <= limit, f"{total} candidate maps exceed limit {limit}"
+    maps = (ideals.Homomorphism(a, b, (0,) + rest)
+            for rest in itertools.product(range(b.size), repeat=a.size - 1))
+    return [f for f in maps if ideals.check_homomorphism(f)[0]]
 
 
 @pytest.fixture
@@ -211,7 +222,7 @@ def test_mixed_homomorphism_kernel_and_image():
 def test_enumerate_homomorphisms_pairs():
     z1 = ZOO["Z1"]
     square = ZOO["Z1xZ1"]
-    homs = ideals.enumerate_homomorphisms(square, z1)
+    homs = enumerate_homomorphisms(square, z1)
     # two coordinate projections, the zero map is not one (u must map to u)
     maps = {h.mapping for h in homs}
     assert (0, 0, 1, 1) in maps and (0, 1, 0, 1) in maps
@@ -277,7 +288,7 @@ def test_preimage_of_prime_is_prime():
     small = [r for r in ZOO.values() if r.size <= 4 and r.mul_table is not None]
     for a in small:
         for b in small:
-            for f in ideals.enumerate_homomorphisms(a, b):
+            for f in enumerate_homomorphisms(a, b):
                 for p in ideals.prime_ideals(b):
                     pre = frozenset(x for x in a.elements()
                                     if f.mapping[x] in p.members)
@@ -436,3 +447,184 @@ def test_classification_matches_set_definitions(rig):
         for a in rig.elements() for b in rig.elements()
         if a not in i.members and b not in i.members)]
     assert mv_primes == out
+
+
+# -- cross-check of the gathers against the scalar definitions -----------------
+#
+# Congruences, homomorphisms and quotients are whole-table gathers in the
+# library; these loops are the definitions, element by element, with the
+# clause order the library's witnesses follow.
+
+def scalar_is_congruence(rig, class_of):
+    if len(class_of) != rig.size:
+        return False, ("shape", (len(class_of),))
+    buckets = {}
+    for x, c in enumerate(class_of):
+        buckets.setdefault(c, []).append(x)
+    for cls in buckets.values():
+        base = cls[0]
+        for x in cls[1:]:
+            if class_of[rig.neg(base)] != class_of[rig.neg(x)]:
+                return False, ("neg", (base, x))
+            for y in rig.elements():
+                if class_of[rig.add(base, y)] != class_of[rig.add(x, y)]:
+                    return False, ("add", (base, x, y))
+                if class_of[rig.add(y, base)] != class_of[rig.add(y, x)]:
+                    return False, ("add", (y, base, x))
+                if rig.mul_table is not None:
+                    if class_of[rig.mul(base, y)] != class_of[rig.mul(x, y)]:
+                        return False, ("mul", (base, x, y))
+                    if class_of[rig.mul(y, base)] != class_of[rig.mul(y, x)]:
+                        return False, ("mul", (y, base, x))
+    return True, None
+
+
+def scalar_check_homomorphism(f, require_product=None):
+    a, b, m = f.source, f.target, f.mapping
+    if len(m) != a.size or any(not 0 <= v < b.size for v in m):
+        return False, ("total", ())
+    if m[0] != 0:
+        return False, ("zero", (0,))
+    for x in a.elements():
+        if m[a.neg(x)] != b.neg(m[x]):
+            return False, ("neg", (x,))
+        for y in a.elements():
+            if m[a.add(x, y)] != b.add(m[x], m[y]):
+                return False, ("add", (x, y))
+    if require_product is None:
+        require_product = a.mul_table is not None and b.mul_table is not None
+    if require_product:
+        if a.mul_table is None or b.mul_table is None:
+            return False, ("product-missing", ())
+        for x in a.elements():
+            for y in a.elements():
+                if m[a.mul(x, y)] != b.mul(m[x], m[y]):
+                    return False, ("mul", (x, y))
+    return True, None
+
+
+def scalar_ideal_classes(rig, members):
+    """x ~ y iff (x - y) + (y - x) lies in the ideal; each unassigned x in
+    ascending order opens a class with everything related to it."""
+    class_of = [-1] * rig.size
+    nxt = 0
+    for x in rig.elements():
+        if class_of[x] < 0:
+            for y in rig.elements():
+                if rig.add(rig.monus(x, y), rig.monus(y, x)) in members:
+                    class_of[y] = nxt
+            nxt += 1
+    return ideals._normalize_partition(rig, tuple(class_of))
+
+
+def scalar_quotient(rig, members):
+    """(projection, reps, neg, add, mul, names, name) of the quotient, one
+    class representative at a time."""
+    proj = scalar_ideal_classes(rig, members)
+    reps = sorted({c: x for x, c in reversed(list(enumerate(proj)))}.values())
+    neg = [proj[rig.neg(r)] for r in reps]
+    add = [[proj[rig.add(r, s)] for s in reps] for r in reps]
+    mul = None
+    if rig.mul_table is not None:
+        mul = [[proj[rig.mul(r, s)] for s in reps] for r in reps]
+    names = tuple("[" + rig.element_name(r) + "]" for r in reps)
+    return (proj, tuple(reps), neg, add, mul, names,
+            f"{rig.name}/{ideals.format_subset(rig, members)}")
+
+
+def mv_reduct(rig):
+    return core.derive(rig.neg_table, rig.add_table, None,
+                       names=rig.carrier.names, name=rig.name)
+
+
+G3 = builders.gamma_zk(3, (1, 1, 1))
+GATHER_RIGS = REFERENCE_RIGS + [
+    pytest.param(builders.direct_product([G3, G3]), id="G3xG3")]
+
+
+@pytest.mark.parametrize("rig", GATHER_RIGS)
+def test_congruence_gather_matches_scalar(rig):
+    rng = random.Random(rig.size)
+    n = rig.size
+    candidates = [tuple(range(n - 1))]
+    for ideal in ideals.enumerate_ideals(rig):
+        assert ideals.congruence_from_ideal(rig, ideal).class_of == \
+            scalar_ideal_classes(rig, ideal.members)
+    # the congruence of an MV-ideal need not respect the product
+    for ideal in ideals.enumerate_mv_ideals(rig):
+        true = scalar_ideal_classes(rig, ideal.members)
+        candidates += [true, tuple(f"c{c}" for c in reversed(true))]
+        for _ in range(4):
+            changed = list(true)
+            changed[rng.randrange(n)] = rng.randrange(max(true) + 2)
+            candidates.append(tuple(changed))
+    for _ in range(30):
+        k = rng.randint(1, n)
+        candidates.append(tuple(rng.randrange(k) for _ in range(n)))
+    for class_of in candidates:
+        assert ideals.is_congruence(rig, class_of) == scalar_is_congruence(rig, class_of), \
+            class_of
+
+
+@pytest.mark.parametrize("rig", GATHER_RIGS)
+def test_homomorphism_gather_matches_scalar(rig):
+    rng = random.Random(rig.size + 1)
+    n = rig.size
+    ident = tuple(range(n))
+    mv = mv_reduct(rig)
+    zero_product = builders.lift_trivial_product(mv)
+    maps = [ideals.Homomorphism(rig, rig, ident),
+            ideals.Homomorphism(rig, mv, ident), ideals.Homomorphism(mv, rig, ident),
+            # MV-homomorphisms that break the product clause
+            ideals.Homomorphism(rig, zero_product, ident),
+            ideals.Homomorphism(zero_product, rig, ident),
+            ideals.Homomorphism(rig, rig, ident[:-1]),
+            ideals.Homomorphism(rig, rig, ident[:-1] + (n,)),
+            ideals.Homomorphism(rig, rig, (rig.u,) + ident[1:])]
+    if n > 1:
+        maps.append(ideals.Homomorphism(rig, rig, ident[:-1] + (-1,)))
+        ch = ideals.chang_embedding(rig)
+        maps.append(ideals.Homomorphism(rig, ch.product, ch.mapping))
+    for ideal in ideals.enumerate_ideals(rig):
+        q = ideals.quotient(rig, ideal)
+        maps.append(ideals.Homomorphism(rig, q.rig, q.projection))
+        for _ in range(3):
+            changed = list(q.projection)
+            changed[rng.randrange(n)] = rng.randrange(q.rig.size)
+            maps.append(ideals.Homomorphism(rig, q.rig, tuple(changed)))
+        maps.append(ideals.Homomorphism(
+            rig, q.rig, (0,) + tuple(rng.randrange(q.rig.size) for _ in range(n - 1))))
+    for target in rng.sample(list(ZOO.values()), 4):
+        maps.append(ideals.Homomorphism(
+            rig, target, (0,) + tuple(rng.randrange(target.size) for _ in range(n - 1))))
+    for f in maps:
+        for require_product in (None, True, False):
+            assert ideals.check_homomorphism(f, require_product) == \
+                scalar_check_homomorphism(f, require_product), (f.mapping, require_product)
+
+
+def assert_quotient_matches(q, ref):
+    proj, reps, neg, add, mul, names, name = ref
+    assert (q.projection, q.reps, q.rig.carrier.names, q.rig.name) == \
+        (proj, reps, names, name)
+    assert q.rig.same_tables(core.derive(neg, add, mul))
+
+
+@pytest.mark.parametrize("rig", GATHER_RIGS)
+def test_quotient_gather_matches_scalar(rig):
+    for ideal in ideals.enumerate_ideals(rig):
+        q = ideals.quotient(rig, ideal)
+        assert_quotient_matches(q, scalar_quotient(rig, ideal.members))
+        assert core.check_all(q.rig).passed
+    mv = mv_reduct(rig)
+    for ideal in ideals.enumerate_mv_ideals(rig):
+        q = ideals.mv_quotient(rig, ideal)
+        assert_quotient_matches(q, scalar_quotient(mv, ideal.members))
+        assert core.check_mv(q.rig).passed
+
+
+def test_quotient_and_congruence_reject_non_ideals(z3, square):
+    with pytest.raises(ValueError, match=r"not an ideal: \('sum', \(1, 1\)\)"):
+        ideals.quotient(z3, ideals.Ideal(z3, frozenset({0, 1})))
+    with pytest.raises(ValueError, match=r"not an MV-ideal: \('downward', \(1, 3\)\)"):
+        ideals.mv_quotient(square, ideals.Ideal(square, frozenset({0, 3})))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
-from mvwrig import frames, ideals, spectrum, suites
+from mvwrig import core, frames, ideals, spectrum, suites
 from mvwrig.errors import MvwError
 
-from conftest import zoo_items
+from conftest import LADDER, zoo_items
 
 
 @pytest.mark.parametrize("rig", zoo_items())
@@ -90,3 +92,92 @@ def test_run_all_shares_one_context(zoo, monkeypatch):
         results = suites.run_all(zoo[key])
         assert calls.count("spec") == calls.count("frame") == 1, key
         assert not [r.line() for r in results if r.status == "FAIL"]
+
+
+def test_run_all_builds_one_ideal_mask_list(monkeypatch):
+    # the context's mask list serves generation, products, classification
+    # and the correspondence; the rest come from the prime and maximal
+    # lists, the spectrum and the Chang embedding
+    rig = LADDER["G3xG2"]()
+    calls = []
+    original = ideals._ideal_masks
+
+    def counted(r, *args, **kwargs):
+        calls.append(r is rig)
+        return original(r, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_ideal_masks", counted)
+    results = suites.run_all(rig)
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    assert sum(calls) <= 10
+
+
+# -- the re-checks of library objects fire -------------------------------------
+
+def _patch_quotient(monkeypatch, change):
+    """Make ideals.quotient return change(q) for the quotient q it built."""
+    original = ideals.quotient
+    monkeypatch.setattr(ideals, "quotient", lambda rig, ideal: change(original(rig, ideal)))
+
+
+def _ideal_results(rig):
+    return {r.name: r for r in suites.run_suite(rig, "ideals")}
+
+
+def test_quotient_axioms_catches_a_corrupted_table(zoo, monkeypatch):
+    def corrupt(q):
+        if q.rig.size != 4:
+            return q
+        mul = q.rig.mul_table.copy()
+        mul[1, 1] = q.rig.u
+        q.rig = core.derive(q.rig.neg_table, q.rig.add_table, mul,
+                            names=q.rig.carrier.names, name=q.rig.name)
+        return q
+
+    _patch_quotient(monkeypatch, corrupt)
+    result = _ideal_results(zoo["Z3"])["quotient-axioms"]
+    assert (result.status, result.detail) == (
+        "FAIL", "{0}: quotient failed axioms: ['MVW-ii', 'MVW-v']")
+
+
+@pytest.mark.parametrize("key, projection, detail", [
+    ("Z3", (0, 2, 1, 3), "{0}: projection is not a homomorphism: ('add', (1, 1))"),
+    # the other coordinate projection is a homomorphism with the wrong kernel
+    ("Z1xZ1", (0, 1, 0, 1), "{(0,0), (0,1)}: projection kernel differs from the ideal"),
+])
+def test_quotient_axioms_catches_a_wrong_projection(zoo, monkeypatch, key, projection,
+                                                    detail):
+    rig = zoo[key]
+    target = frozenset({0}) if key == "Z3" else frozenset({0, 1})
+
+    def wrong(q):
+        return dataclasses.replace(q, projection=projection) if q.ideal.members == target \
+            else q
+
+    _patch_quotient(monkeypatch, wrong)
+    result = _ideal_results(rig)["quotient-axioms"]
+    assert (result.status, result.detail) == ("FAIL", detail)
+
+
+def test_first_iso_catches_a_broken_induced_map(zoo, monkeypatch):
+    original = ideals.first_iso
+
+    def broken(f):
+        fi = original(f)
+        if fi.iso.source.size != 4:
+            return fi
+        return dataclasses.replace(fi, iso=dataclasses.replace(fi.iso, mapping=(0, 2, 1, 3)))
+
+    monkeypatch.setattr(ideals, "first_iso", broken)
+    result = _ideal_results(zoo["Z3"])["first-iso"]
+    assert (result.status, result.detail) == (
+        "FAIL", "{0}: induced map fails a clause: ('add', (1, 1))")
+
+
+def test_hom_kernel_order_catches_a_wrong_projection(zoo, monkeypatch):
+    def wrong(q):
+        return dataclasses.replace(q, projection=(0, 2, 1, 3)) if q.rig.size == 4 else q
+
+    _patch_quotient(monkeypatch, wrong)
+    result = _ideal_results(zoo["Z3"])["hom-kernel-order"]
+    assert (result.status, result.detail) == ("FAIL", "fails at (1, 2) over {0}")
