@@ -212,11 +212,12 @@ def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
                       maximal=maximal, proper=ideal.proper)
 
 
-def classified_ideals(rig: FiniteMvwRig, absorb_product=True):
+def classified_ideals(rig: FiniteMvwRig, absorb_product=True, _masks=None):
     """(ideal, class) for every ideal, or every MV-ideal, smallest first,
-    each classified against one list of ideal masks."""
+    each classified against one list of ideal masks.  ``_masks`` is the
+    ideal mask list of the structure, for callers that already hold it."""
     _check_bound(rig, None)
-    masks = _ideal_masks(rig)
+    masks = _ideal_masks(rig) if _masks is None else _masks
     listed = enumerate_ideals(rig, _masks=masks) if absorb_product else enumerate_mv_ideals(rig)
     return [(i, classify_ideal(rig, i, masks)) for i in listed]
 
@@ -231,7 +232,13 @@ def maximal_ideals(rig: FiniteMvwRig):
     """All maximal proper ideals; nonempty for every nontrivial structure."""
     if rig.size == 1:
         raise Trivial("the one-element structure has no proper ideals")
-    out = [i for i, cls in classified_ideals(rig) if i.proper and cls.maximal]
+    return _maximal_of(classified_ideals(rig))
+
+
+def _maximal_of(classified):
+    """The maximal proper ideals of a nontrivial structure, read off its
+    ``classified_ideals`` list."""
+    out = [i for i, cls in classified if i.proper and cls.maximal]
     if not out:
         raise MvwError("no maximal ideal found in a nontrivial structure")
     return out

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from mvwrig import builders, frames, spectrum, suites
-from mvwrig.errors import EmptySeed, GateNotMet, NotACover
+from mvwrig.errors import EmptySeed, GateNotMet, MvwError, NotACover
 
 from conftest import LADDER, ZOO
 
@@ -319,3 +321,179 @@ def test_frame_matches_upset_scan(rig):
         for j, g in enumerate(filters):
             assert fr.join_table[i][j] == index[ref.generated(f | g)]
             assert fr.meet_table[i][j] == index[f & g]
+
+
+def test_frame_tables_are_read_only(zoo):
+    # one frame is shared by every check on a structure
+    fr = frames.frame(zoo["Z3"])
+    for table in (fr.join_table, fr.meet_table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+# -- binary-law verification against the subset scans ---------------------------
+#
+# ``_verify_theta`` proves the open-to-filter map well defined from the
+# bottom and pairwise laws, and ``finite_subcover`` answers every cover
+# question with one closure.  These are the earlier bodies: the scan of
+# every element subset as a presentation of an open, and the subcover that
+# asks ``pfilter_generated``.
+
+def reference_theta_map(rig, space, fr, principal_idx):
+    """Each open goes to the join of the principal filters of every element
+    whose basic open lies inside it."""
+    return tuple(fr.join_of(principal_idx[a] for a in rig.elements() if space.base[a] <= u)
+                 for u in space.opens)
+
+
+def reference_verify_theta(rig, tm, principal_idx):
+    space, fr = tm.space, tm.frame
+    open_index = {o: i for i, o in enumerate(space.opens)}
+    for rset in itertools.chain.from_iterable(
+            itertools.combinations(range(rig.size), k) for k in range(rig.size + 1)):
+        u = frozenset().union(*(space.base[a] for a in rset)) if rset else frozenset()
+        expect = tm.open_to_filter[open_index[u]]
+        if fr.join_of(principal_idx[a] for a in rset) != expect:
+            raise MvwError(f"open map depends on the presentation {rset}")
+    if sorted(set(tm.open_to_filter)) != list(range(len(fr.pfilters))):
+        raise MvwError("open map is not a bijection onto the P-filters")
+    for i, u in enumerate(space.opens):
+        for j, w in enumerate(space.opens):
+            fu, fw = tm.open_to_filter[i], tm.open_to_filter[j]
+            if tm.open_to_filter[open_index[u | w]] != fr.join_table[fu][fw]:
+                raise MvwError("open map does not preserve joins")
+            if tm.open_to_filter[open_index[u & w]] != fr.meet_table[fu][fw]:
+                raise MvwError("open map does not preserve meets")
+            if (u <= w) != fr.leq(fu, fw):
+                raise MvwError("open map does not preserve order")
+
+
+def reference_finite_subcover(rig, generators):
+    gens = [rig._check(g) for g in generators]
+    if frames.principal_pfilter(rig, rig.u).members == frozenset(rig.elements()):
+        return []
+    parent = {}
+    frontier = []
+    for g in gens:
+        if g not in parent:
+            parent[g] = (None, g)
+            frontier.append(g)
+    found = 0 in parent
+    while frontier and not found:
+        fresh = []
+        for v in frontier:
+            for g in gens:
+                w = rig.mul(v, g)
+                if w not in parent:
+                    parent[w] = (v, g)
+                    fresh.append(w)
+                    if w == 0:
+                        found = True
+        frontier = fresh
+    if 0 not in parent:
+        if not gens or frames.pfilter_generated(rig, set(gens)).members != \
+                frozenset(rig.elements()):
+            raise NotACover("the principal filters of the generators have a proper join")
+        return list(dict.fromkeys(gens))
+    used = set()
+    node = 0
+    while node is not None:
+        prev, g = parent[node]
+        used.add(g)
+        node = prev
+    sub = [g for g in dict.fromkeys(gens) if g in used]
+    if frames.pfilter_generated(rig, set(sub)).members != frozenset(rig.elements()):
+        raise MvwError("extracted subfamily does not cover")
+    return sub
+
+
+def _theta_ready(rig):
+    return (rig.mul_table is not None and rig.commutative and rig.unit is not None
+            and rig.size <= suites.SUBSET_SIZE_LIMIT)
+
+
+THETA_RIGS = [p for p in REFERENCE_RIGS if _theta_ready(p.values[0])]
+
+
+@pytest.mark.parametrize("rig", THETA_RIGS)
+def test_theta_binary_verification_matches_subset_scan(rig):
+    space, fr = spectrum.spec(rig), frames.frame(rig)
+    tm = frames.theta(rig, space=space, fr=fr, verify=False)
+    old_idx = {a: fr.index_of(frames.principal_pfilter(rig, a).members)
+               for a in rig.elements()}
+    assert fr.principal_index().tolist() == [old_idx[a] for a in rig.elements()]
+    assert tm.open_to_filter == reference_theta_map(rig, space, fr, old_idx)
+    frames._verify_theta(rig, tm, fr.principal_index())
+    reference_verify_theta(rig, tm, old_idx)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rig", [p for p in THETA_RIGS
+                                 if len(frames.frame(p.values[0]).pfilters) > 1])
+def test_theta_corruptions_fail_both_verifications(rig, seed):
+    rng = random.Random(seed)
+    fr = frames.frame(rig)
+    tm = frames.theta(rig, fr=fr, verify=False)
+    idx = fr.principal_index().tolist()
+    k = len(fr.pfilters)
+
+    def both_raise(tm, idx):
+        with pytest.raises(MvwError):
+            frames._verify_theta(rig, tm, idx)
+        with pytest.raises(MvwError):
+            reference_verify_theta(rig, tm, dict(enumerate(idx)))
+
+    for table in ("join_table", "meet_table"):
+        cells = getattr(fr, table).copy()
+        i, j = rng.randrange(k), rng.randrange(k)
+        cells[i, j] = (cells[i, j] + rng.randrange(1, k)) % k
+        both_raise(dataclasses.replace(tm, frame=dataclasses.replace(fr, **{table: cells})), idx)
+
+    mapping = list(tm.open_to_filter)
+    i, j = rng.sample(range(len(mapping)), 2)
+    mapping[i], mapping[j] = mapping[j], mapping[i]
+    both_raise(dataclasses.replace(tm, open_to_filter=tuple(mapping)), idx)
+
+    wrong = list(idx)
+    a = rng.randrange(rig.size)
+    wrong[a] = (wrong[a] + rng.randrange(1, k)) % k
+    both_raise(tm, wrong)
+
+
+def _generator_sets(rig):
+    """Every element subset of a carrier of at most SUBSET_SIZE_LIMIT
+    elements; on larger ones (M2(Z1), with 2^16 subsets, each costing the
+    reference two verified ``pfilter_generated`` calls) those of at most 3
+    elements and their complements."""
+    if rig.size <= suites.SUBSET_SIZE_LIMIT:
+        return [c for k in range(rig.size + 1) for c in itertools.combinations(rig.elements(), k)]
+    small = [c for k in range(4) for c in itertools.combinations(rig.elements(), k)]
+    return small + [tuple(sorted(set(rig.elements()) - set(c))) for c in small]
+
+
+SUBCOVER_RIGS = [pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None] + \
+    [pytest.param(FRAME_LADDER["Z1^3"](), id="Z1^3")]
+
+
+@pytest.mark.parametrize("rig", SUBCOVER_RIGS)
+def test_finite_subcover_matches_reference(rig, monkeypatch):
+    calls = []
+    original = frames.pfilter_generated
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "pfilter_generated", counted)
+    for gens in _generator_sets(rig):
+        try:
+            expect = reference_finite_subcover(rig, list(gens))
+        except MvwError as exc:
+            expect = type(exc)
+        before = len(calls)
+        try:
+            got = frames.finite_subcover(rig, list(gens))
+        except MvwError as exc:
+            got = type(exc)
+        assert got == expect, gens
+        assert len(calls) == before, "finite_subcover asked pfilter_generated"

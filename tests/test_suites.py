@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mvwrig import core, frames, ideals, spectrum, suites
+from mvwrig import builders, core, frames, ideals, spectrum, suites
 from mvwrig.errors import MvwError
 
-from conftest import LADDER, zoo_items
+from conftest import LADDER, ZOO, zoo_items
 
 
 @pytest.mark.parametrize("rig", zoo_items())
@@ -46,12 +50,16 @@ def test_unknown_suite_rejected(zoo):
 
 
 def test_raising_check_fails_and_the_rest_still_run(zoo, monkeypatch):
-    def broken(rig):
-        raise MvwError("no maximal ideal found in a nontrivial structure")
+    classified_ideals = ideals.classified_ideals
 
-    monkeypatch.setattr(ideals, "maximal_ideals", broken)
+    def broken(rig, *args, **kwargs):
+        # a classification that finds no maximal ideal
+        return [(i, dataclasses.replace(cls, maximal=False))
+                for i, cls in classified_ideals(rig, *args, **kwargs)]
+
+    monkeypatch.setattr(ideals, "classified_ideals", broken)
     results = suites.run_suite(zoo["Z3"], "ideals")
-    # every check reports, and only the two that call the broken function fail
+    # every check reports, and only the two that ask for maximal ideals fail
     assert [r.name for r in results] == [name for name, _, _ in suites.SUITES["ideals"]]
     failed = {r.name: r.detail for r in results if r.status == "FAIL"}
     assert failed == {
@@ -95,9 +103,8 @@ def test_run_all_shares_one_context(zoo, monkeypatch):
 
 
 def test_run_all_builds_one_ideal_mask_list(monkeypatch):
-    # the context's mask list serves generation, products, classification
-    # and the correspondence; the rest come from the prime and maximal
-    # lists, the spectrum and the Chang embedding
+    # the context's mask list serves generation, products, classification,
+    # the prime and maximal lists and the correspondence
     rig = LADDER["G3xG2"]()
     calls = []
     original = ideals._ideal_masks
@@ -109,7 +116,9 @@ def test_run_all_builds_one_ideal_mask_list(monkeypatch):
     monkeypatch.setattr(ideals, "_ideal_masks", counted)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    assert sum(calls) <= 10
+    # one list for the context, one for the spectrum's primes and two for
+    # the Chang embedding's MV-ideals
+    assert sum(calls) <= 4
 
 
 # -- the re-checks of library objects fire -------------------------------------
@@ -181,3 +190,105 @@ def test_hom_kernel_order_catches_a_wrong_projection(zoo, monkeypatch):
     _patch_quotient(monkeypatch, wrong)
     result = _ideal_results(zoo["Z3"])["hom-kernel-order"]
     assert (result.status, result.detail) == ("FAIL", "fails at (1, 2) over {0}")
+
+
+# -- pairwise checks against the earlier scans ---------------------------------
+#
+# ``monus-superadditive-nary`` now checks the reachable (sum x, sum y,
+# sum of x_i - y_i) triples, and ``frame-distributivity`` checks every triple
+# of filters before its family scan.  These are the earlier bodies.
+
+def reference_nary(r):
+    if r.size > suites.NARY_SIZE_LIMIT:
+        raise suites._Skip(f"carrier {r.size} > {suites.NARY_SIZE_LIMIT}")
+    add, monus, leq = r.add_table, r.monus_table, r.leq_table
+    for arity in (3, 4):
+        vecs = np.array(list(itertools.product(range(r.size), repeat=arity)))
+        sums = vecs[:, 0]
+        for k in range(1, arity):
+            sums = add[sums, vecs[:, k]]
+        lhs = monus[sums[:, None], sums[None, :]]
+        rhs = monus[vecs[:, None, 0], vecs[None, :, 0]]
+        for k in range(1, arity):
+            rhs = add[rhs, monus[vecs[:, None, k], vecs[None, :, k]]]
+        if not leq[lhs, rhs].all():
+            i, j = map(int, np.argwhere(~leq[lhs, rhs])[0])
+            return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
+
+
+def reference_frame_distributivity(ctx):
+    fr = ctx.frame
+    prin_idx = sorted({fr.index_of(m) for m in ctx.principal_filters.values()})
+    for fi in range(len(fr.pfilters)):
+        for k in range(len(prin_idx) + 1):
+            for family in itertools.combinations(prin_idx, k):
+                lhs = fr.meet_table[fi][fr.join_of(family)]
+                rhs = fr.join_of(fr.meet_table[fi][g] for g in family)
+                if lhs != rhs:
+                    return f"fails for filter {fi} against family {family}"
+
+
+NARY_RIGS = [r for r in ZOO.values() if r.size <= suites.NARY_SIZE_LIMIT] + \
+    [r for r in (f() for f in LADDER.values()) if r.size <= suites.NARY_SIZE_LIMIT] + \
+    [builders.direct_product([builders.build_zn(a), builders.build_zn(b)])
+     for a, b in ((1, 2), (2, 1))]
+
+
+def test_nary_check_matches_tuple_scan():
+    for rig in NARY_RIGS:
+        ctx = SimpleNamespace(rig=rig)
+        assert suites._check_monus_superadditive_nary(ctx) == reference_nary(rig), rig.name
+
+
+def test_nary_check_matches_tuple_scan_on_corrupted_tables():
+    rng = random.Random(2024)
+    caught = 0
+    for _ in range(100):
+        rig = rng.choice([r for r in NARY_RIGS if r.size > 1])
+        n = rig.size
+        add, monus = rig.add_table.copy(), rig.monus_table.copy()
+        table = rng.choice((add, monus))
+        x, y = rng.randrange(n), rng.randrange(n)
+        table[x, y] = (table[x, y] + rng.randrange(1, n)) % n
+        fake = SimpleNamespace(size=n, add_table=add, monus_table=monus,
+                               leq_table=rig.leq_table)
+        detail = suites._check_monus_superadditive_nary(SimpleNamespace(rig=fake))
+        assert detail == reference_nary(fake)
+        caught += detail is not None
+    assert caught
+
+
+def test_frame_distributivity_matches_family_scan(zoo):
+    for rig in zoo.values():
+        if rig.mul_table is None or not rig.commutative:
+            continue
+        ctx = suites._Ctx(rig)
+        assert suites._check_frame_distributivity(ctx) is None
+        assert reference_frame_distributivity(ctx) is None
+
+
+def test_frame_distributivity_catches_a_corrupted_meet(zoo):
+    ctx = suites._Ctx(zoo["Z1xZ1"])
+    fr = ctx.frame
+    meet = fr.meet_table.copy()
+    meet[fr.top, fr.top] = fr.bottom
+    ctx.frame = dataclasses.replace(fr, meet_table=meet)
+    result = {r.name: r for r in suites.run_suite(ctx.rig, "locale", _ctx=ctx)}
+    assert (result["frame-distributivity"].status, result["frame-distributivity"].detail) == (
+        "FAIL", "fails for filter 3 against family (1, 2)")
+    assert reference_frame_distributivity(ctx) is not None
+
+
+@pytest.mark.parametrize("make", [
+    LADDER["G3xG2"],
+    lambda: builders.direct_product([builders.build_zn(1)] * 5),
+], ids=["G3xG2", "Z1^5"])
+def test_frame_checks_run_past_sixteen_elements(make):
+    # the frame cap no longer guards an exponential scan, so the locale
+    # checks of these 32-element structures pass instead of being skipped
+    results = suites.run_all(make())
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    assert not [r.line() for r in results if "frame bound" in r.detail]
+    status = {r.name: r.status for r in results}
+    for name in ("pfilter-decomposition", "frame-distributivity", "theta-iso"):
+        assert status[name] == "PASS"
