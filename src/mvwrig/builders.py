@@ -48,9 +48,9 @@ def size_bound() -> int:
     return DEFAULT_SIZE_BOUND if env is None else env
 
 
-def _check_size(what: str, size: int, bound: int | None = None) -> None:
+def _check_size(what: str, size: int) -> None:
     """Raise SizeBound before a carrier of ``size`` elements is built."""
-    bound = size_bound() if bound is None else bound
+    bound = size_bound()
     if size > bound:
         raise SizeBound(f"{what} would have {size} elements (bound {bound})")
 
@@ -132,7 +132,7 @@ def lift_trivial_product(mv: FiniteMvwRig) -> FiniteMvwRig:
     return _checked(rig)
 
 
-def build_matrix_rig(base: FiniteMvwRig, n: int, bound: int | None = None):
+def build_matrix_rig(base: FiniteMvwRig, n: int):
     """Square n x n matrices over a finite base rig.
 
     Sum and negation are componentwise; the product is the truncated
@@ -144,7 +144,7 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, bound: int | None = None):
         raise ValueError("matrix dimension must be >= 1")
     if base.mul_table is None:
         raise ValueError("base must have a product")
-    _check_size("matrix carrier", base.size ** (n * n), bound)
+    _check_size("matrix carrier", base.size ** (n * n))
 
     cells = n * n
     elems = list(itertools.product(range(base.size), repeat=cells))
@@ -197,7 +197,7 @@ def _product2(a: FiniteMvwRig, b: FiniteMvwRig, name: str) -> FiniteMvwRig:
     return derive(neg, add, mul, names=names, name=name)
 
 
-def direct_product(rigs, bound: int | None = None) -> FiniteMvwRig:
+def direct_product(rigs) -> FiniteMvwRig:
     """Componentwise product of finitely many structures.
 
     The result carries a product only when every factor does.
@@ -205,7 +205,7 @@ def direct_product(rigs, bound: int | None = None) -> FiniteMvwRig:
     rigs = list(rigs)
     if not rigs:
         raise ValueError("need at least one factor")
-    _check_size("product carrier", math.prod(r.size for r in rigs), bound)
+    _check_size("product carrier", math.prod(r.size for r in rigs))
     acc = rigs[0]
     for r in rigs[1:]:
         acc = _product2(acc, r, name=f"{acc.name}x{r.name}")
@@ -213,7 +213,7 @@ def direct_product(rigs, bound: int | None = None) -> FiniteMvwRig:
     return _checked(acc, mv_only=mv_only)
 
 
-def gamma_zk(k: int, u, bound: int | None = None) -> FiniteMvwRig:
+def gamma_zk(k: int, u) -> FiniteMvwRig:
     """The interval [0, u] of Z^k under the componentwise order, with the
     truncated sum (x+y) meet u and the componentwise integer product.
 
@@ -226,7 +226,7 @@ def gamma_zk(k: int, u, bound: int | None = None) -> FiniteMvwRig:
         raise ValueError(f"unit vector must have length {k}")
     if any(c not in (0, 1) for c in u):
         raise InvalidUnit(f"unit vector entries must be 0 or 1, got {u}")
-    _check_size("interval carrier", 2 ** sum(u), bound)
+    _check_size("interval carrier", 2 ** sum(u))
 
     elems = list(itertools.product(*[range(c + 1) for c in u]))
     index = {e: i for i, e in enumerate(elems)}

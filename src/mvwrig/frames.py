@@ -29,7 +29,6 @@ locale law suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -224,6 +223,7 @@ def all_pfilters(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND):
 class FrameLA:
     rig: FiniteMvwRig
     pfilters: tuple          # frozensets, canonically sorted
+    masks: np.ndarray        # k x n read-only membership rows, one per P-filter
     join_table: np.ndarray   # k x k read-only ints: index x index -> index
     meet_table: np.ndarray
     bottom: int              # principal filter of the top element
@@ -240,11 +240,6 @@ class FrameLA:
 
     def leq(self, i: int, j: int) -> bool:
         return self.pfilters[i] <= self.pfilters[j]
-
-    @cached_property
-    def masks(self):
-        """Membership masks of the P-filters, one row each."""
-        return np.array([ideals._member_mask(self.rig, s) for s in self.pfilters])
 
     def principal_index(self):
         """The index of F_a for every element a.  F_a lies inside every
@@ -282,9 +277,10 @@ def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
         if (masks[meet[i]] != (masks[i] & masks)).any():
             raise MvwError("intersection of P-filters is not a P-filter")
     # one frame is shared by every check on a structure; keep it immutable
-    join.flags.writeable = False
-    meet.flags.writeable = False
-    return FrameLA(rig=rig, pfilters=tuple(filters), join_table=join, meet_table=meet,
+    for table in (masks, join, meet):
+        table.flags.writeable = False
+    return FrameLA(rig=rig, pfilters=tuple(filters), masks=masks, join_table=join,
+                   meet_table=meet,
                    bottom=int(masks[:, rig.u].argmax()),
                    top=filters.index(frozenset(rig.elements())))
 
@@ -322,6 +318,14 @@ def _first(bad):
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
+def principal_law_failure(table, prin, op):
+    """The first pair (a, b) in row-major order where the frame table does
+    not send (F_a, F_b) to F_(a op b), or None; ``prin`` maps each element
+    to the index of F_a, as ``FrameLA.principal_index`` does."""
+    bad = table[prin[:, None], prin[None, :]] != prin[op]
+    return _first(bad) if bad.any() else None
+
+
 def _verify_theta(rig, tm, principal_idx):
     """Prove theta a well-defined lattice isomorphism by binary laws, in
     O(n^2 + k^2) for n elements and k P-filters.  The bottom laws hold by
@@ -341,9 +345,9 @@ def _verify_theta(rig, tm, principal_idx):
     if bad.any():
         a, b = _first(bad)
         raise MvwError(f"V({a}) u V({b}) is not V(ab) at ({a}, {b})")
-    bad = fr.join_table[prin[:, None], prin[None, :]] != prin[mul]
-    if bad.any():
-        a, b = _first(bad)
+    pair = principal_law_failure(fr.join_table, prin, mul)
+    if pair is not None:
+        a, b = pair
         raise MvwError(f"F_{a} v F_{b} is not F_ab at ({a}, {b})")
     open_index = {o: i for i, o in enumerate(space.opens)}
     basic = np.array([open_index[space.base[a]] for a in rig.elements()])

@@ -131,38 +131,32 @@ def _as_ideal(rig, mask) -> Ideal:
     return Ideal(rig, frozenset(int(a) for a in np.flatnonzero(mask)))
 
 
-def _check_bound(rig, bound):
-    bound = builders.size_bound() if bound is None else bound
+def _check_bound(rig):
+    bound = builders.size_bound()
     if rig.size > bound:
         raise SizeBound(f"carrier of {rig.size} exceeds enumeration bound {bound}")
 
 
-def enumerate_ideals(rig: FiniteMvwRig, bound: int | None = None, _masks=None):
+def enumerate_ideals(rig: FiniteMvwRig, _masks=None):
     """All ideals, smallest first: the down-sets of the idempotents that
     absorb the product on both sides.
 
     ``_masks`` is the ideal mask list of the structure, for callers that
     already hold it.
     """
-    _check_bound(rig, bound)
+    _check_bound(rig)
     return [_as_ideal(rig, m) for m in (_ideal_masks(rig) if _masks is None else _masks)]
 
 
-def enumerate_mv_ideals(rig: FiniteMvwRig, bound: int | None = None):
+def enumerate_mv_ideals(rig: FiniteMvwRig):
     """All MV-ideals, smallest first: the down-sets of the idempotents."""
-    _check_bound(rig, bound)
+    _check_bound(rig)
     return [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product=False)]
 
 
 def _least_containing(rig, seed_mask, masks):
     """The first, hence least, listed mask holding the seed mask."""
     return _as_ideal(rig, masks[masks[:, seed_mask].all(axis=1).argmax()])
-
-
-def generated_mv_ideal(rig: FiniteMvwRig, seed) -> Ideal:
-    """Least MV-ideal containing the seed: the smallest MV-ideal listed
-    that contains it (MV-ideals are closed under intersection)."""
-    return _least_containing(rig, _member_mask(rig, seed), _ideal_masks(rig, False))
 
 
 def generated_ideal(rig: FiniteMvwRig, seed, _masks=None) -> Ideal:
@@ -212,14 +206,13 @@ def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
                       maximal=maximal, proper=ideal.proper)
 
 
-def classified_ideals(rig: FiniteMvwRig, absorb_product=True, _masks=None):
-    """(ideal, class) for every ideal, or every MV-ideal, smallest first,
-    each classified against one list of ideal masks.  ``_masks`` is the
-    ideal mask list of the structure, for callers that already hold it."""
-    _check_bound(rig, None)
+def classified_ideals(rig: FiniteMvwRig, _masks=None):
+    """(ideal, class) for every ideal, smallest first, each classified
+    against one list of ideal masks.  ``_masks`` is the ideal mask list of
+    the structure, for callers that already hold it."""
+    _check_bound(rig)
     masks = _ideal_masks(rig) if _masks is None else _masks
-    listed = enumerate_ideals(rig, _masks=masks) if absorb_product else enumerate_mv_ideals(rig)
-    return [(i, classify_ideal(rig, i, masks)) for i in listed]
+    return [(i, classify_ideal(rig, i, masks)) for i in enumerate_ideals(rig, _masks=masks)]
 
 
 def prime_ideals(rig: FiniteMvwRig):
@@ -601,8 +594,9 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
     is an injective MV-homomorphism with surjective coordinates."""
     if rig.size == 1:
         raise Trivial("the one-element algebra has no subdirect decomposition")
-    primes = [i for i, cls in classified_ideals(rig, absorb_product=False)
-              if i.proper and cls.mv_prime]
+    _check_bound(rig)
+    primes = [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product=False)
+              if not m.all() and _prime_clause(m, rig.meet_table)]
     if not primes:
         raise MvwError(f"no MV-prime ideals found in nontrivial {rig.name}")
     quotients = [mv_quotient(rig, p) for p in primes]

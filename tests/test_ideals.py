@@ -440,13 +440,13 @@ def test_classification_matches_set_definitions(rig):
         assert cls == ideals.classify_ideal(rig, ideal)
         assert cls.maximal == (not any(ideal.members < j < full for j in listed))
         assert cls.proper == (ideal.members != full)
-    mv_primes = [i for i, cls in ideals.classified_ideals(rig, absorb_product=False)
-                 if i.proper and cls.mv_prime]
+    if rig.size == 1:
+        return
     out = [i for i in ideals.enumerate_mv_ideals(rig) if i.proper and all(
         rig.meet(a, b) not in i.members
         for a in rig.elements() for b in rig.elements()
         if a not in i.members and b not in i.members)]
-    assert mv_primes == out
+    assert ideals.chang_embedding(rig).primes == out
 
 
 # -- cross-check of the gathers against the scalar definitions -----------------

@@ -116,9 +116,26 @@ def test_run_all_builds_one_ideal_mask_list(monkeypatch):
     monkeypatch.setattr(ideals, "_ideal_masks", counted)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    # one list for the context, one for the spectrum's primes and two for
+    # one list for the context, one for the spectrum's primes and one for
     # the Chang embedding's MV-ideals
-    assert sum(calls) <= 4
+    assert sum(calls) <= 3
+
+
+def test_run_all_reads_principal_filters_off_the_frame(monkeypatch):
+    # past the subset caps no locale check builds a principal filter by
+    # closure: the frame's principal index is the one route to F_a
+    rig = LADDER["G3xG2"]()
+    calls = []
+    original = frames.pfilter_generated
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "pfilter_generated", counted)
+    results = suites.run_all(rig)
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    assert calls == []
 
 
 # -- the re-checks of library objects fire -------------------------------------
@@ -218,7 +235,7 @@ def reference_nary(r):
 
 def reference_frame_distributivity(ctx):
     fr = ctx.frame
-    prin_idx = sorted({fr.index_of(m) for m in ctx.principal_filters.values()})
+    prin_idx = sorted(set(fr.principal_index().tolist()))
     for fi in range(len(fr.pfilters)):
         for k in range(len(prin_idx) + 1):
             for family in itertools.combinations(prin_idx, k):
@@ -292,3 +309,114 @@ def test_frame_checks_run_past_sixteen_elements(make):
     status = {r.name: r.status for r in results}
     for name in ("pfilter-decomposition", "frame-distributivity", "theta-iso"):
         assert status[name] == "PASS"
+
+
+# -- principal laws against their closure bodies --------------------------------
+#
+# ``pfilter-decomposition``, ``principal-meet-law`` and ``principal-join-law``
+# read F_a off the frame's principal index and its join and meet tables.
+# These are the earlier bodies, which built every F_a, and every join of two,
+# by closure.
+
+def reference_principal_filters(rig):
+    return {a: frames.principal_pfilter(rig, a).members for a in rig.elements()}
+
+
+def reference_pfilter_decomposition(ctx):
+    r = ctx.rig
+    suites._need_product(r)
+    prin = reference_principal_filters(r)
+    for f in ctx.frame.pfilters:
+        union = set()
+        for a in f:
+            union |= prin[a]
+        if union != set(f):
+            return f"{sorted(f)} is not the union of its principal parts"
+
+
+def reference_principal_meet_law(ctx):
+    r = ctx.rig
+    suites._need_commutative(r)
+    prin = reference_principal_filters(r)
+    for a in r.elements():
+        for b in r.elements():
+            if prin[a] & prin[b] != prin[r.join(a, b)]:
+                return f"fails at ({a}, {b})"
+            ok, witness = frames.is_pfilter(r, prin[a] & prin[b])
+            if not ok:
+                return f"intersection at ({a}, {b}) fails {witness}"
+
+
+def reference_principal_join_law(ctx):
+    r = ctx.rig
+    suites._need_commutative(r)
+    prin = reference_principal_filters(r)
+    for a in r.elements():
+        for b in r.elements():
+            join = frames.pfilter_generated(r, prin[a] | prin[b]).members
+            if join != prin[r.mul(a, b)]:
+                return f"fails at ({a}, {b})"
+
+
+PRINCIPAL_LAWS = [
+    (suites._check_pfilter_decomposition, reference_pfilter_decomposition),
+    (suites._check_principal_meet_law, reference_principal_meet_law),
+    (suites._check_principal_join_law, reference_principal_join_law),
+]
+
+
+def _outcome(check, ctx):
+    try:
+        return check(ctx)
+    except suites._Skip as skip:
+        return f"SKIPPED {skip}"
+
+
+@pytest.mark.parametrize("rig", zoo_items() + [
+    pytest.param(make, id=key) for key, make in LADDER.items()] + [
+    pytest.param(lambda: builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")])
+def test_principal_laws_match_closure_bodies(rig):
+    rig = rig() if callable(rig) else rig
+    ctx = suites._Ctx(rig)
+    for check, reference in PRINCIPAL_LAWS:
+        assert _outcome(check, ctx) == _outcome(reference, ctx), check.__name__
+
+
+def _corrupted(rig, field, cell, value):
+    """A context whose frame is a copy with one cell of its join table, meet
+    table or masks changed; the real frame is left as it was."""
+    ctx = suites._Ctx(rig)
+    table = getattr(ctx.frame, field).copy()
+    table[cell] = value
+    ctx.frame = dataclasses.replace(ctx.frame)
+    setattr(ctx.frame, field, table)
+    return ctx
+
+
+def _locale_result(ctx, name):
+    result = {r.name: r for r in suites.run_suite(ctx.rig, "locale", _ctx=ctx)}[name]
+    return result.status, result.detail
+
+
+def test_principal_join_law_catches_a_corrupted_join(zoo):
+    # in Z1xZ1, F_1 v F_2 is the whole carrier (filter 3); call it F_2
+    rig = zoo["Z1xZ1"]
+    ctx = _corrupted(rig, "join_table", (1, 2), 2)
+    assert _locale_result(ctx, "principal-join-law") == ("FAIL", "fails at (1, 2)")
+    tm = frames.theta(rig, space=spectrum.spec(rig), fr=ctx.frame, verify=False)
+    with pytest.raises(MvwError, match=r"^F_1 v F_2 is not F_ab at \(1, 2\)$"):
+        frames._verify_theta(rig, tm, ctx.frame.principal_index())
+
+
+def test_principal_meet_law_catches_a_corrupted_meet(zoo):
+    # in Z1xZ1, F_1 ^ F_2 is F_3 = {3} (filter 0); call it the whole carrier
+    ctx = _corrupted(zoo["Z1xZ1"], "meet_table", (1, 2), 3)
+    assert _locale_result(ctx, "principal-meet-law") == ("FAIL", "fails at (1, 2)")
+
+
+def test_pfilter_decomposition_catches_a_corrupted_mask(zoo):
+    # drop the top 3 from the whole carrier's row: F_1 = {1, 3} still holds
+    # it, so the union of the principal parts of the row's members does too
+    ctx = _corrupted(zoo["Z1xZ1"], "masks", (3, 3), False)
+    assert _locale_result(ctx, "pfilter-decomposition") == (
+        "FAIL", "[0, 1, 2, 3] is not the union of its principal parts")
