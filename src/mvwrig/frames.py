@@ -162,15 +162,16 @@ def _closure(rig, mask, tops):
         mask, inside = grown, nxt
 
 
-def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
+def pfilter_generated(rig: FiniteMvwRig, seed, _tops=None) -> PFilter:
     """Least P-filter containing the seed, by forced closure on masks.
     Works for noncommutative products too; the result is verified against
-    every P-filter clause."""
+    every P-filter clause.  ``_tops`` is ``_dotsum_tops(rig)``, for callers
+    that hold it."""
     _require_product(rig)
     seed = {rig._check(a) for a in seed}
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    tops = _dotsum_tops(rig)
+    tops = _dotsum_tops(rig) if _tops is None else _tops
     pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, seed), tops)))
     ok, witness = is_pfilter(rig, pf.members, _tops=tops)
     if not ok:
@@ -375,7 +376,7 @@ def _verify_theta(rig, tm, principal_idx):
         raise MvwError("open map does not preserve order")
 
 
-def finite_subcover(rig: FiniteMvwRig, generators):
+def finite_subcover(rig: FiniteMvwRig, generators, _tops=None):
     """Given elements whose principal P-filters join to the whole carrier,
     return a finite (here: small) subfamily that already joins to it.
 
@@ -383,11 +384,12 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     subfamily is read off the product.  Raises NotACover when the join is
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
-    so each cover question is one closure.
+    so each cover question is one closure.  ``_tops`` is
+    ``_dotsum_tops(rig)``, for callers that hold it.
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
-    tops = _dotsum_tops(rig)
+    tops = _dotsum_tops(rig) if _tops is None else _tops
 
     def covers(members):
         return _closure(rig, ideals._member_mask(rig, members), tops).all()

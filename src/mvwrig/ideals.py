@@ -549,12 +549,13 @@ def first_iso(f: Homomorphism) -> FirstIso:
                     iso=Homomorphism(q.rig, img, phi_bar))
 
 
-def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal, _masks=None):
+def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal, _masks=None, _quot=None):
     """The bijection between ideals above the given one and ideals of the
     quotient, verified in both directions and order-preserving.  Each ideal
     above maps to its image mask under the projection.  ``_masks`` is the
-    ideal mask list of the structure."""
-    q = quotient(rig, ideal)
+    ideal mask list of the structure and ``_quot`` the quotient by the
+    ideal, for callers that hold them."""
+    q = quotient(rig, ideal) if _quot is None else _quot
     masks = _ideal_masks(rig) if _masks is None else _masks
     above = masks[masks[:, _member_mask(rig, ideal.members)].all(axis=1)]
     below = {m.tobytes(): b for b, m in enumerate(_ideal_masks(q.rig))}

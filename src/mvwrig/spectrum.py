@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import ideals
 from .core import FiniteMvwRig
 from .errors import GateNotMet, MvwError, NotCommutative
@@ -37,14 +39,19 @@ def _canon_sets(sets):
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
-def spec(rig: FiniteMvwRig) -> SpecSpace:
+#: Cells of the largest boolean block the intersection law gathers at once.
+_LAW_BLOCK = 1 << 20
+
+
+def spec(rig: FiniteMvwRig, _primes=None) -> SpecSpace:
     """Enumerate the proper primes, materialize the basic opens, which
-    form the whole open lattice, and verify the base laws."""
+    form the whole open lattice, and verify the base laws.  ``_primes`` is
+    the list of proper prime ideals, for callers that hold it."""
     if rig.mul_table is None:
         raise GateNotMet("spectrum needs a product")
     if not rig.commutative:
         raise NotCommutative(f"{rig.name} is not commutative")
-    primes = ideals.prime_ideals(rig)
+    primes = ideals.prime_ideals(rig) if _primes is None else _primes
     points = _canon_sets([p.members for p in primes])
     base = {a: frozenset(i for i, p in enumerate(points) if a in p)
             for a in rig.elements()}
@@ -60,11 +67,29 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
         raise MvwError("V(0) is not the whole spectrum")
     if base[rig.u] != frozenset():
         raise MvwError("V(u) is not empty")
-    for a in rig.elements():
-        for b in rig.elements():
-            if base[a] & base[b] != base[rig.add(a, b)]:
-                raise MvwError(f"V({a}) and V({b}) break the intersection law")
+    pair = _intersection_law_failure(rig.add_table, points)
+    if pair is not None:
+        a, b = pair
+        raise MvwError(f"V({a}) and V({b}) break the intersection law")
     return space
+
+
+def _intersection_law_failure(add, points):
+    """The first pair (a, b) in row-major order with V(a) ^ V(b) != V(a + b),
+    or None.  Row a of the boolean points matrix is V(a); the rows are
+    gathered in blocks of at most ``_LAW_BLOCK`` cells."""
+    n = len(add)
+    holds = np.zeros((n, len(points)), dtype=bool)
+    for i, p in enumerate(points):
+        holds[sorted(p), i] = True
+    step = max(1, _LAW_BLOCK // max(1, n * len(points)))
+    for lo in range(0, n, step):
+        rows = holds[lo:lo + step]
+        bad = ((rows[:, None, :] & holds[None, :, :]) != holds[add[lo:lo + step]]).any(axis=2)
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return lo + int(a), int(b)
+    return None
 
 
 def basic_open(space: SpecSpace, a: int):

@@ -10,6 +10,13 @@ runs its exponential oracle only below the oracle's cap and otherwise
 reports PASS on the pairwise proof alone.  The locale checks read the
 principal filters F_a, their joins and their meets off the shared frame,
 so past the frame cap they report SKIPPED naming that cap.
+
+One context per structure builds each shared object once: the ideal
+masks, the classified ideals and proper primes (which the spectrum reads
+too), one quotient per ideal, the spectrum, the frame and the vector of
+largest dotted sums.  The scalar oracles stay element by element and
+independent of the routes they check, but read the tables as plain list
+rows, built once per structure, instead of calling the accessors.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +59,11 @@ class _Ctx:
     def __init__(self, rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
         self.rig = rig
         self.frame_bound = frame_bound
+        self._quotients = {}
+
+    @cached_property
+    def rows(self):
+        return _rows(self.rig)
 
     @cached_property
     def ideal_masks(self):
@@ -73,13 +86,35 @@ class _Ctx:
         """The maximal proper ideals of a nontrivial structure."""
         return ideals._maximal_of(self.classified)
 
+    def quotient(self, ideal):
+        """The quotient by a listed ideal, built once per ideal.  A failure
+        is not kept, so each check that asks sees it raised."""
+        q = self._quotients.get(ideal.members)
+        if q is None:
+            q = self._quotients[ideal.members] = ideals.quotient(self.rig, ideal)
+        return q
+
     @cached_property
     def space(self):
-        return spectrum.spec(self.rig)
+        return spectrum.spec(self.rig, _primes=self.proper_primes)
 
     @cached_property
     def frame(self):
         return frames.frame(self.rig, bound=self.frame_bound)
+
+    @cached_property
+    def tops(self):
+        return frames._dotsum_tops(self.rig)
+
+
+def _rows(rig):
+    """The tables as nested lists, and below[b] the elements a <= b: the
+    element-by-element oracles index these instead of calling the
+    bounds-checked accessors."""
+    return SimpleNamespace(
+        neg=rig.neg_table.tolist(), add=rig.add_table.tolist(),
+        mul=None if rig.mul_table is None else rig.mul_table.tolist(),
+        below=[[a for a, le in enumerate(col) if le] for col in rig.leq_table.T.tolist()])
 
 
 def _need_product(rig):
@@ -320,14 +355,16 @@ def _check_ideals_sound(ctx):
             return f"{i.display()} fails {witness}"
 
 
-def _oplus_closure(rig, seed):
+def _oplus_closure(rows, seed):
+    add = rows.add
     out = set(seed)
     frontier = set(seed)
     while frontier:
         fresh = set()
         for a in frontier:
+            row = add[a]
             for b in out:
-                for c in (rig.add(a, b), rig.add(b, a)):
+                for c in (row[b], add[b][a]):
                     if c not in out:
                         fresh.add(c)
         out |= fresh
@@ -335,26 +372,27 @@ def _oplus_closure(rig, seed):
     return out
 
 
-def _downward(rig, seed):
+def _downward(rows, seed):
     out = set(seed)
     for b in seed:
-        out.update(a for a in rig.elements() if rig.leq(a, b))
+        out.update(rows.below[b])
     return out
 
 
-def _generated_fixpoint(rig, seed):
+def _generated_fixpoint(rows, seed):
     """Least ideal by iterated closure under sums, the order and both
-    one-sided products: the independent oracle for ``generated_ideal``."""
+    one-sided products, over the ``_rows`` of a structure: the independent
+    oracle for ``generated_ideal``."""
+    mul = rows.mul
     members = {0} | set(seed)
     while True:
         before = len(members)
-        members = _downward(rig, _oplus_closure(rig, members))
-        if rig.mul_table is not None:
+        members = _downward(rows, _oplus_closure(rows, members))
+        if mul is not None:
             extra = set()
             for a in members:
-                for b in rig.elements():
-                    extra.add(rig.mul(a, b))
-                    extra.add(rig.mul(b, a))
+                extra.update(mul[a])
+                extra.update(row[a] for row in mul)
             members |= extra
         if len(members) == before:
             return members
@@ -365,18 +403,21 @@ def _check_generated_least(ctx):
     if r.size > SUBSET_SIZE_LIMIT:
         raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
     all_sets = [i.members for i in ctx.ideal_list]
+    verified = set()    # generated sets already shown to be ideals
     for k in range(r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
             gen = ideals.generated_ideal(r, seed, _masks=ctx.ideal_masks)
-            ok, witness = ideals.is_ideal(r, gen.members)
-            if not ok:
-                return f"<{seed}> is not an ideal: {witness}"
+            if gen.members not in verified:
+                ok, witness = ideals.is_ideal(r, gen.members)
+                if not ok:
+                    return f"<{seed}> is not an ideal: {witness}"
+                verified.add(gen.members)
             if not set(seed) <= gen.members:
                 return f"<{seed}> lost its seed"
             for s in all_sets:
                 if set(seed) <= s and not gen.members <= s:
                     return f"<{seed}> is not least (exceeds {sorted(s)})"
-            if frozenset(_generated_fixpoint(r, seed)) != gen.members:
+            if frozenset(_generated_fixpoint(ctx.rows, seed)) != gen.members:
                 return f"closure routes disagree on {seed}"
 
 
@@ -389,25 +430,29 @@ def _check_congruence_roundtrip(ctx):
             return f"{ideal.display()} does not round-trip"
 
 
-def _compatible(rig, class_of) -> bool:
+def _compatible(rows, class_of) -> bool:
     """The partition is compatible with every operation, by the definition
-    element by element with an early exit: the oracle for the partition
-    scan, where most candidates fail within a few comparisons."""
+    element by element over the ``_rows`` of a structure, with an early
+    exit: the oracle for the partition scan, where most candidates fail
+    within a few comparisons."""
+    neg, add, mul = rows.neg, rows.add, rows.mul
     buckets = {}
     for x, c in enumerate(class_of):
         buckets.setdefault(c, []).append(x)
     for cls in buckets.values():
         base = cls[0]
         for x in cls[1:]:
-            if class_of[rig.neg(base)] != class_of[rig.neg(x)]:
+            if class_of[neg[base]] != class_of[neg[x]]:
                 return False
-            for y in rig.elements():
-                if class_of[rig.add(base, y)] != class_of[rig.add(x, y)] \
-                        or class_of[rig.add(y, base)] != class_of[rig.add(y, x)]:
+            add_b, add_x = add[base], add[x]
+            mul_b, mul_x = (None, None) if mul is None else (mul[base], mul[x])
+            for y, row in enumerate(add):
+                if class_of[add_b[y]] != class_of[add_x[y]] \
+                        or class_of[row[base]] != class_of[row[x]]:
                     return False
-                if rig.mul_table is not None and (
-                        class_of[rig.mul(base, y)] != class_of[rig.mul(x, y)]
-                        or class_of[rig.mul(y, base)] != class_of[rig.mul(y, x)]):
+                if mul is not None and (
+                        class_of[mul_b[y]] != class_of[mul_x[y]]
+                        or class_of[mul[y][base]] != class_of[mul[y][x]]):
                     return False
     return True
 
@@ -433,7 +478,7 @@ def _check_congruence_bijection(ctx):
         for ci, cls in enumerate(part):
             for x in cls:
                 class_of[x] = ci
-        if _compatible(r, class_of):
+        if _compatible(ctx.rows, class_of):
             congruences.append(ideals._normalize_partition(r, tuple(class_of)))
     if len(set(congruences)) != len(ctx.ideal_list):
         return (f"{len(set(congruences))} congruences vs "
@@ -449,7 +494,7 @@ def _check_quotient_axioms(ctx):
     r = ctx.rig
     for ideal in ctx.ideal_list:
         try:
-            q = ideals.quotient(r, ideal)
+            q = ctx.quotient(ideal)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
         report = core.check_all(q.rig)
@@ -465,7 +510,7 @@ def _check_quotient_axioms(ctx):
 
 def _check_first_iso_natural(ctx):
     for ideal in ctx.ideal_list:
-        q = ideals.quotient(ctx.rig, ideal)
+        q = ctx.quotient(ideal)
         f = ideals.Homomorphism(ctx.rig, q.rig, q.projection)
         try:
             fi = ideals.first_iso(f)
@@ -480,7 +525,7 @@ def _check_first_iso_natural(ctx):
 def _check_hom_kernel_order(ctx):
     r = ctx.rig
     for ideal in ctx.ideal_list:
-        q = ideals.quotient(r, ideal)
+        q = ctx.quotient(ideal)
         f = ideals.Homomorphism(r, q.rig, q.projection)
         ker = ideals._member_mask(r, ideals.kernel(f).members)
         proj = np.asarray(q.projection)
@@ -493,7 +538,8 @@ def _check_hom_kernel_order(ctx):
 def _check_ideal_correspondence(ctx):
     for ideal in ctx.ideal_list:
         try:
-            ideals.ideal_correspondence(ctx.rig, ideal, _masks=ctx.ideal_masks)
+            ideals.ideal_correspondence(ctx.rig, ideal, _masks=ctx.ideal_masks,
+                                        _quot=ctx.quotient(ideal))
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
 
@@ -529,8 +575,7 @@ def _check_nilpotents_in_primes(ctx):
 def _check_nilradical_ideal(ctx):
     r = ctx.rig
     _need_commutative(r)
-    n = ideals.nilradical(r)
-    q = ideals.quotient(r, n)
+    q = ctx.quotient(ideals.nilradical(r))
     for c in q.rig.elements():
         if c != 0 and ideals.is_nilpotent(q.rig, c):
             return f"quotient keeps nilpotent class {c}"
@@ -714,7 +759,7 @@ def _check_spec_compactness(ctx):
             if union != s.all_points:
                 continue
             try:
-                sub = frames.finite_subcover(r, list(gens))
+                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops)
             except MvwError as exc:
                 return f"cover {gens}: {exc}"
             covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
@@ -733,7 +778,7 @@ def _check_pfilters_complete(ctx):
     brute = set()
     for k in range(1, r.size + 1):
         for cand in itertools.combinations(range(r.size), k):
-            if frames.is_pfilter(r, set(cand))[0]:
+            if frames.is_pfilter(r, set(cand), _tops=ctx.tops)[0]:
                 brute.add(frozenset(cand))
     if brute != set(ctx.frame.pfilters):
         return "the enumeration misses or invents a P-filter"
@@ -758,9 +803,8 @@ def _check_principal_meet_law(ctx):
     _need_commutative(r)
     fr = ctx.frame
     prin = fr.principal_index()
-    tops = frames._dotsum_tops(r)
     for a in np.unique(prin, return_index=True)[1]:
-        ok, witness = frames.is_pfilter(r, fr.pfilters[prin[a]], _tops=tops)
+        ok, witness = frames.is_pfilter(r, fr.pfilters[prin[a]], _tops=ctx.tops)
         if not ok:
             return f"F_{a} fails {witness}"
     pair = frames.principal_law_failure(fr.meet_table, prin, r.join_table)
@@ -780,17 +824,21 @@ def _check_principal_join_law(ctx):
 def _pfilter_by_formula(rig, seed, dotsums):
     """The dotted-sum description of the generated P-filter: x belongs iff
     some finite product of seed elements sits below some dotted sum of x
-    (``dotsums`` maps each x to all its dotted sums).  The independent
+    (``dotsums`` maps each x to all its dotted sums), that is, iff some
+    dotted sum of x lies in the up-set of the products.  The independent
     oracle for ``pfilter_generated`` on commutative structures; on
     noncommutative ones it can fail product closure."""
-    prods = set(seed)
+    prods = np.zeros(rig.size, dtype=bool)
+    prods[list(seed)] = True
     while True:
-        grown = prods | set(rig.mul_table[np.ix_(sorted(prods), sorted(prods))].flat)
-        if grown == prods:
+        inside = np.flatnonzero(prods)
+        grown = prods.copy()
+        grown[rig.mul_table[inside[:, None], inside]] = True
+        if (grown == prods).all():
             break
         prods = grown
-    return frozenset(x for x in rig.elements()
-                     if rig.leq_table[np.ix_(sorted(prods), sorted(dotsums[x]))].any())
+    above = rig.leq_table[prods].any(axis=0).tolist()
+    return frozenset(x for x in range(rig.size) if any(above[d] for d in dotsums[x]))
 
 
 def _check_pfilter_generated_least(ctx):
@@ -802,7 +850,7 @@ def _check_pfilter_generated_least(ctx):
     dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
     for k in range(1, r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
-            gen = frames.pfilter_generated(r, seed).members
+            gen = frames.pfilter_generated(r, seed, _tops=ctx.tops).members
             for f in all_filters:
                 if set(seed) <= f and not gen <= f:
                     return f"<{seed}> is not least"
@@ -853,7 +901,8 @@ def _check_theta_iso(ctx):
     # oracle: every element subset, read as a presentation of an open as a
     # union of basic opens, joins to the filter the open maps to
     space, fr = tm.space, tm.frame
-    prin = [fr.index_of(frames.principal_pfilter(r, a).members) for a in r.elements()]
+    prin = [fr.index_of(frames.pfilter_generated(r, {a}, _tops=ctx.tops).members)
+            for a in r.elements()]
     open_index = {o: i for i, o in enumerate(space.opens)}
     for rset in itertools.chain.from_iterable(
             itertools.combinations(range(r.size), k) for k in range(r.size + 1)):
@@ -875,7 +924,7 @@ def _check_frame_covers(ctx):
             join = fr.join_of(prin[g] for g in gens)
             covers = fr.pfilters[join] == full
             try:
-                sub = frames.finite_subcover(r, list(gens))
+                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops)
             except frames.NotACover:
                 if covers:
                     return f"{gens} covers but was rejected"

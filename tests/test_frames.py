@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mvwrig import builders, frames, spectrum, suites
@@ -497,3 +498,30 @@ def test_finite_subcover_matches_reference(rig, monkeypatch):
             got = type(exc)
         assert got == expect, gens
         assert len(calls) == before, "finite_subcover asked pfilter_generated"
+
+
+# -- the dotted-sum oracle against its gather body ------------------------------
+#
+# ``_pfilter_by_formula`` reads the up-set of the product closure once and
+# tests each element's dotted sums against it.  This is the earlier body,
+# one ``np.ix_`` gather of the order per element.
+
+def reference_pfilter_by_formula(rig, seed, dotsums):
+    prods = set(seed)
+    while True:
+        grown = prods | set(rig.mul_table[np.ix_(sorted(prods), sorted(prods))].flat)
+        if grown == prods:
+            break
+        prods = grown
+    return frozenset(x for x in rig.elements()
+                     if rig.leq_table[np.ix_(sorted(prods), sorted(dotsums[x]))].any())
+
+
+@pytest.mark.parametrize("rig", [p for p in REFERENCE_RIGS
+                                 if p.values[0].size <= suites.SUBSET_SIZE_LIMIT])
+def test_pfilter_formula_matches_gather_body(rig):
+    dotsums = {x: frames.dotsum_closure(rig, x) for x in rig.elements()}
+    for k in range(1, rig.size + 1):
+        for seed in itertools.combinations(range(rig.size), k):
+            assert suites._pfilter_by_formula(rig, seed, dotsums) == \
+                reference_pfilter_by_formula(rig, seed, dotsums), seed

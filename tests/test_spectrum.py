@@ -1,7 +1,10 @@
+import copy
+import random
+
 import pytest
 
 from mvwrig import builders, ideals, spectrum
-from mvwrig.errors import GateNotMet, NotCommutative
+from mvwrig.errors import GateNotMet, MvwError, NotCommutative
 
 from conftest import LADDER, ZOO
 
@@ -169,3 +172,60 @@ def test_opens_are_the_basic_opens(rig):
     space = spectrum.spec(rig)
     assert set(space.opens) == set(space.base.values())
     assert set(space.opens) == union_closure(space.base.values())
+
+
+def test_spec_gates_run_before_the_given_primes():
+    with pytest.raises(NotCommutative, match=r"^M2\(Z1\) is not commutative$"):
+        spectrum.spec(ZOO["M2(Z1)"], _primes=[])
+    with pytest.raises(GateNotMet, match="^spectrum needs a product$"):
+        spectrum.spec(ZOO["L3"], _primes=[])
+
+
+@pytest.mark.parametrize("rig", [
+    pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_spec_reads_the_given_primes(rig):
+    given, own = spectrum.spec(rig, _primes=ideals.prime_ideals(rig)), spectrum.spec(rig)
+    for field in ("points", "base", "opens", "unit_gated", "warnings"):
+        assert getattr(given, field) == getattr(own, field), field
+
+
+# -- the intersection law against its scalar loop --------------------------------
+#
+# ``spec`` checks V(a) ^ V(b) = V(a + b) with one gather of a boolean points
+# matrix per block of rows.  This is the earlier body, a loop over all pairs.
+
+def reference_intersection_law(rig, base):
+    for a in rig.elements():
+        for b in rig.elements():
+            if base[a] & base[b] != base[rig.add(a, b)]:
+                return f"V({a}) and V({b}) break the intersection law"
+
+
+@pytest.mark.parametrize("block", [spectrum._LAW_BLOCK, 1])
+@pytest.mark.parametrize("rig", [
+    pytest.param(r, id=k) for k, r in ZOO.items()
+    if r.mul_table is not None and r.commutative and spectrum.spec(r).points
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_intersection_law_matches_scalar_loop(rig, block, monkeypatch):
+    # a block of one cell gathers one row at a time
+    monkeypatch.setattr(spectrum, "_LAW_BLOCK", block)
+    primes = ideals.prime_ideals(rig)
+    base = spectrum.spec(rig).base
+    rng = random.Random(rig.size)
+    caught = 0
+    for _ in range(20):
+        add = rig.add_table.copy()
+        a, b = rng.randrange(rig.size), rng.randrange(rig.size)
+        add[a, b] = (add[a, b] + rng.randrange(1, rig.size)) % rig.size
+        fake = copy.copy(rig)
+        fake.add_table = add
+        expect = reference_intersection_law(fake, base)
+        try:
+            spectrum.spec(fake, _primes=primes)
+            got = None
+        except MvwError as exc:
+            got = str(exc)
+        assert got == expect, (a, b)
+        caught += got is not None
+    assert caught

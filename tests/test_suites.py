@@ -116,9 +116,56 @@ def test_run_all_builds_one_ideal_mask_list(monkeypatch):
     monkeypatch.setattr(ideals, "_ideal_masks", counted)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    # one list for the context, one for the spectrum's primes and one for
+    # one list for the context, whose primes the spectrum reads, and one for
     # the Chang embedding's MV-ideals
-    assert sum(calls) <= 3
+    assert sum(calls) <= 2
+
+
+def test_run_all_builds_each_quotient_once(monkeypatch):
+    # the quotient-axioms, first-iso, hom-kernel-order, ideal-correspondence
+    # and nilradical-ideal checks share one quotient per listed ideal;
+    # first_iso still builds the quotient by the kernel of the map it is given
+    rig = LADDER["G3xG2"]()
+    built = []
+    inside_first_iso = []
+    quotient, first_iso = ideals.quotient, ideals.first_iso
+
+    def counted_quotient(r, ideal):
+        if r is rig and not inside_first_iso:
+            built.append(ideal.members)
+        return quotient(r, ideal)
+
+    def flagged_first_iso(f):
+        inside_first_iso.append(f)
+        try:
+            return first_iso(f)
+        finally:
+            inside_first_iso.pop()
+
+    monkeypatch.setattr(ideals, "quotient", counted_quotient)
+    monkeypatch.setattr(ideals, "first_iso", flagged_first_iso)
+    results = suites.run_all(rig)
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    assert sorted(built, key=sorted) == sorted({i.members for i in ideals.enumerate_ideals(rig)},
+                                               key=sorted)
+    assert len(built) == len(set(built))
+
+
+def test_run_all_computes_the_dotted_sum_vector_twice(monkeypatch):
+    # once for the context and once inside frames.frame, whatever the number
+    # of subsets the locale and compactness checks scan
+    rig = builders.direct_product([builders.build_zn(1)] * 3)
+    calls = []
+    original = frames._dotsum_tops
+
+    def counted(r):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(frames, "_dotsum_tops", counted)
+    results = suites.run_all(rig)
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    assert len(calls) <= 2
 
 
 def test_run_all_reads_principal_filters_off_the_frame(monkeypatch):
@@ -420,3 +467,165 @@ def test_pfilter_decomposition_catches_a_corrupted_mask(zoo):
     ctx = _corrupted(zoo["Z1xZ1"], "masks", (3, 3), False)
     assert _locale_result(ctx, "pfilter-decomposition") == (
         "FAIL", "[0, 1, 2, 3] is not the union of its principal parts")
+
+
+# -- the scalar oracles against their accessor bodies ---------------------------
+#
+# ``generated-least`` and ``congruence-bijection`` run their oracles over the
+# tables as Python lists, built once per structure.  These are the earlier
+# bodies, which called the bounds-checked accessors element by element.
+
+def reference_oplus_closure(rig, seed):
+    out = set(seed)
+    frontier = set(seed)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in out:
+                for c in (rig.add(a, b), rig.add(b, a)):
+                    if c not in out:
+                        fresh.add(c)
+        out |= fresh
+        frontier = fresh
+    return out
+
+
+def reference_downward(rig, seed):
+    out = set(seed)
+    for b in seed:
+        out.update(a for a in rig.elements() if rig.leq(a, b))
+    return out
+
+
+def reference_generated_fixpoint(rig, seed):
+    members = {0} | set(seed)
+    while True:
+        before = len(members)
+        members = reference_downward(rig, reference_oplus_closure(rig, members))
+        if rig.mul_table is not None:
+            extra = set()
+            for a in members:
+                for b in rig.elements():
+                    extra.add(rig.mul(a, b))
+                    extra.add(rig.mul(b, a))
+            members |= extra
+        if len(members) == before:
+            return members
+
+
+def reference_compatible(rig, class_of):
+    buckets = {}
+    for x, c in enumerate(class_of):
+        buckets.setdefault(c, []).append(x)
+    for cls in buckets.values():
+        base = cls[0]
+        for x in cls[1:]:
+            if class_of[rig.neg(base)] != class_of[rig.neg(x)]:
+                return False
+            for y in rig.elements():
+                if class_of[rig.add(base, y)] != class_of[rig.add(x, y)] \
+                        or class_of[rig.add(y, base)] != class_of[rig.add(y, x)]:
+                    return False
+                if rig.mul_table is not None and (
+                        class_of[rig.mul(base, y)] != class_of[rig.mul(x, y)]
+                        or class_of[rig.mul(y, base)] != class_of[rig.mul(y, x)]):
+                    return False
+    return True
+
+
+def set_partitions(universe):
+    """Every partition of the list, as lists of blocks."""
+    if not universe:
+        yield []
+        return
+    first, rest = universe[0], universe[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield [[first]] + part
+
+
+#: Every structure the subset scans reach: the zoo, the ladder and the
+#: verify-zoo products of at most SUBSET_SIZE_LIMIT elements.
+SMALL_RIGS = {k: r for k, r in dict(
+    ZOO, **{k: make() for k, make in LADDER.items()},
+    **{"Z1xZ2": builders.direct_product([builders.build_zn(1), builders.build_zn(2)]),
+       "Z2xZ1": builders.direct_product([builders.build_zn(2), builders.build_zn(1)]),
+       "Z1^3": builders.direct_product([builders.build_zn(1)] * 3)}).items()
+    if r.size <= suites.SUBSET_SIZE_LIMIT}
+
+
+@pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()])
+def test_generated_fixpoint_matches_accessor_body(rig):
+    rows = suites._rows(rig)
+    for k in range(rig.size + 1):
+        for seed in itertools.combinations(range(rig.size), k):
+            assert suites._generated_fixpoint(rows, seed) == \
+                reference_generated_fixpoint(rig, seed), seed
+
+
+def test_oracles_match_accessor_bodies_without_commutativity():
+    # M2(Z1) is the zoo's noncommutative product, past the subset caps: seeds
+    # of at most two elements; the congruences of its MV-ideals, which keep
+    # the sum and may break the product on either side; and seeded random
+    # partitions
+    rig = ZOO["M2(Z1)"]
+    rows = suites._rows(rig)
+    for k in range(3):
+        for seed in itertools.combinations(range(rig.size), k):
+            assert suites._generated_fixpoint(rows, seed) == \
+                reference_generated_fixpoint(rig, seed), seed
+    mv = core.derive(rig.neg_table, rig.add_table, None)
+    partitions = [ideals._ideal_congruence(mv, ideals._member_mask(rig, i.members)).class_of
+                  for i in ideals.enumerate_mv_ideals(rig)]
+    rng = random.Random(rig.size)
+    partitions += [tuple(rng.randrange(k) for _ in rig.elements())
+                   for k in (2, 3, 4) for _ in range(100)]
+    assert any(suites._compatible(rows, c) for c in partitions)
+    for class_of in partitions:
+        assert suites._compatible(rows, class_of) == reference_compatible(rig, class_of), \
+            class_of
+
+
+@pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()
+                                 if r.size <= suites.PARTITION_SIZE_LIMIT])
+def test_compatible_matches_accessor_body(rig):
+    rows = suites._rows(rig)
+    for part in set_partitions(list(range(rig.size))):
+        class_of = [0] * rig.size
+        for ci, cls in enumerate(part):
+            for x in cls:
+                class_of[x] = ci
+        assert suites._compatible(rows, class_of) == reference_compatible(rig, class_of), \
+            part
+
+
+def test_generated_least_catches_a_generated_ideal_missing_an_element(zoo, monkeypatch):
+    # in Z1xZ1 the seed (1, 2) generates the whole carrier; drop its top 3
+    original = ideals.generated_ideal
+
+    def dropped(rig, seed, *args, **kwargs):
+        gen = original(rig, seed, *args, **kwargs)
+        if tuple(seed) == (1, 2):
+            return ideals.Ideal(rig, gen.members - {3})
+        return gen
+
+    monkeypatch.setattr(ideals, "generated_ideal", dropped)
+    result = _ideal_results(zoo["Z1xZ1"])["generated-least"]
+    assert (result.status, result.detail) == (
+        "FAIL", "<(1, 2)> is not an ideal: ('sum', (1, 2))")
+
+
+def test_pfilter_generated_least_catches_an_extra_element(zoo, monkeypatch):
+    # in Z3 the seed (3,) generates {1, 2, 3}; add the bottom 0
+    original = frames.pfilter_generated
+
+    def grown(rig, seed, *args, **kwargs):
+        gen = original(rig, seed, *args, **kwargs)
+        if tuple(seed) == (3,):
+            return frames.PFilter(rig, gen.members | {0})
+        return gen
+
+    monkeypatch.setattr(frames, "pfilter_generated", grown)
+    result = {r.name: r for r in suites.run_suite(zoo["Z3"], "locale")}["pfilter-generated-least"]
+    assert (result.status, result.detail) == ("FAIL", "<(3,)> is not least")
