@@ -1,9 +1,10 @@
 """Constructors for the standard example families.
 
-Every builder pushes its output through the exhaustive axiom checker
-instead of trusting the construction; the matrix builder returns the
-product-axiom report alongside the structure because not every base
-yields a lawful product.
+Every builder pushes its output through the axiom checker instead of
+trusting the construction; the matrix builder returns the product-axiom
+report alongside the structure because not every base yields a lawful
+product.  ``check=False`` leaves the result unchecked, for a caller that
+checks it itself (``mvw check`` prints the report of its one scan).
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .errors import (
     SizeBound,
 )
 
-#: Matrix and product carriers are capped so the cubic axiom scans stay cheap.
+#: Carriers are capped so the axiom checks stay cheap: the MV axioms and the
+#: distributive laws are certified in about n^2 steps, but associativity of
+#: the product (MVW-ii) is still a cubic scan.
 DEFAULT_SIZE_BOUND = 4096
 
 
@@ -55,18 +58,21 @@ def _check_size(what: str, size: int) -> None:
         raise SizeBound(f"{what} would have {size} elements (bound {bound})")
 
 
-def _checked(rig: FiniteMvwRig, mv_only=False) -> FiniteMvwRig:
-    report = core.check_mv(rig)
+def _checked(rig: FiniteMvwRig) -> FiniteMvwRig:
+    """``rig`` when it passes the MV axioms and, with a product, the product
+    axioms; else AxiomViolation with the first failing report."""
+    dec = core.chain_decomposition(rig)
+    report = core.check_mv(rig, _dec=dec)
     if not report.passed:
         raise AxiomViolation(report, context=rig.name)
-    if not mv_only and rig.mul_table is not None:
-        report = core.check_mvw(rig)
+    if rig.mul_table is not None:
+        report = core.check_mvw(rig, _dec=dec)
         if not report.passed:
             raise AxiomViolation(report, context=rig.name)
     return rig
 
 
-def build_zn(n: int) -> FiniteMvwRig:
+def build_zn(n: int, check: bool = True) -> FiniteMvwRig:
     """The rig {0, .., n} with x+y = min(n, x+y), neg x = n-x,
     xy = min(n, x*y).  Has unit 1, distinct from the top when n > 1."""
     if n < 1:
@@ -77,7 +83,7 @@ def build_zn(n: int) -> FiniteMvwRig:
     add = np.minimum(n, idx[:, None] + idx[None, :])
     mul = np.minimum(n, idx[:, None] * idx[None, :])
     rig = derive(neg, add, mul, name=f"Z{n}")
-    return _checked(rig)
+    return _checked(rig) if check else rig
 
 
 def luk_values(n: int) -> list[Fraction]:
@@ -88,7 +94,7 @@ def luk_values(n: int) -> list[Fraction]:
     return [Fraction(i, n - 1) for i in range(n)]
 
 
-def build_luk_mv(n: int) -> FiniteMvwRig:
+def build_luk_mv(n: int, check: bool = True) -> FiniteMvwRig:
     """The n-valued chain on {0, 1/(n-1), .., 1} with truncated sum and
     neg x = 1-x.  Product-free: the rational grid is not closed under the
     real product (see attach_real_product)."""
@@ -98,7 +104,7 @@ def build_luk_mv(n: int) -> FiniteMvwRig:
     neg = (n - 1) - idx
     add = np.minimum(n - 1, idx[:, None] + idx[None, :])
     rig = derive(neg, add, None, names=names, name=f"L{n}")
-    return _checked(rig, mv_only=True)
+    return _checked(rig) if check else rig
 
 
 def attach_real_product(n: int) -> FiniteMvwRig:
@@ -122,23 +128,24 @@ def attach_real_product(n: int) -> FiniteMvwRig:
     return _checked(rig)
 
 
-def lift_trivial_product(mv: FiniteMvwRig) -> FiniteMvwRig:
+def lift_trivial_product(mv: FiniteMvwRig, check: bool = True) -> FiniteMvwRig:
     """Attach the constant-zero product; the product axioms then hold
     vacuously (every instance reduces to 0 <= 0)."""
     n = mv.size
     mul = np.zeros((n, n), dtype=np.int32)
     rig = derive(mv.neg_table, mv.add_table, mul,
                  names=mv.carrier.names, name=f"T({mv.name})")
-    return _checked(rig)
+    return _checked(rig) if check else rig
 
 
-def build_matrix_rig(base: FiniteMvwRig, n: int):
+def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
     """Square n x n matrices over a finite base rig.
 
     Sum and negation are componentwise; the product is the truncated
     matrix product whose (i, j) entry is the base-sum over k of
     a[i,k].b[k,j].  Returns (rig, product_report): associativity can fail
-    for some bases, so the product axioms are reported, not assumed.
+    for some bases, so the product axioms are reported, not assumed.  The
+    report is None when ``check`` is off.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
@@ -175,10 +182,13 @@ def build_matrix_rig(base: FiniteMvwRig, n: int):
     mul = [[index[mat_mul(e, f)] for f in elems] for e in elems]
     names = tuple(mat_name(e) for e in elems)
     rig = derive(neg, add, mul, names=names, name=f"M{n}({base.name})")
-    report = core.check_mv(rig)
+    if not check:
+        return rig, None
+    dec = core.chain_decomposition(rig)
+    report = core.check_mv(rig, _dec=dec)
     if not report.passed:
         raise AxiomViolation(report, context=rig.name)
-    return rig, core.check_mvw(rig)
+    return rig, core.check_mvw(rig, _dec=dec)
 
 
 def _product2(a: FiniteMvwRig, b: FiniteMvwRig, name: str) -> FiniteMvwRig:
@@ -197,7 +207,7 @@ def _product2(a: FiniteMvwRig, b: FiniteMvwRig, name: str) -> FiniteMvwRig:
     return derive(neg, add, mul, names=names, name=name)
 
 
-def direct_product(rigs) -> FiniteMvwRig:
+def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
     """Componentwise product of finitely many structures.
 
     The result carries a product only when every factor does.
@@ -209,11 +219,10 @@ def direct_product(rigs) -> FiniteMvwRig:
     acc = rigs[0]
     for r in rigs[1:]:
         acc = _product2(acc, r, name=f"{acc.name}x{r.name}")
-    mv_only = any(r.mul_table is None for r in rigs)
-    return _checked(acc, mv_only=mv_only)
+    return _checked(acc) if check else acc
 
 
-def gamma_zk(k: int, u) -> FiniteMvwRig:
+def gamma_zk(k: int, u, check: bool = True) -> FiniteMvwRig:
     """The interval [0, u] of Z^k under the componentwise order, with the
     truncated sum (x+y) meet u and the componentwise integer product.
 
@@ -242,7 +251,7 @@ def gamma_zk(k: int, u) -> FiniteMvwRig:
     names = tuple(vec_name(e) for e in elems)
     uname = "".join(str(c) for c in u)
     rig = derive(neg, add, mul, names=names, name=f"G{k}_{uname}")
-    return _checked(rig)
+    return _checked(rig) if check else rig
 
 
 def build_trivial() -> FiniteMvwRig:

@@ -527,6 +527,10 @@ def _exact(nums, bound):
     stays below the limit, else as an array of Python ints."""
     if bound < _INT64_LIMIT:
         return np.asarray(nums, dtype=np.int64)
+    if isinstance(nums, list):
+        # asarray would infer float64, and round, for a list of Python ints
+        # whose largest lies in [2^63, 2^64)
+        return np.array(nums, dtype=object)
     # astype, unlike asarray, turns a NumPy integer scalar into a Python int
     return np.asarray(nums).astype(object)
 
@@ -638,10 +642,21 @@ _BUILDER_ARITY = {
 }
 
 
-def _run_builder(node, registry, span):
+def _run_builder(node, registry, span, check=True):
+    """The structure a builder call makes, checked when ``check`` is on
+    (``sub`` needs no check: a closed subset inherits every law).
+
+    An argument made by a nested call is built unchecked and checked
+    before this call builds on it; a product's factors are checked only
+    after its size cap has passed.
+    """
+    nested = []
+
     def resolve(arg):
         if isinstance(arg, BuilderExpr):
-            return _run_builder(arg, registry, span)
+            rig = _run_builder(arg, registry, span, check=False)
+            nested.append(rig)
+            return rig
         if isinstance(arg, NameRef):
             if arg.name not in registry:
                 _err(span[0], span[1], f"unknown algebra {arg.name!r}")
@@ -657,31 +672,38 @@ def _run_builder(node, registry, span):
             _err(span[0], span[1],
                  f"builder {node.fn} takes ({_BUILDER_ARITY[node.fn]})")
 
+    def check_nested():
+        for arg in nested:
+            builders._checked(arg)
+
     # the builder's own argument checks and size caps point at its call
     line, col = node.span
     try:
-        if node.fn == "zn":
-            want([int])
-            return builders.build_zn(args[0])
-        if node.fn == "luk":
-            want([int])
-            return builders.build_luk_mv(args[0])
-        if node.fn == "trivial":
-            want([FiniteMvwRig])
-            return builders.lift_trivial_product(args[0])
-        if node.fn == "matrix":
-            want([FiniteMvwRig, int])
-            rig, report = builders.build_matrix_rig(args[0], args[1])
-            if not report.passed:
-                raise AxiomViolation(report, context=rig.name)
-            return rig
         if node.fn == "product":
             if len(args) < 2 or not all(isinstance(a, FiniteMvwRig) for a in args):
                 _err(span[0], span[1], "builder product takes at least two algebras")
-            return builders.direct_product(args)
+            rig = builders.direct_product(args, check=False)
+            check_nested()
+            return builders._checked(rig) if check else rig
+        check_nested()
+        if node.fn == "zn":
+            want([int])
+            return builders.build_zn(args[0], check=check)
+        if node.fn == "luk":
+            want([int])
+            return builders.build_luk_mv(args[0], check=check)
+        if node.fn == "trivial":
+            want([FiniteMvwRig])
+            return builders.lift_trivial_product(args[0], check=check)
+        if node.fn == "matrix":
+            want([FiniteMvwRig, int])
+            rig, report = builders.build_matrix_rig(args[0], args[1], check=check)
+            if report is not None and not report.passed:
+                raise AxiomViolation(report, context=rig.name)
+            return rig
         if node.fn == "gamma":
             want([int, tuple])
-            return builders.gamma_zk(args[0], args[1])
+            return builders.gamma_zk(args[0], args[1], check=check)
         if node.fn == "sub":
             want([FiniteMvwRig, tuple])
             sub, _embedding = builders.subalgebra_closure(args[0], set(args[1]))
@@ -706,7 +728,7 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
     if source.builder is not None:
         if source.carrier or source.zero or source.ops:
             _err(line, col, "a builder algebra takes no other declarations")
-        return _run_builder(source.builder, registry, source.span).set_name(source.name)
+        return _run_builder(source.builder, registry, source.span, check).set_name(source.name)
 
     if source.carrier is None:
         _err(line, col, "missing 'elements' declaration")

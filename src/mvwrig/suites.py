@@ -137,7 +137,7 @@ def _need_unit(rig):
 # -- core laws ---------------------------------------------------------------
 
 def _check_mv_axioms(ctx):
-    report = core.check_mv(ctx.rig)
+    report = core.scan_mv(ctx.rig)
     if not report.passed:
         bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
         return f"failing: {bad}"
@@ -145,7 +145,7 @@ def _check_mv_axioms(ctx):
 
 def _check_mvw_axioms(ctx):
     _need_product(ctx.rig)
-    report = core.check_mvw(ctx.rig)
+    report = core.scan_mvw(ctx.rig)
     if not report.passed:
         bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
         return f"failing: {bad}"
@@ -497,7 +497,9 @@ def _check_quotient_axioms(ctx):
             q = ctx.quotient(ideal)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
-        report = core.check_all(q.rig)
+        report = core.scan_mv(q.rig)
+        if q.rig.mul_table is not None:
+            report = report.merged_with(core.scan_mvw(q.rig))
         if not report.passed:
             return f"{ideal.display()}: quotient failed axioms: {report.failed_axioms()}"
         proj = ideals.Homomorphism(r, q.rig, q.projection)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvwrig import cli, dsl
+from mvwrig import builders, cli, core, dsl
 
 from conftest import algebra_path, golden_path
 
@@ -322,3 +322,87 @@ def test_multi_algebra_file_check_all(capsys, tmp_path):
     code, out, err = run(capsys, "spec", str(multi))
     assert code == 2
     assert "exactly one" in err
+
+
+def _counting(monkeypatch, module, *names):
+    """Wrap ``module.<name>`` for each name; returns name -> call count."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapped(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_check_of_a_builder_file_scans_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "z127.mvw"
+    path.write_text("algebra Z127 { builder: zn(127) }", encoding="utf-8")
+    calls = _counting(monkeypatch, core, "check_mv", "check_mvw")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("result: PASS\n")
+    assert calls == {"check_mv": 1, "check_mvw": 1}
+
+
+def test_product_cap_is_enforced_before_any_check(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "oversize.mvw"
+    path.write_text("algebra Oversize {\n  builder: product(zn(64), zn(64))\n}\n",
+                    encoding="utf-8")
+    calls = _counting(monkeypatch, core, "check_mv", "check_mvw", "scan_mv", "scan_mvw")
+    for command in ("check", "verify"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 2:12: product carrier would have 4225 elements (bound 4096)\n"
+    assert set(calls.values()) == {0}
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("product(zn(5000), zn(1))", "2:20: Z5000 carrier would have 5001 elements (bound 4096)"),
+    ("product(zn(0), zn(1))", "2:20: error: n must be >= 1"),
+    ("product(gamma(2, [1, 2]), zn(1))",
+     "2:20: error: unit vector entries must be 0 or 1, got (1, 2)"),
+])
+def test_failing_factor_messages(capsys, tmp_path, expr, message):
+    path = tmp_path / "p.mvw"
+    path.write_text(f"algebra P {{\n  builder: {expr}\n}}\n", encoding="utf-8")
+    for command in ("check", "verify"):
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_nested_builder_arguments_are_checked(monkeypatch, tmp_path):
+    # unchecked as built, each nested result is checked once before use
+    calls = _counting(monkeypatch, builders, "_checked")
+    text = "algebra T { builder: trivial(luk(3)) }\nalgebra P { builder: product(zn(2), T) }"
+    assert [r.size for r in dsl.elaborate_file(text, check=False)] == [3, 9]
+    assert calls["_checked"] == 2        # luk(3) and zn(2), not the results
+    assert [r.size for r in dsl.elaborate_file(text)] == [3, 9]
+    assert calls["_checked"] == 6
+
+
+_ANALYZE_LARGE = {
+    "chain200.mvw": ("algebra Chain200 {\n  elements: 0..200\n  zero: 0\n"
+                     "  neg(x) = 200 - x\n  add(x, y) = min(200, x + y)\n"
+                     "  mul(x, y) = min(200, x * y)\n}\n"),
+    "z127.mvw": "algebra Z127 { builder: zn(127) }",
+    "g3xg2.mvw": "algebra G3xG2 { builder: product(gamma(3, [1, 1, 1]), gamma(2, [1, 1])) }",
+    "z63.mvw": "algebra Z63 { builder: zn(63) }",
+    "z1p4.mvw": "algebra Z1p4 { builder: product(zn(1), zn(1), zn(1), zn(1)) }",
+    "m2z1.mvw": "algebra M2Z1 { builder: matrix(zn(1), 2) }",
+}
+
+
+def test_analysis_commands_never_scan_the_mv_axioms(capsys, monkeypatch, tmp_path):
+    # the chain decomposition certifies every lawful structure these load
+    for name, text in _ANALYZE_LARGE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    calls = _counting(monkeypatch, core, "scan_mv")
+    for argv in (["ideals", "chain200.mvw"], ["check", "z127.mvw"], ["ideals", "g3xg2.mvw"],
+                 ["spec", "g3xg2.mvw"], ["ideals", "--prime", "z63.mvw"], ["spec", "z63.mvw"],
+                 ["filters", "z63.mvw"], ["spec", "z1p4.mvw"], ["filters", "--frame", "z1p4.mvw"],
+                 ["ideals", "m2z1.mvw"], ["check", "chain200.mvw"]):
+        code, _out, err = run(capsys, argv[0], *argv[1:-1], str(tmp_path / argv[-1]))
+        assert (code, err) == (0, ""), argv
+    assert calls["scan_mv"] == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -266,14 +268,22 @@ def _ref_check_mvw(rig):
     return report
 
 
-def assert_scans_match_reference(rig):
-    report = core.check_mv(rig)
-    ref = _ref_check_mv(rig)
+def _assert_same(report, ref):
     assert (report.axioms, report.failures) == (ref.axioms, ref.failures)
+
+
+def assert_scans_match_reference(rig):
+    """The certified checks and the exhaustive scans both give the
+    reference reports, counts and first witnesses alike."""
+    ref = _ref_check_mv(rig)
+    _assert_same(core.check_mv(rig), ref)
+    _assert_same(core.scan_mv(rig), ref)
     if rig.mul_table is not None:
-        report = core.check_mvw(rig)
-        ref = _ref_check_mvw(rig)
-        assert (report.axioms, report.failures) == (ref.axioms, ref.failures)
+        ref_mvw = _ref_check_mvw(rig)
+        _assert_same(core.check_mvw(rig), ref_mvw)
+        _assert_same(core.scan_mvw(rig), ref_mvw)
+        ref = ref.merged_with(ref_mvw)
+    _assert_same(core.check_all(rig), ref)
 
 
 def _chain(n, mul):
@@ -337,6 +347,186 @@ def test_scans_match_reference_on_broken_sums():
     assert len(rigs) > 30
     for rig in rigs:
         assert_scans_match_reference(rig)
+
+
+# -- the structure-theorem certificates --------------------------------------------
+
+def _genuine_bases():
+    """MVW-rigs of at most 12 elements: chains Z_m with the truncated
+    product, products of them, and chains with the zero product."""
+    zn = [builders.build_zn(m) for m in range(1, 12)]
+    prods = [builders.direct_product([zn[i - 1] for i in shape])
+             for shape in ((1, 1), (1, 2), (2, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+                           (1, 1, 1), (1, 1, 2))]
+    lifted = [builders.lift_trivial_product(builders.build_luk_mv(k)) for k in (3, 6, 12)]
+    return zn + prods + lifted
+
+
+def _seeded_structures(count_per_base=30, seed=20261018):
+    """Perturbed genuine products, random 0-absorbing tables, corrupted sums
+    and non-commutative products over the genuine bases, all derivable."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for base in _genuine_bases():
+        n = base.size
+        good = base.mul_table
+        for trial in range(count_per_base):
+            add, mul = base.add_table, good.copy()
+            kind = trial % 5
+            if kind == 0:                       # perturbed genuine product
+                for _ in range(rng.integers(1, 3)):
+                    mul[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            elif kind == 1:                     # commutative perturbation
+                x, y = rng.integers(n, size=2)
+                mul[x, y] = mul[y, x] = rng.integers(n)
+            elif kind == 2:                     # random 0-absorbing, rows sorted
+                mul = rng.integers(0, n, size=(n, n))
+                if trial % 2:
+                    mul = np.sort(mul, axis=1)
+                mul[0, :] = mul[:, 0] = 0
+            elif kind == 3:                     # corrupted sum
+                add = add.copy()
+                add[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            else:                               # non-commutative
+                x, y = rng.choice(n, size=2, replace=False) if n > 1 else (0, 0)
+                mul[x, y] = rng.integers(n)
+            try:
+                out.append(core.derive(base.neg_table, add, mul,
+                                       name=f"{base.name}/{trial}"))
+            except OrderNotAntisymmetric:
+                continue
+    return out
+
+
+SEEDED = _seeded_structures()
+
+
+def test_seeded_corpus_is_large_and_mixed():
+    assert len(SEEDED) >= 500
+    assert max(r.size for r in SEEDED) <= 12
+    reports = [core.check_all(r) for r in SEEDED]
+    assert sum(r.passed for r in reports) >= 50
+    assert sum(not r.passed for r in reports) >= 300
+    assert sum(r.commutative is False for r in SEEDED) >= 100
+    assert sum(core.chain_decomposition(r) is None for r in SEEDED) >= 50
+
+
+@pytest.mark.parametrize("part", range(10))
+def test_checks_match_reference_on_seeded_structures(part):
+    for rig in SEEDED[part::10]:
+        assert_scans_match_reference(rig)
+
+
+def _add_max(n):
+    # max is a lawful sum only on the two-element chain
+    idx = np.arange(n + 1)
+    return core.derive(n - idx, np.maximum(idx[:, None], idx[None, :]),
+                       np.minimum(idx[:, None], idx[None, :]))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_decomposition_refuses_max_as_sum(n):
+    assert core.chain_decomposition(_add_max(n)) is None
+    assert not core.scan_mv(_add_max(n)).passed
+
+
+@pytest.mark.parametrize("rig", zoo_items() + [
+    pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_decomposition_accepts_every_zoo_member(rig):
+    dec = core.chain_decomposition(rig)
+    assert dec is not None
+    assert len(dec.atoms) == len(dec.lengths)
+    assert int(np.prod([m + 1 for m in dec.lengths])) == rig.size
+    assert sorted(dec.phi.tolist()) == list(range(rig.size))
+    for e in dec.atoms:
+        assert int(rig.leq_table[:, e].sum()) == 2
+
+
+@pytest.mark.parametrize("base", ["L3", "L4", "Z1xZ1", "G110"])
+def test_decomposition_needs_the_zero_at_element_0(base):
+    # every relabeling of a genuine MV-algebra that moves its zero off
+    # element 0 fails MV3; the decomposition refuses each one that derives
+    base = ZOO[base]
+    n = base.size
+    tried = 0
+    for perm in itertools.permutations(range(n)):
+        if perm[0] == 0:
+            continue
+        p = np.array(perm)
+        neg = np.empty(n, dtype=int)
+        add = np.empty((n, n), dtype=int)
+        neg[p] = p[base.neg_table]
+        add[np.ix_(p, p)] = p[base.add_table]
+        try:
+            rig = core.derive(neg, add)
+        except OrderNotAntisymmetric:
+            continue
+        tried += 1
+        assert core.chain_decomposition(rig) is None
+        assert core.scan_mv(rig).status("MV3") == "FAIL"
+    assert tried > 0
+
+
+def test_decomposition_of_known_shapes():
+    assert core.chain_decomposition(builders.build_zn(6)).lengths == (6,)
+    assert core.chain_decomposition(ZOO["G3"]).lengths == (1, 1, 1)
+    z2xz3 = core.chain_decomposition(LADDER["Z2xZ3"]())
+    assert sorted(z2xz3.lengths) == [2, 3]
+    assert core.chain_decomposition(ZOO["trivial"]).lengths == ()
+
+
+def _scanned_rows(monkeypatch):
+    """Wrap the distributive-law row scan; returns the list of scanned rows
+    of each call."""
+    calls = []
+    original = core._scan_distributive
+
+    def wrapped(rig, rows):
+        calls.append(list(rows))
+        return original(rig, rows)
+    monkeypatch.setattr(core, "_scan_distributive", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("rig", zoo_items(lambda r: r.mul_table is not None) + [
+    pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_every_mvw_rig_clears_every_row(rig, monkeypatch):
+    calls = _scanned_rows(monkeypatch)
+    assert core.check_mvw(rig).passed
+    assert calls == [[]]
+
+
+def test_partly_certified_rows_match_reference(monkeypatch):
+    # Z6 with one row changed: a*_ for a = 3 is no longer monotone, and
+    # the column _*4 sees the change too; every other row stays cleared
+    z6 = builders.build_zn(6)
+    mul = z6.mul_table.copy()
+    mul[3, 4] = 5
+    rig = core.derive(z6.neg_table, z6.add_table, mul)
+    calls = _scanned_rows(monkeypatch)
+    report = core.check_mvw(rig)
+    assert calls == [[3, 4]]
+    assert not report.passed
+    _assert_same(report, _ref_check_mvw(rig))
+    assert report.failures["MVW-v"][0] > 0
+
+
+def test_column_maps_are_certified_too(monkeypatch):
+    # structures whose rows a*_ all clear but some column _*a does not:
+    # only the column pass sends those a to the scan
+    cases = []
+    for rig in SEEDED:
+        dec = core.chain_decomposition(rig)
+        if dec is None or rig.commutative:
+            continue
+        cols = core._certified_rows(rig, dec, rig.mul_table.T)
+        if core._certified_rows(rig, dec, rig.mul_table).all() and not cols.all():
+            cases.append((rig, np.flatnonzero(~cols).tolist()))
+    assert len(cases) >= 5
+    calls = _scanned_rows(monkeypatch)
+    for rig, uncleared in cases:
+        _assert_same(core.check_mvw(rig), _ref_check_mvw(rig))
+        assert calls.pop() == uncleared
 
 
 # -- restrict against the element-by-element route ------------------------------

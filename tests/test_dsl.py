@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvwrig import builders, dsl
@@ -378,6 +378,23 @@ def test_grid_tables_switch_to_exact_objects_past_int64():
         assert_grid_matches_scalar(opname, _formula(opname, params, body), values)
 
 
+def test_grid_tables_on_a_carrier_between_int64_and_uint64():
+    # scaled values in [2^63, 2^64) must stay exact Python ints, not float64
+    top = 2 ** 63 + 1
+    values = [Fraction(0), Fraction(1), Fraction(top)]
+    formula = _formula("mul", "x, y", "max(x, y)")
+    assert dsl._formula_table("mul", formula, values).tolist() == \
+        [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+    for body in ("max(x, y)", "min(x, y)", f"max(0, min({top}, x + y))", "x * y"):
+        assert_grid_matches_scalar("mul", _formula("mul", "x, y", body), values)
+    # the scaled top is about 1.23e19 here
+    values = sorted([Fraction(29, 333333333333), Fraction(19, 150), Fraction(736396, 337)])
+    lo, hi = dsl.Lit(values[0]), dsl.Lit(values[-1])
+    clamped = dsl.MinMax("max", (lo, dsl.MinMax("min", (hi, dsl.Var("x")))))
+    assert dsl._formula_table("mul", dsl.FormulaOp(("x", "y"), clamped), values).tolist() == \
+        [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+
+
 def test_grid_tables_on_a_carrier_past_int64():
     # the scaled carrier itself needs Python ints: D = 3 * 10^20
     values = [Fraction(0), Fraction(1, 10 ** 20), Fraction(1, 3), Fraction(1)]
@@ -414,6 +431,8 @@ _CARRIERS = st.lists(
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(_trees(4), _CARRIERS, st.booleans())
+@example(dsl.Var("x"),
+         [Fraction(29, 333333333333), Fraction(19, 150), Fraction(736396, 337)], False)
 def test_grid_tables_match_scalar_on_random_formulas(body, values, unary):
     if unary:
         body = _rename_y(body)
