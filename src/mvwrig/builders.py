@@ -25,9 +25,10 @@ from .errors import (
     SizeBound,
 )
 
-#: Carriers are capped so the axiom checks stay cheap: the MV axioms and the
-#: distributive laws are certified in about n^2 steps, but associativity of
-#: the product (MVW-ii) is still a cubic scan.
+#: Carriers are capped so the axiom checks stay cheap: they are certified in
+#: about n^2 steps per generator of the product, but a structure that fails
+#: the certificates, or whose product needs every element as a generator, is
+#: scanned in about n^3.
 DEFAULT_SIZE_BOUND = 4096
 
 

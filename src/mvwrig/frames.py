@@ -376,7 +376,12 @@ def _verify_theta(rig, tm, principal_idx):
         raise MvwError("open map does not preserve order")
 
 
-def finite_subcover(rig: FiniteMvwRig, generators, _tops=None):
+def _covers(rig, members, tops) -> bool:
+    """Whether the P-filter generated by ``members`` is the whole carrier."""
+    return bool(_closure(rig, ideals._member_mask(rig, members), tops).all())
+
+
+def finite_subcover(rig: FiniteMvwRig, generators, _tops=None, _top_covers=None):
     """Given elements whose principal P-filters join to the whole carrier,
     return a finite (here: small) subfamily that already joins to it.
 
@@ -385,18 +390,18 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None):
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
     so each cover question is one closure.  ``_tops`` is
-    ``_dotsum_tops(rig)``, for callers that hold it.
+    ``_dotsum_tops(rig)`` and ``_top_covers`` is ``_covers(rig, [rig.u],
+    tops)``, for callers that hold them.
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
     tops = _dotsum_tops(rig) if _tops is None else _tops
 
-    def covers(members):
-        return _closure(rig, ideals._member_mask(rig, members), tops).all()
-
     # the empty join is the principal filter of the top element; if that is
     # already everything, the empty subfamily is a sound subcover
-    if covers([rig.u]):
+    if _top_covers is None:
+        _top_covers = _covers(rig, [rig.u], tops)
+    if _top_covers:
         return []
     mul = rig.mul_table.tolist()
     parent = {g: (None, g) for g in gens}
@@ -415,7 +420,7 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None):
                         found = True
         frontier = fresh
     if 0 not in parent:
-        if not covers(gens):
+        if not _covers(rig, gens, tops):
             raise NotACover("the principal filters of the generators have a proper join")
         # commutative structures always yield a zero product here; without
         # commutativity the witness may be unavailable, and the (finite)
@@ -428,7 +433,7 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None):
         used.add(g)
         node = prev
     sub = [g for g in gens if g in used]
-    if not covers(sub):
+    if not _covers(rig, sub, tops):
         raise MvwError("extracted subfamily does not cover")
     return sub
 

@@ -529,15 +529,22 @@ class FirstIso:
     iso: Homomorphism
 
 
-def first_iso(f: Homomorphism) -> FirstIso:
+def first_iso(f: Homomorphism, _quot=None) -> FirstIso:
     """The canonical isomorphism between the quotient by the kernel and the
     image.  The map is verified, and the induced map is checked to be well
     defined and bijective; the ``first-iso`` law check verifies that it is
-    a homomorphism.  Failure would indicate an implementation bug and aborts."""
+    a homomorphism.  Failure would indicate an implementation bug and aborts.
+    ``_quot`` is the quotient of the source by the kernel, for callers that
+    hold it; the kernel is still computed and must be its ideal."""
     both = _preserves_product(f)
     verify_homomorphism(f)
     k = kernel(f)
-    q = quotient(f.source, k) if both else mv_quotient(f.source, k)
+    if _quot is None:
+        q = quotient(f.source, k) if both else mv_quotient(f.source, k)
+    elif _quot.parent is not f.source or _quot.ideal.members != k.members:
+        raise MvwError("the given quotient is not by the kernel of the map")
+    else:
+        q = _quot
     img, embedding = image(f)
     back = {p: i for i, p in enumerate(embedding)}
     phi_bar = tuple(back[f.mapping[r]] for r in q.reps)

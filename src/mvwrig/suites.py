@@ -106,6 +106,11 @@ class _Ctx:
     def tops(self):
         return frames._dotsum_tops(self.rig)
 
+    @cached_property
+    def top_covers(self):
+        """Whether F_u, the P-filter of the top element, is the carrier."""
+        return frames._covers(self.rig, [self.rig.u], self.tops)
+
 
 def _rows(rig):
     """The tables as nested lists, and below[b] the elements a <= b: the
@@ -515,7 +520,7 @@ def _check_first_iso_natural(ctx):
         q = ctx.quotient(ideal)
         f = ideals.Homomorphism(ctx.rig, q.rig, q.projection)
         try:
-            fi = ideals.first_iso(f)
+            fi = ideals.first_iso(f, _quot=q)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
         ok, witness = ideals.check_homomorphism(
@@ -761,7 +766,8 @@ def _check_spec_compactness(ctx):
             if union != s.all_points:
                 continue
             try:
-                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops)
+                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops,
+                                             _top_covers=ctx.top_covers)
             except MvwError as exc:
                 return f"cover {gens}: {exc}"
             covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
@@ -926,7 +932,8 @@ def _check_frame_covers(ctx):
             join = fr.join_of(prin[g] for g in gens)
             covers = fr.pfilters[join] == full
             try:
-                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops)
+                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops,
+                                             _top_covers=ctx.top_covers)
             except frames.NotACover:
                 if covers:
                     return f"{gens} covers but was rejected"

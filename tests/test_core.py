@@ -529,6 +529,194 @@ def test_column_maps_are_certified_too(monkeypatch):
         assert calls.pop() == uncleared
 
 
+# -- the generating-set certificate ----------------------------------------------
+
+def _ref_closure(mul, gens):
+    """The closure of ``gens`` under the product, pair by pair."""
+    rows = mul.tolist()
+    members = set(gens)
+    while True:
+        grown = members | {rows[x][y] for x in members for y in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+def _ref_irreducibles(mul):
+    rows = mul.tolist()
+    n = len(rows)
+    reducible = {rows[x][y] for x in range(n) for y in range(n)
+                 if rows[x][y] not in (x, y)}
+    return set(range(n)) - reducible
+
+
+def _ref_good(mul, g):
+    """Whether (x*g)*y = x*(g*y) for all x, y, cell by cell."""
+    rows = mul.tolist()
+    n = len(rows)
+    return all(rows[rows[x][g]][y] == rows[x][rows[g][y]] for x in range(n) for y in range(n))
+
+
+def _random_tables(count=200, seed=7):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n, size=(n, n)).astype(np.int32)
+            for n in rng.integers(1, 13, size=count)]
+
+
+@pytest.mark.parametrize("tables", [pytest.param([r.mul_table], id=k) for k, r in ZOO.items()
+                                    if r.mul_table is not None]
+                         + [pytest.param([LADDER[k]().mul_table], id=k) for k in sorted(LADDER)]
+                         + [pytest.param([r.mul_table for r in SEEDED], id="seeded"),
+                            pytest.param(_random_tables(), id="random")])
+def test_generators_generate_and_hold_every_irreducible(tables):
+    for table in tables:
+        gens = core._generators(table)
+        assert len(set(gens)) == len(gens)
+        assert _ref_irreducibles(table) <= set(gens)
+        assert _ref_closure(table, gens) == set(range(len(table)))
+
+
+def test_generators_complete_what_the_irreducibles_miss():
+    # M2(Z1) has one irreducible element; the rest of its generators are
+    # added one at a time, each the least element still missing
+    mul = ZOO["M2(Z1)"].mul_table
+    gens = core._generators(mul)
+    irreducible = sorted(_ref_irreducibles(mul))
+    assert gens[:len(irreducible)] == irreducible
+    for k in range(len(irreducible), len(gens)):
+        missing = set(range(len(mul))) - _ref_closure(mul, gens[:k])
+        assert gens[k] == min(missing)
+    assert len(gens) > len(irreducible)
+
+
+def _mvw_reports(monkeypatch):
+    """Wrap the report builder; returns the (distributive rows,
+    associativity rows) of each call."""
+    calls = []
+    original = core._mvw_report
+
+    def wrapped(rig, distributive_rows, associativity_rows):
+        calls.append((list(distributive_rows), list(associativity_rows)))
+        return original(rig, distributive_rows, associativity_rows)
+    monkeypatch.setattr(core, "_mvw_report", wrapped)
+    return calls
+
+
+CERTIFIED_BASES = {
+    "Z1^3": lambda: builders.direct_product([builders.build_zn(1)] * 3),
+    "Z15": lambda: builders.build_zn(15),
+    "G3xG2": LADDER["G3xG2"],
+    "M2(Z1)": lambda: ZOO["M2(Z1)"],
+}
+
+
+@pytest.mark.parametrize("rig", zoo_items(lambda r: r.mul_table is not None) + [
+    pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)] + [
+    pytest.param(CERTIFIED_BASES[k](), id=k) for k in sorted(CERTIFIED_BASES)])
+def test_every_mvw_rig_is_certified_on_its_generators(rig, monkeypatch):
+    # nothing is scanned unless the generators are the whole carrier
+    gens = core._generators(rig.mul_table)
+    calls = _mvw_reports(monkeypatch)
+    assert core.check_mvw(rig).passed
+    if len(gens) < rig.size:
+        assert core._light_test(rig.mul_table, gens)
+        assert calls == [([], [])]
+    else:
+        assert calls == [([], list(range(rig.size)))]
+
+
+def _one_cell_corruptions(base, count, rng):
+    n = base.size
+    out = []
+    for _ in range(count):
+        mul = base.mul_table.copy()
+        x, y = rng.integers(n, size=2)
+        mul[x, y] = (mul[x, y] + rng.integers(1, n)) % n
+        out.append(core.derive(base.neg_table, base.add_table, mul,
+                               name=f"{base.name}[{x},{y}]"))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_BASES))
+def test_one_cell_corruptions_fail_light_and_match_reference(name):
+    base = CERTIFIED_BASES[name]()
+    rigs = _one_cell_corruptions(base, 40, np.random.default_rng(sorted(CERTIFIED_BASES).index(name)))
+    broken = 0
+    for rig in rigs:
+        mul = rig.mul_table
+        ref = _ref_check_mvw(rig)
+        _assert_same(core.check_mvw(rig), ref)
+        gens = core._generators(mul)
+        assert len(gens) < rig.size
+        good = [_ref_good(mul, g) for g in gens]
+        assert [core._light_test(mul, [g]) for g in gens] == good
+        if ref.failures["MVW-ii"][0]:
+            broken += 1
+            assert not all(good)
+            assert not core._light_test(mul, gens)
+    assert broken >= 35
+
+
+def test_generator_rows_count_only_after_light(monkeypatch):
+    # corruptions whose generator rows and columns all clear the row
+    # theorem while a distributive law fails elsewhere: associativity fails,
+    # so the generator rows prove nothing and every row is certified
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for name in sorted(CERTIFIED_BASES):
+        for rig in _one_cell_corruptions(CERTIFIED_BASES[name](), 40, rng):
+            mul = rig.mul_table
+            gens = core._generators(mul)
+            dec = core.chain_decomposition(rig)
+            ref = _ref_check_mvw(rig)
+            if core._certified_rows(rig, dec, mul[gens]).all() \
+                    and core._certified_rows(rig, dec, mul.T[gens]).all() \
+                    and ref.failures["MVW-iv"][0] + ref.failures["MVW-v"][0]:
+                cases.append((rig, ref))
+    assert len(cases) >= 20
+    calls = _mvw_reports(monkeypatch)
+    for rig, ref in cases:
+        _assert_same(core.check_mvw(rig), ref)
+        assert calls.pop()[1] == list(range(rig.size))
+
+
+def _idempotent_maps(n, count, rng):
+    """Maps f with f(f(x)) = f(x): each element goes to a fixed point."""
+    out = []
+    for _ in range(count):
+        fixed = np.flatnonzero(rng.random(n) < 0.5)
+        fixed = fixed if fixed.size else np.array([0])
+        f = rng.choice(fixed, size=n)
+        f[fixed] = fixed
+        out.append(f)
+    return out
+
+
+def test_one_sided_associative_products_match_reference(monkeypatch):
+    # x*y = f(x) and x*y = f(y) are associative for idempotent f; the first
+    # has constant rows and the columns f, the second the reverse, so only
+    # the column pass sees the first one's distributive failures
+    rng = np.random.default_rng(3)
+    column_only = 0
+    calls = _mvw_reports(monkeypatch)
+    for base in _genuine_bases():
+        n = base.size
+        for f in _idempotent_maps(n, 6, rng):
+            for mul in (np.repeat(f[:, None], n, axis=1), np.repeat(f[None, :], n, axis=0)):
+                rig = core.derive(base.neg_table, base.add_table, mul)
+                ref = _ref_check_mvw(rig)
+                assert ref.failures["MVW-ii"][0] == 0
+                _assert_same(core.check_mvw(rig), ref)
+                gens = core._generators(mul)
+                dec = core.chain_decomposition(rig)
+                if len(gens) < n and not rig.commutative \
+                        and core._certified_rows(rig, dec, mul[gens]).all() \
+                        and ref.failures["MVW-iv"][0] + ref.failures["MVW-v"][0]:
+                    column_only += 1
+                    assert calls[-1][1] == list(range(n))
+    assert column_only >= 10
+
+
 # -- restrict against the element-by-element route ------------------------------
 
 def _ref_restrict(rig, subset):

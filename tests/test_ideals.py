@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mvwrig import builders, core, ideals, suites
 from mvwrig.errors import (
     GateNotMet,
+    MvwError,
     NotACongruence,
     NotAHomomorphism,
     NotCommutative,
@@ -240,6 +241,27 @@ def test_first_iso_cases(z3, square):
     triv = ZOO["trivial"]
     fi = ideals.first_iso(ideals.Homomorphism(z3, triv, (0, 0, 0, 0)))
     assert fi.quot.rig.size == 1
+
+
+def test_first_iso_takes_the_quotient_by_its_kernel(square):
+    # a held quotient by the kernel gives the same isomorphism; one by
+    # another ideal, or of another structure, is refused
+    for ideal in ideals.enumerate_ideals(square):
+        q = ideals.quotient(square, ideal)
+        f = ideals.Homomorphism(square, q.rig, q.projection)
+        fi = ideals.first_iso(f, _quot=q)
+        assert fi.quot is q
+        plain = ideals.first_iso(f)
+        assert fi.iso.mapping == plain.iso.mapping
+        assert fi.image_embedding == plain.image_embedding
+        assert fi.quot.rig.same_tables(plain.quot.rig)
+        for other in ideals.enumerate_ideals(square):
+            if other.members != ideal.members:
+                with pytest.raises(MvwError, match="not by the kernel"):
+                    ideals.first_iso(f, _quot=ideals.quotient(square, other))
+        copy = core.derive(square.neg_table, square.add_table, square.mul_table)
+        with pytest.raises(MvwError, match="not by the kernel"):
+            ideals.first_iso(f, _quot=ideals.quotient(copy, ideals.Ideal(copy, ideal.members)))
 
 
 def test_ideal_correspondence_cases(square):

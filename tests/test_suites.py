@@ -122,33 +122,49 @@ def test_run_all_builds_one_ideal_mask_list(monkeypatch):
 
 
 def test_run_all_builds_each_quotient_once(monkeypatch):
-    # the quotient-axioms, first-iso, hom-kernel-order, ideal-correspondence
-    # and nilradical-ideal checks share one quotient per listed ideal;
-    # first_iso still builds the quotient by the kernel of the map it is given
+    # the quotient-axioms, first-iso (inside first_iso too),
+    # hom-kernel-order, ideal-correspondence and nilradical-ideal checks
+    # share one quotient per listed ideal
     rig = LADDER["G3xG2"]()
     built = []
-    inside_first_iso = []
-    quotient, first_iso = ideals.quotient, ideals.first_iso
+    quotient = ideals.quotient
 
     def counted_quotient(r, ideal):
-        if r is rig and not inside_first_iso:
+        if r is rig:
             built.append(ideal.members)
         return quotient(r, ideal)
 
-    def flagged_first_iso(f):
-        inside_first_iso.append(f)
-        try:
-            return first_iso(f)
-        finally:
-            inside_first_iso.pop()
-
     monkeypatch.setattr(ideals, "quotient", counted_quotient)
-    monkeypatch.setattr(ideals, "first_iso", flagged_first_iso)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
     assert sorted(built, key=sorted) == sorted({i.members for i in ideals.enumerate_ideals(rig)},
                                                key=sorted)
     assert len(built) == len(set(built))
+
+
+def test_run_all_closes_the_top_filter_once(monkeypatch):
+    # frame-covers and compactness ask one cover question per subset; F_u,
+    # the P-filter of the top, is closed once for all of them, and again
+    # only where a question's family is {u} itself
+    rig = builders.direct_product([builders.build_zn(1)] * 3)
+    top_closures, questions = [], []
+    covers, finite_subcover = frames._covers, frames.finite_subcover
+
+    def counted_covers(r, members, tops):
+        if list(members) == [rig.u]:
+            top_closures.append(members)
+        return covers(r, members, tops)
+
+    def counted_subcover(r, generators, **kwargs):
+        questions.append(list(generators))
+        return finite_subcover(r, generators, **kwargs)
+
+    monkeypatch.setattr(frames, "_covers", counted_covers)
+    monkeypatch.setattr(frames, "finite_subcover", counted_subcover)
+    results = {r.name: r.status for r in suites.run_all(rig)}
+    assert results["frame-covers"] == results["compactness"] == "PASS"
+    assert len(questions) > 100
+    assert len(top_closures) == 1 + questions.count([rig.u])
 
 
 def test_run_all_computes_the_dotted_sum_vector_twice(monkeypatch):
@@ -235,8 +251,8 @@ def test_quotient_axioms_catches_a_wrong_projection(zoo, monkeypatch, key, proje
 def test_first_iso_catches_a_broken_induced_map(zoo, monkeypatch):
     original = ideals.first_iso
 
-    def broken(f):
-        fi = original(f)
+    def broken(f, **kwargs):
+        fi = original(f, **kwargs)
         if fi.iso.source.size != 4:
             return fi
         return dataclasses.replace(fi, iso=dataclasses.replace(fi.iso, mapping=(0, 2, 1, 3)))
