@@ -192,34 +192,35 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
     return rig, core.check_mvw(rig, _dec=dec)
 
 
-def _product2(a: FiniteMvwRig, b: FiniteMvwRig, name: str) -> FiniteMvwRig:
-    sa, sb = a.size, b.size
-
-    def combine(ta, tb):
-        return (ta[:, None, :, None] * sb + tb[None, :, None, :]).reshape(sa * sb, sa * sb)
-
-    neg = (a.neg_table[:, None] * sb + b.neg_table[None, :]).reshape(sa * sb)
-    add = combine(a.add_table, b.add_table)
-    mul = None
-    if a.mul_table is not None and b.mul_table is not None:
-        mul = combine(a.mul_table, b.mul_table)
-    names = tuple(f"({a.element_name(i)},{b.element_name(j)})"
-                  for i in range(sa) for j in range(sb))
-    return derive(neg, add, mul, names=names, name=name)
+def _combine(ta, tb):
+    """The componentwise table of two factors' binary tables, the pair (i, j)
+    at index i * |B| + j."""
+    sa, sb = len(ta), len(tb)
+    return (ta[:, None, :, None] * sb + tb[None, :, None, :]).reshape(sa * sb, sa * sb)
 
 
 def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
     """Componentwise product of finitely many structures.
 
-    The result carries a product only when every factor does.
+    The result carries a product only when every factor does.  The factors
+    are folded in pairwise on the raw tables and names, the pair of the
+    product so far with the next factor, and only the result is derived.
     """
     rigs = list(rigs)
     if not rigs:
         raise ValueError("need at least one factor")
     _check_size("product carrier", math.prod(r.size for r in rigs))
     acc = rigs[0]
-    for r in rigs[1:]:
-        acc = _product2(acc, r, name=f"{acc.name}x{r.name}")
+    if len(rigs) > 1:
+        neg, add, mul = acc.neg_table, acc.add_table, acc.mul_table
+        names, name = acc.carrier.names, acc.name
+        for r in rigs[1:]:
+            neg = (neg[:, None] * r.size + r.neg_table[None, :]).reshape(-1)
+            add = _combine(add, r.add_table)
+            mul = None if mul is None or r.mul_table is None else _combine(mul, r.mul_table)
+            names = tuple(f"({x},{y})" for x in names for y in r.carrier.names)
+            name = f"{name}x{r.name}"
+        acc = derive(neg, add, mul, names=names, name=name)
     return _checked(acc) if check else acc
 
 

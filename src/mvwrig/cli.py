@@ -202,9 +202,10 @@ def _cmd_filters(args) -> int:
               + (", ".join(f"F{i} < F{j}" for i, j in sorted(edges)) if edges else "none"))
         return PASS
     print(rig.describe())
-    for a in rig.elements():
-        pf = frames.principal_pfilter(rig, a)
-        print(f"  F_{rig.element_name(a)} = {pf.display()}")
+    prin = frames.principal_table(rig)
+    names = rig.carrier.names
+    for a, i in enumerate(prin.index):
+        print(f"  F_{names[a]} = {ideals.format_subset(rig, prin.pfilters[i])}")
     return PASS
 
 

@@ -12,8 +12,28 @@ The collection of all P-filters, ordered by inclusion, is a frame: meets
 are intersections, joins are generated P-filters, and binary meets
 distribute over arbitrary (here: finite) joins.  Every P-filter F is the
 join of the principal filters F_a of its members, with or without a
-commutative product, so the frame is the closure of the n principal
+commutative product, so the frame lies in the closure of the n principal
 filters under binary join; no subset scan is involved.
+
+Each structure has one principal table (``principal_table``): the n rows
+F_a, each the closure of {a}, with every distinct row verified once as a
+P-filter.  Its certificate is that a lies in F_ab for every ordered pair
+(a, b); then every P-filter is principal, and the one a seed generates is
+F_(prod seed) for its members multiplied in any order:
+
+- F_a is the least P-filter holding a and F_ab a P-filter, so F_a lies in
+  F_ab exactly when a does.  F_b always lies in F_ab: ab = a.b is a dotted
+  sum of b, so the P-filter F_ab swallows b.
+- So F_ab is a P-filter holding a and b, and F_a v F_b lies inside it; and
+  F_a v F_b holds a and b, hence ab, hence F_ab.  So F_a v F_b = F_ab.
+- By induction on the number of seed elements, the join of the F_s for s
+  in a seed S is F_p, p the product of S in any order; for a P-filter F
+  that join is F itself.  Neither commutativity nor associativity is used.
+
+On a commutative product a lies in F_ba by the second step, so every
+P-filter is principal.  On the noncommutative M2(Z1) and M2(Z2) the
+certificate fails (ab need not be a dotted sum of a), and the frame,
+generated filters and cover questions fall back to closures.
 
 Every law about the frame is checked on pairs or triples.  In a finite
 lattice binary distributivity gives distributivity over every finite
@@ -45,10 +65,12 @@ from .errors import (
 
 #: Carrier cap for the frame.  Building and verifying the frame costs
 #: polynomial time in the carrier size n and the number k of P-filters
-#: (k x k join and meet tables, pairwise laws, k^3 distributivity).  At
-#: the cap the build dominates: on the 256-element Z1^8 (k = 256) it takes
-#: about 13 s on 2 vCPUs, while distributivity and theta take 0.3 s.
-DEFAULT_FRAME_BOUND = 256
+#: (n principal closures, k x k join and meet tables, pairwise laws, k^3
+#: distributivity).  At the cap, on the 1024-element Z1^10 (k = 1024), the
+#: frame takes about 1.5 s and the whole locale suite about 18 s on 2
+#: vCPUs, of which distributivity takes 4 s and the spectrum theta reads
+#: 9 s; G3xG2xZ1^5 takes 19 s and Z1023 12 s.
+DEFAULT_FRAME_BOUND = 1024
 
 
 @dataclass(frozen=True)
@@ -162,16 +184,77 @@ def _closure(rig, mask, tops):
         mask, inside = grown, nxt
 
 
-def pfilter_generated(rig: FiniteMvwRig, seed, _tops=None) -> PFilter:
-    """Least P-filter containing the seed, by forced closure on masks.
-    Works for noncommutative products too; the result is verified against
-    every P-filter clause.  ``_tops`` is ``_dotsum_tops(rig)``, for callers
-    that hold it."""
+def _canonical(members):
+    return len(members), sorted(members)
+
+
+@dataclass(frozen=True)
+class PrincipalTable:
+    """The principal P-filters of one structure (module docstring)."""
+    rig: FiniteMvwRig
+    tops: np.ndarray         # the largest dotted sum of every element
+    pfilters: tuple          # the distinct F_a as frozensets, canonically sorted
+    masks: np.ndarray        # k x n read-only membership rows, in that order
+    index: np.ndarray        # element a -> position of F_a in pfilters
+    certified: bool          # a lies in F_ab for all a, b
+
+    def row(self, a: int) -> np.ndarray:
+        """The membership row of F_a."""
+        return self.masks[self.index[a]]
+
+    def product(self, seed) -> int:
+        """The product of a nonempty list of elements, left to right."""
+        p = seed[0]
+        for s in seed[1:]:
+            p = self.rig.mul_table[p, s]
+        return int(p)
+
+    def covers(self, seed) -> bool:
+        """Whether the least P-filter holding a list of elements is the
+        carrier: the row of their product when the table is certified or
+        the list has one element, else a closure."""
+        if seed and (self.certified or len(seed) == 1):
+            return bool(self.row(self.product(seed)).all())
+        return bool(_closure(self.rig, ideals._member_mask(self.rig, seed), self.tops).all())
+
+
+def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
+    """The n principal P-filters F_a, each the closure of {a}; each distinct
+    one is verified as a P-filter, and the certificate is one n^2 gather."""
     _require_product(rig)
-    seed = {rig._check(a) for a in seed}
+    tops = _dotsum_tops(rig)
+    rows = np.array([_closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)])
+    members = [_members(row) for row in rows]
+    pfilters = sorted(set(members), key=_canonical)
+    position = {f: i for i, f in enumerate(pfilters)}
+    index = np.array([position[f] for f in members])
+    first = np.unique(index, return_index=True)[1]
+    for f, a in zip(pfilters, first):
+        ok, witness = is_pfilter(rig, f, _tops=tops)
+        if not ok:
+            raise MvwError(f"F_{a} fails a P-filter clause: {witness}")
+    masks = rows[first]
+    for table in (tops, masks, index):
+        table.flags.writeable = False
+    elements = np.arange(rig.size)
+    return PrincipalTable(rig=rig, tops=tops, pfilters=tuple(pfilters), masks=masks,
+                          index=index,
+                          certified=bool(rows[rig.mul_table, elements[:, None]].all()))
+
+
+def pfilter_generated(rig: FiniteMvwRig, seed, _prin=None) -> PFilter:
+    """Least P-filter containing the seed.  Works for noncommutative
+    products too.  ``_prin`` is ``principal_table(rig)``, for callers that
+    hold it: when it is certified, or the seed is one element, the answer
+    is one of its verified rows; otherwise the seed is closed on masks and
+    the result verified against every P-filter clause."""
+    _require_product(rig)
+    seed = sorted({rig._check(a) for a in seed})
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    tops = _dotsum_tops(rig) if _tops is None else _tops
+    if _prin is not None and (_prin.certified or len(seed) == 1):
+        return PFilter(rig, _prin.pfilters[_prin.index[_prin.product(seed)]])
+    tops = _dotsum_tops(rig) if _prin is None else _prin.tops
     pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, seed), tops)))
     ok, witness = is_pfilter(rig, pf.members, _tops=tops)
     if not ok:
@@ -184,40 +267,31 @@ def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
     return pfilter_generated(rig, {a})
 
 
-def pfilter_meet(f: PFilter, g: PFilter) -> PFilter:
-    if f.rig is not g.rig:
-        raise ValueError("filters live on different structures")
-    meet = PFilter(f.rig, f.members & g.members)
-    ok, witness = is_pfilter(f.rig, meet.members)
-    if not ok:
-        raise MvwError(f"intersection fails a P-filter clause: {witness}")
-    return meet
-
-
-def pfilter_join(f: PFilter, g: PFilter) -> PFilter:
-    if f.rig is not g.rig:
-        raise ValueError("filters live on different structures")
-    return pfilter_generated(f.rig, f.members | g.members)
-
-
-def all_pfilters(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND):
-    """Every P-filter, canonically sorted: the closure of the principal
-    filters under binary join.  A P-filter F is the union of the F_a for a
-    in F, hence their join, so nothing else can occur."""
+def _within_bound(rig, bound):
     _require_product(rig)
     if rig.size > bound:
         raise SizeBound(f"carrier of {rig.size} exceeds frame bound {bound}")
-    tops = _dotsum_tops(rig)
-    principal = [_closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)]
+
+
+def all_pfilters(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND, _prin=None):
+    """Every P-filter, canonically sorted.  With a certified principal
+    table these are its distinct rows; otherwise they are the closure of
+    the principal filters under binary join.  A P-filter F is the union of
+    the F_a for a in F, hence their join, so nothing else can occur.
+    ``_prin`` is ``principal_table(rig)``, for callers that hold it."""
+    _within_bound(rig, bound)
+    prin = principal_table(rig) if _prin is None else _prin
+    if prin.certified:
+        return list(prin.pfilters)
     found = {}
-    todo = list(principal)
+    todo = list(prin.masks)
     while todo:
         mask = todo.pop()
         key = _members(mask)
         if key not in found:
             found[key] = mask
-            todo.extend(_closure(rig, mask | p, tops) for p in principal)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+            todo.extend(_closure(rig, mask | p, prin.tops) for p in prin.masks)
+    return sorted(found, key=_canonical)
 
 
 @dataclass
@@ -252,21 +326,32 @@ class FrameLA:
 
 
 def _inclusion(masks):
-    """inside[i, j]: row i of the boolean masks lies inside row j."""
-    m = masks.astype(np.int64)
+    """inside[i, j]: row i of the boolean masks lies inside row j.  The
+    counts of row i's members outside row j are at most n, exact in
+    float32 for any carrier below 2^24, so the product runs in BLAS."""
+    m = masks.astype(np.float32)
     return m @ (1 - m).T == 0
 
 
-def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
+def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND, _prin=None) -> FrameLA:
     """The frame of all P-filters with materialized join and meet tables.
 
     The list holds every P-filter, so the join of two P-filters, the one
     they generate, is the least listed filter above both, and their meet is
     the greatest listed filter below both, which must be their
-    intersection.  Distributivity is verified by the locale law suite."""
-    filters = all_pfilters(rig, bound=bound)
-    masks = np.array([ideals._member_mask(rig, s) for s in filters])
+    intersection.  With a certified principal table the list is its
+    distinct rows.  Distributivity is verified by the locale law suite.
+    ``_prin`` is ``principal_table(rig)``, for callers that hold it."""
+    _within_bound(rig, bound)
+    prin = principal_table(rig) if _prin is None else _prin
+    filters = all_pfilters(rig, bound=bound, _prin=prin)
+    if prin.certified:
+        masks = prin.masks
+    else:
+        masks = np.array([ideals._member_mask(rig, s) for s in filters])
     inside = _inclusion(masks)
+    # below[j, k - 1 - l]: filter l lies inside filter j
+    below = np.ascontiguousarray(inside.T[:, ::-1])
     k = len(filters)
     join = np.empty((k, k), dtype=np.int64)
     meet = np.empty((k, k), dtype=np.int64)
@@ -274,7 +359,7 @@ def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
         # smaller filters come first, so the least upper bound is the first
         # upper bound and the greatest lower bound the last lower bound
         join[i] = (inside[i] & inside).argmax(axis=1)
-        meet[i] = k - 1 - (inside[:, i] & inside.T)[:, ::-1].argmax(axis=1)
+        meet[i] = k - 1 - (below[i] & below).argmax(axis=1)
         if (masks[meet[i]] != (masks[i] & masks)).any():
             raise MvwError("intersection of P-filters is not a P-filter")
     # one frame is shared by every check on a structure; keep it immutable
@@ -376,12 +461,7 @@ def _verify_theta(rig, tm, principal_idx):
         raise MvwError("open map does not preserve order")
 
 
-def _covers(rig, members, tops) -> bool:
-    """Whether the P-filter generated by ``members`` is the whole carrier."""
-    return bool(_closure(rig, ideals._member_mask(rig, members), tops).all())
-
-
-def finite_subcover(rig: FiniteMvwRig, generators, _tops=None, _top_covers=None):
+def finite_subcover(rig: FiniteMvwRig, generators, _prin=None):
     """Given elements whose principal P-filters join to the whole carrier,
     return a finite (here: small) subfamily that already joins to it.
 
@@ -389,19 +469,23 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None, _top_covers=None)
     subfamily is read off the product.  Raises NotACover when the join is
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
-    so each cover question is one closure.  ``_tops`` is
-    ``_dotsum_tops(rig)`` and ``_top_covers`` is ``_covers(rig, [rig.u],
-    tops)``, for callers that hold them.
+    so each cover question is one read of the principal table, or one
+    closure when the table is not certified.  ``_prin`` is
+    ``principal_table(rig)``, for callers that hold it.
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
-    tops = _dotsum_tops(rig) if _tops is None else _tops
+    if _prin is None:
+        tops = _dotsum_tops(rig)
+
+        def covers(seed):
+            return bool(_closure(rig, ideals._member_mask(rig, seed), tops).all())
+    else:
+        covers = _prin.covers
 
     # the empty join is the principal filter of the top element; if that is
     # already everything, the empty subfamily is a sound subcover
-    if _top_covers is None:
-        _top_covers = _covers(rig, [rig.u], tops)
-    if _top_covers:
+    if covers([rig.u]):
         return []
     mul = rig.mul_table.tolist()
     parent = {g: (None, g) for g in gens}
@@ -420,7 +504,7 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None, _top_covers=None)
                         found = True
         frontier = fresh
     if 0 not in parent:
-        if not _covers(rig, gens, tops):
+        if not covers(gens):
             raise NotACover("the principal filters of the generators have a proper join")
         # commutative structures always yield a zero product here; without
         # commutativity the witness may be unavailable, and the (finite)
@@ -433,7 +517,7 @@ def finite_subcover(rig: FiniteMvwRig, generators, _tops=None, _top_covers=None)
         used.add(g)
         node = prev
     sub = [g for g in gens if g in used]
-    if not _covers(rig, sub, tops):
+    if not covers(sub):
         raise MvwError("extracted subfamily does not cover")
     return sub
 

@@ -45,14 +45,15 @@ class Ideal:
         return len(self.members) < self.rig.size
 
     def display(self) -> str:
-        return "{" + ", ".join(self.rig.element_name(a) for a in self.sorted_members()) + "}"
+        return format_subset(self.rig, self.members)
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
 
 
 def format_subset(rig: FiniteMvwRig, members) -> str:
-    return "{" + ", ".join(rig.element_name(a) for a in sorted(members)) + "}"
+    names = rig.carrier.names
+    return "{" + ", ".join(names[a] for a in sorted(members)) + "}"
 
 
 # -- membership tests ------------------------------------------------------

@@ -13,8 +13,9 @@ so past the frame cap they report SKIPPED naming that cap.
 
 One context per structure builds each shared object once: the ideal
 masks, the classified ideals and proper primes (which the spectrum reads
-too), one quotient per ideal, the spectrum, the frame and the vector of
-largest dotted sums.  The scalar oracles stay element by element and
+too), one quotient per ideal, the spectrum, the principal P-filter table
+and the frame built from it.  Generated P-filters and cover questions are
+reads of that table.  The scalar oracles stay element by element and
 independent of the routes they check, but read the tables as plain list
 rows, built once per structure, instead of calling the accessors.
 """
@@ -99,17 +100,14 @@ class _Ctx:
         return spectrum.spec(self.rig, _primes=self.proper_primes)
 
     @cached_property
+    def prin(self):
+        return frames.principal_table(self.rig)
+
+    @cached_property
     def frame(self):
-        return frames.frame(self.rig, bound=self.frame_bound)
-
-    @cached_property
-    def tops(self):
-        return frames._dotsum_tops(self.rig)
-
-    @cached_property
-    def top_covers(self):
-        """Whether F_u, the P-filter of the top element, is the carrier."""
-        return frames._covers(self.rig, [self.rig.u], self.tops)
+        # past the cap the frame is refused before the table is built
+        frames._within_bound(self.rig, self.frame_bound)
+        return frames.frame(self.rig, bound=self.frame_bound, _prin=self.prin)
 
 
 def _rows(rig):
@@ -766,13 +764,11 @@ def _check_spec_compactness(ctx):
             if union != s.all_points:
                 continue
             try:
-                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops,
-                                             _top_covers=ctx.top_covers)
+                sub = frames.finite_subcover(r, list(gens), _prin=ctx.prin)
             except MvwError as exc:
                 return f"cover {gens}: {exc}"
             covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
-            if covered != s.all_points and frames.principal_pfilter(r, r.u).members \
-                    != frozenset(r.elements()):
+            if covered != s.all_points and not ctx.prin.row(r.u).all():
                 return f"subcover of {gens} misses a point"
 
 
@@ -786,18 +782,21 @@ def _check_pfilters_complete(ctx):
     brute = set()
     for k in range(1, r.size + 1):
         for cand in itertools.combinations(range(r.size), k):
-            if frames.is_pfilter(r, set(cand), _tops=ctx.tops)[0]:
+            if frames.is_pfilter(r, set(cand), _tops=ctx.prin.tops)[0]:
                 brute.add(frozenset(cand))
     if brute != set(ctx.frame.pfilters):
         return "the enumeration misses or invents a P-filter"
 
 
 def _check_pfilter_decomposition(ctx):
-    """Row a of masks[prin] is F_a, so row f of the boolean product
-    masks @ masks[prin] is the union of the F_a for a in filter f."""
+    """Row a of masks[prin] is F_a, so row f of the product masks @
+    masks[prin] counts, for each x, the a in filter f with x in F_a; the
+    union of those F_a is where the count is positive.  The counts are at
+    most n, exact in float32, so the product runs in BLAS."""
     _need_product(ctx.rig)
     fr = ctx.frame
-    bad = (fr.masks @ fr.masks[fr.principal_index()] != fr.masks).any(axis=1)
+    union = fr.masks.astype(np.float32) @ fr.masks[fr.principal_index()] > 0
+    bad = (union != fr.masks).any(axis=1)
     if bad.any():
         f = fr.pfilters[int(bad.argmax())]
         return f"{sorted(f)} is not the union of its principal parts"
@@ -805,17 +804,13 @@ def _check_pfilter_decomposition(ctx):
 
 def _check_principal_meet_law(ctx):
     """F_a ^ F_b = F_(a v b) on every pair, read off the meet table, whose
-    cells ``frames.frame`` checked to be intersections.  Each distinct F_a
-    is verified as a P-filter, so every intersection is one too."""
+    cells ``frames.frame`` checked to be intersections.  The principal
+    table verified each distinct F_a as a P-filter, so every intersection
+    is one too."""
     r = ctx.rig
     _need_commutative(r)
     fr = ctx.frame
-    prin = fr.principal_index()
-    for a in np.unique(prin, return_index=True)[1]:
-        ok, witness = frames.is_pfilter(r, fr.pfilters[prin[a]], _tops=ctx.tops)
-        if not ok:
-            return f"F_{a} fails {witness}"
-    pair = frames.principal_law_failure(fr.meet_table, prin, r.join_table)
+    pair = frames.principal_law_failure(fr.meet_table, fr.principal_index(), r.join_table)
     if pair is not None:
         return f"fails at {pair}"
 
@@ -858,7 +853,7 @@ def _check_pfilter_generated_least(ctx):
     dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
     for k in range(1, r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
-            gen = frames.pfilter_generated(r, seed, _tops=ctx.tops).members
+            gen = frames.pfilter_generated(r, seed, _prin=ctx.prin).members
             for f in all_filters:
                 if set(seed) <= f and not gen <= f:
                     return f"<{seed}> is not least"
@@ -874,10 +869,11 @@ def _check_frame_distributivity(ctx):
     r = ctx.rig
     _need_commutative(r)
     fr = ctx.frame
-    join, meet = fr.join_table, fr.meet_table
+    join, meet = fr.join_table.astype(np.int32), fr.meet_table.astype(np.int32)
     for fi in range(len(fr.pfilters)):
         row = meet[fi]
-        bad = row[join] != join[row[:, None], row[None, :]]
+        # (f ^ g) v (f ^ h) is join[row[g], row[h]], gathered rows then columns
+        bad = row.take(join) != join.take(row, axis=0).take(row, axis=1)
         if bad.any():
             g, h = map(int, np.argwhere(bad)[0])
             return f"fails for filter {fi} against family {(g, h)}"
@@ -909,8 +905,7 @@ def _check_theta_iso(ctx):
     # oracle: every element subset, read as a presentation of an open as a
     # union of basic opens, joins to the filter the open maps to
     space, fr = tm.space, tm.frame
-    prin = [fr.index_of(frames.pfilter_generated(r, {a}, _tops=ctx.tops).members)
-            for a in r.elements()]
+    prin = [fr.index_of(ctx.prin.pfilters[i]) for i in ctx.prin.index]
     open_index = {o: i for i, o in enumerate(space.opens)}
     for rset in itertools.chain.from_iterable(
             itertools.combinations(range(r.size), k) for k in range(r.size + 1)):
@@ -932,8 +927,7 @@ def _check_frame_covers(ctx):
             join = fr.join_of(prin[g] for g in gens)
             covers = fr.pfilters[join] == full
             try:
-                sub = frames.finite_subcover(r, list(gens), _tops=ctx.tops,
-                                             _top_covers=ctx.top_covers)
+                sub = frames.finite_subcover(r, list(gens), _prin=ctx.prin)
             except frames.NotACover:
                 if covers:
                     return f"{gens} covers but was rejected"

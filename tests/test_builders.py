@@ -116,6 +116,57 @@ def test_direct_product_absorbs_trivial_factor():
     assert p.same_tables(z3)
 
 
+def _pairwise_product(rigs):
+    """The product derived factor by factor, each intermediate structure
+    built in full: the fold ``direct_product`` replaces."""
+    acc = rigs[0]
+    for r in rigs[1:]:
+        sa, sb = acc.size, r.size
+
+        def combine(ta, tb):
+            return (ta[:, None, :, None] * sb + tb[None, :, None, :]).reshape(sa * sb, sa * sb)
+
+        mul = None
+        if acc.mul_table is not None and r.mul_table is not None:
+            mul = combine(acc.mul_table, r.mul_table)
+        acc = core.derive((acc.neg_table[:, None] * sb + r.neg_table[None, :]).reshape(sa * sb),
+                          combine(acc.add_table, r.add_table), mul,
+                          names=tuple(f"({acc.element_name(i)},{r.element_name(j)})"
+                                      for i in range(sa) for j in range(sb)),
+                          name=f"{acc.name}x{r.name}")
+    return acc
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: [builders.build_zn(1)] * 5,
+    lambda: [builders.build_zn(2), builders.build_luk_mv(3), builders.build_zn(1)],
+    lambda: [builders.build_luk_mv(3), builders.build_luk_mv(2)],
+    lambda: [builders.build_zn(3), builders.build_trivial(), builders.gamma_zk(2, (1, 1))],
+    lambda: [builders.build_matrix_rig(builders.build_zn(1), 2)[0], builders.build_zn(1)],
+])
+def test_direct_product_derives_once(factors, monkeypatch):
+    factors = factors()
+    expect = _pairwise_product(factors)
+    calls = []
+    original = builders.derive
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builders, "derive", counted)
+    p = builders.direct_product(factors)
+    assert calls == [expect.name]
+    assert p.name == expect.name and p.carrier.names == expect.carrier.names
+    assert p.same_tables(expect)
+
+
+def test_direct_product_of_one_factor_derives_nothing(monkeypatch):
+    z3 = builders.build_zn(3)
+    monkeypatch.setattr(builders, "derive", None)
+    assert builders.direct_product([z3]) is z3
+
+
 def test_direct_product_needs_factor():
     with pytest.raises(ValueError):
         builders.direct_product([])

@@ -695,7 +695,8 @@ def _idempotent_maps(n, count, rng):
 def test_one_sided_associative_products_match_reference(monkeypatch):
     # x*y = f(x) and x*y = f(y) are associative for idempotent f; the first
     # has constant rows and the columns f, the second the reverse, so only
-    # the column pass sees the first one's distributive failures
+    # the column pass sees the first one's distributive failures.  Light's
+    # test proves associativity there, so no row is scanned for it
     rng = np.random.default_rng(3)
     column_only = 0
     calls = _mvw_reports(monkeypatch)
@@ -713,7 +714,7 @@ def test_one_sided_associative_products_match_reference(monkeypatch):
                         and core._certified_rows(rig, dec, mul[gens]).all() \
                         and ref.failures["MVW-iv"][0] + ref.failures["MVW-v"][0]:
                     column_only += 1
-                    assert calls[-1][1] == list(range(n))
+                    assert calls[-1][1] == []
     assert column_only >= 10
 
 

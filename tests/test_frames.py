@@ -67,15 +67,14 @@ def test_principal_pfilters(z3):
 
 
 def test_meet_and_join(z3):
-    f1 = frames.principal_pfilter(z3, 1)
-    f3 = frames.principal_pfilter(z3, 3)
+    fr = frames.frame(z3)
+    f1, f3 = (fr.index_of(frames.principal_pfilter(z3, a).members) for a in (1, 3))
     # F_1 meet F_3 = F_{1 v 3} = F_3 and F_1 join F_3 = F_{1.3} = F_3
-    assert frames.pfilter_meet(f1, f3).members == \
+    assert fr.pfilters[fr.meet_table[f1, f3]] == \
         frames.principal_pfilter(z3, z3.join(1, 3)).members
-    assert frames.pfilter_join(f1, f3).members == \
+    assert fr.pfilters[fr.join_table[f1, f3]] == \
         frames.principal_pfilter(z3, z3.mul(1, 3)).members
-    full = frames.PFilter(z3, frozenset(range(4)))
-    assert frames.pfilter_meet(f1, full).members == f1.members
+    assert fr.meet_table[f1, fr.top] == f1
 
 
 def test_frame_z3_is_two_chain(z3):
@@ -525,3 +524,130 @@ def test_pfilter_formula_matches_gather_body(rig):
         for seed in itertools.combinations(range(rig.size), k):
             assert suites._pfilter_by_formula(rig, seed, dotsums) == \
                 reference_pfilter_by_formula(rig, seed, dotsums), seed
+
+
+# -- the principal table against closures ---------------------------------------
+#
+# ``principal_table`` closes each {a} once, verifies each distinct row and
+# certifies that a lies in F_ab for every pair; generated P-filters, cover
+# questions and the frame then read the table.  The references are the
+# closures they replace and the earlier frame, the k x n closure of the
+# principal filters under binary join.
+
+TABLE_RIGS = REFERENCE_RIGS + [
+    pytest.param(builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")]
+
+
+def _closed(rig, seed, tops):
+    return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)), tops)
+
+
+@pytest.mark.parametrize("rig", TABLE_RIGS)
+def test_table_route_matches_closure_on_small_seeds(rig):
+    prin = frames.principal_table(rig)
+    tops = frames._dotsum_tops(rig)
+    # every commutative product is certified; M2(Z1) and M2(Z2) are not
+    assert prin.certified == rig.commutative
+    for seed in itertools.chain(itertools.combinations(rig.elements(), 1),
+                                itertools.permutations(rig.elements(), 2)):
+        closed = _closed(rig, seed, tops)
+        assert frames.pfilter_generated(rig, seed, _prin=prin).members == \
+            frames._members(closed), seed
+        assert prin.covers(list(seed)) == closed.all(), seed
+    for a in rig.elements():
+        assert prin.row(a).tolist() == _closed(rig, [a], tops).tolist()
+        assert prin.pfilters[prin.index[a]] == frames.principal_pfilter(rig, a).members
+
+
+def reference_frame(rig):
+    """The earlier frame: every P-filter as the closure of the n principal
+    filters under binary join, then, over the inclusion order, the least
+    upper bound and the greatest lower bound of every pair."""
+    tops = frames._dotsum_tops(rig)
+    principal = [frames._closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)]
+    found = {}
+    todo = list(principal)
+    while todo:
+        mask = todo.pop()
+        key = frames._members(mask)
+        if key not in found:
+            found[key] = mask
+            todo.extend(frames._closure(rig, mask | p, tops) for p in principal)
+    filters = sorted(found, key=lambda s: (len(s), sorted(s)))
+    k = len(filters)
+    join = [[min(m for m in range(k) if f | g <= filters[m]) for g in filters]
+            for f in filters]
+    meet = [[max(m for m in range(k) if filters[m] <= f & g) for g in filters]
+            for f in filters]
+    return filters, join, meet
+
+
+FRAME_RIGS = [p for p in TABLE_RIGS if p.id != "M2(Z2)"] + [
+    pytest.param(FRAME_LADDER["M2(Z2)"](), id="M2(Z2)")]
+
+
+@pytest.mark.parametrize("rig", FRAME_RIGS)
+def test_frame_matches_join_closure(rig):
+    filters, join, meet = reference_frame(rig)
+    fr = frames.frame(rig, bound=rig.size)
+    assert list(fr.pfilters) == filters
+    assert fr.masks.tolist() == [[x in f for x in rig.elements()] for f in filters]
+    assert fr.join_table.tolist() == join
+    assert fr.meet_table.tolist() == meet
+    assert fr.pfilters[fr.bottom] == filters[0]
+    assert fr.pfilters[fr.top] == frozenset(rig.elements())
+    assert frames.all_pfilters(rig, bound=rig.size) == filters
+
+
+@pytest.mark.parametrize("rig", [p for p in TABLE_RIGS if p.values[0].commutative])
+def test_uncertified_table_matches_fallback(rig):
+    # a table forced to be uncertified answers by closures and the join
+    # closure; every answer equals the certified reads
+    prin = frames.principal_table(rig)
+    forced = dataclasses.replace(prin, certified=False)
+    fr, fallback = (frames.frame(rig, bound=rig.size, _prin=p) for p in (prin, forced))
+    for field in ("pfilters", "bottom", "top"):
+        assert getattr(fr, field) == getattr(fallback, field)
+    for field in ("masks", "join_table", "meet_table"):
+        assert (getattr(fr, field) == getattr(fallback, field)).all()
+    for gens in itertools.chain(itertools.combinations(rig.elements(), 2),
+                                itertools.combinations(rig.elements(), 3)):
+        assert frames.pfilter_generated(rig, gens, _prin=forced) == \
+            frames.pfilter_generated(rig, gens, _prin=prin)
+        try:
+            expect = frames.finite_subcover(rig, list(gens), _prin=prin)
+        except NotACover:
+            expect = NotACover
+        try:
+            got = frames.finite_subcover(rig, list(gens), _prin=forced)
+        except NotACover:
+            got = NotACover
+        assert got == expect, gens
+
+
+@pytest.mark.parametrize("rig", TABLE_RIGS)
+def test_principal_table_verifies_each_distinct_row_once(rig, monkeypatch):
+    verified = []
+    original = frames.is_pfilter
+
+    def counted(r, members, **kwargs):
+        verified.append(frozenset(members))
+        return original(r, members, **kwargs)
+
+    monkeypatch.setattr(frames, "is_pfilter", counted)
+    prin = frames.principal_table(rig)
+    assert verified == list(prin.pfilters)
+
+
+def test_principal_table_rejects_a_row_that_is_no_pfilter(square, monkeypatch):
+    # F_0 of Z1xZ1 is the carrier, the last distinct row; close {0} to
+    # {0, 1, 2} instead, which is not upward closed
+    original = frames._closure
+
+    def corrupted(rig, mask, tops):
+        out = original(rig, mask, tops)
+        return np.array([True, True, True, False]) if mask.tolist() == [1, 0, 0, 0] else out
+
+    monkeypatch.setattr(frames, "_closure", corrupted)
+    with pytest.raises(MvwError, match=r"^F_0 fails a P-filter clause: \('upward', \(0, 3\)\)$"):
+        frames.principal_table(square)

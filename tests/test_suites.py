@@ -142,29 +142,36 @@ def test_run_all_builds_each_quotient_once(monkeypatch):
     assert len(built) == len(set(built))
 
 
-def test_run_all_closes_the_top_filter_once(monkeypatch):
-    # frame-covers and compactness ask one cover question per subset; F_u,
-    # the P-filter of the top, is closed once for all of them, and again
-    # only where a question's family is {u} itself
+def test_run_all_builds_the_principal_table_once(monkeypatch):
+    # frame-covers, compactness and pfilter-generated-least ask one question
+    # per subset; on a commutative product each is a read of the one table,
+    # so the n closures of its rows are the only closures of the run
     rig = builders.direct_product([builders.build_zn(1)] * 3)
-    top_closures, questions = [], []
-    covers, finite_subcover = frames._covers, frames.finite_subcover
+    tables, closures, questions = [], [], []
+    table, closure, finite_subcover = \
+        frames.principal_table, frames._closure, frames.finite_subcover
 
-    def counted_covers(r, members, tops):
-        if list(members) == [rig.u]:
-            top_closures.append(members)
-        return covers(r, members, tops)
+    def counted_table(r):
+        tables.append(r)
+        return table(r)
+
+    def counted_closure(*args):
+        closures.append(args)
+        return closure(*args)
 
     def counted_subcover(r, generators, **kwargs):
         questions.append(list(generators))
         return finite_subcover(r, generators, **kwargs)
 
-    monkeypatch.setattr(frames, "_covers", counted_covers)
+    monkeypatch.setattr(frames, "principal_table", counted_table)
+    monkeypatch.setattr(frames, "_closure", counted_closure)
     monkeypatch.setattr(frames, "finite_subcover", counted_subcover)
     results = {r.name: r.status for r in suites.run_all(rig)}
     assert results["frame-covers"] == results["compactness"] == "PASS"
+    assert results["pfilter-generated-least"] == "PASS"
     assert len(questions) > 100
-    assert len(top_closures) == 1 + questions.count([rig.u])
+    assert tables == [rig]
+    assert len(closures) == rig.size
 
 
 def test_run_all_computes_the_dotted_sum_vector_twice(monkeypatch):
