@@ -62,12 +62,11 @@ def _check_size(what: str, size: int) -> None:
 def _checked(rig: FiniteMvwRig) -> FiniteMvwRig:
     """``rig`` when it passes the MV axioms and, with a product, the product
     axioms; else AxiomViolation with the first failing report."""
-    dec = core.chain_decomposition(rig)
-    report = core.check_mv(rig, _dec=dec)
+    report = core.check_mv(rig)
     if not report.passed:
         raise AxiomViolation(report, context=rig.name)
     if rig.mul_table is not None:
-        report = core.check_mvw(rig, _dec=dec)
+        report = core.check_mvw(rig)
         if not report.passed:
             raise AxiomViolation(report, context=rig.name)
     return rig
@@ -185,11 +184,10 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
     rig = derive(neg, add, mul, names=names, name=f"M{n}({base.name})")
     if not check:
         return rig, None
-    dec = core.chain_decomposition(rig)
-    report = core.check_mv(rig, _dec=dec)
+    report = core.check_mv(rig)
     if not report.passed:
         raise AxiomViolation(report, context=rig.name)
-    return rig, core.check_mvw(rig, _dec=dec)
+    return rig, core.check_mvw(rig)
 
 
 def _combine(ta, tb):

@@ -60,7 +60,7 @@ def _parse_elements(rig, text: str):
     for part in parts:
         if part in names:
             out.append(names[part])
-        elif part.isdigit() and int(part) < rig.size:
+        elif part.isascii() and part.isdigit() and int(part) < rig.size:
             out.append(int(part))
         else:
             raise DslSyntaxError(dsl.ParseDiagnostic(

@@ -70,6 +70,7 @@ associativity is scanned.  MVW-iii stays a linear scan.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,11 +143,15 @@ class FiniteMvwRig:
 
     Instances are immutable after construction and safe to share; use
     :func:`derive` to build one.  ``mul_table`` is None for product-free
-    (MV-only) structures.
+    (MV-only) structures.  Objects computed from the tables, such as the
+    ideals, the spectrum and the frame, are kept on the structure by
+    :func:`per_structure`; a shallow copy starts without them, and
+    :meth:`set_name` drops them, since some embed the name.
     """
 
     def __init__(self, carrier, neg_table, add_table, mul_table=None, name="A"):
         self.name = name
+        self._memo = {}
         self.carrier = carrier
         n = carrier.size
         self.size = n
@@ -258,8 +263,17 @@ class FiniteMvwRig:
         return bool(ok)
 
     def set_name(self, name: str) -> "FiniteMvwRig":
+        """Rename the structure; the kept objects are dropped, since a
+        quotient's name and the spectrum's warnings embed the name."""
         self.name = name
+        self._memo = {}
         return self
+
+    def __copy__(self):
+        # a copy may have a table swapped, so it starts with nothing kept
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, _memo={})
+        return twin
 
     def describe(self) -> str:
         kind = "MV-algebra (no product)" if self.mv_only else "MVW-rig"
@@ -267,6 +281,23 @@ class FiniteMvwRig:
 
     def __repr__(self):
         return f"<FiniteMvwRig {self.name} size={self.size}>"
+
+
+def per_structure(build):
+    """Compute ``build(rig, *args)`` once per structure and positional
+    arguments, and keep the result on the structure.  A build that raises
+    keeps nothing, so the next call builds, and raises, again.  Callers
+    share the result, so it must be immutable (read-only arrays, tuples,
+    frozen dataclasses); caps are checked by the callers, before each
+    read."""
+    @functools.wraps(build)
+    def memoized(rig, *args):
+        memo = rig._memo
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(rig, *args)
+        return memo[key]
+    return memoized
 
 
 def _as_table(data, shape, size):
@@ -325,10 +356,7 @@ class ChainDecomposition:
     phi: np.ndarray
 
 
-#: ``_dec=`` default: the checks decompose the structure themselves.
-_UNSET = object()
-
-
+@per_structure
 def chain_decomposition(rig: FiniteMvwRig) -> ChainDecomposition | None:
     """The structure as a product of finite chains, or None when its
     tables are not those of an MV-algebra with zero 0.
@@ -391,10 +419,6 @@ def chain_decomposition(rig: FiniteMvwRig) -> ChainDecomposition | None:
                               lengths=tuple(len(c) - 1 for c in chains), phi=phi)
 
 
-def _decomposition(rig, dec):
-    return chain_decomposition(rig) if dec is _UNSET else dec
-
-
 def scan_mv(rig: FiniteMvwRig) -> AxiomReport:
     """Exhaustively test the six MV-algebra equations; failures are data."""
     n = rig.size
@@ -418,10 +442,10 @@ def scan_mv(rig: FiniteMvwRig) -> AxiomReport:
     return report
 
 
-def check_mv(rig: FiniteMvwRig, _dec=_UNSET) -> AxiomReport:
+def check_mv(rig: FiniteMvwRig) -> AxiomReport:
     """The MV-axiom report of :func:`scan_mv`, which runs only when the
     structure is not certified by a chain decomposition."""
-    if _decomposition(rig, _dec) is None:
+    if chain_decomposition(rig) is None:
         return scan_mv(rig)
     report = AxiomReport(axioms=MV_AXIOMS)
     for axiom in MV_AXIOMS:
@@ -572,7 +596,7 @@ def _light_test(mul, gens) -> bool:
     return all((mul[mul[:, g]] == mul[:, mul[g]]).all() for g in gens)
 
 
-def check_mvw(rig: FiniteMvwRig, _dec=_UNSET) -> AxiomReport:
+def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
     """The product-axiom report of :func:`scan_mvw`.  On a structure with a
     chain decomposition, associativity and the distributive laws are first
     proved on a generating set of the product (paragraph (3) of the module
@@ -583,7 +607,7 @@ def check_mvw(rig: FiniteMvwRig, _dec=_UNSET) -> AxiomReport:
     so the counts and witnesses are the exhaustive scan's."""
     if rig.mul_table is None:
         raise GateNotMet("structure has no product; nothing to check")
-    dec = _decomposition(rig, _dec)
+    dec = chain_decomposition(rig)
     if dec is None:
         return scan_mvw(rig)
     mul = rig.mul_table
@@ -601,22 +625,10 @@ def check_mvw(rig: FiniteMvwRig, _dec=_UNSET) -> AxiomReport:
 
 def check_all(rig: FiniteMvwRig) -> AxiomReport:
     """MV axioms plus, when a product is present, the product axioms."""
-    dec = chain_decomposition(rig)
-    report = check_mv(rig, _dec=dec)
+    report = check_mv(rig)
     if rig.mul_table is not None:
-        report = report.merged_with(check_mvw(rig, _dec=dec))
+        report = report.merged_with(check_mvw(rig))
     return report
-
-
-def structural_flags(rig: FiniteMvwRig) -> dict:
-    """Exact structural facts found by exhaustive scan."""
-    return {
-        "mv_only": rig.mv_only,
-        "commutative": rig.commutative,
-        "unit": rig.unit,
-        "product_below_meet": rig.product_below_meet,
-        "u": rig.u,
-    }
 
 
 def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:

@@ -216,12 +216,19 @@ class AlgebraSource:
 _OP_NAMES = ("neg", "add", "mul")
 _DECL_KEYS = ("elements", "zero", "builder") + _OP_NAMES
 
+#: Deepest nesting the parser accepts: parentheses and min/max calls in a
+#: formula, builder calls in a builder expression.  Parsing, evaluation and
+#: building recurse a few frames per level, so the cap keeps them well
+#: inside Python's recursion limit and makes deeper input a located error.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
         self.params = ()         # variables bound by the formula being parsed
+        self.depth = 0           # open parentheses and calls around the position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -247,6 +254,13 @@ class _Parser:
 
     def at(self, value):
         return self.peek().value == value
+
+    def enter(self, tok):
+        """Open one more level at ``tok``; the caller leaves it when it
+        closes the level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            _err(tok.line, tok.column, f"nesting deeper than {MAX_NESTING} levels")
 
     # file := algebra+
     def parse_file(self):
@@ -387,11 +401,14 @@ class _Parser:
     def parse_factor(self):
         tok = self.peek()
         if tok.value == "(":
+            self.enter(tok)
             self.advance()
             node = self.parse_expr()
             self.expect(value=")", expected=["')'"])
+            self.depth -= 1
             return node
         if tok.kind == "IDENT" and tok.value in ("min", "max"):
+            self.enter(tok)
             fn = self.advance().value
             self.expect(value="(", expected=["'('"])
             args = [self.parse_expr()]
@@ -399,6 +416,7 @@ class _Parser:
                 self.advance()
                 args.append(self.parse_expr())
             self.expect(value=")", expected=["')'"])
+            self.depth -= 1
             if len(args) < 2:
                 _err(tok.line, tok.column, f"{fn} needs at least two arguments")
             return MinMax(fn, tuple(args))
@@ -414,12 +432,14 @@ class _Parser:
 
     def parse_builderexpr(self):
         head = self.expect(kind="IDENT", expected=["a builder name"])
+        self.enter(head)
         self.expect(value="(", expected=["'('"])
         args = [self.parse_builderarg()]
         while self.at(","):
             self.advance()
             args.append(self.parse_builderarg())
         self.expect(value=")", expected=["')'"])
+        self.depth -= 1
         return BuilderExpr(head.value, tuple(args), span=(head.line, head.column))
 
     def parse_builderarg(self):

@@ -17,9 +17,11 @@ filters under binary join; no subset scan is involved.
 
 Each structure has one principal table (``principal_table``): the n rows
 F_a, each the closure of {a}, with every distinct row verified once as a
-P-filter.  Its certificate is that a lies in F_ab for every ordered pair
-(a, b); then every P-filter is principal, and the one a seed generates is
-F_(prod seed) for its members multiplied in any order:
+P-filter.  The table, the dotted-sum vector and the frame are built once
+per structure and kept on it (``core.per_structure``).  The table's
+certificate is that a lies in F_ab for every ordered pair (a, b); then
+every P-filter is principal, and the one a seed generates is F_(prod seed)
+for its members multiplied in any order:
 
 - F_a is the least P-filter holding a and F_ab a P-filter, so F_a lies in
   F_ab exactly when a does.  F_b always lies in F_ab: ab = a.b is a dotted
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ideals, spectrum
+from . import core, ideals, spectrum
 from .core import FiniteMvwRig
 from .errors import (
     EmptySeed,
@@ -107,10 +109,11 @@ def dotsum_closure(rig: FiniteMvwRig, x: int) -> frozenset:
         sums = grown
 
 
+@core.per_structure
 def _dotsum_tops(rig):
-    """The largest dotted sum of every element, as one vector: the stable
-    multiple (t = t + t until it stops changing) of the sum of all
-    multiples b.x.  The dotted sums of x are closed under the sum, so that
+    """The largest dotted sum of every element, as one read-only vector:
+    the stable multiple (t = t + t until it stops changing) of the sum of
+    all multiples b.x.  The dotted sums of x are closed under the sum, so that
     stable multiple is one of them and lies above all of them.  A summand
     counted twice leaves the stable multiple unchanged, so the rows are
     summed by folding in half, an odd middle row meeting itself."""
@@ -123,6 +126,7 @@ def _dotsum_tops(rig):
     while True:
         doubled = add[t, t]
         if (doubled == t).all():
+            t.flags.writeable = False
             return t
         t = doubled
 
@@ -147,30 +151,29 @@ def is_filter(rig: FiniteMvwRig, members):
     return True, None
 
 
-def is_pfilter(rig: FiniteMvwRig, members, _tops=None):
+def is_pfilter(rig: FiniteMvwRig, members):
     """Filter clauses plus the dotted-sum clause.  A filter is upward
     closed, so x has a dotted sum inside exactly when its largest one is
     inside; the witness pairs the first such x with its least dotted sum
-    inside.  ``_tops`` is ``_dotsum_tops(rig)``, for callers that hold it."""
+    inside."""
     ok, witness = is_filter(rig, members)
     if not ok:
         return ok, witness
     mask = ideals._member_mask(rig, members)
-    tops = _dotsum_tops(rig) if _tops is None else _tops
-    bad = np.flatnonzero(~mask & mask[tops])
+    bad = np.flatnonzero(~mask & mask[_dotsum_tops(rig)])
     if bad.size:
         x = int(bad[0])
         return False, ("dotted-sum", (x, min(dotsum_closure(rig, x) & _members(mask))))
     return True, None
 
 
-def _closure(rig, mask, tops):
+def _closure(rig, mask):
     """Least P-filter containing a mask: add the up-set, every product of
     members and every element whose largest dotted sum is inside, until
     nothing changes.  Each step adds only elements that any P-filter
     containing the current set must hold, so the fixpoint is least; at the
     fixpoint the set is upward closed, so the dotted-sum test is exact."""
-    leq, mul = rig.leq_table, rig.mul_table
+    leq, mul, tops = rig.leq_table, rig.mul_table, _dotsum_tops(rig)
     inside = mask.nonzero()[0]
     while True:
         grown = leq[inside].any(axis=0)
@@ -188,11 +191,20 @@ def _canonical(members):
     return len(members), sorted(members)
 
 
+def _verified_closure(rig, seed) -> PFilter:
+    """The closure of a list of elements, verified against every P-filter
+    clause."""
+    pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, seed))))
+    ok, witness = is_pfilter(rig, pf.members)
+    if not ok:
+        raise MvwError(f"generated set fails a P-filter clause: {witness}")
+    return pf
+
+
 @dataclass(frozen=True)
 class PrincipalTable:
     """The principal P-filters of one structure (module docstring)."""
     rig: FiniteMvwRig
-    tops: np.ndarray         # the largest dotted sum of every element
     pfilters: tuple          # the distinct F_a as frozensets, canonically sorted
     masks: np.ndarray        # k x n read-only membership rows, in that order
     index: np.ndarray        # element a -> position of F_a in pfilters
@@ -215,56 +227,54 @@ class PrincipalTable:
         the list has one element, else a closure."""
         if seed and (self.certified or len(seed) == 1):
             return bool(self.row(self.product(seed)).all())
-        return bool(_closure(self.rig, ideals._member_mask(self.rig, seed), self.tops).all())
+        return bool(_closure(self.rig, ideals._member_mask(self.rig, seed)).all())
 
 
+@core.per_structure
 def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
-    """The n principal P-filters F_a, each the closure of {a}; each distinct
-    one is verified as a P-filter, and the certificate is one n^2 gather."""
+    """The n principal P-filters F_a, each the closure of {a}, built once
+    per structure; each distinct one is verified as a P-filter, and the
+    certificate is one n^2 gather."""
     _require_product(rig)
-    tops = _dotsum_tops(rig)
-    rows = np.array([_closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)])
+    rows = np.array([_closure(rig, e) for e in np.eye(rig.size, dtype=bool)])
     members = [_members(row) for row in rows]
     pfilters = sorted(set(members), key=_canonical)
     position = {f: i for i, f in enumerate(pfilters)}
     index = np.array([position[f] for f in members])
     first = np.unique(index, return_index=True)[1]
     for f, a in zip(pfilters, first):
-        ok, witness = is_pfilter(rig, f, _tops=tops)
+        ok, witness = is_pfilter(rig, f)
         if not ok:
             raise MvwError(f"F_{a} fails a P-filter clause: {witness}")
     masks = rows[first]
-    for table in (tops, masks, index):
+    for table in (masks, index):
         table.flags.writeable = False
     elements = np.arange(rig.size)
-    return PrincipalTable(rig=rig, tops=tops, pfilters=tuple(pfilters), masks=masks,
-                          index=index,
+    return PrincipalTable(rig=rig, pfilters=tuple(pfilters), masks=masks, index=index,
                           certified=bool(rows[rig.mul_table, elements[:, None]].all()))
 
 
-def pfilter_generated(rig: FiniteMvwRig, seed, _prin=None) -> PFilter:
+def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
     """Least P-filter containing the seed.  Works for noncommutative
-    products too.  ``_prin`` is ``principal_table(rig)``, for callers that
-    hold it: when it is certified, or the seed is one element, the answer
-    is one of its verified rows; otherwise the seed is closed on masks and
-    the result verified against every P-filter clause."""
+    products too.  When the principal table is certified, or the seed is
+    one element, the answer is one of its verified rows; otherwise the seed
+    is closed on masks and the result verified against every P-filter
+    clause."""
     _require_product(rig)
     seed = sorted({rig._check(a) for a in seed})
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    if _prin is not None and (_prin.certified or len(seed) == 1):
-        return PFilter(rig, _prin.pfilters[_prin.index[_prin.product(seed)]])
-    tops = _dotsum_tops(rig) if _prin is None else _prin.tops
-    pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, seed), tops)))
-    ok, witness = is_pfilter(rig, pf.members, _tops=tops)
-    if not ok:
-        raise MvwError(f"generated set fails a P-filter clause: {witness}")
-    return pf
+    prin = principal_table(rig)
+    if prin.certified or len(seed) == 1:
+        return PFilter(rig, prin.pfilters[prin.index[prin.product(seed)]])
+    return _verified_closure(rig, seed)
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
-    """The least P-filter containing a single element."""
-    return pfilter_generated(rig, {a})
+    """The least P-filter containing a single element: one verified
+    closure, without the principal table, for a caller that asks once."""
+    _require_product(rig)
+    return _verified_closure(rig, [rig._check(a)])
 
 
 def _within_bound(rig, bound):
@@ -273,28 +283,7 @@ def _within_bound(rig, bound):
         raise SizeBound(f"carrier of {rig.size} exceeds frame bound {bound}")
 
 
-def all_pfilters(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND, _prin=None):
-    """Every P-filter, canonically sorted.  With a certified principal
-    table these are its distinct rows; otherwise they are the closure of
-    the principal filters under binary join.  A P-filter F is the union of
-    the F_a for a in F, hence their join, so nothing else can occur.
-    ``_prin`` is ``principal_table(rig)``, for callers that hold it."""
-    _within_bound(rig, bound)
-    prin = principal_table(rig) if _prin is None else _prin
-    if prin.certified:
-        return list(prin.pfilters)
-    found = {}
-    todo = list(prin.masks)
-    while todo:
-        mask = todo.pop()
-        key = _members(mask)
-        if key not in found:
-            found[key] = mask
-            todo.extend(_closure(rig, mask | p, prin.tops) for p in prin.masks)
-    return sorted(found, key=_canonical)
-
-
-@dataclass
+@dataclass(frozen=True)
 class FrameLA:
     rig: FiniteMvwRig
     pfilters: tuple          # frozensets, canonically sorted
@@ -333,21 +322,36 @@ def _inclusion(masks):
     return m @ (1 - m).T == 0
 
 
-def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND, _prin=None) -> FrameLA:
+def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
     """The frame of all P-filters with materialized join and meet tables.
-
-    The list holds every P-filter, so the join of two P-filters, the one
-    they generate, is the least listed filter above both, and their meet is
-    the greatest listed filter below both, which must be their
-    intersection.  With a certified principal table the list is its
-    distinct rows.  Distributivity is verified by the locale law suite.
-    ``_prin`` is ``principal_table(rig)``, for callers that hold it."""
+    The carrier cap ``bound`` is checked on every call; the frame is built
+    once per structure."""
     _within_bound(rig, bound)
-    prin = principal_table(rig) if _prin is None else _prin
-    filters = all_pfilters(rig, bound=bound, _prin=prin)
+    return _frame(rig)
+
+
+@core.per_structure
+def _frame(rig):
+    """Every P-filter is listed: with a certified principal table, its
+    distinct rows; otherwise the closure of the principal filters under
+    binary join, since a P-filter F is the union of the F_a for a in F,
+    hence their join.  So the join of two P-filters, the one they generate,
+    is the least listed filter above both, and their meet is the greatest
+    listed filter below both, which must be their intersection.
+    Distributivity is verified by the locale law suite."""
+    prin = principal_table(rig)
     if prin.certified:
-        masks = prin.masks
+        filters, masks = list(prin.pfilters), prin.masks
     else:
+        found = {}
+        todo = list(prin.masks)
+        while todo:
+            mask = todo.pop()
+            key = _members(mask)
+            if key not in found:
+                found[key] = mask
+                todo.extend(_closure(rig, mask | p) for p in prin.masks)
+        filters = sorted(found, key=_canonical)
         masks = np.array([ideals._member_mask(rig, s) for s in filters])
     inside = _inclusion(masks)
     # below[j, k - 1 - l]: filter l lies inside filter j
@@ -362,7 +366,6 @@ def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND, _prin=None) -> Fr
         meet[i] = k - 1 - (below[i] & below).argmax(axis=1)
         if (masks[meet[i]] != (masks[i] & masks)).any():
             raise MvwError("intersection of P-filters is not a P-filter")
-    # one frame is shared by every check on a structure; keep it immutable
     for table in (masks, join, meet):
         table.flags.writeable = False
     return FrameLA(rig=rig, pfilters=tuple(filters), masks=masks, join_table=join,
@@ -378,7 +381,7 @@ class ThetaMap:
     open_to_filter: tuple    # open index -> frame index
 
 
-def theta(rig: FiniteMvwRig, space=None, fr=None, verify=True) -> ThetaMap:
+def theta(rig: FiniteMvwRig, fr=None, verify=True) -> ThetaMap:
     """The lattice isomorphism from the open sets of the spectrum to the
     frame of P-filters, sending a basic open V(a) to the principal
     P-filter F_a; the basic opens are all the opens, and unions go to
@@ -387,7 +390,7 @@ def theta(rig: FiniteMvwRig, space=None, fr=None, verify=True) -> ThetaMap:
         raise GateNotMet("the open-to-filter map needs a product and a unit")
     if not rig.commutative:
         raise NotCommutative(f"{rig.name} is not commutative")
-    space = space if space is not None else spectrum.spec(rig)
+    space = spectrum.spec(rig)
     fr = fr if fr is not None else frame(rig)
     principal_idx = fr.principal_index()
     open_index = {o: i for i, o in enumerate(space.opens)}
@@ -461,7 +464,7 @@ def _verify_theta(rig, tm, principal_idx):
         raise MvwError("open map does not preserve order")
 
 
-def finite_subcover(rig: FiniteMvwRig, generators, _prin=None):
+def finite_subcover(rig: FiniteMvwRig, generators):
     """Given elements whose principal P-filters join to the whole carrier,
     return a finite (here: small) subfamily that already joins to it.
 
@@ -470,18 +473,11 @@ def finite_subcover(rig: FiniteMvwRig, generators, _prin=None):
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
     so each cover question is one read of the principal table, or one
-    closure when the table is not certified.  ``_prin`` is
-    ``principal_table(rig)``, for callers that hold it.
+    closure when the table is not certified.
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
-    if _prin is None:
-        tops = _dotsum_tops(rig)
-
-        def covers(seed):
-            return bool(_closure(rig, ideals._member_mask(rig, seed), tops).all())
-    else:
-        covers = _prin.covers
+    covers = principal_table(rig).covers
 
     # the empty join is the principal filter of the top element; if that is
     # already everything, the empty subfamily is a sound subcover

@@ -7,10 +7,12 @@ down-sets of idempotents, generation picks the least listed ideal above
 the seed, nilpotency searches are bounded by the carrier size (the power
 sequence of an element cycles within |A| steps), and congruences,
 homomorphisms, quotients and restrictions are whole-table gathers.  The
-library computes each object once and verifies it once, by its defining
-clauses (an ideal's congruence, a map's homomorphism clauses); theorems
-about the result, such as the axioms of a quotient, are re-checked by the
-law suites in ``suites``, not on every call.
+library computes each object once per structure (the ideal masks, the
+classified ideals and the quotient by each ideal are kept on the structure
+by ``core.per_structure``) and verifies it once, by its defining clauses
+(an ideal's congruence, a map's homomorphism clauses); theorems about the
+result, such as the axioms of a quotient, are re-checked by the law suites
+in ``suites``, not on every call.
 """
 
 from __future__ import annotations
@@ -115,8 +117,10 @@ def is_ideal(rig: FiniteMvwRig, members):
 # Algebraic Foundations of Many-valued Reasoning, ch. 1 and 3.  The ideals
 # are therefore the down-sets of idempotents that also absorb the product.
 
+@core.per_structure
 def _ideal_masks(rig, absorb_product=True):
-    """Membership masks of all (MV-)ideals, one row each, smallest first."""
+    """Membership masks of all (MV-)ideals, one read-only row each,
+    smallest first."""
     mul = rig.mul_table
     masks = []
     for e in np.flatnonzero(rig.add_table.diagonal() == np.arange(rig.size)):
@@ -125,7 +129,9 @@ def _ideal_masks(rig, absorb_product=True):
                 mask[mul[mask]].all() and mask[mul[:, mask]].all()):
             continue
         masks.append(mask)
-    return np.array(sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist())))
+    out = np.array(sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist())))
+    out.flags.writeable = False
+    return out
 
 
 def _as_ideal(rig, mask) -> Ideal:
@@ -138,21 +144,17 @@ def _check_bound(rig):
         raise SizeBound(f"carrier of {rig.size} exceeds enumeration bound {bound}")
 
 
-def enumerate_ideals(rig: FiniteMvwRig, _masks=None):
+def enumerate_ideals(rig: FiniteMvwRig):
     """All ideals, smallest first: the down-sets of the idempotents that
-    absorb the product on both sides.
-
-    ``_masks`` is the ideal mask list of the structure, for callers that
-    already hold it.
-    """
+    absorb the product on both sides."""
     _check_bound(rig)
-    return [_as_ideal(rig, m) for m in (_ideal_masks(rig) if _masks is None else _masks)]
+    return [_as_ideal(rig, m) for m in _ideal_masks(rig)]
 
 
 def enumerate_mv_ideals(rig: FiniteMvwRig):
     """All MV-ideals, smallest first: the down-sets of the idempotents."""
     _check_bound(rig)
-    return [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product=False)]
+    return [_as_ideal(rig, m) for m in _ideal_masks(rig, False)]
 
 
 def _least_containing(rig, seed_mask, masks):
@@ -160,16 +162,14 @@ def _least_containing(rig, seed_mask, masks):
     return _as_ideal(rig, masks[masks[:, seed_mask].all(axis=1).argmax()])
 
 
-def generated_ideal(rig: FiniteMvwRig, seed, _masks=None) -> Ideal:
+def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
     """Least ideal containing the seed.
 
     Every ideal is the down-set of an idempotent, and ideals are closed
     under intersection, so the smallest listed ideal containing the seed
     is the least one.  This holds for noncommutative structures too.
-    ``_masks`` is the ideal mask list of the structure.
     """
-    masks = _ideal_masks(rig) if _masks is None else _masks
-    return _least_containing(rig, _member_mask(rig, seed), masks)
+    return _least_containing(rig, _member_mask(rig, seed), _ideal_masks(rig))
 
 
 # -- classification --------------------------------------------------------
@@ -188,15 +188,11 @@ def _prime_clause(mask, table) -> bool:
     return not (mask[table] & out[:, None] & out[None, :]).any()
 
 
-def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
+def classify_ideal(rig: FiniteMvwRig, ideal: Ideal) -> IdealClass:
     """Raw clause checks; the whole carrier satisfies the prime and maximal
     clauses vacuously, so consumers that need properness combine these with
-    the ``proper`` bit (the spectrum admits proper primes only).
-
-    ``_masks`` is the ideal mask list of the structure, for callers that
-    classify many ideals against one list.
-    """
-    masks = _ideal_masks(rig) if _masks is None else _masks
+    the ``proper`` bit (the spectrum admits proper primes only)."""
+    masks = _ideal_masks(rig)
     mask = _member_mask(rig, ideal.members)
     prime = rig.mul_table is None or _prime_clause(mask, rig.mul_table)
     # maximal: no proper ideal lies strictly above; this is the ideal's row
@@ -207,13 +203,16 @@ def classify_ideal(rig: FiniteMvwRig, ideal: Ideal, _masks=None) -> IdealClass:
                       maximal=maximal, proper=ideal.proper)
 
 
-def classified_ideals(rig: FiniteMvwRig, _masks=None):
-    """(ideal, class) for every ideal, smallest first, each classified
-    against one list of ideal masks.  ``_masks`` is the ideal mask list of
-    the structure, for callers that already hold it."""
+def classified_ideals(rig: FiniteMvwRig):
+    """(ideal, class) for every ideal, smallest first, as one tuple built
+    once per structure."""
     _check_bound(rig)
-    masks = _ideal_masks(rig) if _masks is None else _masks
-    return [(i, classify_ideal(rig, i, masks)) for i in enumerate_ideals(rig, _masks=masks)]
+    return _classified(rig)
+
+
+@core.per_structure
+def _classified(rig):
+    return tuple((i, classify_ideal(rig, i)) for i in enumerate_ideals(rig))
 
 
 def prime_ideals(rig: FiniteMvwRig):
@@ -226,13 +225,7 @@ def maximal_ideals(rig: FiniteMvwRig):
     """All maximal proper ideals; nonempty for every nontrivial structure."""
     if rig.size == 1:
         raise Trivial("the one-element structure has no proper ideals")
-    return _maximal_of(classified_ideals(rig))
-
-
-def _maximal_of(classified):
-    """The maximal proper ideals of a nontrivial structure, read off its
-    ``classified_ideals`` list."""
-    out = [i for i, cls in classified if i.proper and cls.maximal]
+    out = [i for i, cls in classified_ideals(rig) if i.proper and cls.maximal]
     if not out:
         raise MvwError("no maximal ideal found in a nontrivial structure")
     return out
@@ -286,19 +279,14 @@ def radical(rig: FiniteMvwRig, ideal: Ideal) -> Ideal:
     return _as_ideal(rig, rad)
 
 
-def ideal_join(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
-    return generated_ideal(rig, i.members | j.members)
-
-
-def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal, _masks=None) -> Ideal:
+def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
     """The ideal generated by the products ab with a in i and b in j: the
-    least listed ideal holding the block mul[i, j].  ``_masks`` is the ideal
-    mask list of the structure."""
+    least listed ideal holding the block mul[i, j]."""
     if rig.mul_table is None:
         raise GateNotMet("structure has no product")
     seed = np.zeros(rig.size, dtype=bool)
     seed[rig.mul_table[np.ix_(_member_mask(rig, i.members), _member_mask(rig, j.members))]] = True
-    return _least_containing(rig, seed, _ideal_masks(rig) if _masks is None else _masks)
+    return _least_containing(rig, seed, _ideal_masks(rig))
 
 
 # -- congruences ------------------------------------------------------------
@@ -392,7 +380,7 @@ def ideal_from_congruence(rig: FiniteMvwRig, cong) -> Ideal:
 
 # -- quotients ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientRig:
     parent: FiniteMvwRig
     ideal: Ideal
@@ -417,11 +405,13 @@ def _quotient_impl(rig, ideal, cong):
                        reps=tuple(int(r) for r in reps))
 
 
+@core.per_structure
 def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
-    """The structure of congruence classes; the projection is a surjective
-    homomorphism whose kernel is the ideal.  The congruence is verified
-    here; the ``quotient-axioms`` law check verifies the axioms of the
-    result, the projection and its kernel."""
+    """The structure of congruence classes, built once per structure and
+    ideal; the projection is a surjective homomorphism whose kernel is the
+    ideal.  The congruence is verified here; the ``quotient-axioms`` law
+    check verifies the axioms of the result, the projection and its
+    kernel."""
     return _quotient_impl(rig, ideal, congruence_from_ideal(rig, ideal))
 
 
@@ -530,22 +520,14 @@ class FirstIso:
     iso: Homomorphism
 
 
-def first_iso(f: Homomorphism, _quot=None) -> FirstIso:
+def first_iso(f: Homomorphism) -> FirstIso:
     """The canonical isomorphism between the quotient by the kernel and the
     image.  The map is verified, and the induced map is checked to be well
     defined and bijective; the ``first-iso`` law check verifies that it is
-    a homomorphism.  Failure would indicate an implementation bug and aborts.
-    ``_quot`` is the quotient of the source by the kernel, for callers that
-    hold it; the kernel is still computed and must be its ideal."""
-    both = _preserves_product(f)
+    a homomorphism.  Failure would indicate an implementation bug and aborts."""
     verify_homomorphism(f)
     k = kernel(f)
-    if _quot is None:
-        q = quotient(f.source, k) if both else mv_quotient(f.source, k)
-    elif _quot.parent is not f.source or _quot.ideal.members != k.members:
-        raise MvwError("the given quotient is not by the kernel of the map")
-    else:
-        q = _quot
+    q = quotient(f.source, k) if _preserves_product(f) else mv_quotient(f.source, k)
     img, embedding = image(f)
     back = {p: i for i, p in enumerate(embedding)}
     phi_bar = tuple(back[f.mapping[r]] for r in q.reps)
@@ -557,14 +539,12 @@ def first_iso(f: Homomorphism, _quot=None) -> FirstIso:
                     iso=Homomorphism(q.rig, img, phi_bar))
 
 
-def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal, _masks=None, _quot=None):
+def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
     """The bijection between ideals above the given one and ideals of the
     quotient, verified in both directions and order-preserving.  Each ideal
-    above maps to its image mask under the projection.  ``_masks`` is the
-    ideal mask list of the structure and ``_quot`` the quotient by the
-    ideal, for callers that hold them."""
-    q = quotient(rig, ideal) if _quot is None else _quot
-    masks = _ideal_masks(rig) if _masks is None else _masks
+    above maps to its image mask under the projection."""
+    q = quotient(rig, ideal)
+    masks = _ideal_masks(rig)
     above = masks[masks[:, _member_mask(rig, ideal.members)].all(axis=1)]
     below = {m.tobytes(): b for b, m in enumerate(_ideal_masks(q.rig))}
     images = np.zeros((len(above), q.rig.size), dtype=bool)
@@ -604,7 +584,7 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
     if rig.size == 1:
         raise Trivial("the one-element algebra has no subdirect decomposition")
     _check_bound(rig)
-    primes = [_as_ideal(rig, m) for m in _ideal_masks(rig, absorb_product=False)
+    primes = [_as_ideal(rig, m) for m in _ideal_masks(rig, False)
               if not m.all() and _prime_clause(m, rig.meet_table)]
     if not primes:
         raise MvwError(f"no MV-prime ideals found in nontrivial {rig.name}")

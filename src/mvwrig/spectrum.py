@@ -4,28 +4,30 @@ Points are the proper prime ideals; the basic open attached to an element
 a collects the points containing a.  A prime contains a product exactly
 when it contains a factor, so V(a) u V(b) = V(ab) and the basic opens are
 all the opens.  The space is finite, so the open lattice is materialized
-outright and every topological statement becomes a finite assertion.
+outright and every topological statement becomes a finite assertion.  The
+space is built once per structure and kept on it (``core.per_structure``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from . import ideals
+from . import core, ideals
 from .core import FiniteMvwRig
 from .errors import GateNotMet, MvwError, NotCommutative
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecSpace:
     rig: FiniteMvwRig
     points: tuple            # frozensets of carrier indices, canonically sorted
-    base: dict               # element -> frozenset of point indices
+    base: MappingProxyType   # element -> frozenset of point indices, read-only
     opens: tuple             # the distinct base sets, canonically sorted
     unit_gated: bool = False # no unit: unit-dependent theorems are skipped
-    warnings: list = field(default_factory=list)
+    warnings: tuple = ()
 
     @property
     def all_points(self):
@@ -43,24 +45,30 @@ def _canon_sets(sets):
 _LAW_BLOCK = 1 << 20
 
 
-def spec(rig: FiniteMvwRig, _primes=None) -> SpecSpace:
+def spec(rig: FiniteMvwRig) -> SpecSpace:
     """Enumerate the proper primes, materialize the basic opens, which
-    form the whole open lattice, and verify the base laws.  ``_primes`` is
-    the list of proper prime ideals, for callers that hold it."""
+    form the whole open lattice, and verify the base laws.  The gates and
+    the enumeration bound are checked on every call; the space is built
+    once per structure."""
     if rig.mul_table is None:
         raise GateNotMet("spectrum needs a product")
     if not rig.commutative:
         raise NotCommutative(f"{rig.name} is not commutative")
-    primes = ideals.prime_ideals(rig) if _primes is None else _primes
-    points = _canon_sets([p.members for p in primes])
+    ideals._check_bound(rig)
+    return _spec(rig)
+
+
+@core.per_structure
+def _spec(rig):
+    points = _canon_sets([p.members for p in ideals.prime_ideals(rig)])
     base = {a: frozenset(i for i, p in enumerate(points) if a in p)
             for a in rig.elements()}
-
-    space = SpecSpace(rig=rig, points=points, base=base,
-                      opens=_canon_sets(set(base.values())), unit_gated=rig.unit is None)
-    if space.unit_gated:
-        space.warnings.append(
-            f"{rig.name} has no unitary element; unit-gated theorems are skipped")
+    warnings = ()
+    if rig.unit is None:
+        warnings = (f"{rig.name} has no unitary element; unit-gated theorems are skipped",)
+    space = SpecSpace(rig=rig, points=points, base=MappingProxyType(base),
+                      opens=_canon_sets(set(base.values())), unit_gated=rig.unit is None,
+                      warnings=warnings)
 
     all_pts = space.all_points
     if base[0] != all_pts:
@@ -148,15 +156,13 @@ class SpecMap:
     mapping: tuple           # point index of source -> point index of target
 
 
-def spec_map(f: ideals.Homomorphism, spec_b: SpecSpace | None = None,
-             spec_a: SpecSpace | None = None) -> SpecMap:
+def spec_map(f: ideals.Homomorphism) -> SpecMap:
     """The continuous preimage map from Spec of the codomain to Spec of the
     domain, with each of its stated properties checked whenever its
     hypothesis holds."""
     ideals.verify_homomorphism(f)
     a, b = f.source, f.target
-    sa = spec_a if spec_a is not None else spec(a)
-    sb = spec_b if spec_b is not None else spec(b)
+    sa, sb = spec(a), spec(b)
     target_index = {p: i for i, p in enumerate(sa.points)}
 
     mapping = []

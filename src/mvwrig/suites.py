@@ -11,21 +11,21 @@ reports PASS on the pairwise proof alone.  The locale checks read the
 principal filters F_a, their joins and their meets off the shared frame,
 so past the frame cap they report SKIPPED naming that cap.
 
-One context per structure builds each shared object once: the ideal
-masks, the classified ideals and proper primes (which the spectrum reads
-too), one quotient per ideal, the spectrum, the principal P-filter table
-and the frame built from it.  Generated P-filters and cover questions are
-reads of that table.  The scalar oracles stay element by element and
-independent of the routes they check, but read the tables as plain list
-rows, built once per structure, instead of calling the accessors.
+The checks call the library directly.  Each shared object (the ideal
+masks, the classified ideals, the quotient by each ideal, the spectrum,
+the principal P-filter table and the frame) is built once per structure
+and kept on it by ``core.per_structure``, so the checks of every suite
+read the same one.  Generated P-filters and cover questions are reads of
+the principal table.  The scalar oracles stay element by element and
+independent of the routes they check, but read the tables as plain rows of
+tuples, built once per structure, instead of calling the accessors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,70 +54,38 @@ class _Skip(Exception):
     pass
 
 
+@dataclass(frozen=True)
 class _Ctx:
-    """Shared lazily-computed objects for one structure."""
+    """What every check is given: the structure and the frame cap."""
+    rig: object
+    frame_bound: int = frames.DEFAULT_FRAME_BOUND
 
-    def __init__(self, rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
-        self.rig = rig
-        self.frame_bound = frame_bound
-        self._quotients = {}
-
-    @cached_property
-    def rows(self):
-        return _rows(self.rig)
-
-    @cached_property
-    def ideal_masks(self):
-        return ideals._ideal_masks(self.rig)
-
-    @cached_property
-    def ideal_list(self):
-        return ideals.enumerate_ideals(self.rig, _masks=self.ideal_masks)
-
-    @cached_property
-    def classified(self):
-        return ideals.classified_ideals(self.rig, _masks=self.ideal_masks)
-
-    @cached_property
-    def proper_primes(self):
-        return [i for i, cls in self.classified if i.proper and cls.prime]
-
-    @cached_property
-    def maximal(self):
-        """The maximal proper ideals of a nontrivial structure."""
-        return ideals._maximal_of(self.classified)
-
-    def quotient(self, ideal):
-        """The quotient by a listed ideal, built once per ideal.  A failure
-        is not kept, so each check that asks sees it raised."""
-        q = self._quotients.get(ideal.members)
-        if q is None:
-            q = self._quotients[ideal.members] = ideals.quotient(self.rig, ideal)
-        return q
-
-    @cached_property
-    def space(self):
-        return spectrum.spec(self.rig, _primes=self.proper_primes)
-
-    @cached_property
-    def prin(self):
-        return frames.principal_table(self.rig)
-
-    @cached_property
+    @property
     def frame(self):
-        # past the cap the frame is refused before the table is built
-        frames._within_bound(self.rig, self.frame_bound)
-        return frames.frame(self.rig, bound=self.frame_bound, _prin=self.prin)
+        return frames.frame(self.rig, self.frame_bound)
 
 
+class _Rows(NamedTuple):
+    neg: tuple
+    add: tuple
+    mul: tuple | None
+    below: tuple
+
+
+def _nested(table):
+    return tuple(map(tuple, table.tolist()))
+
+
+@core.per_structure
 def _rows(rig):
-    """The tables as nested lists, and below[b] the elements a <= b: the
+    """The tables as tuples of rows, and below[b] the elements a <= b: the
     element-by-element oracles index these instead of calling the
     bounds-checked accessors."""
-    return SimpleNamespace(
-        neg=rig.neg_table.tolist(), add=rig.add_table.tolist(),
-        mul=None if rig.mul_table is None else rig.mul_table.tolist(),
-        below=[[a for a, le in enumerate(col) if le] for col in rig.leq_table.T.tolist()])
+    return _Rows(
+        neg=tuple(rig.neg_table.tolist()), add=_nested(rig.add_table),
+        mul=None if rig.mul_table is None else _nested(rig.mul_table),
+        below=tuple(tuple(a for a, le in enumerate(col) if le)
+                    for col in rig.leq_table.T.tolist()))
 
 
 def _need_product(rig):
@@ -346,7 +314,7 @@ def _check_derive_idempotent(ctx):
 # -- ideal laws ----------------------------------------------------------------
 
 def _check_ideals_sound(ctx):
-    found = ctx.ideal_list
+    found = ideals.enumerate_ideals(ctx.rig)
     sets = {i.members for i in found}
     if frozenset({0}) not in sets:
         return "the zero ideal is missing"
@@ -405,11 +373,12 @@ def _check_generated_least(ctx):
     r = ctx.rig
     if r.size > SUBSET_SIZE_LIMIT:
         raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
-    all_sets = [i.members for i in ctx.ideal_list]
+    all_sets = [i.members for i in ideals.enumerate_ideals(r)]
+    rows = _rows(r)
     verified = set()    # generated sets already shown to be ideals
     for k in range(r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
-            gen = ideals.generated_ideal(r, seed, _masks=ctx.ideal_masks)
+            gen = ideals.generated_ideal(r, seed)
             if gen.members not in verified:
                 ok, witness = ideals.is_ideal(r, gen.members)
                 if not ok:
@@ -420,13 +389,13 @@ def _check_generated_least(ctx):
             for s in all_sets:
                 if set(seed) <= s and not gen.members <= s:
                     return f"<{seed}> is not least (exceeds {sorted(s)})"
-            if frozenset(_generated_fixpoint(ctx.rows, seed)) != gen.members:
+            if frozenset(_generated_fixpoint(rows, seed)) != gen.members:
                 return f"closure routes disagree on {seed}"
 
 
 def _check_congruence_roundtrip(ctx):
     r = ctx.rig
-    for ideal in ctx.ideal_list:
+    for ideal in ideals.enumerate_ideals(r):
         cong = ideals.congruence_from_ideal(r, ideal)
         back = ideals.ideal_from_congruence(r, cong)
         if back.members != ideal.members:
@@ -475,17 +444,18 @@ def _check_congruence_bijection(ctx):
                 yield part[:i] + [part[i] + [first]] + part[i + 1:]
             yield [[first]] + part
 
+    rows = _rows(r)
     congruences = []
     for part in partitions(list(range(r.size))):
         class_of = [0] * r.size
         for ci, cls in enumerate(part):
             for x in cls:
                 class_of[x] = ci
-        if _compatible(ctx.rows, class_of):
+        if _compatible(rows, class_of):
             congruences.append(ideals._normalize_partition(r, tuple(class_of)))
-    if len(set(congruences)) != len(ctx.ideal_list):
-        return (f"{len(set(congruences))} congruences vs "
-                f"{len(ctx.ideal_list)} ideals")
+    count = len(ideals.enumerate_ideals(r))
+    if len(set(congruences)) != count:
+        return f"{len(set(congruences))} congruences vs {count} ideals"
     for class_of in congruences:
         ideal = ideals.ideal_from_congruence(r, ideals.Congruence(r, class_of))
         cong2 = ideals.congruence_from_ideal(r, ideal)
@@ -495,9 +465,9 @@ def _check_congruence_bijection(ctx):
 
 def _check_quotient_axioms(ctx):
     r = ctx.rig
-    for ideal in ctx.ideal_list:
+    for ideal in ideals.enumerate_ideals(r):
         try:
-            q = ctx.quotient(ideal)
+            q = ideals.quotient(r, ideal)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
         report = core.scan_mv(q.rig)
@@ -514,11 +484,12 @@ def _check_quotient_axioms(ctx):
 
 
 def _check_first_iso_natural(ctx):
-    for ideal in ctx.ideal_list:
-        q = ctx.quotient(ideal)
-        f = ideals.Homomorphism(ctx.rig, q.rig, q.projection)
+    r = ctx.rig
+    for ideal in ideals.enumerate_ideals(r):
+        q = ideals.quotient(r, ideal)
+        f = ideals.Homomorphism(r, q.rig, q.projection)
         try:
-            fi = ideals.first_iso(f, _quot=q)
+            fi = ideals.first_iso(f)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
         ok, witness = ideals.check_homomorphism(
@@ -529,8 +500,8 @@ def _check_first_iso_natural(ctx):
 
 def _check_hom_kernel_order(ctx):
     r = ctx.rig
-    for ideal in ctx.ideal_list:
-        q = ctx.quotient(ideal)
+    for ideal in ideals.enumerate_ideals(r):
+        q = ideals.quotient(r, ideal)
         f = ideals.Homomorphism(r, q.rig, q.projection)
         ker = ideals._member_mask(r, ideals.kernel(f).members)
         proj = np.asarray(q.projection)
@@ -541,10 +512,9 @@ def _check_hom_kernel_order(ctx):
 
 
 def _check_ideal_correspondence(ctx):
-    for ideal in ctx.ideal_list:
+    for ideal in ideals.enumerate_ideals(ctx.rig):
         try:
-            ideals.ideal_correspondence(ctx.rig, ideal, _masks=ctx.ideal_masks,
-                                        _quot=ctx.quotient(ideal))
+            ideals.ideal_correspondence(ctx.rig, ideal)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
 
@@ -552,7 +522,7 @@ def _check_ideal_correspondence(ctx):
 def _check_maximal_exists(ctx):
     if ctx.rig.size == 1:
         raise _Skip("trivial structure")
-    if not ctx.maximal:
+    if not ideals.maximal_ideals(ctx.rig):
         return "no maximal proper ideal"
 
 
@@ -562,8 +532,8 @@ def _check_maximal_implies_prime(ctx):
     _need_unit(r)
     if r.size == 1:
         raise _Skip("trivial structure")
-    prime = {i.members: cls.prime for i, cls in ctx.classified}
-    for m in ctx.maximal:
+    prime = {i.members: cls.prime for i, cls in ideals.classified_ideals(r)}
+    for m in ideals.maximal_ideals(r):
         if not prime[m.members]:
             return f"maximal {m.display()} is not prime"
 
@@ -572,7 +542,7 @@ def _check_nilpotents_in_primes(ctx):
     r = ctx.rig
     _need_product(r)
     nil = {x for x in r.elements() if ideals.is_nilpotent(r, x)}
-    for p in ctx.proper_primes:
+    for p in ideals.prime_ideals(r):
         if not nil <= p.members:
             return f"nilpotent escapes prime {p.display()}"
 
@@ -580,7 +550,7 @@ def _check_nilpotents_in_primes(ctx):
 def _check_nilradical_ideal(ctx):
     r = ctx.rig
     _need_commutative(r)
-    q = ctx.quotient(ideals.nilradical(r))
+    q = ideals.quotient(r, ideals.nilradical(r))
     for c in q.rig.elements():
         if c != 0 and ideals.is_nilpotent(q.rig, c):
             return f"quotient keeps nilpotent class {c}"
@@ -591,7 +561,7 @@ def _check_nilradical_intersection(ctx):
     _need_commutative(r)
     n = ideals.nilradical(r).members
     inter = set(r.elements())
-    for p in ctx.proper_primes:
+    for p in ideals.prime_ideals(r):
         inter &= p.members
     if n != frozenset(inter):
         return f"nilradical {sorted(n)} vs prime intersection {sorted(inter)}"
@@ -602,18 +572,18 @@ def _check_radical_properties(ctx):
     _need_commutative(r)
     # the intersection and the product of two ideals are ideals, so their
     # radicals are read from this table
-    rads = {i.members: ideals.radical(r, i).members for i in ctx.ideal_list}
-    for i in ctx.ideal_list:
+    listed = ideals.enumerate_ideals(r)
+    rads = {i.members: ideals.radical(r, i).members for i in listed}
+    for i in listed:
         if not i.members <= rads[i.members]:
             return f"{i.display()} exceeds its radical"
-        if ideals.classify_ideal(r, i, _masks=ctx.ideal_masks).prime \
-                and rads[i.members] != i.members:
+        if ideals.classify_ideal(r, i).prime and rads[i.members] != i.members:
             return f"prime {i.display()} differs from its radical"
-        for j in ctx.ideal_list:
+        for j in listed:
             if i.members <= j.members and not rads[i.members] <= rads[j.members]:
                 return "radical is not monotone"
             inter = i.members & j.members
-            prod = ideals.ideal_product(r, i, j, _masks=ctx.ideal_masks).members
+            prod = ideals.ideal_product(r, i, j).members
             for what, s in (("intersection", inter), ("product", prod)):
                 if s not in rads:
                     return (f"{what} of {i.display()}, {j.display()} is not a listed "
@@ -626,10 +596,11 @@ def _check_radical_properties(ctx):
 def _check_radical_prime_intersection(ctx):
     r = ctx.rig
     _need_commutative(r)
-    for i in ctx.ideal_list:
+    primes = ideals.prime_ideals(r)
+    for i in ideals.enumerate_ideals(r):
         rad = ideals.radical(r, i).members
         inter = set(r.elements())
-        for p in ctx.proper_primes:
+        for p in primes:
             if i.members <= p.members:
                 inter &= p.members
         if rad != inter:
@@ -642,8 +613,8 @@ def _check_prime_to_mvprime(ctx):
     _need_product(r)
     if not r.product_below_meet:
         raise _Skip("product is not below the meet")
-    for p in ctx.proper_primes:
-        if not ideals.classify_ideal(r, p, _masks=ctx.ideal_masks).mv_prime:
+    for p in ideals.prime_ideals(r):
+        if not ideals.classify_ideal(r, p).mv_prime:
             return f"prime {p.display()} is not MV-prime"
 
 
@@ -658,7 +629,7 @@ def _check_chang(ctx):
 def _check_base_laws(ctx):
     r = ctx.rig
     _need_commutative(r)
-    s = ctx.space
+    s = spectrum.spec(r)
     for a in r.elements():
         for b in r.elements():
             va, vb = s.base[a], s.base[b]
@@ -675,7 +646,7 @@ def _check_base_laws(ctx):
 def _check_full_iff_nilpotent(ctx):
     r = ctx.rig
     _need_commutative(r)
-    s = ctx.space
+    s = spectrum.spec(r)
     for a in r.elements():
         if (s.base[a] == s.all_points) != ideals.is_nilpotent(r, a):
             return f"fails at {a}"
@@ -683,7 +654,7 @@ def _check_full_iff_nilpotent(ctx):
 
 def _check_opens_form_topology(ctx):
     _need_commutative(ctx.rig)
-    s = ctx.space
+    s = spectrum.spec(ctx.rig)
     opens = set(s.opens)
     if frozenset() not in opens or s.all_points not in opens:
         return "missing the empty or full open"
@@ -697,13 +668,13 @@ def _check_opens_form_topology(ctx):
 
 def _check_t0(ctx):
     _need_commutative(ctx.rig)
-    if not spectrum.is_t0(ctx.space):
+    if not spectrum.is_t0(spectrum.spec(ctx.rig)):
         return "two points share every open"
 
 
 def _check_point_closure(ctx):
     _need_commutative(ctx.rig)
-    s = ctx.space
+    s = spectrum.spec(ctx.rig)
     for i in range(len(s.points)):
         if spectrum.point_closure(s, i) != spectrum.specialization_downset(s, i):
             return f"closure of point {i} is not its containment down-set"
@@ -711,7 +682,7 @@ def _check_point_closure(ctx):
 
 def _check_set_closure_lower(ctx):
     _need_commutative(ctx.rig)
-    s = ctx.space
+    s = spectrum.spec(ctx.rig)
     pts = range(len(s.points))
     for k in range(len(s.points) + 1):
         for u in itertools.combinations(pts, k):
@@ -730,11 +701,11 @@ def _check_irreducible_iff_unique_maximal(ctx):
     r = ctx.rig
     _need_commutative(r)
     _need_unit(r)
-    s = ctx.space
+    s = spectrum.spec(r)
     if r.size == 1:
         count = 0
     else:
-        count = len(ctx.maximal)
+        count = len(ideals.maximal_ideals(r))
     if spectrum.is_irreducible(s) != (count == 1):
         return f"irreducible={spectrum.is_irreducible(s)} but {count} maximal ideals"
 
@@ -742,8 +713,8 @@ def _check_irreducible_iff_unique_maximal(ctx):
 def _check_radical_order(ctx):
     r = ctx.rig
     _need_commutative(r)
-    s = ctx.space
-    rads = [ideals.radical(r, ideals.generated_ideal(r, {a}, _masks=ctx.ideal_masks)).members
+    s = spectrum.spec(r)
+    rads = [ideals.radical(r, ideals.generated_ideal(r, {a})).members
             for a in r.elements()]
     for a in r.elements():
         for b in r.elements():
@@ -757,18 +728,18 @@ def _check_spec_compactness(ctx):
     _need_unit(r)
     if r.size > SUBSET_SIZE_LIMIT:
         raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
-    s = ctx.space
+    s = spectrum.spec(r)
     for k in range(r.size + 1):
         for gens in itertools.combinations(range(r.size), k):
             union = frozenset().union(*(s.base[a] for a in gens)) if gens else frozenset()
             if union != s.all_points:
                 continue
             try:
-                sub = frames.finite_subcover(r, list(gens), _prin=ctx.prin)
+                sub = frames.finite_subcover(r, list(gens))
             except MvwError as exc:
                 return f"cover {gens}: {exc}"
             covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
-            if covered != s.all_points and not ctx.prin.row(r.u).all():
+            if covered != s.all_points and not frames.principal_table(r).row(r.u).all():
                 return f"subcover of {gens} misses a point"
 
 
@@ -782,7 +753,7 @@ def _check_pfilters_complete(ctx):
     brute = set()
     for k in range(1, r.size + 1):
         for cand in itertools.combinations(range(r.size), k):
-            if frames.is_pfilter(r, set(cand), _tops=ctx.prin.tops)[0]:
+            if frames.is_pfilter(r, set(cand))[0]:
                 brute.add(frozenset(cand))
     if brute != set(ctx.frame.pfilters):
         return "the enumeration misses or invents a P-filter"
@@ -853,7 +824,7 @@ def _check_pfilter_generated_least(ctx):
     dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
     for k in range(1, r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
-            gen = frames.pfilter_generated(r, seed, _prin=ctx.prin).members
+            gen = frames.pfilter_generated(r, seed).members
             for f in all_filters:
                 if set(seed) <= f and not gen <= f:
                     return f"<{seed}> is not least"
@@ -897,7 +868,7 @@ def _check_theta_iso(ctx):
     r = ctx.rig
     _need_commutative(r)
     _need_unit(r)
-    tm = frames.theta(r, space=ctx.space, fr=ctx.frame, verify=True)
+    tm = frames.theta(r, fr=ctx.frame, verify=True)
     if len(tm.space.opens) != len(tm.frame.pfilters):
         return "open lattice and P-filter frame have different sizes"
     if r.size > SUBSET_SIZE_LIMIT:
@@ -905,7 +876,8 @@ def _check_theta_iso(ctx):
     # oracle: every element subset, read as a presentation of an open as a
     # union of basic opens, joins to the filter the open maps to
     space, fr = tm.space, tm.frame
-    prin = [fr.index_of(ctx.prin.pfilters[i]) for i in ctx.prin.index]
+    table = frames.principal_table(r)
+    prin = [fr.index_of(table.pfilters[i]) for i in table.index]
     open_index = {o: i for i, o in enumerate(space.opens)}
     for rset in itertools.chain.from_iterable(
             itertools.combinations(range(r.size), k) for k in range(r.size + 1)):
@@ -927,7 +899,7 @@ def _check_frame_covers(ctx):
             join = fr.join_of(prin[g] for g in gens)
             covers = fr.pfilters[join] == full
             try:
-                sub = frames.finite_subcover(r, list(gens), _prin=ctx.prin)
+                sub = frames.finite_subcover(r, list(gens))
             except frames.NotACover:
                 if covers:
                     return f"{gens} covers but was rejected"
@@ -1044,13 +1016,13 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND, _ctx=None):
+def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND):
     """Run one named suite; gated checks report SKIPPED with the reason,
     and a check that raises reports FAIL with the error, so the remaining
-    checks still run.  ``_ctx`` lets several suites share one context."""
+    checks still run."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    ctx = _Ctx(rig, frame_bound=frame_bound) if _ctx is None else _ctx
+    ctx = _Ctx(rig, frame_bound)
     results = []
     for name, _desc, fn in SUITES[suite]:
         try:
@@ -1072,12 +1044,12 @@ def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND, _ctx=None
 
 
 def run_all(rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
-    """Every suite in order, sharing one analysis context, so the ideals,
-    the spectrum and the frame are computed once per structure."""
-    ctx = _Ctx(rig, frame_bound=frame_bound)
+    """Every suite in order.  The ideals, the spectrum and the frame are
+    kept on the structure, so each is computed once however many checks
+    read it."""
     out = []
     for suite in SUITE_NAMES:
-        out.extend(run_suite(rig, suite, frame_bound=frame_bound, _ctx=ctx))
+        out.extend(run_suite(rig, suite, frame_bound=frame_bound))
     return out
 
 

@@ -201,6 +201,52 @@ def test_filters_principal_json(capsys):
     assert json.loads(out) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("argv", [
+    ("filters", "z3.mvw", "--principal", "\u00b2"),
+    ("filters", "z3.mvw", "--principal", "\u0663"),
+    ("quotient", "z3.mvw", "--ideal", "0,\u00b2"),
+])
+def test_non_ascii_digits_are_unknown_elements(capsys, argv):
+    # '\u00b2' (superscript two) and '\u0663' (Arabic-Indic three) pass
+    # str.isdigit, but only ASCII digits name an element by index
+    command, name, option, value = argv
+    code, out, err = run(capsys, command, str(algebra_path(name)), option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: 1:1: error: unknown element {value.split(',')[-1]!r}\n"
+
+
+def _nested_source(form, levels):
+    """A definition nested ``levels`` deep in one of three ways, with the
+    line and column of its deepest opener."""
+    if form == "parentheses":
+        head, opener = "  neg(x) = ", "("
+        line = head + opener * levels + "3 - x" + ")" * levels
+        return (f"algebra A {{\n  elements: 0..3\n  zero: 0\n{line}\n"
+                f"  add(x, y) = min(3, x + y)\n}}\n"), 4, len(head) + levels
+    if form == "min":
+        head, opener = "  add(x, y) = ", "min(3, "
+        line = head + opener * levels + "x + y" + ")" * levels
+        return (f"algebra A {{\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - x\n{line}\n}}\n",
+                5, len(head) + len(opener) * (levels - 1) + 1)
+    # the innermost zn(1) is the deepest call
+    head, opener = "  builder: ", "product("
+    line = head + opener * (levels - 1) + "zn(1)" + ", gamma(1, [0]))" * (levels - 1)
+    return f"algebra A {{\n{line}\n}}\n", 2, len(head) + len(opener) * (levels - 1) + 1
+
+
+@pytest.mark.parametrize("form", ["parentheses", "min", "product"])
+def test_nesting_cap(capsys, tmp_path, form):
+    path = tmp_path / "deep.mvw"
+    path.write_text(_nested_source(form, dsl.MAX_NESTING)[0], encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    text, line, column = _nested_source(form, dsl.MAX_NESTING + 1)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}:{column}: error: nesting deeper than 100 levels\n"
+
+
 def test_filters_frame_json(capsys):
     code, out, err = run(capsys, "filters", str(algebra_path("z1xz1.mvw")),
                          "--frame", "--json")

@@ -1,9 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
-from mvwrig import builders, core
+from mvwrig import builders, core, ideals
 from mvwrig.errors import GateNotMet, OrderNotAntisymmetric
 
 from conftest import LADDER, ZOO, zoo_items
@@ -122,27 +123,50 @@ def test_check_mvw_catches_zero_absorption():
 
 
 def test_structural_flags_z3(z3):
-    flags = core.structural_flags(z3)
-    assert flags["commutative"] is True
-    assert flags["unit"] == 1
-    assert flags["product_below_meet"] is False
+    assert z3.mv_only is False
+    assert z3.commutative is True
+    assert z3.unit == 1
+    assert z3.product_below_meet is False
     assert z3.mul(2, 2) == 3 and z3.meet(2, 2) == 2  # the witness
-    assert flags["u"] == 3
+    assert z3.u == 3
 
 
 def test_structural_flags_trivial_lift():
     t3 = builders.lift_trivial_product(builders.build_luk_mv(3))
-    flags = core.structural_flags(t3)
-    assert flags["commutative"] is True
-    assert flags["unit"] is None
-    assert flags["product_below_meet"] is True
+    assert t3.commutative is True
+    assert t3.unit is None
+    assert t3.product_below_meet is True
 
 
 def test_structural_flags_one_element():
     rig = core.derive([0], [[0]], [[0]])
-    flags = core.structural_flags(rig)
-    assert flags["unit"] == 0
-    assert flags["commutative"] and flags["product_below_meet"]
+    assert rig.unit == 0
+    assert rig.commutative and rig.product_below_meet
+    mv = core.derive([0], [[0]])
+    assert mv.mv_only and mv.commutative is mv.unit is mv.product_below_meet is None
+
+
+def test_shallow_copy_shares_no_kept_object():
+    # a copy whose sum table is swapped decomposes its own tables
+    rig = builders.build_zn(3)
+    dec = core.chain_decomposition(rig)
+    twin = copy.copy(rig)
+    assert rig._memo and not twin._memo
+    add = rig.add_table.copy()
+    add[1, 1] = 3
+    twin.add_table = add
+    assert core.chain_decomposition(twin) is None
+    assert core.chain_decomposition(rig) is dec
+    assert dec.phi.flags.writeable is False
+
+
+def test_set_name_drops_the_kept_objects():
+    # a quotient's name embeds its parent's, so renaming rebuilds it
+    rig = builders.build_zn(3)
+    zero = ideals.Ideal(rig, frozenset({0}))
+    assert ideals.quotient(rig, zero).rig.name == "Z3/{0}"
+    rig.set_name("W")
+    assert ideals.quotient(rig, zero).rig.name == "W/{0}"
 
 
 def test_power(z3):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvwrig import builders, frames, spectrum, suites
-from mvwrig.errors import EmptySeed, GateNotMet, MvwError, NotACover
+from mvwrig.errors import EmptySeed, GateNotMet, MvwError, NotACover, SizeBound
 
 from conftest import LADDER, ZOO
 
@@ -283,7 +284,7 @@ def candidates(rig, limit):
                 for c in itertools.combinations(range(rig.size), k)]
     out = {frozenset(c) for k in range(limit + 1)
            for c in itertools.combinations(range(rig.size), k)}
-    for f in frames.all_pfilters(rig, bound=rig.size):
+    for f in frames.frame(rig, bound=rig.size).pfilters:
         out.update(f ^ {x} for x in rig.elements())
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
@@ -326,9 +327,32 @@ def test_frame_matches_upset_scan(rig):
 def test_frame_tables_are_read_only(zoo):
     # one frame is shared by every check on a structure
     fr = frames.frame(zoo["Z3"])
-    for table in (fr.join_table, fr.meet_table):
+    for table in (fr.join_table, fr.meet_table, fr.masks):
         with pytest.raises(ValueError):
             table[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fr.top = 0
+
+
+def test_frame_cap_is_checked_on_every_call():
+    # the frame is built once; each call checks its own bound first
+    rig = builders.build_zn(3)
+    fr = frames.frame(rig)
+    with pytest.raises(SizeBound, match="^carrier of 4 exceeds frame bound 3$"):
+        frames.frame(rig, bound=3)
+    assert frames.frame(rig, bound=4) is fr
+
+
+def test_principal_pfilter_does_not_build_the_table(monkeypatch):
+    # one verified closure answers mvw filters --principal
+    rig = builders.build_zn(15)
+
+    def refused(r):
+        raise AssertionError("the principal table was built")
+
+    monkeypatch.setattr(frames, "principal_table", refused)
+    assert frames.principal_pfilter(rig, 4).sorted_members() == tuple(range(1, 16))
+    assert frames.principal_pfilter(rig, 0).sorted_members() == tuple(range(16))
 
 
 # -- binary-law verification against the subset scans ---------------------------
@@ -418,7 +442,8 @@ THETA_RIGS = [p for p in REFERENCE_RIGS if _theta_ready(p.values[0])]
 @pytest.mark.parametrize("rig", THETA_RIGS)
 def test_theta_binary_verification_matches_subset_scan(rig):
     space, fr = spectrum.spec(rig), frames.frame(rig)
-    tm = frames.theta(rig, space=space, fr=fr, verify=False)
+    tm = frames.theta(rig, fr=fr, verify=False)
+    assert tm.space is space
     old_idx = {a: fr.index_of(frames.principal_pfilter(rig, a).members)
                for a in rig.elements()}
     assert fr.principal_index().tolist() == [old_idx[a] for a in rig.elements()]
@@ -538,24 +563,22 @@ TABLE_RIGS = REFERENCE_RIGS + [
     pytest.param(builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")]
 
 
-def _closed(rig, seed, tops):
-    return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)), tops)
+def _closed(rig, seed):
+    return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)))
 
 
 @pytest.mark.parametrize("rig", TABLE_RIGS)
 def test_table_route_matches_closure_on_small_seeds(rig):
     prin = frames.principal_table(rig)
-    tops = frames._dotsum_tops(rig)
     # every commutative product is certified; M2(Z1) and M2(Z2) are not
     assert prin.certified == rig.commutative
     for seed in itertools.chain(itertools.combinations(rig.elements(), 1),
                                 itertools.permutations(rig.elements(), 2)):
-        closed = _closed(rig, seed, tops)
-        assert frames.pfilter_generated(rig, seed, _prin=prin).members == \
-            frames._members(closed), seed
+        closed = _closed(rig, seed)
+        assert frames.pfilter_generated(rig, seed).members == frames._members(closed), seed
         assert prin.covers(list(seed)) == closed.all(), seed
     for a in rig.elements():
-        assert prin.row(a).tolist() == _closed(rig, [a], tops).tolist()
+        assert prin.row(a).tolist() == _closed(rig, [a]).tolist()
         assert prin.pfilters[prin.index[a]] == frames.principal_pfilter(rig, a).members
 
 
@@ -563,8 +586,7 @@ def reference_frame(rig):
     """The earlier frame: every P-filter as the closure of the n principal
     filters under binary join, then, over the inclusion order, the least
     upper bound and the greatest lower bound of every pair."""
-    tops = frames._dotsum_tops(rig)
-    principal = [frames._closure(rig, e, tops) for e in np.eye(rig.size, dtype=bool)]
+    principal = [frames._closure(rig, e) for e in np.eye(rig.size, dtype=bool)]
     found = {}
     todo = list(principal)
     while todo:
@@ -572,7 +594,7 @@ def reference_frame(rig):
         key = frames._members(mask)
         if key not in found:
             found[key] = mask
-            todo.extend(frames._closure(rig, mask | p, tops) for p in principal)
+            todo.extend(frames._closure(rig, mask | p) for p in principal)
     filters = sorted(found, key=lambda s: (len(s), sorted(s)))
     k = len(filters)
     join = [[min(m for m in range(k) if f | g <= filters[m]) for g in filters]
@@ -596,30 +618,31 @@ def test_frame_matches_join_closure(rig):
     assert fr.meet_table.tolist() == meet
     assert fr.pfilters[fr.bottom] == filters[0]
     assert fr.pfilters[fr.top] == frozenset(rig.elements())
-    assert frames.all_pfilters(rig, bound=rig.size) == filters
 
 
 @pytest.mark.parametrize("rig", [p for p in TABLE_RIGS if p.values[0].commutative])
-def test_uncertified_table_matches_fallback(rig):
-    # a table forced to be uncertified answers by closures and the join
-    # closure; every answer equals the certified reads
-    prin = frames.principal_table(rig)
-    forced = dataclasses.replace(prin, certified=False)
-    fr, fallback = (frames.frame(rig, bound=rig.size, _prin=p) for p in (prin, forced))
+def test_uncertified_table_matches_fallback(rig, monkeypatch):
+    # a copy whose table is forced to be uncertified answers by closures and
+    # the join closure; every answer equals the certified reads
+    twin = copy.copy(rig)
+    forced = dataclasses.replace(frames.principal_table(rig), rig=twin, certified=False)
+    table = frames.principal_table
+    monkeypatch.setattr(frames, "principal_table", lambda r: forced if r is twin else table(r))
+    fr, fallback = frames.frame(rig, bound=rig.size), frames.frame(twin, bound=rig.size)
     for field in ("pfilters", "bottom", "top"):
         assert getattr(fr, field) == getattr(fallback, field)
     for field in ("masks", "join_table", "meet_table"):
         assert (getattr(fr, field) == getattr(fallback, field)).all()
     for gens in itertools.chain(itertools.combinations(rig.elements(), 2),
                                 itertools.combinations(rig.elements(), 3)):
-        assert frames.pfilter_generated(rig, gens, _prin=forced) == \
-            frames.pfilter_generated(rig, gens, _prin=prin)
+        assert frames.pfilter_generated(twin, gens).members == \
+            frames.pfilter_generated(rig, gens).members
         try:
-            expect = frames.finite_subcover(rig, list(gens), _prin=prin)
+            expect = frames.finite_subcover(rig, list(gens))
         except NotACover:
             expect = NotACover
         try:
-            got = frames.finite_subcover(rig, list(gens), _prin=forced)
+            got = frames.finite_subcover(twin, list(gens))
         except NotACover:
             got = NotACover
         assert got == expect, gens
@@ -627,15 +650,19 @@ def test_uncertified_table_matches_fallback(rig):
 
 @pytest.mark.parametrize("rig", TABLE_RIGS)
 def test_principal_table_verifies_each_distinct_row_once(rig, monkeypatch):
+    # a shallow copy starts with no table, so its one build is counted; the
+    # second call reads the kept table
+    rig = copy.copy(rig)
     verified = []
     original = frames.is_pfilter
 
-    def counted(r, members, **kwargs):
+    def counted(r, members):
         verified.append(frozenset(members))
-        return original(r, members, **kwargs)
+        return original(r, members)
 
     monkeypatch.setattr(frames, "is_pfilter", counted)
     prin = frames.principal_table(rig)
+    assert frames.principal_table(rig) is prin
     assert verified == list(prin.pfilters)
 
 
@@ -644,10 +671,14 @@ def test_principal_table_rejects_a_row_that_is_no_pfilter(square, monkeypatch):
     # {0, 1, 2} instead, which is not upward closed
     original = frames._closure
 
-    def corrupted(rig, mask, tops):
-        out = original(rig, mask, tops)
+    def corrupted(rig, mask):
+        out = original(rig, mask)
         return np.array([True, True, True, False]) if mask.tolist() == [1, 0, 0, 0] else out
 
+    # on a copy, which has no table kept yet; a failed build keeps nothing
+    square = copy.copy(square)
     monkeypatch.setattr(frames, "_closure", corrupted)
-    with pytest.raises(MvwError, match=r"^F_0 fails a P-filter clause: \('upward', \(0, 3\)\)$"):
-        frames.principal_table(square)
+    for _ in range(2):
+        with pytest.raises(MvwError,
+                           match=r"^F_0 fails a P-filter clause: \('upward', \(0, 3\)\)$"):
+            frames.principal_table(square)

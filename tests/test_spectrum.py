@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mvwrig import builders, ideals, spectrum
-from mvwrig.errors import GateNotMet, MvwError, NotCommutative
+from mvwrig.errors import GateNotMet, MvwError, NotCommutative, SizeBound
 
 from conftest import LADDER, ZOO
 
@@ -80,7 +80,8 @@ def test_spec_map_projection(ssq):
     z1 = ZOO["Z1"]
     square = ZOO["Z1xZ1"]
     f = ideals.Homomorphism(square, z1, (0, 0, 1, 1))
-    phi = spectrum.spec_map(f, spec_a=ssq)
+    phi = spectrum.spec_map(f)
+    assert phi.target is ssq
     # the single point of Spec(Z1) pulls back to the kernel {(0,0),(0,1)}
     assert len(phi.mapping) == 1
     assert sorted(ssq.points[phi.mapping[0]]) == [0, 1]
@@ -89,7 +90,8 @@ def test_spec_map_projection(ssq):
 def test_spec_map_identity(sz3):
     z3 = ZOO["Z3"]
     f = ideals.Homomorphism(z3, z3, tuple(range(4)))
-    phi = spectrum.spec_map(f, spec_a=sz3, spec_b=sz3)
+    phi = spectrum.spec_map(f)
+    assert phi.source is phi.target is sz3
     assert phi.mapping == (0,)
 
 
@@ -97,7 +99,8 @@ def test_spec_map_subalgebra_inclusion(sz3):
     z3 = ZOO["Z3"]
     sub, embedding = builders.subalgebra_closure(z3, {3})
     f = ideals.Homomorphism(sub, z3, embedding)
-    phi = spectrum.spec_map(f, spec_a=spectrum.spec(sub), spec_b=sz3)
+    phi = spectrum.spec_map(f)
+    assert phi.source is sz3
     assert phi.mapping == (0,)
 
 
@@ -174,20 +177,36 @@ def test_opens_are_the_basic_opens(rig):
     assert set(space.opens) == union_closure(space.base.values())
 
 
-def test_spec_gates_run_before_the_given_primes():
+def test_spec_gates_run_before_the_size_bound(monkeypatch):
+    # the gates come first and the enumeration bound next, on every call,
+    # so a space kept on the structure is refused past a lowered bound
+    rig = builders.build_zn(3)
+    space = spectrum.spec(rig)
+    monkeypatch.setenv("MVW_SIZE_BOUND", "3")
     with pytest.raises(NotCommutative, match=r"^M2\(Z1\) is not commutative$"):
-        spectrum.spec(ZOO["M2(Z1)"], _primes=[])
+        spectrum.spec(ZOO["M2(Z1)"])
     with pytest.raises(GateNotMet, match="^spectrum needs a product$"):
-        spectrum.spec(ZOO["L3"], _primes=[])
+        spectrum.spec(ZOO["L3"])
+    for read in (spectrum.spec, ideals.classified_ideals, ideals.enumerate_ideals):
+        with pytest.raises(SizeBound, match="^carrier of 4 exceeds enumeration bound 3$"):
+            read(rig)
+    monkeypatch.delenv("MVW_SIZE_BOUND")
+    assert spectrum.spec(rig) is space
 
 
 @pytest.mark.parametrize("rig", [
     pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
 ] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
 def test_spec_reads_the_given_primes(rig):
-    given, own = spectrum.spec(rig, _primes=ideals.prime_ideals(rig)), spectrum.spec(rig)
-    for field in ("points", "base", "opens", "unit_gated", "warnings"):
-        assert getattr(given, field) == getattr(own, field), field
+    # the points are the proper primes ideals.prime_ideals gives; the space
+    # is built once per structure and cannot be changed by a reader
+    space = spectrum.spec(rig)
+    assert space.points == spectrum._canon_sets([p.members for p in ideals.prime_ideals(rig)])
+    assert spectrum.spec(rig) is space
+    assert space.warnings == ((f"{rig.name} has no unitary element; unit-gated theorems "
+                               f"are skipped",) if rig.unit is None else ())
+    with pytest.raises(TypeError):
+        space.base[0] = frozenset()
 
 
 # -- the intersection law against its scalar loop --------------------------------
@@ -208,10 +227,12 @@ def reference_intersection_law(rig, base):
     if r.mul_table is not None and r.commutative and spectrum.spec(r).points
 ] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
 def test_intersection_law_matches_scalar_loop(rig, block, monkeypatch):
-    # a block of one cell gathers one row at a time
+    # a block of one cell gathers one row at a time; each shallow copy keeps
+    # no spectrum, and is given the primes of the structure it copies
     monkeypatch.setattr(spectrum, "_LAW_BLOCK", block)
     primes = ideals.prime_ideals(rig)
     base = spectrum.spec(rig).base
+    monkeypatch.setattr(ideals, "prime_ideals", lambda r: primes)
     rng = random.Random(rig.size)
     caught = 0
     for _ in range(20):
@@ -222,7 +243,7 @@ def test_intersection_law_matches_scalar_loop(rig, block, monkeypatch):
         fake.add_table = add
         expect = reference_intersection_law(fake, base)
         try:
-            spectrum.spec(fake, _primes=primes)
+            spectrum.spec(fake)
             got = None
         except MvwError as exc:
             got = str(exc)

@@ -1,7 +1,9 @@
+import collections
+import copy
 import dataclasses
 import itertools
 import random
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,63 +85,78 @@ def test_radical_prime_intersection_catches_a_wrong_radical(zoo, monkeypatch):
         "radical mismatch on T3: definition gives [0], prime intersection gives [0, 1, 2]")
 
 
-def test_run_all_shares_one_context(zoo, monkeypatch):
+class _CountingMemo(dict):
+    """A structure's memo that counts the objects it keeps, by build name
+    and arguments: a second build of one object counts 2."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = collections.Counter()
+
+    def __setitem__(self, key, value):
+        build, *args = key
+        self.builds[(build.__name__, *args)] += 1
+        super().__setitem__(key, value)
+
+
+def _count_builds(rig):
+    """Swap a structure's memo for a counting one that holds the same
+    objects; returns its build counter."""
+    memo = _CountingMemo()
+    dict.update(memo, rig._memo)
+    rig._memo = memo
+    return memo.builds
+
+
+def _immutable(value):
+    """Whether nothing reachable from a kept object can be changed in place
+    (a structure counts as immutable; its kept objects are checked on their
+    own)."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple | frozenset):
+        return all(_immutable(v) for v in value)
+    if isinstance(value, MappingProxyType):
+        return all(_immutable(v) for v in value.values())
+    if dataclasses.is_dataclass(value):
+        return value.__dataclass_params__.frozen and all(
+            _immutable(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value is None or isinstance(value, int | str | core.FiniteMvwRig)
+
+
+def test_run_all_builds_the_spectrum_and_frame_once(zoo):
     # the spectrum and the frame are computed once per structure, not once
-    # per suite
-    calls = []
-    for module, name in ((spectrum, "spec"), (frames, "frame")):
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+    # per suite or per check
     for key in ("Z3", "Z1xZ1", "G110"):
-        calls.clear()
-        results = suites.run_all(zoo[key])
-        assert calls.count("spec") == calls.count("frame") == 1, key
+        rig = copy.copy(zoo[key])
+        builds = _count_builds(rig)
+        results = suites.run_all(rig)
+        assert builds[("_spec",)] == builds[("_frame",)] == 1, key
         assert not [r.line() for r in results if r.status == "FAIL"]
 
 
-def test_run_all_builds_one_ideal_mask_list(monkeypatch):
-    # the context's mask list serves generation, products, classification,
-    # the prime and maximal lists and the correspondence
+def test_run_all_builds_one_ideal_mask_list():
+    # one list serves generation, products, classification, the prime and
+    # maximal lists and the correspondence, and one list of MV-ideals the
+    # Chang embedding
     rig = LADDER["G3xG2"]()
-    calls = []
-    original = ideals._ideal_masks
-
-    def counted(r, *args, **kwargs):
-        calls.append(r is rig)
-        return original(r, *args, **kwargs)
-
-    monkeypatch.setattr(ideals, "_ideal_masks", counted)
+    builds = _count_builds(rig)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    # one list for the context, whose primes the spectrum reads, and one for
-    # the Chang embedding's MV-ideals
-    assert sum(calls) <= 2
+    assert {k: c for k, c in builds.items() if k[0] == "_ideal_masks"} == \
+        {("_ideal_masks",): 1, ("_ideal_masks", False): 1}
 
 
-def test_run_all_builds_each_quotient_once(monkeypatch):
+def test_run_all_builds_each_quotient_once():
     # the quotient-axioms, first-iso (inside first_iso too),
     # hom-kernel-order, ideal-correspondence and nilradical-ideal checks
     # share one quotient per listed ideal
     rig = LADDER["G3xG2"]()
-    built = []
-    quotient = ideals.quotient
-
-    def counted_quotient(r, ideal):
-        if r is rig:
-            built.append(ideal.members)
-        return quotient(r, ideal)
-
-    monkeypatch.setattr(ideals, "quotient", counted_quotient)
+    builds = _count_builds(rig)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    assert sorted(built, key=sorted) == sorted({i.members for i in ideals.enumerate_ideals(rig)},
-                                               key=sorted)
-    assert len(built) == len(set(built))
+    built = {k[1].members: c for k, c in builds.items() if k[0] == "quotient"}
+    assert built == {i.members: 1 for i in ideals.enumerate_ideals(rig)}
 
 
 def test_run_all_builds_the_principal_table_once(monkeypatch):
@@ -147,48 +164,60 @@ def test_run_all_builds_the_principal_table_once(monkeypatch):
     # per subset; on a commutative product each is a read of the one table,
     # so the n closures of its rows are the only closures of the run
     rig = builders.direct_product([builders.build_zn(1)] * 3)
-    tables, closures, questions = [], [], []
-    table, closure, finite_subcover = \
-        frames.principal_table, frames._closure, frames.finite_subcover
-
-    def counted_table(r):
-        tables.append(r)
-        return table(r)
+    builds = _count_builds(rig)
+    closures, questions = [], []
+    closure, finite_subcover = frames._closure, frames.finite_subcover
 
     def counted_closure(*args):
         closures.append(args)
         return closure(*args)
 
-    def counted_subcover(r, generators, **kwargs):
+    def counted_subcover(r, generators):
         questions.append(list(generators))
-        return finite_subcover(r, generators, **kwargs)
+        return finite_subcover(r, generators)
 
-    monkeypatch.setattr(frames, "principal_table", counted_table)
     monkeypatch.setattr(frames, "_closure", counted_closure)
     monkeypatch.setattr(frames, "finite_subcover", counted_subcover)
     results = {r.name: r.status for r in suites.run_all(rig)}
     assert results["frame-covers"] == results["compactness"] == "PASS"
     assert results["pfilter-generated-least"] == "PASS"
     assert len(questions) > 100
-    assert tables == [rig]
+    assert builds[("principal_table",)] == 1
     assert len(closures) == rig.size
 
 
-def test_run_all_computes_the_dotted_sum_vector_twice(monkeypatch):
-    # once for the context and once inside frames.frame, whatever the number
-    # of subsets the locale and compactness checks scan
+def test_run_all_computes_the_dotted_sum_vector_once():
+    # whatever the number of subsets the locale and compactness checks scan
     rig = builders.direct_product([builders.build_zn(1)] * 3)
-    calls = []
-    original = frames._dotsum_tops
-
-    def counted(r):
-        calls.append(r)
-        return original(r)
-
-    monkeypatch.setattr(frames, "_dotsum_tops", counted)
+    builds = _count_builds(rig)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    assert len(calls) <= 2
+    assert builds[("_dotsum_tops",)] == 1
+
+
+def test_run_all_and_the_commands_build_each_object_once():
+    # mvw check, every suite, then what mvw ideals, spec and filters read:
+    # every object is built once, and a shallow copy keeps none of them
+    rig = builders.direct_product([builders.build_zn(1)] * 3, check=False)
+    assert not rig._memo
+    builds = _count_builds(rig)
+    assert core.check_all(rig).passed
+    results = suites.run_all(rig)
+    assert not [r.line() for r in results if r.status == "FAIL"]
+    kept = (ideals.classified_ideals(rig), spectrum.spec(rig), frames.frame(rig),
+            frames.principal_table(rig))
+    assert set(builds.values()) == {1}
+    assert all(_immutable(value) for value in rig._memo.values())
+    assert {k[0] for k in builds} == {
+        "chain_decomposition", "_rows", "_ideal_masks", "_classified", "quotient", "_spec",
+        "_dotsum_tops", "principal_table", "_frame"}
+    twin = copy.copy(rig)
+    assert not twin._memo
+    again = (ideals.classified_ideals(twin), spectrum.spec(twin), frames.frame(twin),
+             frames.principal_table(twin))
+    for old, new in zip(kept, again):
+        assert new is not old
+    assert set(builds.values()) == {1}
 
 
 def test_run_all_reads_principal_filters_off_the_frame(monkeypatch):
@@ -226,9 +255,8 @@ def test_quotient_axioms_catches_a_corrupted_table(zoo, monkeypatch):
             return q
         mul = q.rig.mul_table.copy()
         mul[1, 1] = q.rig.u
-        q.rig = core.derive(q.rig.neg_table, q.rig.add_table, mul,
-                            names=q.rig.carrier.names, name=q.rig.name)
-        return q
+        return dataclasses.replace(q, rig=core.derive(
+            q.rig.neg_table, q.rig.add_table, mul, names=q.rig.carrier.names, name=q.rig.name))
 
     _patch_quotient(monkeypatch, corrupt)
     result = _ideal_results(zoo["Z3"])["quotient-axioms"]
@@ -258,8 +286,8 @@ def test_quotient_axioms_catches_a_wrong_projection(zoo, monkeypatch, key, proje
 def test_first_iso_catches_a_broken_induced_map(zoo, monkeypatch):
     original = ideals.first_iso
 
-    def broken(f, **kwargs):
-        fi = original(f, **kwargs)
+    def broken(f):
+        fi = original(f)
         if fi.iso.source.size != 4:
             return fi
         return dataclasses.replace(fi, iso=dataclasses.replace(fi.iso, mapping=(0, 2, 1, 3)))
@@ -354,16 +382,13 @@ def test_frame_distributivity_matches_family_scan(zoo):
         assert reference_frame_distributivity(ctx) is None
 
 
-def test_frame_distributivity_catches_a_corrupted_meet(zoo):
-    ctx = suites._Ctx(zoo["Z1xZ1"])
-    fr = ctx.frame
-    meet = fr.meet_table.copy()
-    meet[fr.top, fr.top] = fr.bottom
-    ctx.frame = dataclasses.replace(fr, meet_table=meet)
-    result = {r.name: r for r in suites.run_suite(ctx.rig, "locale", _ctx=ctx)}
-    assert (result["frame-distributivity"].status, result["frame-distributivity"].detail) == (
+def test_frame_distributivity_catches_a_corrupted_meet(zoo, monkeypatch):
+    rig = zoo["Z1xZ1"]
+    fr = frames.frame(rig)
+    _corrupted(monkeypatch, rig, "meet_table", (fr.top, fr.top), fr.bottom)
+    assert _locale_result(rig, "frame-distributivity") == (
         "FAIL", "fails for filter 3 against family (1, 2)")
-    assert reference_frame_distributivity(ctx) is not None
+    assert reference_frame_distributivity(suites._Ctx(rig)) is not None
 
 
 @pytest.mark.parametrize("make", [
@@ -452,43 +477,46 @@ def test_principal_laws_match_closure_bodies(rig):
         assert _outcome(check, ctx) == _outcome(reference, ctx), check.__name__
 
 
-def _corrupted(rig, field, cell, value):
-    """A context whose frame is a copy with one cell of its join table, meet
-    table or masks changed; the real frame is left as it was."""
-    ctx = suites._Ctx(rig)
-    table = getattr(ctx.frame, field).copy()
+def _corrupted(monkeypatch, rig, field, cell, value):
+    """Make frames.frame return, for the structure, a copy of its frame with
+    one cell of its join table, meet table or masks changed; the frame kept
+    on the structure is left as it was."""
+    fr = frames.frame(rig)
+    table = getattr(fr, field).copy()
     table[cell] = value
-    ctx.frame = dataclasses.replace(ctx.frame)
-    setattr(ctx.frame, field, table)
-    return ctx
+    bad = dataclasses.replace(fr, **{field: table})
+    original = frames.frame
+    monkeypatch.setattr(frames, "frame", lambda r, bound=frames.DEFAULT_FRAME_BOUND:
+                        bad if r is rig else original(r, bound))
+    return bad
 
 
-def _locale_result(ctx, name):
-    result = {r.name: r for r in suites.run_suite(ctx.rig, "locale", _ctx=ctx)}[name]
+def _locale_result(rig, name):
+    result = {r.name: r for r in suites.run_suite(rig, "locale")}[name]
     return result.status, result.detail
 
 
-def test_principal_join_law_catches_a_corrupted_join(zoo):
+def test_principal_join_law_catches_a_corrupted_join(zoo, monkeypatch):
     # in Z1xZ1, F_1 v F_2 is the whole carrier (filter 3); call it F_2
     rig = zoo["Z1xZ1"]
-    ctx = _corrupted(rig, "join_table", (1, 2), 2)
-    assert _locale_result(ctx, "principal-join-law") == ("FAIL", "fails at (1, 2)")
-    tm = frames.theta(rig, space=spectrum.spec(rig), fr=ctx.frame, verify=False)
+    bad = _corrupted(monkeypatch, rig, "join_table", (1, 2), 2)
+    assert _locale_result(rig, "principal-join-law") == ("FAIL", "fails at (1, 2)")
+    tm = frames.theta(rig, fr=bad, verify=False)
     with pytest.raises(MvwError, match=r"^F_1 v F_2 is not F_ab at \(1, 2\)$"):
-        frames._verify_theta(rig, tm, ctx.frame.principal_index())
+        frames._verify_theta(rig, tm, bad.principal_index())
 
 
-def test_principal_meet_law_catches_a_corrupted_meet(zoo):
+def test_principal_meet_law_catches_a_corrupted_meet(zoo, monkeypatch):
     # in Z1xZ1, F_1 ^ F_2 is F_3 = {3} (filter 0); call it the whole carrier
-    ctx = _corrupted(zoo["Z1xZ1"], "meet_table", (1, 2), 3)
-    assert _locale_result(ctx, "principal-meet-law") == ("FAIL", "fails at (1, 2)")
+    _corrupted(monkeypatch, zoo["Z1xZ1"], "meet_table", (1, 2), 3)
+    assert _locale_result(zoo["Z1xZ1"], "principal-meet-law") == ("FAIL", "fails at (1, 2)")
 
 
-def test_pfilter_decomposition_catches_a_corrupted_mask(zoo):
+def test_pfilter_decomposition_catches_a_corrupted_mask(zoo, monkeypatch):
     # drop the top 3 from the whole carrier's row: F_1 = {1, 3} still holds
     # it, so the union of the principal parts of the row's members does too
-    ctx = _corrupted(zoo["Z1xZ1"], "masks", (3, 3), False)
-    assert _locale_result(ctx, "pfilter-decomposition") == (
+    _corrupted(monkeypatch, zoo["Z1xZ1"], "masks", (3, 3), False)
+    assert _locale_result(zoo["Z1xZ1"], "pfilter-decomposition") == (
         "FAIL", "[0, 1, 2, 3] is not the union of its principal parts")
 
 
