@@ -189,7 +189,7 @@ def _cmd_filters(args) -> int:
             print(f"  F_{rig.element_name(elems[0])} = {pf.display()}")
         return PASS
     if args.frame:
-        fr = frames.frame(rig, bound=args.frame_bound)
+        fr = frames.frame(rig)
         if args.json:
             print(dsl.serialize(fr), end="")
             return PASS
@@ -227,9 +227,9 @@ def _cmd_verify(args) -> int:
             f"unknown suite {args.suite!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
     print(rig.describe())
     if args.suite == "all":
-        results = suites.run_all(rig, frame_bound=args.frame_bound)
+        results = suites.run_all(rig)
     else:
-        results = suites.run_suite(rig, args.suite, frame_bound=args.frame_bound)
+        results = suites.run_suite(rig, args.suite)
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
     for result in results:
         counts[result.status] += 1
@@ -317,9 +317,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # MVW_SIZE_BOUND is validated before any work; when set it caps the
-        # frame as well as the builders
-        env_bound = builders._env_size_bound()
-        args.frame_bound = frames.DEFAULT_FRAME_BOUND if env_bound is None else env_bound
+        # carriers, the enumerations and the frame
+        builders._env_size_bound()
         return args.fn(args)
     except OrderNotAntisymmetric as exc:
         print(f"FAIL: {exc}")

@@ -476,17 +476,28 @@ _PREC = {"+": 1, "-": 1, "*": 2}
 
 
 def _expr_text(node, parent_prec=0, right=False):
+    """Formula text with the parentheses its tree needs.  A chain of
+    operators nests through its left operands, so that spine is walked in a
+    loop; right operands and min/max arguments nest only through
+    parentheses and calls, which ``MAX_NESTING`` caps."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
     if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, MinMax):
-        return f"{node.fn}(" + ", ".join(_expr_text(a) for a in node.args) + ")"
-    prec = _PREC[node.op]
-    left = _expr_text(node.left, prec, right=False)
-    rhs = _expr_text(node.right, prec, right=True)
-    text = f"{left} {node.op} {rhs}"
-    if prec < parent_prec or (right and prec == parent_prec):
+        text = str(node.value)
+    elif isinstance(node, Var):
+        text = node.name
+    else:
+        text = f"{node.fn}(" + ", ".join(_expr_text(a) for a in node.args) + ")"
+    prec = None
+    for op in reversed(spine):
+        outer = _PREC[op.op]
+        if prec is not None and prec < outer:
+            text = f"({text})"
+        text = f"{text} {op.op} {_expr_text(op.right, outer, right=True)}"
+        prec = outer
+    if prec is not None and (prec < parent_prec or (right and prec == parent_prec)):
         return f"({text})"
     return text
 
@@ -561,29 +572,41 @@ def _grid_value(node, env):
     Returns ``(nums, den, bound)``: the value is ``nums / den`` cell by
     cell, with ``den`` a positive int and ``|nums| <= bound``.  ``env``
     maps each variable to such a triple; bounds stay at least 1, so a
-    scale factor never exceeds the bound it multiplies into.
+    scale factor never exceeds the bound it multiplies into.  The left
+    spine of an operator chain is walked in a loop, as in ``_expr_text``.
     """
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
     if isinstance(node, Lit):
         # one-element arrays, not 0-d ones: arithmetic on 0-d object arrays
         # returns bare Python ints, which NumPy would then narrow
         bound = max(abs(node.value.numerator), 1)
-        return _exact([node.value.numerator], bound), node.value.denominator, bound
-    if isinstance(node, Var):
-        return env[node.name]
-    args = node.args if isinstance(node, MinMax) else (node.left, node.right)
-    parts = [_grid_value(a, env) for a in args]
-    if isinstance(node, BinOp) and node.op == "*":
+        value = _exact([node.value.numerator], bound), node.value.denominator, bound
+    elif isinstance(node, Var):
+        value = env[node.name]
+    else:
+        value = _combine(node.fn, [_grid_value(a, env) for a in node.args])
+    for op in reversed(spine):
+        value = _combine(op.op, [value, _grid_value(op.right, env)])
+    return value
+
+
+def _combine(op, parts):
+    """``+``, ``-``, ``*``, ``min`` or ``max`` of exact grid values."""
+    if op == "*":
         (a, da, ba), (b, db, bb) = parts
         bound = ba * bb
         return _exact(a, bound) * _exact(b, bound), da * db, bound
     # + and - add the bounds; min and max keep the larger one
     den = math.lcm(*(d for _, d, _ in parts))
     scaled_bounds = [b * (den // d) for _, d, b in parts]
-    bound = sum(scaled_bounds) if isinstance(node, BinOp) else max(scaled_bounds)
+    bound = sum(scaled_bounds) if op in ("+", "-") else max(scaled_bounds)
     a, b, *rest = (_exact(nums, bound) * (den // d) for nums, d, _ in parts)
-    if isinstance(node, BinOp):
-        return (a + b if node.op == "+" else a - b), den, bound
-    fold = np.minimum if node.fn == "min" else np.maximum
+    if op in ("+", "-"):
+        return (a + b if op == "+" else a - b), den, bound
+    fold = np.minimum if op == "min" else np.maximum
     out = fold(a, b)
     for c in rest:
         out = fold(out, c)
@@ -885,6 +908,11 @@ def _expect_key(doc, key, path):
     return doc[key]
 
 
+def _is_index(v, size) -> bool:
+    """A JSON carrier index: an int, not a boolean, inside the carrier."""
+    return type(v) is int and 0 <= v < size
+
+
 def _int_matrix(data, size, path):
     if not isinstance(data, list) or len(data) != size:
         raise SchemaError(path, f"expected a list of {size} rows")
@@ -892,13 +920,15 @@ def _int_matrix(data, size, path):
         if not isinstance(row, list) or len(row) != size:
             raise SchemaError(f"{path}[{i}]", f"expected {size} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not _is_index(v, size):
                 raise SchemaError(f"{path}[{i}][{j}]", "entry out of range")
     return data
 
 
 def deserialize(text: str) -> FiniteMvwRig:
-    """Rebuild a structure from its canonical JSON document."""
+    """Rebuild a structure from its canonical JSON document.  The carrier
+    cap is checked before any table, and every index must be a JSON
+    integer (booleans are refused)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -913,11 +943,13 @@ def deserialize(text: str) -> FiniteMvwRig:
             not all(isinstance(e, str) for e in elements) or not elements:
         raise SchemaError("$.elements", "expected a nonempty list of strings")
     size = len(elements)
-    if _expect_key(doc, "zero", "$.zero") != 0:
+    builders._check_size("carrier", size)
+    zero = _expect_key(doc, "zero", "$.zero")
+    if type(zero) is not int or zero != 0:
         raise SchemaError("$.zero", "the zero element is pinned to index 0")
     neg = _expect_key(doc, "neg", "$.neg")
     if not isinstance(neg, list) or len(neg) != size or \
-            any(not isinstance(v, int) or not 0 <= v < size for v in neg):
+            not all(_is_index(v, size) for v in neg):
         raise SchemaError("$.neg", f"expected {size} carrier indices")
     add = _int_matrix(_expect_key(doc, "add", "$.add"), size, "$.add")
     mul = _expect_key(doc, "mul", "$.mul")

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, ideals, spectrum
+from . import builders, core, ideals, spectrum
 from .core import FiniteMvwRig
 from .errors import (
     EmptySeed,
@@ -65,13 +65,13 @@ from .errors import (
     SizeBound,
 )
 
-#: Carrier cap for the frame.  Building and verifying the frame costs
-#: polynomial time in the carrier size n and the number k of P-filters
-#: (n principal closures, k x k join and meet tables, pairwise laws, k^3
-#: distributivity).  At the cap, on the 1024-element Z1^10 (k = 1024), the
-#: frame takes about 1.5 s and the whole locale suite about 18 s on 2
-#: vCPUs, of which distributivity takes 4 s and the spectrum theta reads
-#: 9 s; G3xG2xZ1^5 takes 19 s and Z1023 12 s.
+#: Carrier cap for the frame when MVW_SIZE_BOUND is unset.  Building and
+#: verifying the frame costs polynomial time in the carrier size n and the
+#: number k of P-filters (n principal closures, k x k join and meet tables,
+#: pairwise laws, k^3 distributivity).  At the cap, on the 1024-element
+#: Z1^10 (k = 1024), the frame takes about 1.5 s and the whole locale suite
+#: about 18 s on 2 vCPUs, of which distributivity takes 4 s and the
+#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 12 s.
 DEFAULT_FRAME_BOUND = 1024
 
 
@@ -277,12 +277,6 @@ def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
     return _verified_closure(rig, [rig._check(a)])
 
 
-def _within_bound(rig, bound):
-    _require_product(rig)
-    if rig.size > bound:
-        raise SizeBound(f"carrier of {rig.size} exceeds frame bound {bound}")
-
-
 @dataclass(frozen=True)
 class FrameLA:
     rig: FiniteMvwRig
@@ -322,11 +316,16 @@ def _inclusion(masks):
     return m @ (1 - m).T == 0
 
 
-def frame(rig: FiniteMvwRig, bound: int = DEFAULT_FRAME_BOUND) -> FrameLA:
+def frame(rig: FiniteMvwRig) -> FrameLA:
     """The frame of all P-filters with materialized join and meet tables.
-    The carrier cap ``bound`` is checked on every call; the frame is built
-    once per structure."""
-    _within_bound(rig, bound)
+    The carrier cap, MVW_SIZE_BOUND when it is set and DEFAULT_FRAME_BOUND
+    otherwise, is checked on every call; the frame is built once per
+    structure."""
+    _require_product(rig)
+    env = builders._env_size_bound()
+    bound = DEFAULT_FRAME_BOUND if env is None else env
+    if rig.size > bound:
+        raise SizeBound(f"carrier of {rig.size} exceeds frame bound {bound}")
     return _frame(rig)
 
 
@@ -381,26 +380,31 @@ class ThetaMap:
     open_to_filter: tuple    # open index -> frame index
 
 
-def theta(rig: FiniteMvwRig, fr=None, verify=True) -> ThetaMap:
+def theta(rig: FiniteMvwRig) -> ThetaMap:
     """The lattice isomorphism from the open sets of the spectrum to the
     frame of P-filters, sending a basic open V(a) to the principal
     P-filter F_a; the basic opens are all the opens, and unions go to
     joins."""
+    tm = _theta_map(rig)
+    _verify_theta(rig, tm, tm.frame.principal_index())
+    return tm
+
+
+def _theta_map(rig):
+    """The open-to-filter map, not yet verified."""
     if rig.mul_table is None or rig.unit is None:
         raise GateNotMet("the open-to-filter map needs a product and a unit")
     if not rig.commutative:
         raise NotCommutative(f"{rig.name} is not commutative")
+    # past both caps, the frame's is the one reported
+    fr = frame(rig)
     space = spectrum.spec(rig)
-    fr = fr if fr is not None else frame(rig)
     principal_idx = fr.principal_index()
     open_index = {o: i for i, o in enumerate(space.opens)}
     mapping = [0] * len(space.opens)
     for a in rig.elements():
         mapping[open_index[space.base[a]]] = int(principal_idx[a])
-    tm = ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping))
-    if verify:
-        _verify_theta(rig, tm, principal_idx)
-    return tm
+    return ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping))
 
 
 def _first(bad):

@@ -4,21 +4,24 @@ Each check verifies one structural law exhaustively on a given structure
 and is addressable from the command line, giving a law-to-test
 traceability table.  Checks whose hypothesis fails (no product, not
 commutative, no unit, carrier too large for an exponential scan) report
-SKIPPED rather than PASS.  A check that proves its law on pairs or
-triples at every size, such as ``theta-iso`` or ``frame-distributivity``,
-runs its exponential oracle only below the oracle's cap and otherwise
-reports PASS on the pairwise proof alone.  The locale checks read the
-principal filters F_a, their joins and their meets off the shared frame,
-so past the frame cap they report SKIPPED naming that cap.
+SKIPPED rather than PASS; a carrier past an oracle's cap is reported with
+the cap's name and value, as in ``carrier 16 > SUBSET_SIZE_LIMIT (10)``.
+A check that proves its law on pairs or triples at every size, such as
+``theta-iso`` or ``frame-distributivity``, runs its exponential oracle
+only below the oracle's cap and otherwise reports PASS on the pairwise
+proof alone.  The locale checks read the principal filters F_a, their
+joins and their meets off the frame, so past the frame cap that
+``frames.frame`` enforces they report SKIPPED naming that cap.
 
-The checks call the library directly.  Each shared object (the ideal
-masks, the classified ideals, the quotient by each ideal, the spectrum,
-the principal P-filter table and the frame) is built once per structure
-and kept on it by ``core.per_structure``, so the checks of every suite
-read the same one.  Generated P-filters and cover questions are reads of
-the principal table.  The scalar oracles stay element by element and
-independent of the routes they check, but read the tables as plain rows of
-tuples, built once per structure, instead of calling the accessors.
+Each check takes the structure and calls the library directly.  Each
+shared object (the ideal masks, the classified ideals, the quotient by
+each ideal, the spectrum, the principal P-filter table and the frame) is
+built once per structure and kept on it by ``core.per_structure``, so the
+checks of every suite read the same one.  Generated P-filters and cover
+questions are reads of the principal table.  The scalar oracles stay
+element by element and independent of the routes they check, but read the
+tables as plain rows of tuples, built once per structure, instead of
+calling the accessors.
 """
 
 from __future__ import annotations
@@ -52,17 +55,6 @@ class CheckResult:
 
 class _Skip(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    """What every check is given: the structure and the frame cap."""
-    rig: object
-    frame_bound: int = frames.DEFAULT_FRAME_BOUND
-
-    @property
-    def frame(self):
-        return frames.frame(self.rig, self.frame_bound)
 
 
 class _Rows(NamedTuple):
@@ -105,25 +97,32 @@ def _need_unit(rig):
         raise _Skip("no unitary element")
 
 
+def _need_within(rig, cap):
+    """Skip an oracle past its cap, one of the module constants above,
+    naming the cap and its value."""
+    limit = globals()[cap]
+    if rig.size > limit:
+        raise _Skip(f"carrier {rig.size} > {cap} ({limit})")
+
+
 # -- core laws ---------------------------------------------------------------
 
-def _check_mv_axioms(ctx):
-    report = core.scan_mv(ctx.rig)
+def _check_mv_axioms(r):
+    report = core.scan_mv(r)
     if not report.passed:
         bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
         return f"failing: {bad}"
 
 
-def _check_mvw_axioms(ctx):
-    _need_product(ctx.rig)
-    report = core.scan_mvw(ctx.rig)
+def _check_mvw_axioms(r):
+    _need_product(r)
+    report = core.scan_mvw(r)
     if not report.passed:
         bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
         return f"failing: {bad}"
 
 
-def _check_order_lattice(ctx):
-    r = ctx.rig
+def _check_order_lattice(r):
     n = r.size
     leq = r.leq_table
     if not leq.diagonal().all():
@@ -151,8 +150,7 @@ def _check_order_lattice(ctx):
             return f"meet is not the greatest lower bound (against {z})"
 
 
-def _check_residuation(ctx):
-    r = ctx.rig
+def _check_residuation(r):
     add, monus, leq = r.add_table, r.monus_table, r.leq_table
     for x in range(r.size):
         lhs = leq[x][add]               # [y, z] : x <= y + z
@@ -162,8 +160,7 @@ def _check_residuation(ctx):
             return f"fails at ({x}, {y}, {z})"
 
 
-def _check_monus_superadditive(ctx):
-    r = ctx.rig
+def _check_monus_superadditive(r):
     add, monus, leq = r.add_table, r.monus_table, r.leq_table
     for x1 in range(r.size):
         for y1 in range(r.size):
@@ -174,14 +171,12 @@ def _check_monus_superadditive(ctx):
                 return f"fails at x=({x1},{x2}) y=({y1},{y2})"
 
 
-def _check_monus_superadditive_nary(ctx):
+def _check_monus_superadditive_nary(r):
     """The bound sees x and y only through the left-folded triple
     (sum x, sum y, sum of the x_i - y_i), so it is checked, exactly, on the
     set of reachable triples, grown one coordinate at a time as an
     n x n x n cube.  The tuple scan runs only to name a witness."""
-    r = ctx.rig
-    if r.size > NARY_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {NARY_SIZE_LIMIT}")
+    _need_within(r, "NARY_SIZE_LIMIT")
     add, monus, leq = r.add_table, r.monus_table, r.leq_table
     idx = np.arange(r.size)
     holds = leq[monus]                  # [s, t, q] : s - t <= q
@@ -213,8 +208,7 @@ def _nary_scan(r):
             return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
 
 
-def _check_product_monotone(ctx):
-    r = ctx.rig
+def _check_product_monotone(r):
     _need_product(r)
     mul, leq = r.mul_table, r.leq_table
     for c in range(r.size):
@@ -225,8 +219,7 @@ def _check_product_monotone(ctx):
                 return f"fails at a={a} b={b} c={c}"
 
 
-def _check_product_join_bound(ctx):
-    r = ctx.rig
+def _check_product_join_bound(r):
     _need_product(r)
     mul, join, leq = r.mul_table, r.join_table, r.leq_table
     for a in range(r.size):
@@ -238,8 +231,7 @@ def _check_product_join_bound(ctx):
                 return f"fails at ({a}, {b}, {c})"
 
 
-def _check_product_meet_bound(ctx):
-    r = ctx.rig
+def _check_product_meet_bound(r):
     _need_product(r)
     mul, meet, leq = r.mul_table, r.meet_table, r.leq_table
     for a in range(r.size):
@@ -259,8 +251,7 @@ def _powers(rig, upto):
     return out
 
 
-def _check_power_join_bound(ctx):
-    r = ctx.rig
+def _check_power_join_bound(r):
     _need_product(r)
     join, leq = r.join_table, r.leq_table
     for n, p in enumerate(_powers(r, 3), start=1):
@@ -271,8 +262,7 @@ def _check_power_join_bound(ctx):
             return f"fails at n={n} ({a}, {b})"
 
 
-def _check_power_meet_bound(ctx):
-    r = ctx.rig
+def _check_power_meet_bound(r):
     _need_product(r)
     meet, leq = r.meet_table, r.leq_table
     for n, p in enumerate(_powers(r, 3), start=1):
@@ -283,8 +273,7 @@ def _check_power_meet_bound(ctx):
             return f"fails at n={n} ({a}, {b})"
 
 
-def _check_unit_unique(ctx):
-    r = ctx.rig
+def _check_unit_unique(r):
     _need_product(r)
     idx = np.arange(r.size)
     units = [s for s in range(r.size)
@@ -295,8 +284,7 @@ def _check_unit_unique(ctx):
         return "cached unit disagrees with the scan"
 
 
-def _check_derive_idempotent(ctx):
-    r = ctx.rig
+def _check_derive_idempotent(r):
     again = core.derive(r.neg_table, r.add_table, r.mul_table,
                         names=r.carrier.names, name=r.name)
     same = (r.same_tables(again)
@@ -313,15 +301,15 @@ def _check_derive_idempotent(ctx):
 
 # -- ideal laws ----------------------------------------------------------------
 
-def _check_ideals_sound(ctx):
-    found = ideals.enumerate_ideals(ctx.rig)
+def _check_ideals_sound(r):
+    found = ideals.enumerate_ideals(r)
     sets = {i.members for i in found}
     if frozenset({0}) not in sets:
         return "the zero ideal is missing"
-    if frozenset(range(ctx.rig.size)) not in sets:
+    if frozenset(range(r.size)) not in sets:
         return "the whole carrier is missing"
     for i in found:
-        ok, witness = ideals.is_ideal(ctx.rig, i.members)
+        ok, witness = ideals.is_ideal(r, i.members)
         if not ok:
             return f"{i.display()} fails {witness}"
 
@@ -369,10 +357,8 @@ def _generated_fixpoint(rows, seed):
             return members
 
 
-def _check_generated_least(ctx):
-    r = ctx.rig
-    if r.size > SUBSET_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
+def _check_generated_least(r):
+    _need_within(r, "SUBSET_SIZE_LIMIT")
     all_sets = [i.members for i in ideals.enumerate_ideals(r)]
     rows = _rows(r)
     verified = set()    # generated sets already shown to be ideals
@@ -393,8 +379,7 @@ def _check_generated_least(ctx):
                 return f"closure routes disagree on {seed}"
 
 
-def _check_congruence_roundtrip(ctx):
-    r = ctx.rig
+def _check_congruence_roundtrip(r):
     for ideal in ideals.enumerate_ideals(r):
         cong = ideals.congruence_from_ideal(r, ideal)
         back = ideals.ideal_from_congruence(r, cong)
@@ -429,10 +414,8 @@ def _compatible(rows, class_of) -> bool:
     return True
 
 
-def _check_congruence_bijection(ctx):
-    r = ctx.rig
-    if r.size > PARTITION_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {PARTITION_SIZE_LIMIT}")
+def _check_congruence_bijection(r):
+    _need_within(r, "PARTITION_SIZE_LIMIT")
 
     def partitions(universe):
         if not universe:
@@ -463,8 +446,7 @@ def _check_congruence_bijection(ctx):
             return "congruence -> ideal -> congruence is not the identity"
 
 
-def _check_quotient_axioms(ctx):
-    r = ctx.rig
+def _check_quotient_axioms(r):
     for ideal in ideals.enumerate_ideals(r):
         try:
             q = ideals.quotient(r, ideal)
@@ -483,8 +465,7 @@ def _check_quotient_axioms(ctx):
             return f"{ideal.display()}: projection kernel differs from the ideal"
 
 
-def _check_first_iso_natural(ctx):
-    r = ctx.rig
+def _check_first_iso_natural(r):
     for ideal in ideals.enumerate_ideals(r):
         q = ideals.quotient(r, ideal)
         f = ideals.Homomorphism(r, q.rig, q.projection)
@@ -498,8 +479,7 @@ def _check_first_iso_natural(ctx):
             return f"{ideal.display()}: induced map fails a clause: {witness}"
 
 
-def _check_hom_kernel_order(ctx):
-    r = ctx.rig
+def _check_hom_kernel_order(r):
     for ideal in ideals.enumerate_ideals(r):
         q = ideals.quotient(r, ideal)
         f = ideals.Homomorphism(r, q.rig, q.projection)
@@ -511,23 +491,22 @@ def _check_hom_kernel_order(ctx):
             return f"fails at ({x}, {y}) over {ideal.display()}"
 
 
-def _check_ideal_correspondence(ctx):
-    for ideal in ideals.enumerate_ideals(ctx.rig):
+def _check_ideal_correspondence(r):
+    for ideal in ideals.enumerate_ideals(r):
         try:
-            ideals.ideal_correspondence(ctx.rig, ideal)
+            ideals.ideal_correspondence(r, ideal)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
 
 
-def _check_maximal_exists(ctx):
-    if ctx.rig.size == 1:
+def _check_maximal_exists(r):
+    if r.size == 1:
         raise _Skip("trivial structure")
-    if not ideals.maximal_ideals(ctx.rig):
+    if not ideals.maximal_ideals(r):
         return "no maximal proper ideal"
 
 
-def _check_maximal_implies_prime(ctx):
-    r = ctx.rig
+def _check_maximal_implies_prime(r):
     _need_commutative(r)
     _need_unit(r)
     if r.size == 1:
@@ -538,8 +517,7 @@ def _check_maximal_implies_prime(ctx):
             return f"maximal {m.display()} is not prime"
 
 
-def _check_nilpotents_in_primes(ctx):
-    r = ctx.rig
+def _check_nilpotents_in_primes(r):
     _need_product(r)
     nil = {x for x in r.elements() if ideals.is_nilpotent(r, x)}
     for p in ideals.prime_ideals(r):
@@ -547,8 +525,7 @@ def _check_nilpotents_in_primes(ctx):
             return f"nilpotent escapes prime {p.display()}"
 
 
-def _check_nilradical_ideal(ctx):
-    r = ctx.rig
+def _check_nilradical_ideal(r):
     _need_commutative(r)
     q = ideals.quotient(r, ideals.nilradical(r))
     for c in q.rig.elements():
@@ -556,8 +533,7 @@ def _check_nilradical_ideal(ctx):
             return f"quotient keeps nilpotent class {c}"
 
 
-def _check_nilradical_intersection(ctx):
-    r = ctx.rig
+def _check_nilradical_intersection(r):
     _need_commutative(r)
     n = ideals.nilradical(r).members
     inter = set(r.elements())
@@ -567,8 +543,7 @@ def _check_nilradical_intersection(ctx):
         return f"nilradical {sorted(n)} vs prime intersection {sorted(inter)}"
 
 
-def _check_radical_properties(ctx):
-    r = ctx.rig
+def _check_radical_properties(r):
     _need_commutative(r)
     # the intersection and the product of two ideals are ideals, so their
     # radicals are read from this table
@@ -593,8 +568,7 @@ def _check_radical_properties(ctx):
                         f"{i.display()}, {j.display()}")
 
 
-def _check_radical_prime_intersection(ctx):
-    r = ctx.rig
+def _check_radical_prime_intersection(r):
     _need_commutative(r)
     primes = ideals.prime_ideals(r)
     for i in ideals.enumerate_ideals(r):
@@ -608,8 +582,7 @@ def _check_radical_prime_intersection(ctx):
                     f"{sorted(rad)}, prime intersection gives {sorted(inter)}")
 
 
-def _check_prime_to_mvprime(ctx):
-    r = ctx.rig
+def _check_prime_to_mvprime(r):
     _need_product(r)
     if not r.product_below_meet:
         raise _Skip("product is not below the meet")
@@ -618,16 +591,15 @@ def _check_prime_to_mvprime(ctx):
             return f"prime {p.display()} is not MV-prime"
 
 
-def _check_chang(ctx):
-    if ctx.rig.size == 1:
+def _check_chang(r):
+    if r.size == 1:
         raise _Skip("trivial structure")
-    ideals.chang_embedding(ctx.rig)
+    ideals.chang_embedding(r)
 
 
 # -- spectrum laws --------------------------------------------------------------
 
-def _check_base_laws(ctx):
-    r = ctx.rig
+def _check_base_laws(r):
     _need_commutative(r)
     s = spectrum.spec(r)
     for a in r.elements():
@@ -643,8 +615,7 @@ def _check_base_laws(ctx):
                 return f"meet bound fails at ({a}, {b})"
 
 
-def _check_full_iff_nilpotent(ctx):
-    r = ctx.rig
+def _check_full_iff_nilpotent(r):
     _need_commutative(r)
     s = spectrum.spec(r)
     for a in r.elements():
@@ -652,9 +623,9 @@ def _check_full_iff_nilpotent(ctx):
             return f"fails at {a}"
 
 
-def _check_opens_form_topology(ctx):
-    _need_commutative(ctx.rig)
-    s = spectrum.spec(ctx.rig)
+def _check_opens_form_topology(r):
+    _need_commutative(r)
+    s = spectrum.spec(r)
     opens = set(s.opens)
     if frozenset() not in opens or s.all_points not in opens:
         return "missing the empty or full open"
@@ -666,23 +637,23 @@ def _check_opens_form_topology(ctx):
                 return "not closed under intersection"
 
 
-def _check_t0(ctx):
-    _need_commutative(ctx.rig)
-    if not spectrum.is_t0(spectrum.spec(ctx.rig)):
+def _check_t0(r):
+    _need_commutative(r)
+    if not spectrum.is_t0(spectrum.spec(r)):
         return "two points share every open"
 
 
-def _check_point_closure(ctx):
-    _need_commutative(ctx.rig)
-    s = spectrum.spec(ctx.rig)
+def _check_point_closure(r):
+    _need_commutative(r)
+    s = spectrum.spec(r)
     for i in range(len(s.points)):
         if spectrum.point_closure(s, i) != spectrum.specialization_downset(s, i):
             return f"closure of point {i} is not its containment down-set"
 
 
-def _check_set_closure_lower(ctx):
-    _need_commutative(ctx.rig)
-    s = spectrum.spec(ctx.rig)
+def _check_set_closure_lower(r):
+    _need_commutative(r)
+    s = spectrum.spec(r)
     pts = range(len(s.points))
     for k in range(len(s.points) + 1):
         for u in itertools.combinations(pts, k):
@@ -697,8 +668,7 @@ def _check_set_closure_lower(ctx):
                 return f"single-maximum converse fails for {u}"
 
 
-def _check_irreducible_iff_unique_maximal(ctx):
-    r = ctx.rig
+def _check_irreducible_iff_unique_maximal(r):
     _need_commutative(r)
     _need_unit(r)
     s = spectrum.spec(r)
@@ -710,8 +680,7 @@ def _check_irreducible_iff_unique_maximal(ctx):
         return f"irreducible={spectrum.is_irreducible(s)} but {count} maximal ideals"
 
 
-def _check_radical_order(ctx):
-    r = ctx.rig
+def _check_radical_order(r):
     _need_commutative(r)
     s = spectrum.spec(r)
     rads = [ideals.radical(r, ideals.generated_ideal(r, {a})).members
@@ -722,12 +691,10 @@ def _check_radical_order(ctx):
                 return f"radical/open order disagree at ({a}, {b})"
 
 
-def _check_spec_compactness(ctx):
-    r = ctx.rig
+def _check_spec_compactness(r):
     _need_commutative(r)
     _need_unit(r)
-    if r.size > SUBSET_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
+    _need_within(r, "SUBSET_SIZE_LIMIT")
     s = spectrum.spec(r)
     for k in range(r.size + 1):
         for gens in itertools.combinations(range(r.size), k):
@@ -745,27 +712,25 @@ def _check_spec_compactness(ctx):
 
 # -- locale laws ----------------------------------------------------------------
 
-def _check_pfilters_complete(ctx):
-    r = ctx.rig
+def _check_pfilters_complete(r):
     _need_product(r)
-    if r.size > BRUTE_PFILTER_LIMIT:
-        raise _Skip(f"carrier {r.size} > {BRUTE_PFILTER_LIMIT}")
+    _need_within(r, "BRUTE_PFILTER_LIMIT")
     brute = set()
     for k in range(1, r.size + 1):
         for cand in itertools.combinations(range(r.size), k):
             if frames.is_pfilter(r, set(cand))[0]:
                 brute.add(frozenset(cand))
-    if brute != set(ctx.frame.pfilters):
+    if brute != set(frames.frame(r).pfilters):
         return "the enumeration misses or invents a P-filter"
 
 
-def _check_pfilter_decomposition(ctx):
+def _check_pfilter_decomposition(r):
     """Row a of masks[prin] is F_a, so row f of the product masks @
     masks[prin] counts, for each x, the a in filter f with x in F_a; the
     union of those F_a is where the count is positive.  The counts are at
     most n, exact in float32, so the product runs in BLAS."""
-    _need_product(ctx.rig)
-    fr = ctx.frame
+    _need_product(r)
+    fr = frames.frame(r)
     union = fr.masks.astype(np.float32) @ fr.masks[fr.principal_index()] > 0
     bad = (union != fr.masks).any(axis=1)
     if bad.any():
@@ -773,23 +738,21 @@ def _check_pfilter_decomposition(ctx):
         return f"{sorted(f)} is not the union of its principal parts"
 
 
-def _check_principal_meet_law(ctx):
+def _check_principal_meet_law(r):
     """F_a ^ F_b = F_(a v b) on every pair, read off the meet table, whose
     cells ``frames.frame`` checked to be intersections.  The principal
     table verified each distinct F_a as a P-filter, so every intersection
     is one too."""
-    r = ctx.rig
     _need_commutative(r)
-    fr = ctx.frame
+    fr = frames.frame(r)
     pair = frames.principal_law_failure(fr.meet_table, fr.principal_index(), r.join_table)
     if pair is not None:
         return f"fails at {pair}"
 
 
-def _check_principal_join_law(ctx):
-    r = ctx.rig
+def _check_principal_join_law(r):
     _need_commutative(r)
-    fr = ctx.frame
+    fr = frames.frame(r)
     pair = frames.principal_law_failure(fr.join_table, fr.principal_index(), r.mul_table)
     if pair is not None:
         return f"fails at {pair}"
@@ -815,12 +778,10 @@ def _pfilter_by_formula(rig, seed, dotsums):
     return frozenset(x for x in range(rig.size) if any(above[d] for d in dotsums[x]))
 
 
-def _check_pfilter_generated_least(ctx):
-    r = ctx.rig
+def _check_pfilter_generated_least(r):
     _need_product(r)
-    if r.size > SUBSET_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
-    all_filters = list(ctx.frame.pfilters)
+    _need_within(r, "SUBSET_SIZE_LIMIT")
+    all_filters = list(frames.frame(r).pfilters)
     dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
     for k in range(1, r.size + 1):
         for seed in itertools.combinations(range(r.size), k):
@@ -832,14 +793,13 @@ def _check_pfilter_generated_least(ctx):
                 return f"dotted-sum description of <{seed}> differs from the closure"
 
 
-def _check_frame_distributivity(ctx):
+def _check_frame_distributivity(r):
     """f ^ (g v h) = (f ^ g) v (f ^ h) on every triple, one k x k gather per
     f; in a finite lattice that gives distributivity over every finite
     join.  The scan over families of principal filters stays as the oracle
     while there are at most SUBSET_SIZE_LIMIT of them."""
-    r = ctx.rig
     _need_commutative(r)
-    fr = ctx.frame
+    fr = frames.frame(r)
     join, meet = fr.join_table.astype(np.int32), fr.meet_table.astype(np.int32)
     for fi in range(len(fr.pfilters)):
         row = meet[fi]
@@ -864,11 +824,10 @@ def _check_frame_distributivity(ctx):
                     return f"fails for filter {fi} against family {family}"
 
 
-def _check_theta_iso(ctx):
-    r = ctx.rig
+def _check_theta_iso(r):
     _need_commutative(r)
     _need_unit(r)
-    tm = frames.theta(r, fr=ctx.frame, verify=True)
+    tm = frames.theta(r)
     if len(tm.space.opens) != len(tm.frame.pfilters):
         return "open lattice and P-filter frame have different sizes"
     if r.size > SUBSET_SIZE_LIMIT:
@@ -886,12 +845,10 @@ def _check_theta_iso(ctx):
             return f"open map depends on the presentation {rset}"
 
 
-def _check_frame_covers(ctx):
-    r = ctx.rig
+def _check_frame_covers(r):
     _need_product(r)
-    if r.size > SUBSET_SIZE_LIMIT:
-        raise _Skip(f"carrier {r.size} > {SUBSET_SIZE_LIMIT}")
-    fr = ctx.frame
+    _need_within(r, "SUBSET_SIZE_LIMIT")
+    fr = frames.frame(r)
     full = frozenset(r.elements())
     prin = fr.principal_index().tolist()
     for k in range(1, r.size + 1):
@@ -1016,17 +973,16 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND):
+def run_suite(rig, suite: str):
     """Run one named suite; gated checks report SKIPPED with the reason,
     and a check that raises reports FAIL with the error, so the remaining
     checks still run."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    ctx = _Ctx(rig, frame_bound)
     results = []
     for name, _desc, fn in SUITES[suite]:
         try:
-            detail = fn(ctx)
+            detail = fn(rig)
         except _Skip as skip:
             results.append(CheckResult(suite, name, "SKIPPED", str(skip)))
             continue
@@ -1043,13 +999,13 @@ def run_suite(rig, suite: str, frame_bound=frames.DEFAULT_FRAME_BOUND):
     return results
 
 
-def run_all(rig, frame_bound=frames.DEFAULT_FRAME_BOUND):
+def run_all(rig):
     """Every suite in order.  The ideals, the spectrum and the frame are
     kept on the structure, so each is computed once however many checks
     read it."""
     out = []
     for suite in SUITE_NAMES:
-        out.extend(run_suite(rig, suite, frame_bound=frame_bound))
+        out.extend(run_suite(rig, suite))
     return out
 
 

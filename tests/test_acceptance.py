@@ -179,7 +179,7 @@ def test_locale_theory():
               and r.unit is not None and r.size <= 9]
     assert unital
     for rig in unital:
-        tm = frames.theta(rig, verify=True)
+        tm = frames.theta(rig)
         assert len(tm.space.opens) == len(tm.frame.pfilters), rig.name
 
     commutative = [r for r in ZOO.values()

@@ -247,6 +247,38 @@ def test_nesting_cap(capsys, tmp_path, form):
     assert err == f"error: {line}:{column}: error: nesting deeper than 100 levels\n"
 
 
+def _chain_source(add, mul):
+    return (f"algebra A {{\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - x\n"
+            f"  add(x, y) = {add}\n  mul(x, y) = {mul}\n}}\n")
+
+
+_SHORT_SUM, _SHORT_PRODUCT = "min(3, x + y)", "min(3, x * y)"
+
+
+@pytest.mark.parametrize("add, mul", [
+    ("min(3, x + y" + " + 0" * 998 + ")", _SHORT_PRODUCT),
+    ("min(3, x + y" + " + 0" * 4998 + ")", _SHORT_PRODUCT),
+    (_SHORT_SUM, "min(3, x * y" + " * 1" * 998 + ")"),
+], ids=["sum-1000", "sum-5000", "product-1000"])
+def test_long_operator_chains_load(capsys, tmp_path, add, mul):
+    # a chain of operators nests through its left operands, which the
+    # evaluator and the printer walk in a loop, not by recursion
+    path = tmp_path / "long.mvw"
+    path.write_text(_chain_source(_SHORT_SUM, _SHORT_PRODUCT), encoding="utf-8")
+    expect = run(capsys, "check", str(path))
+    assert expect[0] == 0
+    path.write_text(_chain_source(add, mul), encoding="utf-8")
+    assert run(capsys, "check", str(path)) == expect
+    assert run(capsys, "parse", str(path)) == (0, "parsed algebra A (tables)\n", "")
+    code, out, err = run(capsys, "parse", str(path), "--emit-json")
+    assert (code, err) == (0, "")
+    assert dsl.deserialize(out).same_tables(dsl.elaborate_file(_chain_source(
+        _SHORT_SUM, _SHORT_PRODUCT))[0])
+    [source] = dsl.parse(path.read_text(encoding="utf-8"))
+    text = dsl.pretty(source)
+    assert f"add(x, y) = {add}" in text and f"mul(x, y) = {mul}" in text
+
+
 def test_filters_frame_json(capsys):
     code, out, err = run(capsys, "filters", str(algebra_path("z1xz1.mvw")),
                          "--frame", "--json")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from mvwrig.errors import (
     ClosureViolation,
     DslSyntaxError,
     SchemaError,
+    SizeBound,
 )
 
 from conftest import ZOO, algebra_path, golden_path
@@ -242,6 +244,23 @@ def test_deserialize_schema_errors():
         dsl.deserialize('{"name": "A", "elements": ["0", "1"], "zero": 0, '
                         '"neg": [1, 0], "add": [[0, 7], [1, 1]], "mul": null}')
     assert exc.value.path == "$.add[0][1]"
+
+
+def test_deserialize_refuses_booleans_and_oversized_carriers(monkeypatch):
+    doc = json.loads(dsl.serialize(ZOO["Z1"]))
+    for key, value, path in (("zero", False, "$.zero"), ("neg", [True, False], "$.neg"),
+                             ("add", [[0, 1], [True, 1]], "$.add[1][0]"),
+                             ("mul", [[0, 0], [0, True]], "$.mul[1][1]")):
+        with pytest.raises(SchemaError) as exc:
+            dsl.deserialize(json.dumps({**doc, key: value}))
+        assert exc.value.path == path
+    # the cap is checked before any table is read
+    names = [str(i) for i in range(builders.DEFAULT_SIZE_BOUND + 1)]
+    with pytest.raises(SizeBound, match=r"^carrier would have 4097 elements \(bound 4096\)$"):
+        dsl.deserialize(json.dumps({**doc, "elements": names}))
+    monkeypatch.setenv("MVW_SIZE_BOUND", "3")
+    with pytest.raises(SizeBound, match=r"^carrier would have 4 elements \(bound 3\)$"):
+        dsl.deserialize(dsl.serialize(ZOO["Z3"]))
 
 
 def test_serialize_spec_and_frame_documents():

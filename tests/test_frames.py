@@ -284,7 +284,7 @@ def candidates(rig, limit):
                 for c in itertools.combinations(range(rig.size), k)]
     out = {frozenset(c) for k in range(limit + 1)
            for c in itertools.combinations(range(rig.size), k)}
-    for f in frames.frame(rig, bound=rig.size).pfilters:
+    for f in frames.frame(rig).pfilters:
         out.update(f ^ {x} for x in rig.elements())
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
@@ -315,7 +315,7 @@ def test_generated_pfilters_match_scalar_closure(rig):
 def test_frame_matches_upset_scan(rig):
     ref = Scalar(rig)
     filters = ref.all_pfilters()
-    fr = frames.frame(rig, bound=rig.size)
+    fr = frames.frame(rig)
     assert list(fr.pfilters) == filters
     index = {f: i for i, f in enumerate(filters)}
     for i, f in enumerate(filters):
@@ -334,13 +334,32 @@ def test_frame_tables_are_read_only(zoo):
         fr.top = 0
 
 
-def test_frame_cap_is_checked_on_every_call():
-    # the frame is built once; each call checks its own bound first
+def test_frame_cap_is_checked_on_every_call(monkeypatch):
+    # the frame is built once; each call reads the cap and checks it first
     rig = builders.build_zn(3)
     fr = frames.frame(rig)
+    monkeypatch.setattr(frames, "DEFAULT_FRAME_BOUND", 3)
     with pytest.raises(SizeBound, match="^carrier of 4 exceeds frame bound 3$"):
-        frames.frame(rig, bound=3)
-    assert frames.frame(rig, bound=4) is fr
+        frames.frame(rig)
+    monkeypatch.setattr(frames, "DEFAULT_FRAME_BOUND", 4)
+    assert frames.frame(rig) is fr
+
+
+def test_frame_and_theta_honour_mvw_size_bound(monkeypatch):
+    # the one variable caps the frame for library calls too, over the default
+    rig = builders.build_zn(3)
+    fr = frames.frame(rig)
+    monkeypatch.setenv("MVW_SIZE_BOUND", "3")
+    for call in (frames.frame, frames.theta):
+        with pytest.raises(SizeBound, match="^carrier of 4 exceeds frame bound 3$"):
+            call(rig)
+    monkeypatch.setattr(frames, "DEFAULT_FRAME_BOUND", 3)
+    monkeypatch.setenv("MVW_SIZE_BOUND", "4")
+    assert frames.frame(rig) is fr
+    assert frames.theta(rig).frame is fr
+    monkeypatch.setenv("MVW_SIZE_BOUND", "0")
+    with pytest.raises(SizeBound, match="^MVW_SIZE_BOUND=0 is not a positive integer$"):
+        frames.frame(rig)
 
 
 def test_principal_pfilter_does_not_build_the_table(monkeypatch):
@@ -442,7 +461,7 @@ THETA_RIGS = [p for p in REFERENCE_RIGS if _theta_ready(p.values[0])]
 @pytest.mark.parametrize("rig", THETA_RIGS)
 def test_theta_binary_verification_matches_subset_scan(rig):
     space, fr = spectrum.spec(rig), frames.frame(rig)
-    tm = frames.theta(rig, fr=fr, verify=False)
+    tm = frames._theta_map(rig)
     assert tm.space is space
     old_idx = {a: fr.index_of(frames.principal_pfilter(rig, a).members)
                for a in rig.elements()}
@@ -458,7 +477,7 @@ def test_theta_binary_verification_matches_subset_scan(rig):
 def test_theta_corruptions_fail_both_verifications(rig, seed):
     rng = random.Random(seed)
     fr = frames.frame(rig)
-    tm = frames.theta(rig, fr=fr, verify=False)
+    tm = frames._theta_map(rig)
     idx = fr.principal_index().tolist()
     k = len(fr.pfilters)
 
@@ -611,7 +630,7 @@ FRAME_RIGS = [p for p in TABLE_RIGS if p.id != "M2(Z2)"] + [
 @pytest.mark.parametrize("rig", FRAME_RIGS)
 def test_frame_matches_join_closure(rig):
     filters, join, meet = reference_frame(rig)
-    fr = frames.frame(rig, bound=rig.size)
+    fr = frames.frame(rig)
     assert list(fr.pfilters) == filters
     assert fr.masks.tolist() == [[x in f for x in rig.elements()] for f in filters]
     assert fr.join_table.tolist() == join
@@ -628,7 +647,7 @@ def test_uncertified_table_matches_fallback(rig, monkeypatch):
     forced = dataclasses.replace(frames.principal_table(rig), rig=twin, certified=False)
     table = frames.principal_table
     monkeypatch.setattr(frames, "principal_table", lambda r: forced if r is twin else table(r))
-    fr, fallback = frames.frame(rig, bound=rig.size), frames.frame(twin, bound=rig.size)
+    fr, fallback = frames.frame(rig), frames.frame(twin)
     for field in ("pfilters", "bottom", "top"):
         assert getattr(fr, field) == getattr(fallback, field)
     for field in ("masks", "join_table", "meet_table"):
@@ -646,6 +665,27 @@ def test_uncertified_table_matches_fallback(rig, monkeypatch):
         except NotACover:
             got = NotACover
         assert got == expect, gens
+
+
+def test_frame_fallback_closes_a_partial_table_under_join(monkeypatch):
+    # an uncertified table of F_u and the coatoms' rows alone: the join
+    # closure must rebuild all eight P-filters of Z1^3
+    rig = builders.direct_product([builders.build_zn(1)] * 3)
+    full, table = frames.frame(rig), frames.principal_table(rig)
+    coatoms = [a for a in rig.elements() if rig.leq_table[a].sum() == 2]
+    rows = np.array([table.row(a) for a in [rig.u, *coatoms]])
+    twin = copy.copy(rig)
+    partial = dataclasses.replace(table, rig=twin, certified=False, masks=rows,
+                                  pfilters=tuple(frames._members(r) for r in rows))
+    original = frames.principal_table
+    monkeypatch.setattr(frames, "principal_table",
+                        lambda r: partial if r is twin else original(r))
+    fr = frames.frame(twin)
+    assert len(coatoms) == 3 and len(fr.pfilters) == 8
+    for field in ("pfilters", "bottom", "top"):
+        assert getattr(fr, field) == getattr(full, field)
+    for field in ("masks", "join_table", "meet_table"):
+        assert (getattr(fr, field) == getattr(full, field)).all()
 
 
 @pytest.mark.parametrize("rig", TABLE_RIGS)

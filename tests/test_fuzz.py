@@ -1,21 +1,29 @@
-"""Fuzzing of the mvw command line over the definition grammar.
+"""Fuzzing of the mvw command line over the definition grammar, and of
+the canonical JSON reader.
 
 Each example is a definition file drawn from the grammar in ``dsl``, with
 deliberate slips (unbound names, zero denominators, wrong arities and
 stray tokens), and one ``mvw`` command on it.  Whatever the input,
 ``cli.main`` must end with exit code 0, 1 or 2 and let no exception escape.
-Carriers stay small so that the run takes seconds.
+The JSON examples are canonical documents of zoo structures with a few
+values replaced, deleted or appended; ``dsl.deserialize`` must load each
+one or raise an ``MvwError``.  Carriers stay small so that the run takes
+seconds.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvwrig import cli
+from mvwrig import cli, dsl
+from mvwrig.errors import MvwError
+
+from conftest import ZOO
 
 _ATOMS = st.one_of(st.integers(0, 6).map(str),
                    st.sampled_from(["1/2", "2/3", "1/0", "10", "o", "a", "x"]))
@@ -130,3 +138,63 @@ def test_cli_ends_with_an_exit_code(text, command):
                 code = stop.code
     assert code in (0, 1, 2), (code, out.getvalue(), err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.floats(allow_nan=False),
+    st.text(max_size=2), st.lists(st.integers(0, 3), max_size=3),
+    st.builds(dict), st.builds(lambda: [[0]]))
+
+#: One mutation: a position in the document's list of paths, an action and
+#: the value it puts there.
+_MUTATIONS = st.lists(st.tuples(st.integers(0, 10**6),
+                                st.sampled_from(["replace", "delete", "append"]),
+                                _JSON_VALUES), min_size=1, max_size=3)
+
+
+def _paths(doc, path=()):
+    """Every key and index path into a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, mutations):
+    for position, action, value in mutations:
+        paths = list(_paths(doc))[1:]
+        *head, last = paths[position % len(paths)]
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if action == "replace":
+            parent[last] = value
+        elif action == "delete":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.append(value)
+        else:
+            parent["extra"] = value
+    return doc
+
+
+_SMALL = sorted(name for name, rig in ZOO.items() if rig.size <= 6)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(_SMALL), _MUTATIONS)
+@example("Z1", [(6, "replace", True), (7, "replace", False)])   # neg: [true, false]
+@example("Z1", [(4, "replace", False)])                         # zero: false
+def test_deserialize_loads_or_raises(name, mutations):
+    doc = _mutated(json.loads(dsl.serialize(ZOO[name])), mutations)
+    try:
+        rig = dsl.deserialize(json.dumps(doc))
+    except MvwError:
+        return
+    # what loads holds JSON integers wherever an index goes, and round-trips
+    cells = [doc["zero"], *doc["neg"]]
+    for key in ("add", "mul"):
+        cells.extend(v for row in doc[key] or () for v in row)
+    assert all(type(v) is int for v in cells), doc
+    assert dsl.deserialize(dsl.serialize(rig)).same_tables(rig)

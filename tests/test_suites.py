@@ -70,11 +70,24 @@ def test_raising_check_fails_and_the_rest_still_run(zoo, monkeypatch):
     }
 
 
-def test_frame_cap_skips_theta_iso(zoo):
+def test_frame_cap_skips_theta_iso(zoo, monkeypatch):
     # a size cap met inside a check is a SKIPPED naming the cap, not a FAIL
-    results = {r.name: r for r in suites.run_suite(zoo["Z3"], "locale", frame_bound=2)}
+    monkeypatch.setattr(frames, "DEFAULT_FRAME_BOUND", 2)
+    results = {r.name: r for r in suites.run_suite(zoo["Z3"], "locale")}
     assert results["theta-iso"].status == "SKIPPED"
     assert results["theta-iso"].detail == "carrier of 4 exceeds frame bound 2"
+
+
+@pytest.mark.parametrize("n, suite, check, detail", [
+    (6, "core", "monus-superadditive-nary", "carrier 7 > NARY_SIZE_LIMIT (6)"),
+    (8, "ideals", "congruence-bijection", "carrier 9 > PARTITION_SIZE_LIMIT (8)"),
+    (10, "spectrum", "compactness", "carrier 11 > SUBSET_SIZE_LIMIT (10)"),
+    (12, "locale", "pfilters-complete", "carrier 13 > BRUTE_PFILTER_LIMIT (12)"),
+], ids=["NARY_SIZE_LIMIT", "PARTITION_SIZE_LIMIT", "SUBSET_SIZE_LIMIT", "BRUTE_PFILTER_LIMIT"])
+def test_oracle_cap_skips_name_their_cap(n, suite, check, detail):
+    # Zn has n + 1 elements, one past the cap
+    result = {r.name: r for r in suites.run_suite(builders.build_zn(n), suite)}[check]
+    assert (result.status, result.detail) == ("SKIPPED", detail)
 
 
 def test_radical_prime_intersection_catches_a_wrong_radical(zoo, monkeypatch):
@@ -331,8 +344,8 @@ def reference_nary(r):
             return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
 
 
-def reference_frame_distributivity(ctx):
-    fr = ctx.frame
+def reference_frame_distributivity(rig):
+    fr = frames.frame(rig)
     prin_idx = sorted(set(fr.principal_index().tolist()))
     for fi in range(len(fr.pfilters)):
         for k in range(len(prin_idx) + 1):
@@ -351,8 +364,7 @@ NARY_RIGS = [r for r in ZOO.values() if r.size <= suites.NARY_SIZE_LIMIT] + \
 
 def test_nary_check_matches_tuple_scan():
     for rig in NARY_RIGS:
-        ctx = SimpleNamespace(rig=rig)
-        assert suites._check_monus_superadditive_nary(ctx) == reference_nary(rig), rig.name
+        assert suites._check_monus_superadditive_nary(rig) == reference_nary(rig), rig.name
 
 
 def test_nary_check_matches_tuple_scan_on_corrupted_tables():
@@ -367,7 +379,7 @@ def test_nary_check_matches_tuple_scan_on_corrupted_tables():
         table[x, y] = (table[x, y] + rng.randrange(1, n)) % n
         fake = SimpleNamespace(size=n, add_table=add, monus_table=monus,
                                leq_table=rig.leq_table)
-        detail = suites._check_monus_superadditive_nary(SimpleNamespace(rig=fake))
+        detail = suites._check_monus_superadditive_nary(fake)
         assert detail == reference_nary(fake)
         caught += detail is not None
     assert caught
@@ -377,9 +389,8 @@ def test_frame_distributivity_matches_family_scan(zoo):
     for rig in zoo.values():
         if rig.mul_table is None or not rig.commutative:
             continue
-        ctx = suites._Ctx(rig)
-        assert suites._check_frame_distributivity(ctx) is None
-        assert reference_frame_distributivity(ctx) is None
+        assert suites._check_frame_distributivity(rig) is None
+        assert reference_frame_distributivity(rig) is None
 
 
 def test_frame_distributivity_catches_a_corrupted_meet(zoo, monkeypatch):
@@ -388,7 +399,18 @@ def test_frame_distributivity_catches_a_corrupted_meet(zoo, monkeypatch):
     _corrupted(monkeypatch, rig, "meet_table", (fr.top, fr.top), fr.bottom)
     assert _locale_result(rig, "frame-distributivity") == (
         "FAIL", "fails for filter 3 against family (1, 2)")
-    assert reference_frame_distributivity(suites._Ctx(rig)) is not None
+    assert reference_frame_distributivity(rig) is not None
+
+
+def test_frame_distributivity_triples_catch_a_corrupted_meet(monkeypatch):
+    # Z1^4 has 16 principal filters, past SUBSET_SIZE_LIMIT, so the family
+    # scan does not run and the triple scan alone must report the fault
+    rig = LADDER["Z1^4"]()
+    fr = frames.frame(rig)
+    assert len(set(fr.principal_index().tolist())) > suites.SUBSET_SIZE_LIMIT
+    _corrupted(monkeypatch, rig, "meet_table", (fr.top, fr.top), fr.bottom)
+    assert _locale_result(rig, "frame-distributivity") == (
+        "FAIL", "fails for filter 15 against family (1, 14)")
 
 
 @pytest.mark.parametrize("make", [
@@ -417,11 +439,10 @@ def reference_principal_filters(rig):
     return {a: frames.principal_pfilter(rig, a).members for a in rig.elements()}
 
 
-def reference_pfilter_decomposition(ctx):
-    r = ctx.rig
+def reference_pfilter_decomposition(r):
     suites._need_product(r)
     prin = reference_principal_filters(r)
-    for f in ctx.frame.pfilters:
+    for f in frames.frame(r).pfilters:
         union = set()
         for a in f:
             union |= prin[a]
@@ -429,8 +450,7 @@ def reference_pfilter_decomposition(ctx):
             return f"{sorted(f)} is not the union of its principal parts"
 
 
-def reference_principal_meet_law(ctx):
-    r = ctx.rig
+def reference_principal_meet_law(r):
     suites._need_commutative(r)
     prin = reference_principal_filters(r)
     for a in r.elements():
@@ -442,8 +462,7 @@ def reference_principal_meet_law(ctx):
                 return f"intersection at ({a}, {b}) fails {witness}"
 
 
-def reference_principal_join_law(ctx):
-    r = ctx.rig
+def reference_principal_join_law(r):
     suites._need_commutative(r)
     prin = reference_principal_filters(r)
     for a in r.elements():
@@ -460,9 +479,9 @@ PRINCIPAL_LAWS = [
 ]
 
 
-def _outcome(check, ctx):
+def _outcome(check, rig):
     try:
-        return check(ctx)
+        return check(rig)
     except suites._Skip as skip:
         return f"SKIPPED {skip}"
 
@@ -472,9 +491,8 @@ def _outcome(check, ctx):
     pytest.param(lambda: builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")])
 def test_principal_laws_match_closure_bodies(rig):
     rig = rig() if callable(rig) else rig
-    ctx = suites._Ctx(rig)
     for check, reference in PRINCIPAL_LAWS:
-        assert _outcome(check, ctx) == _outcome(reference, ctx), check.__name__
+        assert _outcome(check, rig) == _outcome(reference, rig), check.__name__
 
 
 def _corrupted(monkeypatch, rig, field, cell, value):
@@ -486,8 +504,7 @@ def _corrupted(monkeypatch, rig, field, cell, value):
     table[cell] = value
     bad = dataclasses.replace(fr, **{field: table})
     original = frames.frame
-    monkeypatch.setattr(frames, "frame", lambda r, bound=frames.DEFAULT_FRAME_BOUND:
-                        bad if r is rig else original(r, bound))
+    monkeypatch.setattr(frames, "frame", lambda r: bad if r is rig else original(r))
     return bad
 
 
@@ -501,7 +518,8 @@ def test_principal_join_law_catches_a_corrupted_join(zoo, monkeypatch):
     rig = zoo["Z1xZ1"]
     bad = _corrupted(monkeypatch, rig, "join_table", (1, 2), 2)
     assert _locale_result(rig, "principal-join-law") == ("FAIL", "fails at (1, 2)")
-    tm = frames.theta(rig, fr=bad, verify=False)
+    assert _locale_result(rig, "theta-iso") == ("FAIL", "F_1 v F_2 is not F_ab at (1, 2)")
+    tm = frames._theta_map(rig)
     with pytest.raises(MvwError, match=r"^F_1 v F_2 is not F_ab at \(1, 2\)$"):
         frames._verify_theta(rig, tm, bad.principal_index())
 
