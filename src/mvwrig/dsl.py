@@ -155,9 +155,36 @@ class Var:
 
 @dataclass(frozen=True)
 class BinOp:
+    """One operator of a formula.  Chains nest through left operands, so
+    equality, hashing and the repr walk that spine in a loop."""
     op: str
     left: object
     right: object
+
+    def _flat(self):
+        spine, leaf = _spine(self)
+        return leaf, *((n.op, n.right) for n in spine)
+
+    def __eq__(self, other):
+        return self._flat() == other._flat() if other.__class__ is BinOp else NotImplemented
+
+    def __hash__(self):
+        return hash(self._flat())
+
+    def __repr__(self):
+        spine, leaf = _spine(self)
+        return ("".join(f"BinOp(op={n.op!r}, left=" for n in spine) + repr(leaf)
+                + "".join(f", right={n.right!r})" for n in reversed(spine)))
+
+
+def _spine(node):
+    """The operators down the left operands of a formula, outermost first,
+    and the operand at the foot of that chain."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    return spine, node
 
 
 @dataclass(frozen=True)
@@ -480,10 +507,7 @@ def _expr_text(node, parent_prec=0, right=False):
     operators nests through its left operands, so that spine is walked in a
     loop; right operands and min/max arguments nest only through
     parentheses and calls, which ``MAX_NESTING`` caps."""
-    spine = []
-    while isinstance(node, BinOp):
-        spine.append(node)
-        node = node.left
+    spine, node = _spine(node)
     if isinstance(node, Lit):
         text = str(node.value)
     elif isinstance(node, Var):
@@ -575,10 +599,7 @@ def _grid_value(node, env):
     scale factor never exceeds the bound it multiplies into.  The left
     spine of an operator chain is walked in a loop, as in ``_expr_text``.
     """
-    spine = []
-    while isinstance(node, BinOp):
-        spine.append(node)
-        node = node.left
+    spine, node = _spine(node)
     if isinstance(node, Lit):
         # one-element arrays, not 0-d ones: arithmetic on 0-d object arrays
         # returns bare Python ints, which NumPy would then narrow

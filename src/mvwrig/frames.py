@@ -34,8 +34,11 @@ for its members multiplied in any order:
 
 On a commutative product a lies in F_ba by the second step, so every
 P-filter is principal.  On the noncommutative M2(Z1) and M2(Z2) the
-certificate fails (ab need not be a dotted sum of a), and the frame,
-generated filters and cover questions fall back to closures.
+certificate fails (ab need not be a dotted sum of a), and the frame is the
+closure of the principal filters under binary join.  Either way the frame
+lists every P-filter, smallest first, with intersections for meets, so a
+generated P-filter and a cover question are one read of it: the first
+listed filter holding the seed, as for ideals.
 
 Every law about the frame is checked on pairs or triples.  In a finite
 lattice binary distributivity gives distributivity over every finite
@@ -191,16 +194,6 @@ def _canonical(members):
     return len(members), sorted(members)
 
 
-def _verified_closure(rig, seed) -> PFilter:
-    """The closure of a list of elements, verified against every P-filter
-    clause."""
-    pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, seed))))
-    ok, witness = is_pfilter(rig, pf.members)
-    if not ok:
-        raise MvwError(f"generated set fails a P-filter clause: {witness}")
-    return pf
-
-
 @dataclass(frozen=True)
 class PrincipalTable:
     """The principal P-filters of one structure (module docstring)."""
@@ -209,25 +202,6 @@ class PrincipalTable:
     masks: np.ndarray        # k x n read-only membership rows, in that order
     index: np.ndarray        # element a -> position of F_a in pfilters
     certified: bool          # a lies in F_ab for all a, b
-
-    def row(self, a: int) -> np.ndarray:
-        """The membership row of F_a."""
-        return self.masks[self.index[a]]
-
-    def product(self, seed) -> int:
-        """The product of a nonempty list of elements, left to right."""
-        p = seed[0]
-        for s in seed[1:]:
-            p = self.rig.mul_table[p, s]
-        return int(p)
-
-    def covers(self, seed) -> bool:
-        """Whether the least P-filter holding a list of elements is the
-        carrier: the row of their product when the table is certified or
-        the list has one element, else a closure."""
-        if seed and (self.certified or len(seed) == 1):
-            return bool(self.row(self.product(seed)).all())
-        return bool(_closure(self.rig, ideals._member_mask(self.rig, seed)).all())
 
 
 @core.per_structure
@@ -255,26 +229,24 @@ def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
 
 
 def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
-    """Least P-filter containing the seed.  Works for noncommutative
-    products too.  When the principal table is certified, or the seed is
-    one element, the answer is one of its verified rows; otherwise the seed
-    is closed on masks and the result verified against every P-filter
-    clause."""
+    """Least P-filter containing the seed, read off the frame, whose cap it
+    honours.  Works for noncommutative products too."""
     _require_product(rig)
     seed = sorted({rig._check(a) for a in seed})
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    prin = principal_table(rig)
-    if prin.certified or len(seed) == 1:
-        return PFilter(rig, prin.pfilters[prin.index[prin.product(seed)]])
-    return _verified_closure(rig, seed)
+    return PFilter(rig, _members(ideals._least_containing(frame(rig).masks, seed)))
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
     """The least P-filter containing a single element: one verified
-    closure, without the principal table, for a caller that asks once."""
+    closure, without the table or the frame, for a caller that asks once."""
     _require_product(rig)
-    return _verified_closure(rig, [rig._check(a)])
+    pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, [a]))))
+    ok, witness = is_pfilter(rig, pf.members)
+    if not ok:
+        raise MvwError(f"generated set fails a P-filter clause: {witness}")
+    return pf
 
 
 @dataclass(frozen=True)
@@ -306,14 +278,6 @@ class FrameLA:
 
     def hasse_edges(self):
         return spectrum.covering_edges(list(self.pfilters))
-
-
-def _inclusion(masks):
-    """inside[i, j]: row i of the boolean masks lies inside row j.  The
-    counts of row i's members outside row j are at most n, exact in
-    float32 for any carrier below 2^24, so the product runs in BLAS."""
-    m = masks.astype(np.float32)
-    return m @ (1 - m).T == 0
 
 
 def frame(rig: FiniteMvwRig) -> FrameLA:
@@ -352,7 +316,7 @@ def _frame(rig):
                 todo.extend(_closure(rig, mask | p) for p in prin.masks)
         filters = sorted(found, key=_canonical)
         masks = np.array([ideals._member_mask(rig, s) for s in filters])
-    inside = _inclusion(masks)
+    inside = spectrum._inclusion(masks)
     # below[j, k - 1 - l]: filter l lies inside filter j
     below = np.ascontiguousarray(inside.T[:, ::-1])
     k = len(filters)
@@ -399,12 +363,9 @@ def _theta_map(rig):
     # past both caps, the frame's is the one reported
     fr = frame(rig)
     space = spectrum.spec(rig)
-    principal_idx = fr.principal_index()
-    open_index = {o: i for i, o in enumerate(space.opens)}
-    mapping = [0] * len(space.opens)
-    for a in rig.elements():
-        mapping[open_index[space.base[a]]] = int(principal_idx[a])
-    return ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping))
+    mapping = np.zeros(len(space.opens), dtype=np.int64)
+    mapping[space.open_of] = fr.principal_index()
+    return ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping.tolist()))
 
 
 def _first(bad):
@@ -430,11 +391,8 @@ def _verify_theta(rig, tm, principal_idx):
     space, fr = tm.space, tm.frame
     prin = np.asarray(principal_idx)
     mapping = np.asarray(tm.open_to_filter)
-    mul = rig.mul_table
-    points = np.zeros((rig.size, len(space.points)), dtype=bool)
-    for a in rig.elements():
-        points[a, sorted(space.base[a])] = True
-    bad = ((points[:, None, :] | points[None, :, :]) != points[mul]).any(axis=2)
+    holds, open_of, mul = space.holds, space.open_of, rig.mul_table
+    bad = ((holds[:, None, :] | holds[None, :, :]) != holds[mul]).any(axis=2)
     if bad.any():
         a, b = _first(bad)
         raise MvwError(f"V({a}) u V({b}) is not V(ab) at ({a}, {b})")
@@ -442,29 +400,24 @@ def _verify_theta(rig, tm, principal_idx):
     if pair is not None:
         a, b = pair
         raise MvwError(f"F_{a} v F_{b} is not F_ab at ({a}, {b})")
-    open_index = {o: i for i, o in enumerate(space.opens)}
-    basic = np.array([open_index[space.base[a]] for a in rig.elements()])
-    bad = mapping[basic] != prin
+    bad = mapping[open_of] != prin
     if bad.any():
         a = int(np.flatnonzero(bad)[0])
         raise MvwError(f"open map depends on the presentation ({a},)")
 
     if sorted(set(tm.open_to_filter)) != list(range(len(fr.pfilters))):
         raise MvwError("open map is not a bijection onto the P-filters")
-    bits = [sum(1 << p for p in o) for o in space.opens]
-    index = {b: i for i, b in enumerate(bits)}
-    try:
-        union = np.array([[index[x | y] for y in bits] for x in bits])
-        inter = np.array([[index[x & y] for y in bits] for x in bits])
-    except KeyError:
-        raise MvwError("the opens are not closed under union and intersection") from None
-    pairs = mapping[:, None], mapping[None, :]
-    if (mapping[union] != fr.join_table[pairs]).any():
+    # one element per open: by V(a) u V(b) = V(ab) and V(a) ^ V(b) = V(a + b),
+    # verified above and by ``spectrum.spec``, the union of two opens is the
+    # open of a product of their elements and the intersection that of a sum
+    reps = np.zeros(len(mapping), dtype=np.int64)
+    reps[open_of] = np.arange(rig.size)
+    cells, pairs = np.ix_(reps, reps), (mapping[:, None], mapping[None, :])
+    if (mapping[open_of[mul[cells]]] != fr.join_table[pairs]).any():
         raise MvwError("open map does not preserve joins")
-    if (mapping[inter] != fr.meet_table[pairs]).any():
+    if (mapping[open_of[rig.add_table[cells]]] != fr.meet_table[pairs]).any():
         raise MvwError("open map does not preserve meets")
-    opens_inside = np.array([[x & ~y == 0 for y in bits] for x in bits], dtype=bool)
-    if (opens_inside != _inclusion(fr.masks)[pairs]).any():
+    if (spectrum._inclusion(holds[reps]) != spectrum._inclusion(fr.masks)[pairs]).any():
         raise MvwError("open map does not preserve order")
 
 
@@ -476,16 +429,19 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     subfamily is read off the product.  Raises NotACover when the join is
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
-    so each cover question is one read of the principal table, or one
-    closure when the table is not certified.
+    so each cover question is one read of the frame, whose cap it honours:
+    is the least listed filter holding the family the carrier?
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
-    covers = principal_table(rig).covers
+    fr = frame(rig)
 
-    # the empty join is the principal filter of the top element; if that is
-    # already everything, the empty subfamily is a sound subcover
-    if covers([rig.u]):
+    def covers(seed):
+        return bool(ideals._least_containing(fr.masks, seed).all())
+
+    # the empty join is the frame's bottom, F_u; if that is already
+    # everything, the empty subfamily is a sound subcover
+    if fr.bottom == fr.top:
         return []
     mul = rig.mul_table.tolist()
     parent = {g: (None, g) for g in gens}

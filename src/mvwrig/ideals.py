@@ -157,9 +157,11 @@ def enumerate_mv_ideals(rig: FiniteMvwRig):
     return [_as_ideal(rig, m) for m in _ideal_masks(rig, False)]
 
 
-def _least_containing(rig, seed_mask, masks):
-    """The first, hence least, listed mask holding the seed mask."""
-    return _as_ideal(rig, masks[masks[:, seed_mask].all(axis=1).argmax()])
+def _least_containing(masks, seed):
+    """The first listed mask holding the seed, a boolean mask or a list of
+    elements: the least one, since the masks run smallest first and are
+    closed under intersection."""
+    return masks[masks[:, seed].all(axis=1).argmax()]
 
 
 def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
@@ -169,7 +171,7 @@ def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
     under intersection, so the smallest listed ideal containing the seed
     is the least one.  This holds for noncommutative structures too.
     """
-    return _least_containing(rig, _member_mask(rig, seed), _ideal_masks(rig))
+    return _as_ideal(rig, _least_containing(_ideal_masks(rig), _member_mask(rig, seed)))
 
 
 # -- classification --------------------------------------------------------
@@ -286,7 +288,7 @@ def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
         raise GateNotMet("structure has no product")
     seed = np.zeros(rig.size, dtype=bool)
     seed[rig.mul_table[np.ix_(_member_mask(rig, i.members), _member_mask(rig, j.members))]] = True
-    return _least_containing(rig, seed, _ideal_masks(rig))
+    return _as_ideal(rig, _least_containing(_ideal_masks(rig), seed))
 
 
 # -- congruences ------------------------------------------------------------

@@ -5,7 +5,10 @@ a collects the points containing a.  A prime contains a product exactly
 when it contains a factor, so V(a) u V(b) = V(ab) and the basic opens are
 all the opens.  The space is finite, so the open lattice is materialized
 outright and every topological statement becomes a finite assertion.  The
-space is built once per structure and kept on it (``core.per_structure``).
+space is built once per structure and kept on it (``core.per_structure``),
+together with its boolean points matrix, whose row a is V(a), and the
+index of each element's open; the base laws and the open-to-filter map
+``frames.theta`` are verified by gathers over those two arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ class SpecSpace:
     points: tuple            # frozensets of carrier indices, canonically sorted
     base: MappingProxyType   # element -> frozenset of point indices, read-only
     opens: tuple             # the distinct base sets, canonically sorted
+    holds: np.ndarray        # n x len(points) read-only booleans: row a is V(a)
+    open_of: np.ndarray      # element a -> index of V(a) in opens, read-only
     unit_gated: bool = False # no unit: unit-dependent theorems are skipped
     warnings: tuple = ()
 
@@ -61,13 +66,20 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
 @core.per_structure
 def _spec(rig):
     points = _canon_sets([p.members for p in ideals.prime_ideals(rig)])
-    base = {a: frozenset(i for i, p in enumerate(points) if a in p)
-            for a in rig.elements()}
+    holds = np.zeros((rig.size, len(points)), dtype=bool)
+    for i, p in enumerate(points):
+        holds[sorted(p), i] = True
+    base = {a: frozenset(np.flatnonzero(row).tolist()) for a, row in enumerate(holds)}
+    opens = _canon_sets(set(base.values()))
+    position = {o: i for i, o in enumerate(opens)}
+    open_of = np.array([position[base[a]] for a in rig.elements()])
+    for table in (holds, open_of):
+        table.flags.writeable = False
     warnings = ()
     if rig.unit is None:
         warnings = (f"{rig.name} has no unitary element; unit-gated theorems are skipped",)
-    space = SpecSpace(rig=rig, points=points, base=MappingProxyType(base),
-                      opens=_canon_sets(set(base.values())), unit_gated=rig.unit is None,
+    space = SpecSpace(rig=rig, points=points, base=MappingProxyType(base), opens=opens,
+                      holds=holds, open_of=open_of, unit_gated=rig.unit is None,
                       warnings=warnings)
 
     all_pts = space.all_points
@@ -75,22 +87,19 @@ def _spec(rig):
         raise MvwError("V(0) is not the whole spectrum")
     if base[rig.u] != frozenset():
         raise MvwError("V(u) is not empty")
-    pair = _intersection_law_failure(rig.add_table, points)
+    pair = _intersection_law_failure(rig.add_table, holds)
     if pair is not None:
         a, b = pair
         raise MvwError(f"V({a}) and V({b}) break the intersection law")
     return space
 
 
-def _intersection_law_failure(add, points):
+def _intersection_law_failure(add, holds):
     """The first pair (a, b) in row-major order with V(a) ^ V(b) != V(a + b),
-    or None.  Row a of the boolean points matrix is V(a); the rows are
-    gathered in blocks of at most ``_LAW_BLOCK`` cells."""
-    n = len(add)
-    holds = np.zeros((n, len(points)), dtype=bool)
-    for i, p in enumerate(points):
-        holds[sorted(p), i] = True
-    step = max(1, _LAW_BLOCK // max(1, n * len(points)))
+    or None.  Row a of the boolean points matrix ``holds`` is V(a); the
+    rows are gathered in blocks of at most ``_LAW_BLOCK`` cells."""
+    n, points = holds.shape
+    step = max(1, _LAW_BLOCK // max(1, n * points))
     for lo in range(0, n, step):
         rows = holds[lo:lo + step]
         bad = ((rows[:, None, :] & holds[None, :, :]) != holds[add[lo:lo + step]]).any(axis=2)
@@ -111,12 +120,10 @@ def v_of_set(space: SpecSpace, members):
 
 
 def is_t0(space: SpecSpace) -> bool:
-    pts = range(len(space.points))
-    for p in pts:
-        for q in pts:
-            if p < q and not any((p in o) != (q in o) for o in space.opens):
-                return False
-    return True
+    """Some open tells every two points apart: no two columns of the points
+    matrix, whose rows are the opens, are equal."""
+    inside = _inclusion(space.holds.T)
+    return int((inside & inside.T).sum()) == len(space.points)
 
 
 def is_irreducible(space: SpecSpace) -> bool:
@@ -211,16 +218,26 @@ def spec_map(f: ideals.Homomorphism) -> SpecMap:
     return phi
 
 
+def _inclusion(masks):
+    """inside[i, j]: row i of the boolean masks lies inside row j.  The
+    counts of row i's members outside row j are at most n, exact in
+    float32 for any carrier below 2^24, so the product runs in BLAS."""
+    m = masks.astype(np.float32)
+    return m @ (1 - m).T == 0
+
+
 def covering_edges(sets):
-    """Transitive reduction of strict containment among a list of sets."""
-    edges = []
+    """Transitive reduction of strict containment among a list of sets: the
+    pairs (i, j), in row-major order, with set i strictly inside set j and
+    no listed set strictly between.  The product of the strict-inclusion
+    matrix with itself counts the sets between, exact in float32."""
+    column = {x: c for c, x in enumerate(set().union(*sets))}
+    rows = np.zeros((len(sets), len(column)), dtype=bool)
     for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            if i != j and s < t:
-                if not any(k != i and k != j and s < sets[k] < t
-                           for k in range(len(sets))):
-                    edges.append((i, j))
-    return edges
+        rows[i, [column[x] for x in s]] = True
+    inside = _inclusion(rows)
+    strict = (inside & ~inside.T).astype(np.float32)
+    return [(int(i), int(j)) for i, j in np.argwhere((strict > 0) & (strict @ strict == 0))]
 
 
 def export_dot(space: SpecSpace) -> str:

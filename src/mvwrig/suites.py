@@ -695,7 +695,7 @@ def _check_spec_compactness(r):
     _need_commutative(r)
     _need_unit(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
-    s = spectrum.spec(r)
+    s, fr = spectrum.spec(r), frames.frame(r)
     for k in range(r.size + 1):
         for gens in itertools.combinations(range(r.size), k):
             union = frozenset().union(*(s.base[a] for a in gens)) if gens else frozenset()
@@ -706,7 +706,7 @@ def _check_spec_compactness(r):
             except MvwError as exc:
                 return f"cover {gens}: {exc}"
             covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
-            if covered != s.all_points and not frames.principal_table(r).row(r.u).all():
+            if covered != s.all_points and not fr.masks[fr.bottom].all():
                 return f"subcover of {gens} misses a point"
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,44 @@ SHIPPED_SOURCES = [
 
 Z3_SRC = ("algebra Z3 { elements: 0..3  zero: 0  neg(x) = 3 - x  "
           "add(x,y) = min(3, x + y)  mul(x,y) = min(3, x * y) }")
+
+
+def _sum_source(first, summands, last):
+    return ("algebra A {\n  elements: 0..3\n  zero: 0\n  neg(x) = 3 - x\n"
+            f"  add(x, y) = min(3, {first} + y{' + 0' * (summands - 3)} + {last})\n"
+            "  mul(x, y) = min(3, x * y)\n}\n")
+
+
+@pytest.mark.parametrize("summands", [1000, 5000])
+def test_long_chains_compare_hash_and_print_in_a_loop(summands):
+    # equality, hashing and the repr of an operator walk the left operands
+    # of its chain in a loop, so a long sum needs no more recursion than a
+    # short one; the limit is set to Python's default for the test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        [source] = dsl.parse(_sum_source("x", summands, "0"))
+        assert dsl.parse(dsl.pretty(source)) == [source]
+        [again] = dsl.parse(dsl.pretty(source))
+        assert hash(again) == hash(source)
+        assert repr(again) == repr(source)
+        assert repr(source).count("BinOp(") == summands + 1
+        for first, last in (("y", "0"), ("x", "1")):
+            assert dsl.parse(_sum_source(first, summands, last)) != [source], (first, last)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_operator_repr_and_equality_keep_the_dataclass_forms():
+    x, one = dsl.Var("x"), dsl.Lit(Fraction(1))
+    node = dsl.BinOp("-", dsl.BinOp("+", x, one), x)
+    assert repr(node) == ("BinOp(op='-', left=BinOp(op='+', left=Var(name='x'), "
+                          "right=Lit(value=Fraction(1, 1))), right=Var(name='x'))")
+    assert node == dsl.BinOp("-", dsl.BinOp("+", x, one), x)
+    assert hash(node) == hash(dsl.BinOp("-", dsl.BinOp("+", x, one), x))
+    assert node != dsl.BinOp("+", dsl.BinOp("+", x, one), x)
+    assert node != dsl.BinOp("-", dsl.BinOp("+", x, x), x)
+    assert node != dsl.BinOp("-", x, x) and node != x
 
 
 def test_parse_z3_shape():

@@ -362,6 +362,26 @@ def test_frame_and_theta_honour_mvw_size_bound(monkeypatch):
         frames.frame(rig)
 
 
+def test_generated_pfilters_and_covers_honour_the_frame_cap(monkeypatch):
+    # both read the frame, so both meet its cap, the default or the
+    # variable, on every call, before the kept frame is read
+    rig = builders.build_zn(3)
+    frames.frame(rig)
+    calls = (lambda: frames.pfilter_generated(rig, [1]),
+             lambda: frames.finite_subcover(rig, [0]))
+    for name, value in (("DEFAULT_FRAME_BOUND", 3), ("MVW_SIZE_BOUND", "3")):
+        with monkeypatch.context() as patch:
+            if name == "MVW_SIZE_BOUND":
+                patch.setenv(name, value)
+            else:
+                patch.setattr(frames, name, value)
+            for call in calls:
+                with pytest.raises(SizeBound, match="^carrier of 4 exceeds frame bound 3$"):
+                    call()
+    assert frames.pfilter_generated(rig, [1]).sorted_members() == (1, 2, 3)
+    assert frames.finite_subcover(rig, [0]) == [0]
+
+
 def test_principal_pfilter_does_not_build_the_table(monkeypatch):
     # one verified closure answers mvw filters --principal
     rig = builders.build_zn(15)
@@ -378,9 +398,9 @@ def test_principal_pfilter_does_not_build_the_table(monkeypatch):
 #
 # ``_verify_theta`` proves the open-to-filter map well defined from the
 # bottom and pairwise laws, and ``finite_subcover`` answers every cover
-# question with one closure.  These are the earlier bodies: the scan of
-# every element subset as a presentation of an open, and the subcover that
-# asks ``pfilter_generated``.
+# question with one read of the frame.  These are the earlier bodies: the
+# scan of every element subset as a presentation of an open, and the
+# subcover that asks ``pfilter_generated``.
 
 def reference_theta_map(rig, space, fr, principal_idx):
     """Each open goes to the join of the principal filters of every element
@@ -504,6 +524,32 @@ def test_theta_corruptions_fail_both_verifications(rig, seed):
     both_raise(tm, wrong)
 
 
+@pytest.mark.parametrize("rig", [p for p in THETA_RIGS
+                                 if len(frames.frame(p.values[0]).pfilters) > 1])
+def test_theta_fails_on_a_corrupted_points_matrix_or_open_index(rig, monkeypatch):
+    # theta reads the spectrum's kept points matrix and open index; a copy
+    # of the space with any one cell of either changed is refused
+    space = spectrum.spec(rig)
+    copies = []
+    for a in rig.elements():
+        for p in range(len(space.points)):
+            holds = space.holds.copy()
+            holds[a, p] = not holds[a, p]
+            copies.append(dataclasses.replace(space, holds=holds))
+        for o in range(len(space.opens)):
+            if o != space.open_of[a]:
+                open_of = space.open_of.copy()
+                open_of[a] = o
+                copies.append(dataclasses.replace(space, open_of=open_of))
+    original = spectrum.spec
+    for bad in copies:
+        monkeypatch.setattr(spectrum, "spec", lambda r: bad if r is rig else original(r))
+        with pytest.raises(MvwError):
+            frames.theta(rig)
+    monkeypatch.setattr(spectrum, "spec", original)
+    assert frames.theta(rig).space is space
+
+
 def _generator_sets(rig):
     """Every element subset of a carrier of at most SUBSET_SIZE_LIMIT
     elements; on larger ones (M2(Z1), with 2^16 subsets, each costing the
@@ -573,10 +619,10 @@ def test_pfilter_formula_matches_gather_body(rig):
 # -- the principal table against closures ---------------------------------------
 #
 # ``principal_table`` closes each {a} once, verifies each distinct row and
-# certifies that a lies in F_ab for every pair; generated P-filters, cover
-# questions and the frame then read the table.  The references are the
-# closures they replace and the earlier frame, the k x n closure of the
-# principal filters under binary join.
+# certifies that a lies in F_ab for every pair; the frame is listed from
+# the table, and generated P-filters and cover questions read the frame.
+# The references are the closures and the earlier frame, the k x n closure
+# of the principal filters under binary join.
 
 TABLE_RIGS = REFERENCE_RIGS + [
     pytest.param(builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")]
@@ -586,8 +632,18 @@ def _closed(rig, seed):
     return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)))
 
 
+def _covers(rig, seed):
+    try:
+        frames.finite_subcover(rig, list(seed))
+    except NotACover:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("rig", TABLE_RIGS)
 def test_table_route_matches_closure_on_small_seeds(rig):
+    # generated P-filters and cover questions read the frame listed from the
+    # table; each answer equals the closure of the seed
     prin = frames.principal_table(rig)
     # every commutative product is certified; M2(Z1) and M2(Z2) are not
     assert prin.certified == rig.commutative
@@ -595,9 +651,9 @@ def test_table_route_matches_closure_on_small_seeds(rig):
                                 itertools.permutations(rig.elements(), 2)):
         closed = _closed(rig, seed)
         assert frames.pfilter_generated(rig, seed).members == frames._members(closed), seed
-        assert prin.covers(list(seed)) == closed.all(), seed
+        assert _covers(rig, seed) == closed.all(), seed
     for a in rig.elements():
-        assert prin.row(a).tolist() == _closed(rig, [a]).tolist()
+        assert prin.masks[prin.index[a]].tolist() == _closed(rig, [a]).tolist()
         assert prin.pfilters[prin.index[a]] == frames.principal_pfilter(rig, a).members
 
 
@@ -673,7 +729,7 @@ def test_frame_fallback_closes_a_partial_table_under_join(monkeypatch):
     rig = builders.direct_product([builders.build_zn(1)] * 3)
     full, table = frames.frame(rig), frames.principal_table(rig)
     coatoms = [a for a in rig.elements() if rig.leq_table[a].sum() == 2]
-    rows = np.array([table.row(a) for a in [rig.u, *coatoms]])
+    rows = table.masks[table.index[[rig.u, *coatoms]]]
     twin = copy.copy(rig)
     partial = dataclasses.replace(table, rig=twin, certified=False, masks=rows,
                                   pfilters=tuple(frames._members(r) for r in rows))

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from mvwrig import builders, ideals, spectrum
+from mvwrig import builders, frames, ideals, spectrum
 from mvwrig.errors import GateNotMet, MvwError, NotCommutative, SizeBound
 
 from conftest import LADDER, ZOO
@@ -57,6 +59,42 @@ def test_basic_open(ssq):
 def test_t0(sz3, ssq):
     assert spectrum.is_t0(sz3)
     assert spectrum.is_t0(ssq)
+
+
+def reference_is_t0(space):
+    pts = range(len(space.points))
+    return all(any((p in o) != (q in o) for o in space.opens)
+               for p in pts for q in pts if p < q)
+
+
+def _with_point(space, column):
+    """A copy of a space with one more point, given as its column of the
+    points matrix; the opens are the rows of the new matrix."""
+    holds = np.hstack([space.holds, column[:, None]])
+    return dataclasses.replace(
+        space, points=space.points + (frozenset(np.flatnonzero(column).tolist()),),
+        holds=holds, opens=tuple({frozenset(np.flatnonzero(row).tolist()) for row in holds}))
+
+
+@pytest.mark.parametrize("rig", [
+    pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_t0_matches_the_pairwise_scan(rig):
+    # the columns of the points matrix against the earlier scan of every
+    # pair of points over the opens: on each spectrum, on a copy with its
+    # last point listed twice, which no open tells apart, and on a copy
+    # with a point strictly inside the last one, which an open does
+    space = spectrum.spec(rig)
+    assert spectrum.is_t0(space) == reference_is_t0(space) is True
+    if space.points:
+        last = space.holds[:, -1]
+        twin = _with_point(space, last)
+        assert spectrum.is_t0(twin) == reference_is_t0(twin) is False
+        if last.sum() > 1:
+            inner = last.copy()
+            inner[np.flatnonzero(last)[-1]] = False
+            smaller = _with_point(space, inner)
+            assert spectrum.is_t0(smaller) == reference_is_t0(smaller) is True
 
 
 def test_irreducible(sz3, ssq):
@@ -128,6 +166,45 @@ def test_covering_edges_transitive_reduction():
     assert (0, 1) in edges and (1, 2) in edges
     assert (0, 2) not in edges  # transitively implied
     assert (0, 3) in edges
+
+
+# -- covering edges against their triple loop -----------------------------------
+#
+# ``covering_edges`` reads the transitive reduction off one float32 product
+# of the strict-inclusion matrix.  This is the earlier body, a loop over
+# every triple of sets.
+
+def reference_covering_edges(sets):
+    edges = []
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            if i != j and s < t:
+                if not any(k != i and k != j and s < sets[k] < t
+                           for k in range(len(sets))):
+                    edges.append((i, j))
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_covering_edges_match_the_triple_loop_on_random_families(seed):
+    # small universes make duplicates and empty sets common; seed 0 draws
+    # the empty family
+    rng = random.Random(seed)
+    universe = range(rng.randrange(1, 7))
+    sets = [frozenset(x for x in universe if rng.random() < 0.5)
+            for _ in range(seed % 13)]
+    assert spectrum.covering_edges(sets) == reference_covering_edges(sets), sets
+
+
+@pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in ZOO.items()
+                                 if r.mul_table is not None])
+def test_covering_edges_match_the_triple_loop_on_the_zoo(rig):
+    families = [list(frames.frame(rig).pfilters)]
+    if rig.commutative:
+        space = spectrum.spec(rig)
+        families += [list(space.points), list(space.opens)]
+    for sets in families:
+        assert spectrum.covering_edges(sets) == reference_covering_edges(sets)
 
 
 def test_export_dot(sz3, ssq):
