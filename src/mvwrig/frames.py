@@ -37,8 +37,8 @@ P-filter is principal.  On the noncommutative M2(Z1) and M2(Z2) the
 certificate fails (ab need not be a dotted sum of a), and the frame is the
 closure of the principal filters under binary join.  Either way the frame
 lists every P-filter, smallest first, with intersections for meets, so a
-generated P-filter and a cover question are one read of it: the first
-listed filter holding the seed, as for ideals.
+generated P-filter and a cover question are a fold of its join table over
+the principal filters of the seed, as for ideals.
 
 Every law about the frame is checked on pairs or triples.  In a finite
 lattice binary distributivity gives distributivity over every finite
@@ -229,13 +229,15 @@ def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
 
 
 def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
-    """Least P-filter containing the seed, read off the frame, whose cap it
-    honours.  Works for noncommutative products too."""
+    """Least P-filter containing the seed: the join of the F_a for a in the
+    seed, folded over the frame's join table, whose cap it honours.  Works
+    for noncommutative products too."""
     _require_product(rig)
     seed = sorted({rig._check(a) for a in seed})
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
-    return PFilter(rig, _members(ideals._least_containing(frame(rig).masks, seed)))
+    fr = frame(rig)
+    return PFilter(rig, fr.pfilters[fr.join_of(fr.principal_index()[seed])])
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
@@ -267,9 +269,6 @@ class FrameLA:
         for i in indices:
             acc = self.join_table[acc, i]
         return int(acc)
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.pfilters[i] <= self.pfilters[j]
 
     def principal_index(self):
         """The index of F_a for every element a.  F_a lies inside every
@@ -386,8 +385,9 @@ def _verify_theta(rig, tm, principal_idx):
     construction: ``spectrum.spec`` refuses a nonempty V(u), and the
     frame's bottom is F_u, the first P-filter holding u.  By the module
     docstring the pairwise laws then settle every presentation of an open
-    as a union of basic opens; the open-to-filter map must send each V(a)
-    to F_a and be a bijection that preserves joins, meets and the order."""
+    as a union of basic opens; the open labelled ``open_of[a]`` must be
+    V(a), and the open-to-filter map must send it to F_a and be a bijection
+    that preserves joins, meets and the order."""
     space, fr = tm.space, tm.frame
     prin = np.asarray(principal_idx)
     mapping = np.asarray(tm.open_to_filter)
@@ -404,6 +404,12 @@ def _verify_theta(rig, tm, principal_idx):
     if bad.any():
         a = int(np.flatnonzero(bad)[0])
         raise MvwError(f"open map depends on the presentation ({a},)")
+    opens = np.zeros((len(space.opens), holds.shape[1]), dtype=bool)
+    for o, points in enumerate(space.opens):
+        opens[o, list(points)] = True
+    bad = np.flatnonzero((opens[open_of] != holds).any(axis=1))
+    if bad.size:
+        raise MvwError(f"open {open_of[bad[0]]} is not V({bad[0]}) at ({bad[0]},)")
 
     if sorted(set(tm.open_to_filter)) != list(range(len(fr.pfilters))):
         raise MvwError("open map is not a bijection onto the P-filters")
@@ -429,20 +435,17 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     subfamily is read off the product.  Raises NotACover when the join is
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
-    so each cover question is one read of the frame, whose cap it honours:
-    is the least listed filter holding the family the carrier?
+    so each cover question is a fold of the frame's join table, whose cap
+    it honours: is the join of the principal filters the top?
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
     fr = frame(rig)
-
-    def covers(seed):
-        return bool(ideals._least_containing(fr.masks, seed).all())
-
     # the empty join is the frame's bottom, F_u; if that is already
     # everything, the empty subfamily is a sound subcover
     if fr.bottom == fr.top:
         return []
+    prin = fr.principal_index()
     mul = rig.mul_table.tolist()
     parent = {g: (None, g) for g in gens}
     frontier = list(gens)
@@ -460,7 +463,7 @@ def finite_subcover(rig: FiniteMvwRig, generators):
                         found = True
         frontier = fresh
     if 0 not in parent:
-        if not covers(gens):
+        if fr.join_of(prin[gens]) != fr.top:
             raise NotACover("the principal filters of the generators have a proper join")
         # commutative structures always yield a zero product here; without
         # commutativity the witness may be unavailable, and the (finite)
@@ -473,7 +476,7 @@ def finite_subcover(rig: FiniteMvwRig, generators):
         used.add(g)
         node = prev
     sub = [g for g in gens if g in used]
-    if not covers(sub):
+    if fr.join_of(prin[sub]) != fr.top:
         raise MvwError("extracted subfamily does not cover")
     return sub
 

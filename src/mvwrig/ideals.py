@@ -2,17 +2,23 @@
 radicals, congruences, quotients, homomorphisms and the subdirect
 embedding into chains.
 
-All answers are exact and read off the operation tables: ideals are the
-down-sets of idempotents, generation picks the least listed ideal above
-the seed, nilpotency searches are bounded by the carrier size (the power
-sequence of an element cycles within |A| steps), and congruences,
-homomorphisms, quotients and restrictions are whole-table gathers.  The
-library computes each object once per structure (the ideal masks, the
-classified ideals and the quotient by each ideal are kept on the structure
-by ``core.per_structure``) and verifies it once, by its defining clauses
-(an ideal's congruence, a map's homomorphism clauses); theorems about the
-result, such as the axioms of a quotient, are re-checked by the law suites
-in ``suites``, not on every call.
+All answers are exact and read off the operation tables.  Every ideal is
+the down-set of an idempotent e (e + e = e, a Boolean element), which
+splits A as (down e) x (down neg e), so x is congruent to x ^ neg e modulo
+down e (Cignoli, D'Ottaviano and Mundici, Algebraic Foundations of
+Many-valued Reasoning, ch. 1 and 3).  The ideal lattice is read off the
+idempotents of the listed ideals and least[x], the first listed one holding x:
+- down e v down f is least[e + f] and their product ideal least[ef], as the
+  rows and columns of a product are monotone: two k x k gathers, and a
+  generated ideal is a fold of the join table from the zero ideal;
+- down e is prime iff no a, b in (down neg e) minus {0}, in either order,
+  have ab in it (MV-prime: the meet): |down neg e|^2 cells, not n^2;
+- the ideals above down e are those holding e, so maximality is a gather.
+Each object is kept on the structure by ``core.per_structure`` (these
+tables, the ideals and their classes, the MV-reduct and, per ideal, one
+congruence and one quotient), built and verified once by its defining
+clauses; theorems about the result, such as the axioms of a quotient, are
+re-checked by the law suites in ``suites``, not on every call.
 """
 
 from __future__ import annotations
@@ -49,9 +55,6 @@ class Ideal:
     def display(self) -> str:
         return format_subset(self.rig, self.members)
 
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
-
 
 def format_subset(rig: FiniteMvwRig, members) -> str:
     names = rig.carrier.names
@@ -75,8 +78,22 @@ def _first_pair(bad, rows, cols):
     return int(rows[i]), int(cols[j])
 
 
+@core.per_structure
+def _mv_reduct(rig):
+    """The structure without its product, derived once."""
+    return rig if rig.mul_table is None else core.derive(
+        rig.neg_table, rig.add_table, None, names=rig.carrier.names, name=rig.name)
+
+
 def is_mv_ideal(rig: FiniteMvwRig, members):
-    """Check 0-membership, downward closure and sum closure, in that order.
+    """The ideal clauses of the MV-reduct: 0-membership, downward closure
+    and sum closure, in that order (see ``is_ideal``)."""
+    return is_ideal(_mv_reduct(rig), members)
+
+
+def is_ideal(rig: FiniteMvwRig, members):
+    """Check 0-membership, downward closure, sum closure and, with a
+    product, absorption on both sides, in that order, on one member mask.
 
     Returns (ok, witness); the witness names the violated clause and its
     first violating pair, taking members in ascending order.
@@ -92,50 +109,61 @@ def is_mv_ideal(rig: FiniteMvwRig, members):
     pair = _first_pair(~mask[rig.add_table[np.ix_(inside, inside)]], inside, inside)
     if pair is not None:
         return False, ("sum", pair)
-    return True, None
-
-
-def is_ideal(rig: FiniteMvwRig, members):
-    """An MV-ideal that also absorbs products on both sides."""
-    ok, witness = is_mv_ideal(rig, members)
-    if not ok or rig.mul_table is None:
-        return ok, witness
-    mask = _member_mask(rig, members)
-    inside = np.flatnonzero(mask)
     mul = rig.mul_table
-    pair = _first_pair(~mask[mul[inside]] | ~mask[mul[:, inside].T], inside, rig.elements())
-    if pair is not None:
-        return False, ("absorb", pair)
+    if mul is not None:
+        pair = _first_pair(~mask[mul[inside]] | ~mask[mul[:, inside].T], inside, rig.elements())
+        if pair is not None:
+            return False, ("absorb", pair)
     return True, None
 
 
 # -- enumeration and generation ----------------------------------------------
-#
-# In a finite MV-algebra every MV-ideal is the down-set of an idempotent
-# (e + e = e), namely of the sum of all its members; conversely the down-set
-# of an idempotent is closed under sums.  Cignoli, D'Ottaviano and Mundici,
-# Algebraic Foundations of Many-valued Reasoning, ch. 1 and 3.  The ideals
-# are therefore the down-sets of idempotents that also absorb the product.
+
+def _read_only(table):
+    table.flags.writeable = False
+    return table
+
 
 @core.per_structure
-def _ideal_masks(rig, absorb_product=True):
-    """Membership masks of all (MV-)ideals, one read-only row each,
-    smallest first."""
-    mul = rig.mul_table
-    masks = []
-    for e in np.flatnonzero(rig.add_table.diagonal() == np.arange(rig.size)):
-        mask = rig.leq_table[:, e]
-        if absorb_product and mul is not None and not (
-                mask[mul[mask]].all() and mask[mul[:, mask]].all()):
-            continue
-        masks.append(mask)
-    out = np.array(sorted(masks, key=lambda m: (int(m.sum()), np.flatnonzero(m).tolist())))
-    out.flags.writeable = False
-    return out
+def _tops(rig):
+    """The idempotent e of each ideal down e, the ideals smallest first.
+    Rows and columns of an MVW-rig's product are monotone (``core``), so
+    down e absorbs the product iff e.u <= e and u.e <= e."""
+    tops = np.flatnonzero(rig.add_table.diagonal() == np.arange(rig.size))
+    leq, mul, u = rig.leq_table, rig.mul_table, rig.u
+    if mul is not None:
+        tops = tops[leq[mul[tops, u], tops] & leq[mul[u, tops], tops]]
+    return _read_only(np.array(sorted(tops, key=lambda e: (
+        int(leq[:, e].sum()), np.flatnonzero(leq[:, e]).tolist()))))
+
+
+@core.per_structure
+def _ideal_masks(rig):
+    """The membership mask of each listed ideal, one read-only row each."""
+    return _read_only(np.ascontiguousarray(rig.leq_table[:, _tops(rig)].T))
+
+
+@core.per_structure
+def _least(rig):
+    """least[x]: the index of the first, hence least, listed ideal holding x."""
+    return _read_only(_ideal_masks(rig).argmax(axis=0))
+
+
+@core.per_structure
+def _lattice_table(rig, op):
+    """The k x k index table least[op[e, f]] over the tops of the listed
+    ideals: their join for the sum, their product ideal for the product."""
+    tops = _tops(rig)
+    return _read_only(_least(rig)[getattr(rig, f"{op}_table")[np.ix_(tops, tops)]])
+
+
+@core.per_structure
+def _ideal_list(rig):
+    return tuple(_as_ideal(rig, m) for m in _ideal_masks(rig))
 
 
 def _as_ideal(rig, mask) -> Ideal:
-    return Ideal(rig, frozenset(int(a) for a in np.flatnonzero(mask)))
+    return Ideal(rig, frozenset(np.flatnonzero(mask).tolist()))
 
 
 def _check_bound(rig):
@@ -148,30 +176,18 @@ def enumerate_ideals(rig: FiniteMvwRig):
     """All ideals, smallest first: the down-sets of the idempotents that
     absorb the product on both sides."""
     _check_bound(rig)
-    return [_as_ideal(rig, m) for m in _ideal_masks(rig)]
-
-
-def enumerate_mv_ideals(rig: FiniteMvwRig):
-    """All MV-ideals, smallest first: the down-sets of the idempotents."""
-    _check_bound(rig)
-    return [_as_ideal(rig, m) for m in _ideal_masks(rig, False)]
-
-
-def _least_containing(masks, seed):
-    """The first listed mask holding the seed, a boolean mask or a list of
-    elements: the least one, since the masks run smallest first and are
-    closed under intersection."""
-    return masks[masks[:, seed].all(axis=1).argmax()]
+    return list(_ideal_list(rig))
 
 
 def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
-    """Least ideal containing the seed.
-
-    Every ideal is the down-set of an idempotent, and ideals are closed
-    under intersection, so the smallest listed ideal containing the seed
-    is the least one.  This holds for noncommutative structures too.
-    """
-    return _as_ideal(rig, _least_containing(_ideal_masks(rig), _member_mask(rig, seed)))
+    """Least ideal containing the seed: the join table folded over least[x]
+    for the seed elements x, from the zero ideal, which is listed first.
+    This holds for noncommutative structures too."""
+    least, join = _least(rig), _lattice_table(rig, "add")
+    acc = 0
+    for a in seed:
+        acc = join[acc, least[rig._check(a)]]
+    return _ideal_list(rig)[acc]
 
 
 # -- classification --------------------------------------------------------
@@ -184,37 +200,30 @@ class IdealClass:
     proper: bool
 
 
-def _prime_clause(mask, table) -> bool:
-    """No value table[a, b] with both a and b outside lies inside."""
-    out = ~mask
-    return not (mask[table] & out[:, None] & out[None, :]).any()
-
-
-def classify_ideal(rig: FiniteMvwRig, ideal: Ideal) -> IdealClass:
-    """Raw clause checks; the whole carrier satisfies the prime and maximal
-    clauses vacuously, so consumers that need properness combine these with
-    the ``proper`` bit (the spectrum admits proper primes only)."""
-    masks = _ideal_masks(rig)
-    mask = _member_mask(rig, ideal.members)
-    prime = rig.mul_table is None or _prime_clause(mask, rig.mul_table)
-    # maximal: no proper ideal lies strictly above; this is the ideal's row
-    # of the containment matrix of the masks
-    strictly_above = masks[:, mask].all(axis=1) & (masks & ~mask).any(axis=1)
-    maximal = not (strictly_above & ~masks.all(axis=1)).any()
-    return IdealClass(prime=prime, mv_prime=_prime_clause(mask, rig.meet_table),
-                      maximal=maximal, proper=ideal.proper)
-
-
 def classified_ideals(rig: FiniteMvwRig):
     """(ideal, class) for every ideal, smallest first, as one tuple built
-    once per structure."""
+    once per structure.  The classes are the raw clauses, which the whole
+    carrier satisfies vacuously, so consumers combine them with ``proper``
+    (the spectrum admits proper primes only)."""
     _check_bound(rig)
     return _classified(rig)
 
 
 @core.per_structure
 def _classified(rig):
-    return tuple((i, classify_ideal(rig, i)) for i in enumerate_ideals(rig))
+    """The prime and MV-prime clauses on the nonzero part of down neg e, and
+    maximality from the ideals holding e (module docstring)."""
+    masks, tops = _ideal_masks(rig), _tops(rig)
+    # above[j, i]: ideal j holds e_i, so it contains ideal i
+    above = masks[:, tops] & ~masks[:, [rig.u]] & ~np.eye(len(masks), dtype=bool)
+    out = []
+    for ideal, mask, e, up in zip(enumerate_ideals(rig), masks, tops, above.T):
+        reps = np.flatnonzero(rig.leq_table[:, rig.neg_table[e]])[1:]   # 0 comes first
+        block = np.ix_(reps, reps)
+        prime = rig.mul_table is None or not mask[rig.mul_table[block]].any()
+        out.append((ideal, IdealClass(prime=prime, mv_prime=not mask[rig.meet_table[block]].any(),
+                                      maximal=not up.any(), proper=ideal.proper)))
+    return tuple(out)
 
 
 def prime_ideals(rig: FiniteMvwRig):
@@ -282,13 +291,14 @@ def radical(rig: FiniteMvwRig, ideal: Ideal) -> Ideal:
 
 
 def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
-    """The ideal generated by the products ab with a in i and b in j: the
-    least listed ideal holding the block mul[i, j]."""
+    """The ideal generated by the products ab with a in i and b in j, two
+    listed ideals: one read of the product table (module docstring)."""
     if rig.mul_table is None:
         raise GateNotMet("structure has no product")
-    seed = np.zeros(rig.size, dtype=bool)
-    seed[rig.mul_table[np.ix_(_member_mask(rig, i.members), _member_mask(rig, j.members))]] = True
-    return _as_ideal(rig, _least_containing(_ideal_masks(rig), seed))
+    # least[x] for a member x indexes an ideal inside a listed ideal, and at
+    # its top the ideal itself
+    i, j = (int(_least(rig)[list(k.members)].max()) for k in (i, j))
+    return _ideal_list(rig)[_lattice_table(rig, "mul")[i, j]]
 
 
 # -- congruences ------------------------------------------------------------
@@ -297,9 +307,6 @@ def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
 class Congruence:
     rig: FiniteMvwRig
     class_of: tuple[int, ...]
-
-    def together(self, x, y) -> bool:
-        return self.class_of[x] == self.class_of[y]
 
 
 def _normalize_partition(rig, class_of):
@@ -325,17 +332,17 @@ def is_congruence(rig: FiniteMvwRig, class_of):
     if len(class_of) != rig.size:
         return False, ("shape", (len(class_of),))
     least = {}
-    rep = np.array([least.setdefault(c, x) for x, c in enumerate(class_of)])
+    rep = np.array([least.setdefault(c, x) for x, c in enumerate(class_of)], dtype=np.int32)
     neg_bad = rep[rig.neg_table[rep]] != rep[rig.neg_table]
     clauses = []    # [x, y]: b op y ~ x op y, then y op b ~ y op x
     for op in (rig.add_table, rig.mul_table):
         if op is not None:
-            clauses.append(rep[op[rep]] != rep[op])
-            clauses.append(rep[op[:, rep]].T != rep[op.T])
-    bad = np.stack(clauses, axis=2)
-    row_bad = neg_bad | bad.any(axis=(1, 2))
+            cls = rep[op]   # [x, y]: the class of x op y, by its least element
+            clauses += [cls[rep] != cls, (cls[:, rep] != cls).T]
+    row_bad = neg_bad | np.any([bad.any(axis=1) for bad in clauses], axis=0)
     if not row_bad.any():
         return True, None
+    bad = np.stack(clauses, axis=2)
     order = np.argsort(rep, kind="stable")
     x = int(order[row_bad[order].argmax()])
     base = int(rep[x])
@@ -345,10 +352,15 @@ def is_congruence(rig: FiniteMvwRig, class_of):
     return False, ("add" if k < 2 else "mul", (base, x, y) if k % 2 == 0 else (y, base, x))
 
 
-def _ideal_congruence(rig, mask) -> Congruence:
-    """x ~ y iff (x - y) + (y - x) lies in the ideal given by the mask; each
-    class is labelled by the rank of its least element."""
-    related = mask[rig.add_table[rig.monus_table, rig.monus_table.T]]
+@core.per_structure
+def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
+    """x ~ y iff (x - y) + (y - x) lies in the ideal, each class labelled by
+    the rank of its least element; built and verified once per structure
+    and ideal."""
+    ok, witness = is_ideal(rig, ideal.members)
+    if not ok:
+        raise ValueError(f"not an ideal: {witness}")
+    related = _member_mask(rig, ideal.members)[rig.add_table[rig.monus_table, rig.monus_table.T]]
     least = related.argmax(axis=1)
     label = np.cumsum(least == np.arange(rig.size)) - 1
     cong = Congruence(rig, tuple(int(c) for c in label[least]))
@@ -356,14 +368,6 @@ def _ideal_congruence(rig, mask) -> Congruence:
     if not ok:
         raise MvwError(f"ideal congruence failed compatibility: {witness}")
     return cong
-
-
-def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
-    """x ~ y iff (x - y) + (y - x) lies in the ideal."""
-    ok, witness = is_ideal(rig, ideal.members)
-    if not ok:
-        raise ValueError(f"not an ideal: {witness}")
-    return _ideal_congruence(rig, _member_mask(rig, ideal.members))
 
 
 def ideal_from_congruence(rig: FiniteMvwRig, cong) -> Ideal:
@@ -391,9 +395,15 @@ class QuotientRig:
     reps: tuple[int, ...]
 
 
-def _quotient_impl(rig, ideal, cong):
-    """The tables of the classes, read at their least elements and projected;
-    the congruence numbers its classes by their least elements."""
+@core.per_structure
+def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
+    """The structure of congruence classes, built once per structure and
+    ideal; the projection is a surjective homomorphism whose kernel is the
+    ideal.  The tables of the classes are read at their least elements and
+    projected, the kept congruence numbering its classes by their least
+    elements; the ``quotient-axioms`` law check verifies the axioms of the
+    result, the projection and its kernel."""
+    cong = congruence_from_ideal(rig, ideal)
     proj = np.array(cong.class_of)
     # a class's least element is where the running maximum label steps up
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(proj), prepend=-1) > 0)
@@ -407,28 +417,15 @@ def _quotient_impl(rig, ideal, cong):
                        reps=tuple(int(r) for r in reps))
 
 
-@core.per_structure
-def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
-    """The structure of congruence classes, built once per structure and
-    ideal; the projection is a surjective homomorphism whose kernel is the
-    ideal.  The congruence is verified here; the ``quotient-axioms`` law
-    check verifies the axioms of the result, the projection and its
-    kernel."""
-    return _quotient_impl(rig, ideal, congruence_from_ideal(rig, ideal))
-
-
 def mv_quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
-    """Quotient of the underlying MV-algebra by an MV-ideal; the product,
-    if any, is dropped (an MV-ideal need not absorb it)."""
+    """Quotient of the underlying MV-algebra by an MV-ideal: the quotient of
+    the MV-reduct, kept there; the product, if any, is dropped (an MV-ideal
+    need not absorb it)."""
     ok, witness = is_mv_ideal(rig, ideal.members)
     if not ok:
         raise ValueError(f"not an MV-ideal: {witness}")
-    mv = rig
-    if rig.mul_table is not None:
-        mv = core.derive(rig.neg_table, rig.add_table, None,
-                         names=rig.carrier.names, name=rig.name)
-    cong = _ideal_congruence(mv, _member_mask(mv, ideal.members))
-    return _quotient_impl(mv, Ideal(mv, ideal.members), cong)
+    mv = _mv_reduct(rig)
+    return quotient(mv, Ideal(mv, ideal.members))
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -506,10 +503,7 @@ def image(f: Homomorphism):
     substructure of the target's MV-reduct (it need not be closed under a
     product the map ignores).
     """
-    target = f.target
-    if not _preserves_product(f) and target.mul_table is not None:
-        target = core.derive(target.neg_table, target.add_table, None,
-                             names=target.carrier.names, name=target.name)
+    target = f.target if _preserves_product(f) else _mv_reduct(f.target)
     return core.restrict(target, set(f.mapping))
 
 
@@ -546,18 +540,18 @@ def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
     quotient, verified in both directions and order-preserving.  Each ideal
     above maps to its image mask under the projection."""
     q = quotient(rig, ideal)
-    masks = _ideal_masks(rig)
-    above = masks[masks[:, _member_mask(rig, ideal.members)].all(axis=1)]
+    listed, masks = _ideal_list(rig), _ideal_masks(rig)
+    up = np.flatnonzero(masks[:, _member_mask(rig, ideal.members)].all(axis=1))
+    above = masks[up]
     below = {m.tobytes(): b for b, m in enumerate(_ideal_masks(q.rig))}
     images = np.zeros((len(above), q.rig.size), dtype=bool)
     rows, cols = np.nonzero(above)
     images[rows, np.asarray(q.projection)[cols]] = True
     pairs = []
-    for j, img in zip(above, images):
+    for j, img in zip(up, images):
         if img.tobytes() not in below:
-            raise MvwError(f"image of {_as_ideal(rig, j).display()} is not an ideal "
-                           f"of the quotient")
-        pairs.append((_as_ideal(rig, j), _as_ideal(q.rig, img)))
+            raise MvwError(f"image of {listed[j].display()} is not an ideal of the quotient")
+        pairs.append((listed[j], _ideal_list(q.rig)[below[img.tobytes()]]))
     if len({img.tobytes() for img in images}) != len(pairs):
         raise MvwError("correspondence is not injective")
     if len(pairs) != len(below):
@@ -582,14 +576,17 @@ class ChangEmbedding:
 def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
     """Embed a nontrivial MV-algebra into the product of its quotients by
     MV-prime ideals; every factor is totally ordered and the canonical map
-    is an injective MV-homomorphism with surjective coordinates."""
+    is an injective MV-homomorphism with surjective coordinates.  The
+    MV-primes are one per factor of ``core.chain_decomposition``, the
+    down-set {x : x ^ e = 0} of the complement of its top, e its atom."""
     if rig.size == 1:
         raise Trivial("the one-element algebra has no subdirect decomposition")
     _check_bound(rig)
-    primes = [_as_ideal(rig, m) for m in _ideal_masks(rig, False)
-              if not m.all() and _prime_clause(m, rig.meet_table)]
-    if not primes:
-        raise MvwError(f"no MV-prime ideals found in nontrivial {rig.name}")
+    dec = core.chain_decomposition(rig)
+    if dec is None:
+        raise MvwError(f"{rig.name} is not a product of finite chains")
+    primes = sorted((_as_ideal(rig, rig.meet_table[:, e] == 0) for e in dec.atoms),
+                    key=lambda p: (len(p.members), p.sorted_members()))
     quotients = [mv_quotient(rig, p) for p in primes]
     for q in quotients:
         if not (q.rig.leq_table | q.rig.leq_table.T).all():

@@ -14,14 +14,14 @@ joins and their meets off the frame, so past the frame cap that
 ``frames.frame`` enforces they report SKIPPED naming that cap.
 
 Each check takes the structure and calls the library directly.  Each
-shared object (the ideal masks, the classified ideals, the quotient by
-each ideal, the spectrum, the principal P-filter table and the frame) is
-built once per structure and kept on it by ``core.per_structure``, so the
-checks of every suite read the same one.  Generated P-filters and cover
-questions are reads of the principal table.  The scalar oracles stay
-element by element and independent of the routes they check, but read the
-tables as plain rows of tuples, built once per structure, instead of
-calling the accessors.
+shared object (the ideal tables, the classified ideals, the congruence and
+quotient of each ideal, the spectrum, the principal P-filter table and
+the frame) is built once per structure and kept on it by
+``core.per_structure``, so the checks of every suite read the same one.
+Generated P-filters and cover questions fold the frame's join table.
+The scalar oracles stay element by element and independent of the routes
+they check, but read the tables as plain rows of tuples, built once per
+structure, instead of calling the accessors.
 """
 
 from __future__ import annotations
@@ -549,10 +549,10 @@ def _check_radical_properties(r):
     # radicals are read from this table
     listed = ideals.enumerate_ideals(r)
     rads = {i.members: ideals.radical(r, i).members for i in listed}
-    for i in listed:
+    for i, cls in ideals.classified_ideals(r):
         if not i.members <= rads[i.members]:
             return f"{i.display()} exceeds its radical"
-        if ideals.classify_ideal(r, i).prime and rads[i.members] != i.members:
+        if cls.prime and rads[i.members] != i.members:
             return f"prime {i.display()} differs from its radical"
         for j in listed:
             if i.members <= j.members and not rads[i.members] <= rads[j.members]:
@@ -586,8 +586,8 @@ def _check_prime_to_mvprime(r):
     _need_product(r)
     if not r.product_below_meet:
         raise _Skip("product is not below the meet")
-    for p in ideals.prime_ideals(r):
-        if not ideals.classify_ideal(r, p).mv_prime:
+    for p, cls in ideals.classified_ideals(r):
+        if p.proper and cls.prime and not cls.mv_prime:
             return f"prime {p.display()} is not MV-prime"
 
 

@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mvwrig import builders
+from mvwrig import builders, ideals
 
 ALGEBRAS_DIR = Path(__file__).resolve().parent.parent / "algebras"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -54,6 +55,13 @@ def zoo_items(predicate=None):
     if predicate is not None:
         items = [(k, v) for k, v in items if predicate(v)]
     return [pytest.param(v, id=k) for k, v in items]
+
+
+def mv_ideals(rig):
+    """Every MV-ideal, smallest first: the down-sets of the idempotents."""
+    downs = [frozenset(np.flatnonzero(rig.leq_table[:, e]).tolist())
+             for e in rig.elements() if rig.add(e, e) == e]
+    return [ideals.Ideal(rig, s) for s in sorted(downs, key=lambda s: (len(s), sorted(s)))]
 
 
 def golden_path(name: str) -> Path:

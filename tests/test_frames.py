@@ -427,7 +427,7 @@ def reference_verify_theta(rig, tm, principal_idx):
                 raise MvwError("open map does not preserve joins")
             if tm.open_to_filter[open_index[u & w]] != fr.meet_table[fu][fw]:
                 raise MvwError("open map does not preserve meets")
-            if (u <= w) != fr.leq(fu, fw):
+            if (u <= w) != (fr.pfilters[fu] <= fr.pfilters[fw]):
                 raise MvwError("open map does not preserve order")
 
 
@@ -550,6 +550,20 @@ def test_theta_fails_on_a_corrupted_points_matrix_or_open_index(rig, monkeypatch
     assert frames.theta(rig).space is space
 
 
+def test_theta_refuses_relabelled_opens(square, monkeypatch):
+    # opens 1 and 2 of Z1xZ1, {0} and {1}, swap labels: every gather over
+    # open_of stays consistent, so only tying each label to row a of the
+    # points matrix catches it; unchecked, theta sends the open {0} = V(1)
+    # to the filter {2, 3} = F_2 instead of F_1 = {1, 3}
+    space = spectrum.spec(square)
+    assert space.opens[1:3] == (frozenset({0}), frozenset({1}))
+    relabelled = dataclasses.replace(space, open_of=np.array([0, 2, 1, 3])[space.open_of])
+    original = spectrum.spec
+    monkeypatch.setattr(spectrum, "spec", lambda r: relabelled if r is square else original(r))
+    with pytest.raises(MvwError, match=r"^open 2 is not V\(1\) at \(1,\)$"):
+        frames.theta(square)
+
+
 def _generator_sets(rig):
     """Every element subset of a carrier of at most SUBSET_SIZE_LIMIT
     elements; on larger ones (M2(Z1), with 2^16 subsets, each costing the
@@ -655,6 +669,23 @@ def test_table_route_matches_closure_on_small_seeds(rig):
     for a in rig.elements():
         assert prin.masks[prin.index[a]].tolist() == _closed(rig, [a]).tolist()
         assert prin.pfilters[prin.index[a]] == frames.principal_pfilter(rig, a).members
+
+
+def least_listed(fr, seed):
+    """The index of the first listed frame filter holding the seed: the
+    least one, the route generated P-filters and covers took before the
+    join table was folded."""
+    return int(fr.masks[:, list(seed)].all(axis=1).argmax())
+
+
+@pytest.mark.parametrize("rig", TABLE_RIGS)
+def test_join_fold_matches_the_least_listed_filter(rig):
+    # the fold returns the frame's own member set
+    fr = frames.frame(rig)
+    for seed in itertools.chain(itertools.combinations(rig.elements(), 1),
+                                itertools.permutations(rig.elements(), 2)):
+        assert frames.pfilter_generated(rig, seed).members is fr.pfilters[least_listed(fr, seed)]
+        assert _covers(rig, seed) == (least_listed(fr, seed) == fr.top), seed
 
 
 def reference_frame(rig):

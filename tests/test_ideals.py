@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvwrig import builders, core, ideals, suites
+from mvwrig import builders, core, dsl, ideals, suites
 from mvwrig.errors import (
     GateNotMet,
     NotACongruence,
@@ -14,7 +15,7 @@ from mvwrig.errors import (
     Trivial,
 )
 
-from conftest import LADDER, ZOO, zoo_items
+from conftest import LADDER, ZOO, mv_ideals, zoo_items
 
 
 def enumerate_homomorphisms(a, b, limit=10 ** 6):
@@ -25,6 +26,56 @@ def enumerate_homomorphisms(a, b, limit=10 ** 6):
     maps = (ideals.Homomorphism(a, b, (0,) + rest)
             for rest in itertools.product(range(b.size), repeat=a.size - 1))
     return [f for f in maps if ideals.check_homomorphism(f)[0]]
+
+
+# -- the earlier routes, kept as references --------------------------------------
+#
+# The library reads the ideal lattice off kept index tables over the
+# idempotents of the listed ideals (the ``ideals`` docstring).  These are the
+# routes it replaced: the prime and MV-prime clauses scanned over the whole
+# carrier, maximality from the containment of the masks, and a generated
+# ideal or a product ideal as the least listed mask holding a seed.
+
+def member_mask(rig, members):
+    mask = np.zeros(rig.size, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def least_containing(masks, seed):
+    """The members of the first listed mask holding the seed, a boolean
+    mask: the least one, since the masks run smallest first and are closed
+    under intersection."""
+    return frozenset(np.flatnonzero(masks[masks[:, seed].all(axis=1).argmax()]).tolist())
+
+
+def prime_clause(mask, table):
+    """No value table[a, b] with both a and b outside lies inside."""
+    out = ~mask
+    return not (mask[table] & out[:, None] & out[None, :]).any()
+
+
+def classify_ideal(rig, ideal):
+    """The raw clauses on the whole carrier; the whole carrier satisfies the
+    prime and maximal clauses vacuously."""
+    masks = ideals._ideal_masks(rig)
+    mask = member_mask(rig, ideal.members)
+    prime = rig.mul_table is None or prime_clause(mask, rig.mul_table)
+    # maximal: no proper ideal lies strictly above
+    strictly_above = masks[:, mask].all(axis=1) & (masks & ~mask).any(axis=1)
+    maximal = not (strictly_above & ~masks.all(axis=1)).any()
+    return ideals.IdealClass(prime=prime, mv_prime=prime_clause(mask, rig.meet_table),
+                             maximal=maximal, proper=ideal.proper)
+
+
+def reference_generated(rig, seed):
+    return least_containing(ideals._ideal_masks(rig), member_mask(rig, seed))
+
+
+def reference_product(rig, i, j):
+    seed = np.zeros(rig.size, dtype=bool)
+    seed[rig.mul_table[np.ix_(member_mask(rig, i.members), member_mask(rig, j.members))]] = True
+    return least_containing(ideals._ideal_masks(rig), seed)
 
 
 @pytest.fixture
@@ -96,15 +147,15 @@ def test_enumerate_matches_brute_force(rig):
 
 
 def test_classify_examples(z3, square, t3):
-    cls = ideals.classify_ideal(z3, ideals.Ideal(z3, frozenset({0})))
+    cls = classify_ideal(z3, ideals.Ideal(z3, frozenset({0})))
     assert cls.prime and cls.maximal and cls.proper
-    cls = ideals.classify_ideal(square, ideals.Ideal(square, frozenset({0})))
+    cls = classify_ideal(square, ideals.Ideal(square, frozenset({0})))
     assert not cls.prime  # (0,1).(1,0) = (0,0)
-    cls = ideals.classify_ideal(t3, ideals.Ideal(t3, frozenset({0})))
+    cls = classify_ideal(t3, ideals.Ideal(t3, frozenset({0})))
     assert not cls.prime and cls.maximal
     # the whole carrier satisfies the raw clauses vacuously but is improper
     full = ideals.Ideal(z3, frozenset(range(4)))
-    cls = ideals.classify_ideal(z3, full)
+    cls = classify_ideal(z3, full)
     assert cls.prime and not cls.proper
 
 
@@ -308,7 +359,7 @@ def test_preimage_of_prime_is_prime():
                                     if f.mapping[x] in p.members)
                     if len(pre) == a.size:
                         continue
-                    cls = ideals.classify_ideal(a, ideals.Ideal(a, pre))
+                    cls = classify_ideal(a, ideals.Ideal(a, pre))
                     assert ideals.is_ideal(a, pre)[0]
                     assert cls.prime, (a.name, b.name, f.mapping, sorted(p.members))
 
@@ -425,7 +476,7 @@ def candidate_subsets(rig):
                 for c in itertools.combinations(range(rig.size), k)]
     out = {frozenset(c) for k in range(3)
            for c in itertools.combinations(range(rig.size), k)}
-    for ideal in ideals.enumerate_mv_ideals(rig):
+    for ideal in mv_ideals(rig):
         out.add(ideal.members)
         out.update(ideal.members ^ {x} for x in rig.elements())
     return sorted(out, key=lambda s: (len(s), sorted(s)))
@@ -453,12 +504,12 @@ def test_classification_matches_set_definitions(rig):
     listed = [i.members for i in ideals.enumerate_ideals(rig)]
     full = frozenset(rig.elements())
     for ideal, cls in ideals.classified_ideals(rig):
-        assert cls == ideals.classify_ideal(rig, ideal)
+        assert cls == classify_ideal(rig, ideal)
         assert cls.maximal == (not any(ideal.members < j < full for j in listed))
         assert cls.proper == (ideal.members != full)
     if rig.size == 1:
         return
-    out = [i for i in ideals.enumerate_mv_ideals(rig) if i.proper and all(
+    out = [i for i in mv_ideals(rig) if i.proper and all(
         rig.meet(a, b) not in i.members
         for a in rig.elements() for b in rig.elements()
         if a not in i.members and b not in i.members)]
@@ -567,7 +618,7 @@ def test_congruence_gather_matches_scalar(rig):
         assert ideals.congruence_from_ideal(rig, ideal).class_of == \
             scalar_ideal_classes(rig, ideal.members)
     # the congruence of an MV-ideal need not respect the product
-    for ideal in ideals.enumerate_mv_ideals(rig):
+    for ideal in mv_ideals(rig):
         true = scalar_ideal_classes(rig, ideal.members)
         candidates += [true, tuple(f"c{c}" for c in reversed(true))]
         for _ in range(4):
@@ -633,7 +684,7 @@ def test_quotient_gather_matches_scalar(rig):
         assert_quotient_matches(q, scalar_quotient(rig, ideal.members))
         assert core.check_all(q.rig).passed
     mv = mv_reduct(rig)
-    for ideal in ideals.enumerate_mv_ideals(rig):
+    for ideal in mv_ideals(rig):
         q = ideals.mv_quotient(rig, ideal)
         assert_quotient_matches(q, scalar_quotient(mv, ideal.members))
         assert core.check_mv(q.rig).passed
@@ -644,3 +695,132 @@ def test_quotient_and_congruence_reject_non_ideals(z3, square):
         ideals.quotient(z3, ideals.Ideal(z3, frozenset({0, 1})))
     with pytest.raises(ValueError, match=r"not an MV-ideal: \('downward', \(1, 3\)\)"):
         ideals.mv_quotient(square, ideals.Ideal(square, frozenset({0, 3})))
+
+
+# -- the kept index tables against the earlier routes ---------------------------
+#
+# Classification, generated ideals, product ideals, congruences and the
+# Chang primes are read off tables kept per structure; each must equal the
+# reference route at the top of this file.  Past a few dozen ideals the
+# pairs and seeds are a seeded sample, since each reference answer scans
+# the whole carrier.
+
+def z1_power(k):
+    return builders.direct_product([builders.build_zn(1)] * k)
+
+
+def half_product():
+    """Z1xZ1 with the commutative product x.y = (0, x1 ^ y1), the first
+    coordinate most significant: its ideals form the chain {0} < {0, (0,1)}
+    < A, against four MV-ideals, and it has no unit."""
+    square = ZOO["Z1xZ1"]
+    first = np.arange(4) >> 1
+    return core.derive(square.neg_table, square.add_table, first[:, None] & first[None, :],
+                       names=square.carrier.names, name="Z1xZ1*")
+
+
+#: Z1xZ1 with the top listed second, so the lattice top of the whole
+#: carrier, u at index 1, is not its largest index
+RELABELLED = dsl.elaborate_file("""algebra Relabelled {
+  elements: [o, u, p, q]
+  zero: o
+  neg: [u, o, q, p]
+  add: [[o, u, p, q], [u, u, u, u], [p, u, p, u], [q, u, u, q]]
+  mul: [[o, o, o, o], [o, u, p, q], [o, p, p, o], [o, q, o, q]]
+}""")[0]
+
+LATTICE_RIGS = REFERENCE_RIGS + [pytest.param(z1_power(k), id=f"Z1^{k}") for k in range(5, 9)] + [
+    pytest.param(builders.build_matrix_rig(builders.build_zn(2), 2)[0], id="M2(Z2)"),
+    pytest.param(half_product(), id="Z1xZ1*"),
+    pytest.param(RELABELLED, id="relabelled")]
+
+
+def sample(items, rng, limit):
+    items = list(items)
+    return items if len(items) <= limit else rng.sample(items, limit)
+
+
+@pytest.mark.parametrize("rig", LATTICE_RIGS)
+def test_kept_classification_matches_the_clause_scans(rig):
+    classified = ideals.classified_ideals(rig)
+    assert [i for i, _ in classified] == ideals.enumerate_ideals(rig)
+    for ideal, cls in classified:
+        assert cls == classify_ideal(rig, ideal), ideal.sorted_members()
+
+
+@pytest.mark.parametrize("rig", LATTICE_RIGS)
+def test_join_fold_and_product_gather_match_the_mask_routes(rig):
+    rng = random.Random(rig.size)
+    listed = ideals.enumerate_ideals(rig)
+    join = ideals._lattice_table(rig, "add")
+    for a, b in sample(itertools.product(range(len(listed)), repeat=2), rng, 400):
+        i, j = listed[a], listed[b]
+        assert listed[join[a, b]].members == reference_generated(rig, i.members | j.members)
+        if rig.mul_table is not None:
+            product = ideals.ideal_product(rig, i, j)
+            assert product is listed[listed.index(product)]
+            assert product.members == reference_product(rig, i, j), (a, b)
+    seeds = [()] + [(x,) for x in rig.elements()] + sample(
+        itertools.combinations(rig.elements(), 2), rng, 200) + sample(
+        itertools.combinations(rig.elements(), 3), rng, 100)
+    for seed in seeds:
+        gen = ideals.generated_ideal(rig, seed)
+        assert gen is listed[listed.index(gen)]
+        assert gen.members == reference_generated(rig, seed), seed
+
+
+def reference_congruence(rig, members):
+    """The class labels of the gather the library ran on every call."""
+    related = member_mask(rig, members)[rig.add_table[rig.monus_table, rig.monus_table.T]]
+    least = related.argmax(axis=1)
+    return tuple((np.cumsum(least == np.arange(rig.size)) - 1)[least].tolist())
+
+
+@pytest.mark.parametrize("rig", LATTICE_RIGS)
+def test_kept_congruences_match_the_gather(rig):
+    for ideal in ideals.enumerate_ideals(rig):
+        cong = ideals.congruence_from_ideal(rig, ideal)
+        assert ideals.congruence_from_ideal(rig, ideals.Ideal(rig, ideal.members)) is cong
+        assert cong.class_of == reference_congruence(rig, ideal.members)
+        assert ideals.quotient(rig, ideal).projection == cong.class_of
+        if rig.size <= 16:
+            assert cong.class_of == scalar_ideal_classes(rig, ideal.members)
+
+
+@pytest.mark.parametrize("rig", [p for p in LATTICE_RIGS if p.values[0].size > 1])
+def test_chang_primes_match_the_meet_clause(rig):
+    out = [i for i in mv_ideals(rig)
+           if i.proper and prime_clause(member_mask(rig, i.members), rig.meet_table)]
+    assert ideals.chang_embedding(rig).primes == out
+
+
+def test_restricted_prime_clause_reads_both_product_orders():
+    # a monotone product on Z1xZ1 that is not associative: (1,0).(0,1) = 0
+    # but (0,1).(1,0) = (0,1), and no square is 0, so {0} fails the prime
+    # clause only at a pair whose first element is listed after its second;
+    # the restriction to the nonzero part of down neg e needs monotone rows
+    # and columns only
+    square = ZOO["Z1xZ1"]
+    rig = core.derive(square.neg_table, square.add_table,
+                      [[0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 2, 2], [0, 1, 3, 3]])
+    assert core.check_all(rig).failed_axioms() == ["MVW-ii"]
+    classified = ideals.classified_ideals(rig)
+    assert [(i.sorted_members(), cls.prime) for i, cls in classified] == \
+        [((0,), False), ((0, 1), True), ((0, 1, 2, 3), True)]
+    for ideal, cls in classified:
+        assert cls == classify_ideal(rig, ideal)
+
+
+def test_kept_tables_read_lattice_tops():
+    # the top of the whole carrier is u, index 1: joins, products and the
+    # classes of the relabelled Z1xZ1 are those of Z1xZ1, relabelled
+    rig, square = RELABELLED, ZOO["Z1xZ1"]
+    assert ideals._tops(rig).tolist() == [0, 2, 3, 1]
+    assert ideals.generated_ideal(rig, [1]).sorted_members() == (0, 1, 2, 3)
+    assert ideals.generated_ideal(rig, [2, 3]).sorted_members() == (0, 1, 2, 3)
+    p, q = ideals.enumerate_ideals(rig)[1:3]
+    assert ideals.ideal_product(rig, p, q).sorted_members() == (0,)
+    assert [cls for _, cls in ideals.classified_ideals(rig)] == \
+        [cls for _, cls in ideals.classified_ideals(square)]
+    for table in ("add", "mul"):
+        assert (ideals._lattice_table(rig, table) == ideals._lattice_table(square, table)).all()

@@ -11,7 +11,7 @@ import pytest
 from mvwrig import builders, core, frames, ideals, spectrum, suites
 from mvwrig.errors import MvwError
 
-from conftest import LADDER, ZOO, zoo_items
+from conftest import LADDER, ZOO, mv_ideals, zoo_items
 
 
 @pytest.mark.parametrize("rig", zoo_items())
@@ -150,14 +150,14 @@ def test_run_all_builds_the_spectrum_and_frame_once(zoo):
 
 def test_run_all_builds_one_ideal_mask_list():
     # one list serves generation, products, classification, the prime and
-    # maximal lists and the correspondence, and one list of MV-ideals the
-    # Chang embedding
+    # maximal lists and the correspondence; the Chang embedding takes its
+    # MV-primes from the chain decomposition, so no list of MV-ideals is built
     rig = LADDER["G3xG2"]()
     builds = _count_builds(rig)
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
     assert {k: c for k, c in builds.items() if k[0] == "_ideal_masks"} == \
-        {("_ideal_masks",): 1, ("_ideal_masks", False): 1}
+        {("_ideal_masks",): 1}
 
 
 def test_run_all_builds_each_quotient_once():
@@ -208,28 +208,49 @@ def test_run_all_computes_the_dotted_sum_vector_once():
     assert builds[("_dotsum_tops",)] == 1
 
 
-def test_run_all_and_the_commands_build_each_object_once():
-    # mvw check, every suite, then what mvw ideals, spec and filters read:
-    # every object is built once, and a shallow copy keeps none of them
-    rig = builders.direct_product([builders.build_zn(1)] * 3, check=False)
-    assert not rig._memo
-    builds = _count_builds(rig)
+def _commands_read(rig):
+    """What mvw ideals, spec and filters read, after mvw check and every
+    suite."""
     assert core.check_all(rig).passed
     results = suites.run_all(rig)
     assert not [r.line() for r in results if r.status == "FAIL"]
-    kept = (ideals.classified_ideals(rig), spectrum.spec(rig), frames.frame(rig),
+    return (ideals.classified_ideals(rig), spectrum.spec(rig), frames.frame(rig),
             frames.principal_table(rig))
+
+
+KEPT = {"chain_decomposition", "_rows", "_ideal_masks", "_tops", "_least", "_lattice_table",
+        "_ideal_list", "_classified", "congruence_from_ideal", "quotient", "_mv_reduct",
+        "_spec", "_dotsum_tops", "principal_table", "_frame"}
+
+
+def test_run_all_and_the_commands_build_each_object_once():
+    # every object is built once and read-only, and a shallow copy keeps
+    # none of them
+    rig = builders.direct_product([builders.build_zn(1)] * 3, check=False)
+    assert not rig._memo
+    builds = _count_builds(rig)
+    kept = _commands_read(rig)
     assert set(builds.values()) == {1}
-    assert all(_immutable(value) for value in rig._memo.values())
-    assert {k[0] for k in builds} == {
-        "chain_decomposition", "_rows", "_ideal_masks", "_classified", "quotient", "_spec",
-        "_dotsum_tops", "principal_table", "_frame"}
+    assert {k[0] for k in builds} == KEPT
+    # the join and the product table; one congruence per listed ideal
+    assert {k[1] for k in builds if k[0] == "_lattice_table"} == {"add", "mul"}
+    assert {k[1] for k in builds if k[0] == "congruence_from_ideal"} == \
+        set(ideals.enumerate_ideals(rig))
+    reduct = ideals._mv_reduct(rig)
+    assert reduct.mul_table is None and reduct._memo
+    for memo in (rig._memo, reduct._memo):
+        assert all(_immutable(value) for value in memo.values())
     twin = copy.copy(rig)
     assert not twin._memo
-    again = (ideals.classified_ideals(twin), spectrum.spec(twin), frames.frame(twin),
-             frames.principal_table(twin))
+    twin_builds = _count_builds(twin)
+    again = _commands_read(twin)
     for old, new in zip(kept, again):
         assert new is not old
+    assert set(twin_builds.values()) == {1}
+    assert {k[0] for k in twin_builds} == KEPT
+    shared = {id(value) for value in rig._memo.values()}
+    assert not [k for k, value in twin._memo.items() if id(value) in shared]
+    assert ideals._mv_reduct(twin) is not reduct
     assert set(builds.values()) == {1}
 
 
@@ -263,8 +284,10 @@ def _ideal_results(rig):
 
 
 def test_quotient_axioms_catches_a_corrupted_table(zoo, monkeypatch):
+    # the Chang embedding's MV-quotients, which have no product, are the
+    # quotients of the MV-reduct and pass through unchanged
     def corrupt(q):
-        if q.rig.size != 4:
+        if q.rig.size != 4 or q.rig.mul_table is None:
             return q
         mul = q.rig.mul_table.copy()
         mul[1, 1] = q.rig.u
@@ -645,8 +668,8 @@ def test_oracles_match_accessor_bodies_without_commutativity():
             assert suites._generated_fixpoint(rows, seed) == \
                 reference_generated_fixpoint(rig, seed), seed
     mv = core.derive(rig.neg_table, rig.add_table, None)
-    partitions = [ideals._ideal_congruence(mv, ideals._member_mask(rig, i.members)).class_of
-                  for i in ideals.enumerate_mv_ideals(rig)]
+    partitions = [ideals.congruence_from_ideal(mv, ideals.Ideal(mv, i.members)).class_of
+                  for i in mv_ideals(rig)]
     rng = random.Random(rig.size)
     partitions += [tuple(rng.randrange(k) for _ in rig.elements())
                    for k in (2, 3, 4) for _ in range(100)]
