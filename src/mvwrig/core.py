@@ -164,7 +164,7 @@ class FiniteMvwRig:
         self.u = int(neg[0])
         # monus(x, y) = neg(add(neg(x), y)); rows of add gathered by neg.
         self.monus_table = neg[add[neg, :]]
-        self.times_table = neg[add[np.ix_(neg, neg)]]
+        self.times_table = neg[add[neg[:, None], neg]]
         self.leq_table = self.monus_table == 0
 
         bad = np.argwhere(self.leq_table & self.leq_table.T & ~np.eye(n, dtype=bool))
@@ -173,7 +173,7 @@ class FiniteMvwRig:
             raise OrderNotAntisymmetric(x, y)
 
         self.join_table = add[self.monus_table, idx[None, :]]
-        self.meet_table = neg[self.join_table[np.ix_(neg, neg)]]
+        self.meet_table = neg[self.join_table[neg[:, None], neg]]
 
         for t in (self.neg_table, self.add_table, self.mul_table, self.monus_table,
                   self.times_table, self.leq_table, self.join_table, self.meet_table):
@@ -571,13 +571,13 @@ def _generators(mul) -> list[int]:
     reducible[mul[(mul != idx[:, None]) & (mul != idx)]] = True
     gens = np.flatnonzero(~reducible).tolist()
     members = np.zeros(n, dtype=bool)
-    frontier = gens
+    frontier = np.array(gens, dtype=np.intp)
     while True:
         members[frontier] = True
         inside = np.flatnonzero(members)
         grown = np.zeros(n, dtype=bool)
-        grown[mul[np.ix_(frontier, inside)]] = True
-        grown[mul[np.ix_(inside, frontier)]] = True
+        grown[mul[frontier[:, None], inside]] = True
+        grown[mul[inside[:, None], frontier]] = True
         grown &= ~members
         frontier = np.flatnonzero(grown)
         if not frontier.size:
@@ -642,9 +642,9 @@ def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:
     members = sorted(set(subset))
     if not members or members[0] != 0:
         raise ValueError("subset must contain the zero element")
-    inside = [p for p in members if p < rig.size]
+    inside = np.array([p for p in members if p < rig.size], dtype=np.intp)
     back = np.full(rig.size, -1)
-    back[inside] = range(len(inside))
+    back[inside] = np.arange(len(inside))
 
     def renumbered(part):
         if (back[part] < 0).any():
@@ -654,7 +654,7 @@ def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:
     neg = renumbered(rig.neg_table[inside])
     for p in members[len(inside):]:
         rig._check(p)
-    block = np.ix_(inside, inside)
+    block = (inside[:, None], inside)
     add = renumbered(rig.add_table[block])
     mul = None if rig.mul_table is None else renumbered(rig.mul_table[block])
     names = tuple(rig.carrier.names[p] for p in members)

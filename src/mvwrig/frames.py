@@ -105,8 +105,8 @@ def dotsum_closure(rig: FiniteMvwRig, x: int) -> frozenset:
     _require_product(rig)
     sums = set(rig.mul_table[:, rig._check(x)].tolist())
     while True:
-        idx = sorted(sums)
-        grown = sums | set(rig.add_table[np.ix_(idx, idx)].ravel().tolist())
+        idx = np.array(sorted(sums))
+        grown = sums | set(rig.add_table[idx[:, None], idx].ravel().tolist())
         if grown == sums:
             return frozenset(sums)
         sums = grown
@@ -148,7 +148,7 @@ def is_filter(rig: FiniteMvwRig, members):
     pair = ideals._first_pair(rig.leq_table[inside] & ~mask, inside, rig.elements())
     if pair is not None:
         return False, ("upward", pair)
-    pair = ideals._first_pair(~mask[rig.mul_table[np.ix_(inside, inside)]], inside, inside)
+    pair = ideals._first_pair(~mask[rig.mul_table[inside[:, None], inside]], inside, inside)
     if pair is not None:
         return False, ("product", pair)
     return True, None
@@ -260,6 +260,7 @@ class FrameLA:
     meet_table: np.ndarray
     bottom: int              # principal filter of the top element
     top: int                 # the whole carrier
+    principal: np.ndarray    # read-only: element a -> index of F_a
 
     def index_of(self, members) -> int:
         return self.pfilters.index(frozenset(members))
@@ -271,9 +272,8 @@ class FrameLA:
         return int(acc)
 
     def principal_index(self):
-        """The index of F_a for every element a.  F_a lies inside every
-        P-filter holding a, so it is the first listed one."""
-        return self.masks.argmax(axis=0)
+        """The index of F_a for every element a, built with the frame."""
+        return self.principal
 
     def hasse_edges(self):
         return spectrum.covering_edges(list(self.pfilters))
@@ -328,12 +328,13 @@ def _frame(rig):
         meet[i] = k - 1 - (below[i] & below).argmax(axis=1)
         if (masks[meet[i]] != (masks[i] & masks)).any():
             raise MvwError("intersection of P-filters is not a P-filter")
-    for table in (masks, join, meet):
+    # F_a lies inside every P-filter holding a, so it is the first listed one
+    principal = masks.argmax(axis=0)
+    for table in (masks, join, meet, principal):
         table.flags.writeable = False
     return FrameLA(rig=rig, pfilters=tuple(filters), masks=masks, join_table=join,
-                   meet_table=meet,
-                   bottom=int(masks[:, rig.u].argmax()),
-                   top=filters.index(frozenset(rig.elements())))
+                   meet_table=meet, bottom=int(principal[rig.u]),
+                   top=filters.index(frozenset(rig.elements())), principal=principal)
 
 
 @dataclass
@@ -418,7 +419,7 @@ def _verify_theta(rig, tm, principal_idx):
     # open of a product of their elements and the intersection that of a sum
     reps = np.zeros(len(mapping), dtype=np.int64)
     reps[open_of] = np.arange(rig.size)
-    cells, pairs = np.ix_(reps, reps), (mapping[:, None], mapping[None, :])
+    cells, pairs = (reps[:, None], reps), (mapping[:, None], mapping[None, :])
     if (mapping[open_of[mul[cells]]] != fr.join_table[pairs]).any():
         raise MvwError("open map does not preserve joins")
     if (mapping[open_of[rig.add_table[cells]]] != fr.meet_table[pairs]).any():
@@ -446,16 +447,15 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     if fr.bottom == fr.top:
         return []
     prin = fr.principal_index()
-    mul = rig.mul_table.tolist()
+    # row v holds the products v*g of the generators g
+    products = rig.mul_table.take(gens, axis=1).tolist()
     parent = {g: (None, g) for g in gens}
     frontier = list(gens)
     found = 0 in parent
     while frontier and not found:
         fresh = []
         for v in frontier:
-            row = mul[v]
-            for g in gens:
-                w = row[g]
+            for g, w in zip(gens, products[v]):
                 if w not in parent:
                     parent[w] = (v, g)
                     fresh.append(w)

@@ -24,6 +24,7 @@ re-checked by the law suites in ``suites``, not on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def is_ideal(rig: FiniteMvwRig, members):
     if below is not None:
         b, a = below
         return False, ("downward", (a, b))
-    pair = _first_pair(~mask[rig.add_table[np.ix_(inside, inside)]], inside, inside)
+    pair = _first_pair(~mask[rig.add_table[inside[:, None], inside]], inside, inside)
     if pair is not None:
         return False, ("sum", pair)
     mul = rig.mul_table
@@ -154,12 +155,18 @@ def _lattice_table(rig, op):
     """The k x k index table least[op[e, f]] over the tops of the listed
     ideals: their join for the sum, their product ideal for the product."""
     tops = _tops(rig)
-    return _read_only(_least(rig)[getattr(rig, f"{op}_table")[np.ix_(tops, tops)]])
+    return _read_only(_least(rig)[getattr(rig, f"{op}_table")[tops[:, None], tops]])
 
 
 @core.per_structure
 def _ideal_list(rig):
     return tuple(_as_ideal(rig, m) for m in _ideal_masks(rig))
+
+
+@core.per_structure
+def _positions(rig):
+    """The position of each listed ideal in the list, by its members."""
+    return MappingProxyType({i.members: k for k, i in enumerate(_ideal_list(rig))})
 
 
 def _as_ideal(rig, mask) -> Ideal:
@@ -219,7 +226,7 @@ def _classified(rig):
     out = []
     for ideal, mask, e, up in zip(enumerate_ideals(rig), masks, tops, above.T):
         reps = np.flatnonzero(rig.leq_table[:, rig.neg_table[e]])[1:]   # 0 comes first
-        block = np.ix_(reps, reps)
+        block = (reps[:, None], reps)
         prime = rig.mul_table is None or not mask[rig.mul_table[block]].any()
         out.append((ideal, IdealClass(prime=prime, mv_prime=not mask[rig.meet_table[block]].any(),
                                       maximal=not up.any(), proper=ideal.proper)))
@@ -277,15 +284,19 @@ def radical(rig: FiniteMvwRig, ideal: Ideal) -> Ideal:
 
     The powers x, x^2, .., x^(|A|+1) of every element are walked together,
     one product-table lookup per step; the power sequence cycles within
-    |A| steps, so the scan is exact.  The law suite compares the result
-    with the intersection of the proper primes above the ideal.
+    |A| steps, so the scan is exact, and once no power moves every later
+    power repeats, so the walk stops there.  The law suite compares the
+    result with the intersection of the proper primes above the ideal.
     """
     _require_commutative(rig)
     mask = _member_mask(rig, ideal.members)
     idx = np.arange(rig.size)
     acc, rad = idx, mask.copy()
     for _ in range(rig.size):
-        acc = rig.mul_table[acc, idx]
+        step = rig.mul_table[acc, idx]
+        if (step == acc).all():
+            break
+        acc = step
         rad |= mask[acc]
     return _as_ideal(rig, rad)
 
@@ -295,10 +306,8 @@ def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
     listed ideals: one read of the product table (module docstring)."""
     if rig.mul_table is None:
         raise GateNotMet("structure has no product")
-    # least[x] for a member x indexes an ideal inside a listed ideal, and at
-    # its top the ideal itself
-    i, j = (int(_least(rig)[list(k.members)].max()) for k in (i, j))
-    return _ideal_list(rig)[_lattice_table(rig, "mul")[i, j]]
+    position = _positions(rig)
+    return _ideal_list(rig)[_lattice_table(rig, "mul")[position[i.members], position[j.members]]]
 
 
 # -- congruences ------------------------------------------------------------
@@ -307,17 +316,6 @@ def ideal_product(rig: FiniteMvwRig, i: Ideal, j: Ideal) -> Ideal:
 class Congruence:
     rig: FiniteMvwRig
     class_of: tuple[int, ...]
-
-
-def _normalize_partition(rig, class_of):
-    """Renumber classes so the class of 0 is 0 and classes follow their
-    least elements."""
-    reps = {}
-    for x, c in enumerate(class_of):
-        reps.setdefault(c, x)
-    order = sorted(reps, key=lambda c: reps[c])
-    renum = {c: i for i, c in enumerate(order)}
-    return tuple(renum[c] for c in class_of)
 
 
 def is_congruence(rig: FiniteMvwRig, class_of):
@@ -407,7 +405,7 @@ def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
     proj = np.array(cong.class_of)
     # a class's least element is where the running maximum label steps up
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(proj), prepend=-1) > 0)
-    block = np.ix_(reps, reps)
+    block = (reps[:, None], reps)
     mul = None if rig.mul_table is None else proj[rig.mul_table[block]]
     names = tuple(f"[{rig.carrier.names[r]}]" for r in reps)
     qname = f"{rig.name}/{format_subset(rig, ideal.members)}"
@@ -455,7 +453,7 @@ def check_homomorphism(f: Homomorphism, require_product=None):
     if m[0] != 0:
         return False, ("zero", (0,))
     m = np.asarray(m)
-    block = np.ix_(m, m)
+    block = (m[:, None], m)
     # column 0 holds the negation clause at x, column y + 1 the sum at (x, y)
     mv_bad = np.column_stack([m[a.neg_table] != b.neg_table[m],
                               m[a.add_table] != b.add_table[block]])

@@ -18,17 +18,17 @@ shared object (the ideal tables, the classified ideals, the congruence and
 quotient of each ideal, the spectrum, the principal P-filter table and
 the frame) is built once per structure and kept on it by
 ``core.per_structure``, so the checks of every suite read the same one.
-Generated P-filters and cover questions fold the frame's join table.
-The scalar oracles stay element by element and independent of the routes
-they check, but read the tables as plain rows of tuples, built once per
-structure, instead of calling the accessors.
+The subset and partition oracles stay exhaustive and independent of the
+routes they check, but each runs on one boolean table, a row per seed in
+``itertools.combinations`` order or a row per partition, with a few
+whole-table operations per clause; only the library calls under test stay
+per seed, and the first failing row names the seed a scan would name.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,29 +57,6 @@ class _Skip(Exception):
     pass
 
 
-class _Rows(NamedTuple):
-    neg: tuple
-    add: tuple
-    mul: tuple | None
-    below: tuple
-
-
-def _nested(table):
-    return tuple(map(tuple, table.tolist()))
-
-
-@core.per_structure
-def _rows(rig):
-    """The tables as tuples of rows, and below[b] the elements a <= b: the
-    element-by-element oracles index these instead of calling the
-    bounds-checked accessors."""
-    return _Rows(
-        neg=tuple(rig.neg_table.tolist()), add=_nested(rig.add_table),
-        mul=None if rig.mul_table is None else _nested(rig.mul_table),
-        below=tuple(tuple(a for a, le in enumerate(col) if le)
-                    for col in rig.leq_table.T.tolist()))
-
-
 def _need_product(rig):
     if rig.mul_table is None:
         raise _Skip("no product")
@@ -103,6 +80,64 @@ def _need_within(rig, cap):
     limit = globals()[cap]
     if rig.size > limit:
         raise _Skip(f"carrier {rig.size} > {cap} ({limit})")
+
+
+# -- whole-table oracles ---------------------------------------------------------
+
+def _mask_rows(n, sets):
+    """One boolean row of n columns per set of elements."""
+    table = np.zeros((len(sets), n), dtype=bool)
+    table[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+          np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = True
+    return table
+
+
+def _seeds(n, smallest=0):
+    """Every subset of range(n) with at least ``smallest`` elements, in
+    ``itertools.combinations`` order (by size, then lexicographic): the
+    tuples, and one boolean row each."""
+    seeds = [s for k in range(smallest, n + 1) for s in itertools.combinations(range(n), k)]
+    return seeds, _mask_rows(n, seeds)
+
+
+def _hits(rows, rel):
+    """[i, c]: some a in row i has rel[a, c].  The counts are at most n,
+    exact in float32, so the product runs in BLAS."""
+    return rows.astype(np.float32) @ rel.astype(np.float32) > 0
+
+
+def _pair_images(rows, op):
+    """[i, c]: c = op[a, b] for some a, b in row i.  One product per a keeps
+    each temporary the size of the row table."""
+    images = np.zeros(rows.shape, dtype=bool)
+    for a, row in enumerate(op):
+        images |= _hits(rows & rows[:, [a]], row[:, None] == np.arange(len(op)))
+    return images
+
+
+def _fixpoint(rows, *steps):
+    """Grow every row by what each step (a row table -> the elements to
+    add) gives, until no row changes."""
+    while True:
+        grown = rows | np.logical_or.reduce([step(rows) for step in steps])
+        if (grown == rows).all():
+            return rows
+        rows = grown
+
+
+def _escapes(seeds, answers, listed):
+    """[i, j]: listed set j holds seed row i but not answer row i."""
+    return ~_hits(seeds, ~listed.T) & _hits(answers, ~listed.T)
+
+
+def _first_failure(clauses):
+    """The detail of the first failing row, its clauses tried in order.
+    Each clause is a boolean vector over the rows and a function giving the
+    detail of a failing row."""
+    failing = np.logical_or.reduce([bad for bad, _ in clauses])
+    if failing.any():
+        i = int(failing.argmax())
+        return next(detail(i) for bad, detail in clauses if bad[i])
 
 
 # -- core laws ---------------------------------------------------------------
@@ -213,7 +248,7 @@ def _check_product_monotone(r):
     mul, leq = r.mul_table, r.leq_table
     for c in range(r.size):
         for vec in (mul[:, c], mul[c, :]):
-            bad = leq & ~leq[np.ix_(vec, vec)]
+            bad = leq & ~leq[vec[:, None], vec]
             if bad.any():
                 a, b = map(int, np.argwhere(bad)[0])
                 return f"fails at a={a} b={b} c={c}"
@@ -225,7 +260,7 @@ def _check_product_join_bound(r):
     for a in range(r.size):
         for vec in (mul[a], mul[:, a]):
             lhs = vec[join]
-            rhs = join[np.ix_(vec, vec)]
+            rhs = join[vec[:, None], vec]
             if not leq[rhs, lhs].all():
                 b, c = map(int, np.argwhere(~leq[rhs, lhs])[0])
                 return f"fails at ({a}, {b}, {c})"
@@ -237,7 +272,7 @@ def _check_product_meet_bound(r):
     for a in range(r.size):
         for vec in (mul[a], mul[:, a]):
             lhs = vec[meet]
-            rhs = meet[np.ix_(vec, vec)]
+            rhs = meet[vec[:, None], vec]
             if not leq[lhs, rhs].all():
                 b, c = map(int, np.argwhere(~leq[lhs, rhs])[0])
                 return f"fails at ({a}, {b}, {c})"
@@ -256,7 +291,7 @@ def _check_power_join_bound(r):
     join, leq = r.join_table, r.leq_table
     for n, p in enumerate(_powers(r, 3), start=1):
         lhs = p[join]
-        rhs = join[np.ix_(p, p)]
+        rhs = join[p[:, None], p]
         if not leq[rhs, lhs].all():
             a, b = map(int, np.argwhere(~leq[rhs, lhs])[0])
             return f"fails at n={n} ({a}, {b})"
@@ -267,7 +302,7 @@ def _check_power_meet_bound(r):
     meet, leq = r.meet_table, r.leq_table
     for n, p in enumerate(_powers(r, 3), start=1):
         lhs = p[meet]
-        rhs = meet[np.ix_(p, p)]
+        rhs = meet[p[:, None], p]
         if not leq[lhs, rhs].all():
             a, b = map(int, np.argwhere(~leq[lhs, rhs])[0])
             return f"fails at n={n} ({a}, {b})"
@@ -314,69 +349,38 @@ def _check_ideals_sound(r):
             return f"{i.display()} fails {witness}"
 
 
-def _oplus_closure(rows, seed):
-    add = rows.add
-    out = set(seed)
-    frontier = set(seed)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            row = add[a]
-            for b in out:
-                for c in (row[b], add[b][a]):
-                    if c not in out:
-                        fresh.add(c)
-        out |= fresh
-        frontier = fresh
-    return out
-
-
-def _downward(rows, seed):
-    out = set(seed)
-    for b in seed:
-        out.update(rows.below[b])
-    return out
-
-
-def _generated_fixpoint(rows, seed):
-    """Least ideal by iterated closure under sums, the order and both
-    one-sided products, over the ``_rows`` of a structure: the independent
-    oracle for ``generated_ideal``."""
-    mul = rows.mul
-    members = {0} | set(seed)
-    while True:
-        before = len(members)
-        members = _downward(rows, _oplus_closure(rows, members))
-        if mul is not None:
-            extra = set()
-            for a in members:
-                extra.update(mul[a])
-                extra.update(row[a] for row in mul)
-            members |= extra
-        if len(members) == before:
-            return members
+def _ideal_closure(rig, seeds):
+    """The least ideal holding each seed row: the rows with 0 added, grown
+    under sums, the order and the product with any element on either side,
+    read off the raw tables.  The independent oracle for
+    ``generated_ideal``."""
+    rows = seeds | (np.arange(rig.size) == 0)
+    steps = [lambda f: _pair_images(f, rig.add_table), lambda f: _hits(f, rig.leq_table.T)]
+    if rig.mul_table is not None:
+        # row a: the products a.y and y.a for every y
+        absorb = _mask_rows(rig.size, [row + col for row, col in zip(
+            rig.mul_table.tolist(), rig.mul_table.T.tolist())])
+        steps.append(lambda f: _hits(f, absorb))
+    return _fixpoint(rows, *steps)
 
 
 def _check_generated_least(r):
     _need_within(r, "SUBSET_SIZE_LIMIT")
-    all_sets = [i.members for i in ideals.enumerate_ideals(r)]
-    rows = _rows(r)
-    verified = set()    # generated sets already shown to be ideals
-    for k in range(r.size + 1):
-        for seed in itertools.combinations(range(r.size), k):
-            gen = ideals.generated_ideal(r, seed)
-            if gen.members not in verified:
-                ok, witness = ideals.is_ideal(r, gen.members)
-                if not ok:
-                    return f"<{seed}> is not an ideal: {witness}"
-                verified.add(gen.members)
-            if not set(seed) <= gen.members:
-                return f"<{seed}> lost its seed"
-            for s in all_sets:
-                if set(seed) <= s and not gen.members <= s:
-                    return f"<{seed}> is not least (exceeds {sorted(s)})"
-            if frozenset(_generated_fixpoint(rows, seed)) != gen.members:
-                return f"closure routes disagree on {seed}"
+    listed = ideals.enumerate_ideals(r)
+    seeds, table = _seeds(r.size)
+    answers = [ideals.generated_ideal(r, seed).members for seed in seeds]
+    gens = _mask_rows(r.size, answers)
+    witness = {s: ideals.is_ideal(r, s)[1] for s in dict.fromkeys(answers)}  # once per set
+    escapes = _escapes(table, gens, _mask_rows(r.size, [i.members for i in listed]))
+    return _first_failure([
+        (np.array([witness[s] is not None for s in answers]),
+         lambda i: f"<{seeds[i]}> is not an ideal: {witness[answers[i]]}"),
+        ((table & ~gens).any(axis=1), lambda i: f"<{seeds[i]}> lost its seed"),
+        (escapes.any(axis=1), lambda i: f"<{seeds[i]}> is not least (exceeds "
+                                        f"{sorted(listed[escapes[i].argmax()].members)})"),
+        ((_ideal_closure(r, table) != gens).any(axis=1),
+         lambda i: f"closure routes disagree on {seeds[i]}"),
+    ])
 
 
 def _check_congruence_roundtrip(r):
@@ -387,58 +391,41 @@ def _check_congruence_roundtrip(r):
             return f"{ideal.display()} does not round-trip"
 
 
-def _compatible(rows, class_of) -> bool:
-    """The partition is compatible with every operation, by the definition
-    element by element over the ``_rows`` of a structure, with an early
-    exit: the oracle for the partition scan, where most candidates fail
-    within a few comparisons."""
-    neg, add, mul = rows.neg, rows.add, rows.mul
-    buckets = {}
-    for x, c in enumerate(class_of):
-        buckets.setdefault(c, []).append(x)
-    for cls in buckets.values():
-        base = cls[0]
-        for x in cls[1:]:
-            if class_of[neg[base]] != class_of[neg[x]]:
-                return False
-            add_b, add_x = add[base], add[x]
-            mul_b, mul_x = (None, None) if mul is None else (mul[base], mul[x])
-            for y, row in enumerate(add):
-                if class_of[add_b[y]] != class_of[add_x[y]] \
-                        or class_of[row[base]] != class_of[row[x]]:
-                    return False
-                if mul is not None and (
-                        class_of[mul_b[y]] != class_of[mul_x[y]]
-                        or class_of[mul[y][base]] != class_of[mul[y][x]]):
-                    return False
-    return True
+def _partitions(n):
+    """Every partition of range(n), in lexicographic order, as a restricted
+    growth string: classes numbered by their least elements, a normalized
+    class_of per row."""
+    table = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(1, n):
+        options = table.max(axis=1) + 2     # each class so far, or a new one
+        first = np.repeat(np.cumsum(options) - options, options)
+        table = np.column_stack([np.repeat(table, options, axis=0),
+                                 np.arange(len(first)) - first]).astype(np.int8)
+    return table
+
+
+def _congruence_rows(rig, classes):
+    """Which rows of a class table are congruences: x and the least element
+    of its class land in one class under the negation and each column and
+    row of each operation.  Rows failing a map are dropped before the next,
+    so most candidates cost a few gathers."""
+    reps = (classes[:, :, None] == classes[:, None, :]).argmax(axis=2).astype(np.int8)
+    maps = [rig.neg_table] + [f for op in (rig.add_table, rig.mul_table) if op is not None
+                              for y in range(rig.size) for f in (op[:, y], op[y])]
+    keep = np.arange(len(classes))
+    for f in maps:
+        cls = classes[keep]
+        keep = keep[(np.take_along_axis(cls, f[reps[keep]], axis=1) == cls[:, f]).all(axis=1)]
+    return np.isin(np.arange(len(classes)), keep)
 
 
 def _check_congruence_bijection(r):
     _need_within(r, "PARTITION_SIZE_LIMIT")
-
-    def partitions(universe):
-        if not universe:
-            yield []
-            return
-        first, rest = universe[0], universe[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [part[i] + [first]] + part[i + 1:]
-            yield [[first]] + part
-
-    rows = _rows(r)
-    congruences = []
-    for part in partitions(list(range(r.size))):
-        class_of = [0] * r.size
-        for ci, cls in enumerate(part):
-            for x in cls:
-                class_of[x] = ci
-        if _compatible(rows, class_of):
-            congruences.append(ideals._normalize_partition(r, tuple(class_of)))
+    classes = _partitions(r.size)
+    congruences = [tuple(row) for row in classes[_congruence_rows(r, classes)].tolist()]
     count = len(ideals.enumerate_ideals(r))
-    if len(set(congruences)) != count:
-        return f"{len(set(congruences))} congruences vs {count} ideals"
+    if len(congruences) != count:
+        return f"{len(congruences)} congruences vs {count} ideals"
     for class_of in congruences:
         ideal = ideals.ideal_from_congruence(r, ideals.Congruence(r, class_of))
         cong2 = ideals.congruence_from_ideal(r, ideal)
@@ -485,7 +472,7 @@ def _check_hom_kernel_order(r):
         f = ideals.Homomorphism(r, q.rig, q.projection)
         ker = ideals._member_mask(r, ideals.kernel(f).members)
         proj = np.asarray(q.projection)
-        bad = q.rig.leq_table[np.ix_(proj, proj)] != ker[r.monus_table]
+        bad = q.rig.leq_table[proj[:, None], proj] != ker[r.monus_table]
         if bad.any():
             x, y = np.unravel_index(int(bad.argmax()), bad.shape)
             return f"fails at ({x}, {y}) over {ideal.display()}"
@@ -696,31 +683,42 @@ def _check_spec_compactness(r):
     _need_unit(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
     s, fr = spectrum.spec(r), frames.frame(r)
-    for k in range(r.size + 1):
-        for gens in itertools.combinations(range(r.size), k):
-            union = frozenset().union(*(s.base[a] for a in gens)) if gens else frozenset()
-            if union != s.all_points:
-                continue
-            try:
-                sub = frames.finite_subcover(r, list(gens))
-            except MvwError as exc:
-                return f"cover {gens}: {exc}"
-            covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
-            if covered != s.all_points and not fr.masks[fr.bottom].all():
-                return f"subcover of {gens} misses a point"
+    seeds, table = _seeds(r.size)
+    basic = _mask_rows(len(s.points), [s.base[a] for a in r.elements()])
+    subs, failure = [], None
+    for i in np.flatnonzero(_hits(table, basic).all(axis=1)):
+        try:
+            subs.append((seeds[i], frames.finite_subcover(r, list(seeds[i]))))
+        except MvwError as exc:
+            failure = f"cover {seeds[i]}: {exc}"
+            break
+    misses = ~_hits(_mask_rows(r.size, [sub for _, sub in subs]), basic).all(axis=1)
+    return _first_failure([(misses & ~fr.masks[fr.bottom].all(),
+                            lambda k: f"subcover of {subs[k][0]} misses a point")]) or failure
 
 
 # -- locale laws ----------------------------------------------------------------
 
+def _dotted_sums(rig):
+    """[x, d]: d is a dotted sum of x, by ``frames.dotsum_closure``."""
+    return _mask_rows(rig.size, [frames.dotsum_closure(rig, x) for x in rig.elements()])
+
+
+def _pfilter_rows(rig, rows, dotted):
+    """Which rows are P-filters, by the definition: nonempty, upward
+    closed, closed under the product, and holding x whenever they hold a
+    dotted sum of x (``dotted`` as from ``_dotted_sums``)."""
+    reached = (_hits(rows, rig.leq_table) | _pair_images(rows, rig.mul_table)
+               | _hits(rows, dotted.T))
+    return rows.any(axis=1) & ~(reached & ~rows).any(axis=1)
+
+
 def _check_pfilters_complete(r):
     _need_product(r)
     _need_within(r, "BRUTE_PFILTER_LIMIT")
-    brute = set()
-    for k in range(1, r.size + 1):
-        for cand in itertools.combinations(range(r.size), k):
-            if frames.is_pfilter(r, set(cand))[0]:
-                brute.add(frozenset(cand))
-    if brute != set(frames.frame(r).pfilters):
+    _, table = _seeds(r.size, 1)
+    brute = table[_pfilter_rows(r, table, _dotted_sums(r))]
+    if {row.tobytes() for row in brute} != {row.tobytes() for row in frames.frame(r).masks}:
         return "the enumeration misses or invents a P-filter"
 
 
@@ -758,39 +756,36 @@ def _check_principal_join_law(r):
         return f"fails at {pair}"
 
 
-def _pfilter_by_formula(rig, seed, dotsums):
-    """The dotted-sum description of the generated P-filter: x belongs iff
-    some finite product of seed elements sits below some dotted sum of x
-    (``dotsums`` maps each x to all its dotted sums), that is, iff some
-    dotted sum of x lies in the up-set of the products.  The independent
-    oracle for ``pfilter_generated`` on commutative structures; on
-    noncommutative ones it can fail product closure."""
-    prods = np.zeros(rig.size, dtype=bool)
-    prods[list(seed)] = True
-    while True:
-        inside = np.flatnonzero(prods)
-        grown = prods.copy()
-        grown[rig.mul_table[inside[:, None], inside]] = True
-        if (grown == prods).all():
-            break
-        prods = grown
-    above = rig.leq_table[prods].any(axis=0).tolist()
-    return frozenset(x for x in range(rig.size) if any(above[d] for d in dotsums[x]))
+def _pfilter_formula(rig, seeds, dotted):
+    """The P-filter each seed row generates, by its dotted-sum description:
+    x belongs iff a dotted sum of x lies above a product of seed elements.
+    The oracle for ``pfilter_generated`` on commutative structures."""
+    products = _fixpoint(seeds, lambda f: _pair_images(f, rig.mul_table))
+    return _hits(_hits(products, rig.leq_table), dotted.T)
 
 
 def _check_pfilter_generated_least(r):
     _need_product(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
-    all_filters = list(frames.frame(r).pfilters)
-    dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
-    for k in range(1, r.size + 1):
-        for seed in itertools.combinations(range(r.size), k):
-            gen = frames.pfilter_generated(r, seed).members
-            for f in all_filters:
-                if set(seed) <= f and not gen <= f:
-                    return f"<{seed}> is not least"
-            if r.commutative and _pfilter_by_formula(r, seed, dotsums) != gen:
-                return f"dotted-sum description of <{seed}> differs from the closure"
+    fr = frames.frame(r)
+    seeds, table = _seeds(r.size, 1)
+    gens = _mask_rows(r.size, [frames.pfilter_generated(r, seed).members for seed in seeds])
+    clauses = [(_escapes(table, gens, fr.masks).any(axis=1),
+                lambda i: f"<{seeds[i]}> is not least")]
+    if r.commutative:
+        clauses.append(((_pfilter_formula(r, table, _dotted_sums(r)) != gens).any(axis=1),
+                        lambda i: f"dotted-sum description of <{seeds[i]}> differs "
+                                  f"from the closure"))
+    return _first_failure(clauses)
+
+
+def _joins(fr, prin, rows):
+    """The join of the F_a (index prin[a]) over each row's elements a, folded
+    over the frame's join table from the bottom in ascending a."""
+    acc = np.full(len(rows), fr.bottom)
+    for a in range(rows.shape[1]):
+        acc = np.where(rows[:, a], fr.join_table[acc, prin[a]], acc)
+    return acc
 
 
 def _check_frame_distributivity(r):
@@ -836,37 +831,43 @@ def _check_theta_iso(r):
     # union of basic opens, joins to the filter the open maps to
     space, fr = tm.space, tm.frame
     table = frames.principal_table(r)
-    prin = [fr.index_of(table.pfilters[i]) for i in table.index]
-    open_index = {o: i for i, o in enumerate(space.opens)}
-    for rset in itertools.chain.from_iterable(
-            itertools.combinations(range(r.size), k) for k in range(r.size + 1)):
-        u = frozenset().union(*(space.base[a] for a in rset))
-        if fr.join_of(prin[a] for a in rset) != tm.open_to_filter[open_index[u]]:
-            return f"open map depends on the presentation {rset}"
+    prin = np.array([fr.index_of(table.pfilters[i]) for i in table.index])
+    seeds, rows = _seeds(r.size)
+    opens = _mask_rows(len(space.points), space.opens)
+    unions = _hits(rows, _mask_rows(len(space.points), [space.base[a] for a in r.elements()]))
+    # [i, o]: the union of row i is open o
+    same = ~_hits(unions, ~opens.T) & ~_hits(~unions, opens.T)
+    mapped = np.asarray(tm.open_to_filter)[same.argmax(axis=1)]
+    return _first_failure([(~same.any(axis=1) | (mapped != _joins(fr, prin, rows)),
+                            lambda i: f"open map depends on the presentation {seeds[i]}")])
 
 
 def _check_frame_covers(r):
     _need_product(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
     fr = frames.frame(r)
-    full = frozenset(r.elements())
-    prin = fr.principal_index().tolist()
-    for k in range(1, r.size + 1):
-        for gens in itertools.combinations(range(r.size), k):
-            join = fr.join_of(prin[g] for g in gens)
-            covers = fr.pfilters[join] == full
-            try:
-                sub = frames.finite_subcover(r, list(gens))
-            except frames.NotACover:
-                if covers:
-                    return f"{gens} covers but was rejected"
-                continue
-            if not covers:
-                return f"{gens} does not cover but a subcover was returned"
-            if sub:
-                back = fr.join_of(prin[g] for g in sub)
-                if fr.pfilters[back] != full:
-                    return f"subcover of {gens} has a proper join"
+    seeds, table = _seeds(r.size, 1)
+    answers, error = [], None    # a subfamily, or None for a refused cover
+    for seed in seeds:
+        try:
+            answers.append(frames.finite_subcover(r, list(seed)))
+        except frames.NotACover:
+            answers.append(None)
+        except MvwError as exc:
+            error = exc
+            break
+    covers = _joins(fr, fr.principal_index(), table[:len(answers)]) == fr.top
+    refused = np.array([sub is None for sub in answers], dtype=bool)
+    subs = _mask_rows(r.size, [sub or () for sub in answers])
+    detail = _first_failure([
+        (refused & covers, lambda i: f"{seeds[i]} covers but was rejected"),
+        (~refused & ~covers, lambda i: f"{seeds[i]} does not cover but a subcover was returned"),
+        (subs.any(axis=1) & (_joins(fr, fr.principal_index(), subs) != fr.top),
+         lambda i: f"subcover of {seeds[i]} has a proper join"),
+    ])
+    if detail is None and error is not None:
+        raise error
+    return detail
 
 
 SUITES = {

@@ -9,7 +9,12 @@ import pytest
 from mvwrig import builders, frames, spectrum, suites
 from mvwrig.errors import EmptySeed, GateNotMet, MvwError, NotACover, SizeBound
 
+import scalar_oracles
 from conftest import LADDER, ZOO
+
+
+def _members(row):
+    return frozenset(np.flatnonzero(row).tolist())
 
 
 @pytest.fixture
@@ -54,11 +59,9 @@ def test_pfilter_generated(z3):
 
 def test_pfilter_formula_agrees_on_commutative(z3, square):
     for rig in (z3, square, ZOO["T3"]):
-        dotsums = {x: frames.dotsum_closure(rig, x) for x in rig.elements()}
-        for k in range(1, rig.size + 1):
-            for seed in itertools.combinations(range(rig.size), k):
-                assert suites._pfilter_by_formula(rig, seed, dotsums) == \
-                    frames.pfilter_generated(rig, seed).members
+        seeds, table = suites._seeds(rig.size, 1)
+        for seed, row in zip(seeds, suites._pfilter_formula(rig, table, suites._dotted_sums(rig))):
+            assert _members(row) == frames.pfilter_generated(rig, seed).members, seed
 
 
 def test_principal_pfilters(z3):
@@ -605,9 +608,11 @@ def test_finite_subcover_matches_reference(rig, monkeypatch):
 
 # -- the dotted-sum oracle against its gather body ------------------------------
 #
-# ``_pfilter_by_formula`` reads the up-set of the product closure once and
-# tests each element's dotted sums against it.  This is the earlier body,
-# one ``np.ix_`` gather of the order per element.
+# ``_pfilter_formula`` closes every seed row under products at once and reads
+# the dotted sums of each element off one table.  The references are the
+# per-seed body in ``scalar_oracles``, which reads the up-set of the product
+# closure once, and the earlier body below, one ``np.ix_`` gather of the
+# order per element.
 
 def reference_pfilter_by_formula(rig, seed, dotsums):
     prods = set(seed)
@@ -624,10 +629,21 @@ def reference_pfilter_by_formula(rig, seed, dotsums):
                                  if p.values[0].size <= suites.SUBSET_SIZE_LIMIT])
 def test_pfilter_formula_matches_gather_body(rig):
     dotsums = {x: frames.dotsum_closure(rig, x) for x in rig.elements()}
-    for k in range(1, rig.size + 1):
-        for seed in itertools.combinations(range(rig.size), k):
-            assert suites._pfilter_by_formula(rig, seed, dotsums) == \
-                reference_pfilter_by_formula(rig, seed, dotsums), seed
+    seeds, table = suites._seeds(rig.size, 1)
+    for seed, row in zip(seeds, suites._pfilter_formula(rig, table, suites._dotted_sums(rig))):
+        assert _members(row) == reference_pfilter_by_formula(rig, seed, dotsums) == \
+            scalar_oracles.pfilter_by_formula(rig, seed, dotsums), seed
+
+
+@pytest.mark.parametrize("rig", [p for p in REFERENCE_RIGS
+                                 if p.values[0].size <= suites.BRUTE_PFILTER_LIMIT])
+def test_pfilter_definition_on_every_subset(rig):
+    # ``pfilters-complete`` reads the definition off its seed table, not
+    # ``is_pfilter``; both must agree with the scalar clauses everywhere
+    ref = Scalar(rig)
+    seeds, table = suites._seeds(rig.size)
+    for seed, held in zip(seeds, suites._pfilter_rows(rig, table, suites._dotted_sums(rig))):
+        assert held == frames.is_pfilter(rig, seed)[0] == ref.is_pfilter(seed)[0], seed
 
 
 # -- the principal table against closures ---------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvwrig import builders, core, dsl, ideals, suites
+from mvwrig import builders, core, dsl, ideals
 from mvwrig.errors import (
     GateNotMet,
     NotACongruence,
@@ -15,6 +15,7 @@ from mvwrig.errors import (
     Trivial,
 )
 
+import scalar_oracles
 from conftest import LADDER, ZOO, mv_ideals, zoo_items
 
 
@@ -118,13 +119,13 @@ def test_generated_ideal_examples(z3, t3):
 
 def test_generated_ideal_noncommutative_fallback():
     m = ZOO["M2(Z1)"]
-    rows = suites._rows(m)
+    rows = scalar_oracles.rows(m)
     for k in (1, 2):
         for seed in itertools.combinations(range(m.size), k):
             gen = ideals.generated_ideal(m, seed)
             ok, witness = ideals.is_ideal(m, gen.members)
             assert ok, (seed, witness)
-            assert gen.members == frozenset(suites._generated_fixpoint(rows, seed)), seed
+            assert gen.members == frozenset(scalar_oracles.generated_fixpoint(rows, seed)), seed
 
 
 def test_enumerate_ideals_counts(z3, square):
@@ -367,16 +368,16 @@ def test_preimage_of_prime_is_prime():
 # -- cross-check against the closure route ------------------------------------
 
 def closure_ideals(rig):
-    """Every ideal, smallest first, by a search over the closure oracle of
-    the law suite: adding generators one at a time reaches every ideal."""
-    rows = suites._rows(rig)
+    """Every ideal, smallest first, by a search over the scalar closure
+    oracle: adding generators one at a time reaches every ideal."""
+    rows = scalar_oracles.rows(rig)
     zero = frozenset({0})
     found, frontier = {zero}, [zero]
     while frontier:
         base = frontier.pop()
         for a in rig.elements():
             if a not in base:
-                bigger = frozenset(suites._generated_fixpoint(rows, base | {a}))
+                bigger = frozenset(scalar_oracles.generated_fixpoint(rows, base | {a}))
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)
@@ -385,11 +386,11 @@ def closure_ideals(rig):
 
 def assert_matches_closure(rig, max_seed=2):
     assert [i.members for i in ideals.enumerate_ideals(rig)] == closure_ideals(rig)
-    rows = suites._rows(rig)
+    rows = scalar_oracles.rows(rig)
     for k in range(max_seed + 1):
         for seed in itertools.combinations(range(rig.size), k):
             assert ideals.generated_ideal(rig, seed).members == \
-                frozenset(suites._generated_fixpoint(rows, seed)), (rig.name, seed)
+                frozenset(scalar_oracles.generated_fixpoint(rows, seed)), (rig.name, seed)
 
 
 @pytest.mark.parametrize("rig", zoo_items())
@@ -572,7 +573,8 @@ def scalar_check_homomorphism(f, require_product=None):
 
 def scalar_ideal_classes(rig, members):
     """x ~ y iff (x - y) + (y - x) lies in the ideal; each unassigned x in
-    ascending order opens a class with everything related to it."""
+    ascending order opens the next class with everything related to it, so
+    classes are numbered by their least elements."""
     class_of = [-1] * rig.size
     nxt = 0
     for x in rig.elements():
@@ -581,7 +583,7 @@ def scalar_ideal_classes(rig, members):
                 if rig.add(rig.monus(x, y), rig.monus(y, x)) in members:
                     class_of[y] = nxt
             nxt += 1
-    return ideals._normalize_partition(rig, tuple(class_of))
+    return tuple(class_of)
 
 
 def scalar_quotient(rig, members):
@@ -824,3 +826,46 @@ def test_kept_tables_read_lattice_tops():
         [cls for _, cls in ideals.classified_ideals(square)]
     for table in ("add", "mul"):
         assert (ideals._lattice_table(rig, table) == ideals._lattice_table(square, table)).all()
+
+
+# -- the radical walk and the product positions against their earlier bodies ---
+
+def reference_radical(rig, members):
+    """The radical by all n power steps, the walk before its early stop."""
+    mask = member_mask(rig, members)
+    idx = np.arange(rig.size)
+    acc, rad = idx, mask.copy()
+    for _ in range(rig.size):
+        acc = rig.mul_table[acc, idx]
+        rad |= mask[acc]
+    return frozenset(np.flatnonzero(rad).tolist())
+
+
+@pytest.mark.parametrize("rig", [p for p in LATTICE_RIGS if p.values[0].mul_table is not None
+                                 and p.values[0].commutative] + [
+    pytest.param(builders.build_zn(9), id="Z9")])
+def test_radical_stop_matches_the_full_walk(rig):
+    # the listed ideals, and each {0, x}; in Z9 no square is 8 but 2^3 is,
+    # so the radical of {0, 8} grows after a step that adds nothing
+    sets = [i.members for i in ideals.enumerate_ideals(rig)] + [
+        frozenset({0, x}) for x in rig.elements()]
+    for members in sets:
+        assert ideals.radical(rig, ideals.Ideal(rig, members)).members == \
+            reference_radical(rig, members), sorted(members)
+
+
+@pytest.mark.parametrize("rig", [p for p in LATTICE_RIGS if p.values[0].mul_table is not None])
+def test_ideal_product_reads_the_listed_positions(rig):
+    # the earlier body located each ideal by a gather of least[x] over its
+    # members; every pair of listed ideals gives the same product
+    listed = ideals.enumerate_ideals(rig)
+    gathered = [int(ideals._least(rig)[list(i.members)].max()) for i in listed]
+    assert gathered == list(range(len(listed)))
+    table = ideals._lattice_table(rig, "mul")
+    for a, i in enumerate(listed):
+        for b, j in enumerate(listed):
+            assert ideals.ideal_product(rig, i, j) is listed[table[gathered[a], gathered[b]]]
+    # an Ideal built from the members, not taken from the list, is found too
+    whole = listed[-1]
+    copy = ideals.Ideal(rig, frozenset(whole.members))
+    assert ideals.ideal_product(rig, copy, copy) is ideals.ideal_product(rig, whole, whole)

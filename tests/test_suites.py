@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mvwrig import builders, core, frames, ideals, spectrum, suites
-from mvwrig.errors import MvwError
+from mvwrig.errors import MvwError, NotACover
 
+import scalar_oracles
 from conftest import LADDER, ZOO, mv_ideals, zoo_items
 
 
@@ -218,9 +219,9 @@ def _commands_read(rig):
             frames.principal_table(rig))
 
 
-KEPT = {"chain_decomposition", "_rows", "_ideal_masks", "_tops", "_least", "_lattice_table",
-        "_ideal_list", "_classified", "congruence_from_ideal", "quotient", "_mv_reduct",
-        "_spec", "_dotsum_tops", "principal_table", "_frame"}
+KEPT = {"chain_decomposition", "_ideal_masks", "_tops", "_least", "_lattice_table",
+        "_ideal_list", "_positions", "_classified", "congruence_from_ideal", "quotient",
+        "_mv_reduct", "_spec", "_dotsum_tops", "principal_table", "_frame"}
 
 
 def test_run_all_and_the_commands_build_each_object_once():
@@ -561,11 +562,13 @@ def test_pfilter_decomposition_catches_a_corrupted_mask(zoo, monkeypatch):
         "FAIL", "[0, 1, 2, 3] is not the union of its principal parts")
 
 
-# -- the scalar oracles against their accessor bodies ---------------------------
+# -- the whole-table oracles against the scalar bodies ----------------------------
 #
-# ``generated-least`` and ``congruence-bijection`` run their oracles over the
-# tables as Python lists, built once per structure.  These are the earlier
-# bodies, which called the bounds-checked accessors element by element.
+# The subset and partition oracles run on one table of seeds or partitions.
+# The references are the accessor bodies below, which call the
+# bounds-checked accessors element by element, the list-row bodies in
+# ``scalar_oracles``, and the earlier per-seed checks, which must name the
+# same first failing seed with the same detail.
 
 def reference_oplus_closure(rig, seed):
     out = set(seed)
@@ -647,13 +650,44 @@ SMALL_RIGS = {k: r for k, r in dict(
     if r.size <= suites.SUBSET_SIZE_LIMIT}
 
 
+def _members(row):
+    return set(np.flatnonzero(row).tolist())
+
+
+def _class_of(part, n):
+    """A partition's class labels, numbered by the classes' least elements."""
+    class_of = [0] * n
+    for cls in part:
+        for x in cls:
+            class_of[x] = min(cls)
+    firsts = sorted(set(class_of))
+    return tuple(firsts.index(c) for c in class_of)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_seed_tables_follow_combinations_order(n):
+    # the first failing row is the seed the scalar scan named first
+    for smallest in (0, 1):
+        seeds, table = suites._seeds(n, smallest)
+        assert seeds == [s for k in range(smallest, n + 1)
+                         for s in itertools.combinations(range(n), k)]
+        assert [tuple(sorted(_members(row))) for row in table] == seeds
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_table_lists_each_partition_once(n):
+    # restricted growth strings in lexicographic order
+    table = [tuple(row) for row in suites._partitions(n).tolist()]
+    assert table == sorted(_class_of(part, n) for part in set_partitions(list(range(n))))
+
+
 @pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()])
 def test_generated_fixpoint_matches_accessor_body(rig):
-    rows = suites._rows(rig)
-    for k in range(rig.size + 1):
-        for seed in itertools.combinations(range(rig.size), k):
-            assert suites._generated_fixpoint(rows, seed) == \
-                reference_generated_fixpoint(rig, seed), seed
+    seeds, table = suites._seeds(rig.size)
+    rows = scalar_oracles.rows(rig)
+    for seed, row in zip(seeds, suites._ideal_closure(rig, table)):
+        assert _members(row) == reference_generated_fixpoint(rig, seed) == \
+            scalar_oracles.generated_fixpoint(rows, seed), seed
 
 
 def test_oracles_match_accessor_bodies_without_commutativity():
@@ -662,34 +696,234 @@ def test_oracles_match_accessor_bodies_without_commutativity():
     # the sum and may break the product on either side; and seeded random
     # partitions
     rig = ZOO["M2(Z1)"]
-    rows = suites._rows(rig)
-    for k in range(3):
-        for seed in itertools.combinations(range(rig.size), k):
-            assert suites._generated_fixpoint(rows, seed) == \
-                reference_generated_fixpoint(rig, seed), seed
+    rows = scalar_oracles.rows(rig)
+    seeds = [s for k in range(3) for s in itertools.combinations(range(rig.size), k)]
+    for seed, row in zip(seeds, suites._ideal_closure(rig, suites._mask_rows(rig.size, seeds))):
+        assert _members(row) == reference_generated_fixpoint(rig, seed) == \
+            scalar_oracles.generated_fixpoint(rows, seed), seed
     mv = core.derive(rig.neg_table, rig.add_table, None)
     partitions = [ideals.congruence_from_ideal(mv, ideals.Ideal(mv, i.members)).class_of
                   for i in mv_ideals(rig)]
     rng = random.Random(rig.size)
     partitions += [tuple(rng.randrange(k) for _ in rig.elements())
                    for k in (2, 3, 4) for _ in range(100)]
-    assert any(suites._compatible(rows, c) for c in partitions)
-    for class_of in partitions:
-        assert suites._compatible(rows, class_of) == reference_compatible(rig, class_of), \
-            class_of
+    held = suites._congruence_rows(rig, np.array(partitions))
+    assert held.any()
+    for class_of, ok in zip(partitions, held):
+        assert ok == reference_compatible(rig, class_of) == \
+            scalar_oracles.compatible(rows, class_of), class_of
 
 
 @pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()
                                  if r.size <= suites.PARTITION_SIZE_LIMIT])
 def test_compatible_matches_accessor_body(rig):
-    rows = suites._rows(rig)
-    for part in set_partitions(list(range(rig.size))):
-        class_of = [0] * rig.size
-        for ci, cls in enumerate(part):
-            for x in cls:
-                class_of[x] = ci
-        assert suites._compatible(rows, class_of) == reference_compatible(rig, class_of), \
-            part
+    classes = suites._partitions(rig.size)
+    rows = scalar_oracles.rows(rig)
+    for class_of, ok in zip(classes.tolist(), suites._congruence_rows(rig, classes)):
+        assert ok == reference_compatible(rig, class_of) == \
+            scalar_oracles.compatible(rows, class_of), class_of
+
+
+# The earlier per-seed checks, each scanning itertools.combinations and
+# stopping at the first failing seed.
+
+def reference_generated_least(r):
+    suites._need_within(r, "SUBSET_SIZE_LIMIT")
+    all_sets = [i.members for i in ideals.enumerate_ideals(r)]
+    rows = scalar_oracles.rows(r)
+    verified = set()
+    for k in range(r.size + 1):
+        for seed in itertools.combinations(range(r.size), k):
+            gen = ideals.generated_ideal(r, seed)
+            if gen.members not in verified:
+                ok, witness = ideals.is_ideal(r, gen.members)
+                if not ok:
+                    return f"<{seed}> is not an ideal: {witness}"
+                verified.add(gen.members)
+            if not set(seed) <= gen.members:
+                return f"<{seed}> lost its seed"
+            for s in all_sets:
+                if set(seed) <= s and not gen.members <= s:
+                    return f"<{seed}> is not least (exceeds {sorted(s)})"
+            if frozenset(scalar_oracles.generated_fixpoint(rows, seed)) != gen.members:
+                return f"closure routes disagree on {seed}"
+
+
+def reference_pfilter_generated_least(r):
+    suites._need_product(r)
+    suites._need_within(r, "SUBSET_SIZE_LIMIT")
+    all_filters = list(frames.frame(r).pfilters)
+    dotsums = {x: frames.dotsum_closure(r, x) for x in r.elements()}
+    for k in range(1, r.size + 1):
+        for seed in itertools.combinations(range(r.size), k):
+            gen = frames.pfilter_generated(r, seed).members
+            for f in all_filters:
+                if set(seed) <= f and not gen <= f:
+                    return f"<{seed}> is not least"
+            if r.commutative and scalar_oracles.pfilter_by_formula(r, seed, dotsums) != gen:
+                return f"dotted-sum description of <{seed}> differs from the closure"
+
+
+def reference_compactness(r):
+    suites._need_commutative(r)
+    suites._need_unit(r)
+    suites._need_within(r, "SUBSET_SIZE_LIMIT")
+    s, fr = spectrum.spec(r), frames.frame(r)
+    for k in range(r.size + 1):
+        for gens in itertools.combinations(range(r.size), k):
+            union = frozenset().union(*(s.base[a] for a in gens)) if gens else frozenset()
+            if union != s.all_points:
+                continue
+            try:
+                sub = frames.finite_subcover(r, list(gens))
+            except MvwError as exc:
+                return f"cover {gens}: {exc}"
+            covered = frozenset().union(*(s.base[a] for a in sub)) if sub else frozenset()
+            if covered != s.all_points and not fr.masks[fr.bottom].all():
+                return f"subcover of {gens} misses a point"
+
+
+def reference_frame_covers(r):
+    suites._need_product(r)
+    suites._need_within(r, "SUBSET_SIZE_LIMIT")
+    fr = frames.frame(r)
+    full = frozenset(r.elements())
+    prin = fr.principal_index().tolist()
+    for k in range(1, r.size + 1):
+        for gens in itertools.combinations(range(r.size), k):
+            join = fr.join_of(prin[g] for g in gens)
+            covers = fr.pfilters[join] == full
+            try:
+                sub = frames.finite_subcover(r, list(gens))
+            except frames.NotACover:
+                if covers:
+                    return f"{gens} covers but was rejected"
+                continue
+            if not covers:
+                return f"{gens} does not cover but a subcover was returned"
+            if sub:
+                back = fr.join_of(prin[g] for g in sub)
+                if fr.pfilters[back] != full:
+                    return f"subcover of {gens} has a proper join"
+
+
+def reference_theta_iso(r):
+    suites._need_commutative(r)
+    suites._need_unit(r)
+    tm = frames.theta(r)
+    if len(tm.space.opens) != len(tm.frame.pfilters):
+        return "open lattice and P-filter frame have different sizes"
+    space, fr = tm.space, tm.frame
+    table = frames.principal_table(r)
+    prin = [fr.index_of(table.pfilters[i]) for i in table.index]
+    open_index = {o: i for i, o in enumerate(space.opens)}
+    for rset in itertools.chain.from_iterable(
+            itertools.combinations(range(r.size), k) for k in range(r.size + 1)):
+        u = frozenset().union(*(space.base[a] for a in rset))
+        if fr.join_of(prin[a] for a in rset) != tm.open_to_filter[open_index[u]]:
+            return f"open map depends on the presentation {rset}"
+
+
+def _chooser(salt, rate):
+    """Whether to answer a seed wrongly, and a generator for the wrong
+    answer, fixed per seed so every scan sees the same faults."""
+    def choose(seed):
+        rng = random.Random(f"{salt} {sorted(seed)}")
+        return rng.random() < rate, rng
+    return choose
+
+
+def _wrong_generated_ideal(choose):
+    original = ideals.generated_ideal
+
+    def wrong(rig, seed):
+        bad, rng = choose(seed)
+        return rng.choice(ideals.enumerate_ideals(rig)) if bad else original(rig, seed)
+    return ideals, "generated_ideal", wrong
+
+
+def _wrong_pfilter_generated(choose):
+    original = frames.pfilter_generated
+
+    def wrong(rig, seed):
+        bad, rng = choose(seed)
+        return frames.PFilter(rig, rng.choice(frames.frame(rig).pfilters)) if bad \
+            else original(rig, seed)
+    return frames, "pfilter_generated", wrong
+
+
+def _wrong_finite_subcover(choose):
+    original = frames.finite_subcover
+
+    def wrong(rig, generators):
+        bad, rng = choose(generators)
+        if not bad:
+            return original(rig, generators)
+        kind = rng.randrange(4)
+        if kind == 0:
+            raise NotACover("refused")
+        if kind == 1:
+            raise MvwError("broken")
+        return generators if kind == 2 else [g for g in generators if rng.random() < 0.5]
+    return frames, "finite_subcover", wrong
+
+
+FAULTS = {
+    "generated-least": (suites._check_generated_least, reference_generated_least,
+                        _wrong_generated_ideal),
+    "pfilter-generated-least": (suites._check_pfilter_generated_least,
+                                reference_pfilter_generated_least, _wrong_pfilter_generated),
+    "compactness": (suites._check_spec_compactness, reference_compactness,
+                    _wrong_finite_subcover),
+    "frame-covers": (suites._check_frame_covers, reference_frame_covers, _wrong_finite_subcover),
+}
+
+
+def _detail(check, rig):
+    try:
+        return check(rig)
+    except suites._Skip as skip:
+        return f"SKIPPED {skip}"
+    except MvwError as exc:
+        return f"raised {exc}"
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+@pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()])
+def test_table_checks_name_the_first_failing_seed(rig, check, monkeypatch):
+    # with the library answering wrongly on a few seeds, chosen per seed,
+    # the table check and the per-seed scan give the same detail
+    new, old, fault = FAULTS[check]
+    assert _detail(new, rig) == _detail(old, rig)
+    failures = 0
+    for salt in range(4):
+        monkeypatch.setattr(*fault(_chooser(salt, 0.05 * (salt + 1))))
+        detail = _detail(new, rig)
+        assert detail == _detail(old, rig), salt
+        failures += detail is not None and not detail.startswith("SKIPPED")
+        monkeypatch.undo()
+    if rig.size >= 6 and _detail(new, rig) is None:
+        assert failures
+
+
+@pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in SMALL_RIGS.items()])
+def test_theta_oracle_matches_the_per_seed_scan(rig, monkeypatch):
+    # a theta map with two filters swapped passes nothing to the binary
+    # verification here, so the oracle alone must name the presentation
+    assert _detail(suites._check_theta_iso, rig) == _detail(reference_theta_iso, rig)
+    if rig.mul_table is None or not rig.commutative or rig.unit is None:
+        return
+    tm = frames.theta(rig)
+    mapping = list(tm.open_to_filter)
+    if len(set(mapping)) < 2:
+        return
+    for i in range(1, len(mapping)):
+        swapped = mapping.copy()
+        swapped[0], swapped[i] = swapped[i], swapped[0]
+        bad = dataclasses.replace(tm, open_to_filter=tuple(swapped))
+        monkeypatch.setattr(frames, "theta", lambda r: bad)
+        detail = _detail(suites._check_theta_iso, rig)
+        assert detail is not None and detail == _detail(reference_theta_iso, rig), i
 
 
 def test_generated_least_catches_a_generated_ideal_missing_an_element(zoo, monkeypatch):
