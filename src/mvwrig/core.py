@@ -300,6 +300,23 @@ def per_structure(build):
     return memoized
 
 
+def _powers(rig):
+    """The powers x, x^2, x^3, .. of every element, left-associated as in
+    ``FiniteMvwRig.power``: one vector per exponent, walked together with
+    one product-table lookup per step.  Each power sequence cycles within
+    n steps, so the n + 1 vectors x .. x^(n+1) reach every power; once no
+    power moves, every later power repeats, so the walk stops there."""
+    idx = np.arange(rig.size)
+    power = idx
+    yield power
+    for _ in range(rig.size):
+        step = rig.mul_table[power, idx]
+        if (step == power).all():
+            return
+        power = step
+        yield power
+
+
 def _as_table(data, shape, size):
     arr = np.array(data, dtype=np.int32)
     if arr.shape != shape:

@@ -16,11 +16,19 @@ commutative product, so the frame lies in the closure of the n principal
 filters under binary join; no subset scan is involved.
 
 Each structure has one principal table (``principal_table``): the n rows
-F_a, each the closure of {a}, with every distinct row verified once as a
-P-filter.  The table, the dotted-sum vector and the frame are built once
-per structure and kept on it (``core.per_structure``).  The table's
-certificate is that a lies in F_ab for every ordered pair (a, b); then
-every P-filter is principal, and the one a seed generates is F_(prod seed)
+F_a, with every distinct row verified once as a P-filter.  Let s(x) be the
+largest dotted sum of x.  A P-filter holding a holds every power a^k, every
+element above a^k, and so every x with a^k <= s(x).  So the seed row
+{x : a^k <= s(x) for some k >= 1} lies inside F_a, and it holds a, since
+a.a is a dotted sum of a; F_a is the closure of its seed row.  All n seed
+rows come from one walk over the powers (``core._powers``), and the
+closure runs once per distinct seed row.  On a commutative product the
+seed row is F_a itself, the dotted-sum description of a generated
+P-filter, so the closure stops after one round.  The table, the dotted-sum
+vector and the frame are built once per structure and kept on it
+(``core.per_structure``); ``principal_pfilter`` reads its row.  The
+table's certificate is that a lies in F_ab for every ordered pair (a, b);
+then every P-filter is principal, and the one a seed generates is F_(prod seed)
 for its members multiplied in any order:
 
 - F_a is the least P-filter holding a and F_ab a P-filter, so F_a lies in
@@ -70,11 +78,12 @@ from .errors import (
 
 #: Carrier cap for the frame when MVW_SIZE_BOUND is unset.  Building and
 #: verifying the frame costs polynomial time in the carrier size n and the
-#: number k of P-filters (n principal closures, k x k join and meet tables,
+#: number k of P-filters (the principal table, k x k join and meet tables,
 #: pairwise laws, k^3 distributivity).  At the cap, on the 1024-element
 #: Z1^10 (k = 1024), the frame takes about 1.5 s and the whole locale suite
 #: about 18 s on 2 vCPUs, of which distributivity takes 4 s and the
-#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 12 s.
+#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 about 3 s,
+#: nearly all of it loading the structure.
 DEFAULT_FRAME_BOUND = 1024
 
 
@@ -204,28 +213,45 @@ class PrincipalTable:
     certified: bool          # a lies in F_ab for all a, b
 
 
+def _seed_rows(rig):
+    """Row a holds every x with a^k <= s(x) for some k >= 1, s(x) the
+    largest dotted sum of x: a subset of F_a that holds a (module
+    docstring), read off one walk over the powers."""
+    below_top = rig.leq_table[:, _dotsum_tops(rig)]    # [y, x]: y <= s(x)
+    rows = np.zeros((rig.size, rig.size), dtype=bool)
+    for power in core._powers(rig):
+        rows |= below_top[power]
+    return rows
+
+
 @core.per_structure
 def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
-    """The n principal P-filters F_a, each the closure of {a}, built once
-    per structure; each distinct one is verified as a P-filter, and the
-    certificate is one n^2 gather."""
+    """The n principal P-filters F_a, built once per structure: the closure
+    of each distinct seed row, each distinct F_a verified as a P-filter,
+    and the certificate one n^2 gather."""
     _require_product(rig)
-    rows = np.array([_closure(rig, e) for e in np.eye(rig.size, dtype=bool)])
-    members = [_members(row) for row in rows]
-    pfilters = sorted(set(members), key=_canonical)
+    closed, keys = {}, []
+    for row in _seed_rows(rig):
+        # a dict on the row bytes: np.unique(axis=0) sorts the whole table
+        key = row.tobytes()
+        if key not in closed:
+            closed[key] = _closure(rig, row)
+        keys.append(key)
+    members = {key: _members(row) for key, row in closed.items()}
+    pfilters = sorted(set(members.values()), key=_canonical)
     position = {f: i for i, f in enumerate(pfilters)}
-    index = np.array([position[f] for f in members])
+    index = np.array([position[members[key]] for key in keys])
     first = np.unique(index, return_index=True)[1]
     for f, a in zip(pfilters, first):
         ok, witness = is_pfilter(rig, f)
         if not ok:
             raise MvwError(f"F_{a} fails a P-filter clause: {witness}")
-    masks = rows[first]
+    masks = np.array([closed[keys[a]] for a in first])
     for table in (masks, index):
         table.flags.writeable = False
     elements = np.arange(rig.size)
     return PrincipalTable(rig=rig, pfilters=tuple(pfilters), masks=masks, index=index,
-                          certified=bool(rows[rig.mul_table, elements[:, None]].all()))
+                          certified=bool(masks[index[rig.mul_table], elements[:, None]].all()))
 
 
 def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
@@ -237,18 +263,16 @@ def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
     if not seed:
         raise EmptySeed("P-filters are nonempty; seed must be too")
     fr = frame(rig)
-    return PFilter(rig, fr.pfilters[fr.join_of(fr.principal_index()[seed])])
+    return PFilter(rig, fr.pfilters[fr.join_of(fr.principal[seed])])
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
-    """The least P-filter containing a single element: one verified
-    closure, without the table or the frame, for a caller that asks once."""
+    """The least P-filter containing a single element: its row of the
+    principal table, without the frame or its cap."""
     _require_product(rig)
-    pf = PFilter(rig, _members(_closure(rig, ideals._member_mask(rig, [a]))))
-    ok, witness = is_pfilter(rig, pf.members)
-    if not ok:
-        raise MvwError(f"generated set fails a P-filter clause: {witness}")
-    return pf
+    a = rig._check(a)
+    prin = principal_table(rig)
+    return PFilter(rig, prin.pfilters[prin.index[a]])
 
 
 @dataclass(frozen=True)
@@ -271,12 +295,8 @@ class FrameLA:
             acc = self.join_table[acc, i]
         return int(acc)
 
-    def principal_index(self):
-        """The index of F_a for every element a, built with the frame."""
-        return self.principal
-
     def hasse_edges(self):
-        return spectrum.covering_edges(list(self.pfilters))
+        return spectrum.covering_edges(self.masks)
 
 
 def frame(rig: FiniteMvwRig) -> FrameLA:
@@ -350,7 +370,7 @@ def theta(rig: FiniteMvwRig) -> ThetaMap:
     P-filter F_a; the basic opens are all the opens, and unions go to
     joins."""
     tm = _theta_map(rig)
-    _verify_theta(rig, tm, tm.frame.principal_index())
+    _verify_theta(rig, tm, tm.frame.principal)
     return tm
 
 
@@ -364,7 +384,7 @@ def _theta_map(rig):
     fr = frame(rig)
     space = spectrum.spec(rig)
     mapping = np.zeros(len(space.opens), dtype=np.int64)
-    mapping[space.open_of] = fr.principal_index()
+    mapping[space.open_of] = fr.principal
     return ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping.tolist()))
 
 
@@ -375,7 +395,7 @@ def _first(bad):
 def principal_law_failure(table, prin, op):
     """The first pair (a, b) in row-major order where the frame table does
     not send (F_a, F_b) to F_(a op b), or None; ``prin`` maps each element
-    to the index of F_a, as ``FrameLA.principal_index`` does."""
+    to the index of F_a, as ``FrameLA.principal`` does."""
     bad = table[prin[:, None], prin[None, :]] != prin[op]
     return _first(bad) if bad.any() else None
 
@@ -446,7 +466,7 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     # everything, the empty subfamily is a sound subcover
     if fr.bottom == fr.top:
         return []
-    prin = fr.principal_index()
+    prin = fr.principal
     # row v holds the products v*g of the generators g
     products = rig.mul_table.take(gens, axis=1).tolist()
     parent = {g: (None, g) for g in gens}

@@ -280,24 +280,15 @@ def nilradical(rig: FiniteMvwRig) -> Ideal:
 
 
 def radical(rig: FiniteMvwRig, ideal: Ideal) -> Ideal:
-    """Elements with some power in the ideal.
-
-    The powers x, x^2, .., x^(|A|+1) of every element are walked together,
-    one product-table lookup per step; the power sequence cycles within
-    |A| steps, so the scan is exact, and once no power moves every later
-    power repeats, so the walk stops there.  The law suite compares the
+    """Elements with some power in the ideal, read off one walk over the
+    powers of every element (``core._powers``).  The law suite compares the
     result with the intersection of the proper primes above the ideal.
     """
     _require_commutative(rig)
     mask = _member_mask(rig, ideal.members)
-    idx = np.arange(rig.size)
-    acc, rad = idx, mask.copy()
-    for _ in range(rig.size):
-        step = rig.mul_table[acc, idx]
-        if (step == acc).all():
-            break
-        acc = step
-        rad |= mask[acc]
+    rad = np.zeros(rig.size, dtype=bool)
+    for power in core._powers(rig):
+        rad |= mask[power]
     return _as_ideal(rig, rad)
 
 

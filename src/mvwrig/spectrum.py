@@ -226,15 +226,12 @@ def _inclusion(masks):
     return m @ (1 - m).T == 0
 
 
-def covering_edges(sets):
-    """Transitive reduction of strict containment among a list of sets: the
-    pairs (i, j), in row-major order, with set i strictly inside set j and
-    no listed set strictly between.  The product of the strict-inclusion
-    matrix with itself counts the sets between, exact in float32."""
-    column = {x: c for c, x in enumerate(set().union(*sets))}
-    rows = np.zeros((len(sets), len(column)), dtype=bool)
-    for i, s in enumerate(sets):
-        rows[i, [column[x] for x in s]] = True
+def covering_edges(rows):
+    """Transitive reduction of strict containment among the sets given as
+    the rows of a boolean matrix: the pairs (i, j), in row-major order,
+    with set i strictly inside set j and no listed set strictly between.
+    The product of the strict-inclusion matrix with itself counts the sets
+    between, exact in float32."""
     inside = _inclusion(rows)
     strict = (inside & ~inside.T).astype(np.float32)
     return [(int(i), int(j)) for i, j in np.argwhere((strict > 0) & (strict @ strict == 0))]
@@ -246,7 +243,7 @@ def export_dot(space: SpecSpace) -> str:
     lines = ["digraph spec {", "  rankdir=BT;"]
     for i in range(len(space.points)):
         lines.append(f'  p{i} [label="{space.point_display(i)}"];')
-    for i, j in covering_edges(list(space.points)):
+    for i, j in covering_edges(space.holds.T):
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

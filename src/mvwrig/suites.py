@@ -729,7 +729,7 @@ def _check_pfilter_decomposition(r):
     most n, exact in float32, so the product runs in BLAS."""
     _need_product(r)
     fr = frames.frame(r)
-    union = fr.masks.astype(np.float32) @ fr.masks[fr.principal_index()] > 0
+    union = fr.masks.astype(np.float32) @ fr.masks[fr.principal] > 0
     bad = (union != fr.masks).any(axis=1)
     if bad.any():
         f = fr.pfilters[int(bad.argmax())]
@@ -743,7 +743,7 @@ def _check_principal_meet_law(r):
     is one too."""
     _need_commutative(r)
     fr = frames.frame(r)
-    pair = frames.principal_law_failure(fr.meet_table, fr.principal_index(), r.join_table)
+    pair = frames.principal_law_failure(fr.meet_table, fr.principal, r.join_table)
     if pair is not None:
         return f"fails at {pair}"
 
@@ -751,7 +751,7 @@ def _check_principal_meet_law(r):
 def _check_principal_join_law(r):
     _need_commutative(r)
     fr = frames.frame(r)
-    pair = frames.principal_law_failure(fr.join_table, fr.principal_index(), r.mul_table)
+    pair = frames.principal_law_failure(fr.join_table, fr.principal, r.mul_table)
     if pair is not None:
         return f"fails at {pair}"
 
@@ -803,7 +803,7 @@ def _check_frame_distributivity(r):
         if bad.any():
             g, h = map(int, np.argwhere(bad)[0])
             return f"fails for filter {fi} against family {(g, h)}"
-    prin_idx = sorted(set(fr.principal_index().tolist()))
+    prin_idx = sorted(set(fr.principal.tolist()))
     if len(prin_idx) > SUBSET_SIZE_LIMIT:
         return None
     # oracle: each filter against the join of each family of principal filters
@@ -856,13 +856,13 @@ def _check_frame_covers(r):
         except MvwError as exc:
             error = exc
             break
-    covers = _joins(fr, fr.principal_index(), table[:len(answers)]) == fr.top
+    covers = _joins(fr, fr.principal, table[:len(answers)]) == fr.top
     refused = np.array([sub is None for sub in answers], dtype=bool)
     subs = _mask_rows(r.size, [sub or () for sub in answers])
     detail = _first_failure([
         (refused & covers, lambda i: f"{seeds[i]} covers but was rejected"),
         (~refused & ~covers, lambda i: f"{seeds[i]} does not cover but a subcover was returned"),
-        (subs.any(axis=1) & (_joins(fr, fr.principal_index(), subs) != fr.top),
+        (subs.any(axis=1) & (_joins(fr, fr.principal, subs) != fr.top),
          lambda i: f"subcover of {seeds[i]} has a proper join"),
     ])
     if detail is None and error is not None:

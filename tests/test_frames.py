@@ -17,6 +17,16 @@ def _members(row):
     return frozenset(np.flatnonzero(row).tolist())
 
 
+def _closed(rig, seed):
+    """The closure of a seed: a route to F_a and to generated P-filters
+    that reads neither the principal table nor the frame."""
+    return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)))
+
+
+def _principal(rig, a):
+    return _members(_closed(rig, [a]))
+
+
 @pytest.fixture
 def z3():
     return ZOO["Z3"]
@@ -72,12 +82,10 @@ def test_principal_pfilters(z3):
 
 def test_meet_and_join(z3):
     fr = frames.frame(z3)
-    f1, f3 = (fr.index_of(frames.principal_pfilter(z3, a).members) for a in (1, 3))
+    f1, f3 = (fr.index_of(_principal(z3, a)) for a in (1, 3))
     # F_1 meet F_3 = F_{1 v 3} = F_3 and F_1 join F_3 = F_{1.3} = F_3
-    assert fr.pfilters[fr.meet_table[f1, f3]] == \
-        frames.principal_pfilter(z3, z3.join(1, 3)).members
-    assert fr.pfilters[fr.join_table[f1, f3]] == \
-        frames.principal_pfilter(z3, z3.mul(1, 3)).members
+    assert fr.pfilters[fr.meet_table[f1, f3]] == _principal(z3, z3.join(1, 3))
+    assert fr.pfilters[fr.join_table[f1, f3]] == _principal(z3, z3.mul(1, 3))
     assert fr.meet_table[f1, fr.top] == f1
 
 
@@ -111,7 +119,7 @@ def test_frame_t3_collapses():
 def test_pfilter_decomposition_everywhere(z3, square):
     for rig in (z3, square, ZOO["T3"], ZOO["G110"]):
         fr = frames.frame(rig)
-        prin = {a: frames.principal_pfilter(rig, a).members for a in rig.elements()}
+        prin = {a: _principal(rig, a) for a in rig.elements()}
         for f in fr.pfilters:
             assert set().union(*(prin[a] for a in f)) == set(f)
 
@@ -159,8 +167,7 @@ def test_finite_subcover_zero_squaring_structure():
 
 def test_finite_subcover_is_sound_for_all_basic_covers(square):
     fr = frames.frame(square)
-    prin = {a: frames.principal_pfilter(square, a).members
-            for a in square.elements()}
+    prin = {a: _principal(square, a) for a in square.elements()}
     full = frozenset(square.elements())
     for k in range(1, 5):
         for gens in itertools.combinations(range(4), k):
@@ -385,18 +392,6 @@ def test_generated_pfilters_and_covers_honour_the_frame_cap(monkeypatch):
     assert frames.finite_subcover(rig, [0]) == [0]
 
 
-def test_principal_pfilter_does_not_build_the_table(monkeypatch):
-    # one verified closure answers mvw filters --principal
-    rig = builders.build_zn(15)
-
-    def refused(r):
-        raise AssertionError("the principal table was built")
-
-    monkeypatch.setattr(frames, "principal_table", refused)
-    assert frames.principal_pfilter(rig, 4).sorted_members() == tuple(range(1, 16))
-    assert frames.principal_pfilter(rig, 0).sorted_members() == tuple(range(16))
-
-
 # -- binary-law verification against the subset scans ---------------------------
 #
 # ``_verify_theta`` proves the open-to-filter map well defined from the
@@ -436,7 +431,7 @@ def reference_verify_theta(rig, tm, principal_idx):
 
 def reference_finite_subcover(rig, generators):
     gens = [rig._check(g) for g in generators]
-    if frames.principal_pfilter(rig, rig.u).members == frozenset(rig.elements()):
+    if _closed(rig, [rig.u]).all():
         return []
     parent = {}
     frontier = []
@@ -486,11 +481,10 @@ def test_theta_binary_verification_matches_subset_scan(rig):
     space, fr = spectrum.spec(rig), frames.frame(rig)
     tm = frames._theta_map(rig)
     assert tm.space is space
-    old_idx = {a: fr.index_of(frames.principal_pfilter(rig, a).members)
-               for a in rig.elements()}
-    assert fr.principal_index().tolist() == [old_idx[a] for a in rig.elements()]
+    old_idx = {a: fr.index_of(_principal(rig, a)) for a in rig.elements()}
+    assert fr.principal.tolist() == [old_idx[a] for a in rig.elements()]
     assert tm.open_to_filter == reference_theta_map(rig, space, fr, old_idx)
-    frames._verify_theta(rig, tm, fr.principal_index())
+    frames._verify_theta(rig, tm, fr.principal)
     reference_verify_theta(rig, tm, old_idx)
 
 
@@ -501,7 +495,7 @@ def test_theta_corruptions_fail_both_verifications(rig, seed):
     rng = random.Random(seed)
     fr = frames.frame(rig)
     tm = frames._theta_map(rig)
-    idx = fr.principal_index().tolist()
+    idx = fr.principal.tolist()
     k = len(fr.pfilters)
 
     def both_raise(tm, idx):
@@ -648,18 +642,16 @@ def test_pfilter_definition_on_every_subset(rig):
 
 # -- the principal table against closures ---------------------------------------
 #
-# ``principal_table`` closes each {a} once, verifies each distinct row and
-# certifies that a lies in F_ab for every pair; the frame is listed from
-# the table, and generated P-filters and cover questions read the frame.
-# The references are the closures and the earlier frame, the k x n closure
-# of the principal filters under binary join.
+# ``principal_table`` closes each distinct seed row once, verifies each
+# distinct F_a and certifies that a lies in F_ab for every pair; the frame is
+# listed from the table, and generated P-filters, cover questions and
+# ``principal_pfilter`` read the frame or the table.  The references are the
+# closures of {a} and of the seeds, the seed rows' definition element by
+# element, and the earlier frame, the k x n closure of the principal filters
+# under binary join.
 
 TABLE_RIGS = REFERENCE_RIGS + [
     pytest.param(builders.direct_product([builders.build_zn(1)] * 5), id="Z1^5")]
-
-
-def _closed(rig, seed):
-    return frames._closure(rig, np.isin(np.arange(rig.size), list(seed)))
 
 
 def _covers(rig, seed):
@@ -668,6 +660,30 @@ def _covers(rig, seed):
     except NotACover:
         return False
     return True
+
+
+@pytest.mark.parametrize("rig", TABLE_RIGS)
+def test_seed_rows_lie_between_a_and_its_closure(rig):
+    # row a holds x exactly when a^k <= s(x) for some k >= 1, s(x) the
+    # largest dotted sum of x; it holds a and lies inside F_a, and on a
+    # commutative product it is F_a itself
+    seeds = frames._seed_rows(rig)
+    mul, leq = rig.mul_table.tolist(), rig.leq_table.tolist()
+    tops = [max(frames.dotsum_closure(rig, x)) for x in rig.elements()]
+    differ = []
+    for a in rig.elements():
+        powers, p = {a}, a
+        for _ in range(rig.size):
+            p = mul[p][a]
+            powers.add(p)
+        assert seeds[a].tolist() == [any(leq[q][tops[x]] for q in powers)
+                                     for x in rig.elements()], a
+        closed = _closed(rig, [a])
+        assert seeds[a, a] and not (seeds[a] & ~closed).any(), a
+        if (seeds[a] != closed).any():
+            differ.append(a)
+    # on M2(Z1) and M2(Z2) some seed rows still need the closure
+    assert bool(differ) == (not rig.commutative), differ
 
 
 @pytest.mark.parametrize("rig", TABLE_RIGS)
@@ -684,7 +700,9 @@ def test_table_route_matches_closure_on_small_seeds(rig):
         assert _covers(rig, seed) == closed.all(), seed
     for a in rig.elements():
         assert prin.masks[prin.index[a]].tolist() == _closed(rig, [a]).tolist()
-        assert prin.pfilters[prin.index[a]] == frames.principal_pfilter(rig, a).members
+        assert prin.pfilters[prin.index[a]] == _principal(rig, a)
+        # the single-element route reads the table's own member set
+        assert frames.principal_pfilter(rig, a).members is prin.pfilters[prin.index[a]]
 
 
 def least_listed(fr, seed):
@@ -794,29 +812,37 @@ def test_frame_fallback_closes_a_partial_table_under_join(monkeypatch):
 @pytest.mark.parametrize("rig", TABLE_RIGS)
 def test_principal_table_verifies_each_distinct_row_once(rig, monkeypatch):
     # a shallow copy starts with no table, so its one build is counted; the
-    # second call reads the kept table
+    # second call reads the kept table.  Each distinct seed row is closed
+    # once, and each distinct F_a verified once
     rig = copy.copy(rig)
-    verified = []
-    original = frames.is_pfilter
+    verified, closed = [], []
+    original, closure = frames.is_pfilter, frames._closure
 
     def counted(r, members):
         verified.append(frozenset(members))
         return original(r, members)
 
+    def counted_closure(r, mask):
+        closed.append(mask.tobytes())
+        return closure(r, mask)
+
     monkeypatch.setattr(frames, "is_pfilter", counted)
+    monkeypatch.setattr(frames, "_closure", counted_closure)
     prin = frames.principal_table(rig)
     assert frames.principal_table(rig) is prin
     assert verified == list(prin.pfilters)
+    assert closed == list(dict.fromkeys(row.tobytes() for row in frames._seed_rows(rig)))
 
 
 def test_principal_table_rejects_a_row_that_is_no_pfilter(square, monkeypatch):
-    # F_0 of Z1xZ1 is the carrier, the last distinct row; close {0} to
+    # F_0 of Z1xZ1 is the carrier, the last distinct row, and 0 is the only
+    # nilpotent, so only the seed row of 0 holds 0; close that seed row to
     # {0, 1, 2} instead, which is not upward closed
     original = frames._closure
 
     def corrupted(rig, mask):
         out = original(rig, mask)
-        return np.array([True, True, True, False]) if mask.tolist() == [1, 0, 0, 0] else out
+        return np.array([True, True, True, False]) if mask[0] else out
 
     # on a copy, which has no table kept yet; a failed build keeps nothing
     square = copy.copy(square)

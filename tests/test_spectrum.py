@@ -160,9 +160,17 @@ def test_radical_order_check(sz3, ssq):
     assert not order(ssq, 2, 1)
 
 
+def _rows(sets, width):
+    """The sets of elements below ``width`` as rows of a boolean matrix."""
+    rows = np.zeros((len(sets), width), dtype=bool)
+    for i, s in enumerate(sets):
+        rows[i, sorted(s)] = True
+    return rows
+
+
 def test_covering_edges_transitive_reduction():
     sets = [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({3})]
-    edges = spectrum.covering_edges(sets)
+    edges = spectrum.covering_edges(_rows(sets, 4))
     assert (0, 1) in edges and (1, 2) in edges
     assert (0, 2) not in edges  # transitively implied
     assert (0, 3) in edges
@@ -193,18 +201,23 @@ def test_covering_edges_match_the_triple_loop_on_random_families(seed):
     universe = range(rng.randrange(1, 7))
     sets = [frozenset(x for x in universe if rng.random() < 0.5)
             for _ in range(seed % 13)]
-    assert spectrum.covering_edges(sets) == reference_covering_edges(sets), sets
+    rows = _rows(sets, len(universe))
+    assert spectrum.covering_edges(rows) == reference_covering_edges(sets), sets
 
 
 @pytest.mark.parametrize("rig", [pytest.param(r, id=k) for k, r in ZOO.items()
                                  if r.mul_table is not None])
 def test_covering_edges_match_the_triple_loop_on_the_zoo(rig):
-    families = [list(frames.frame(rig).pfilters)]
+    # the frame and the spectrum pass the rows they keep
+    fr = frames.frame(rig)
+    families = [(fr.masks, list(fr.pfilters))]
     if rig.commutative:
         space = spectrum.spec(rig)
-        families += [list(space.points), list(space.opens)]
-    for sets in families:
-        assert spectrum.covering_edges(sets) == reference_covering_edges(sets)
+        families += [(space.holds.T, list(space.points)),
+                     (_rows(space.opens, len(space.points)), list(space.opens))]
+    for rows, sets in families:
+        assert rows.tolist() == _rows(sets, rows.shape[1]).tolist()
+        assert spectrum.covering_edges(rows) == reference_covering_edges(sets)
 
 
 def test_export_dot(sz3, ssq):

@@ -370,7 +370,7 @@ def reference_nary(r):
 
 def reference_frame_distributivity(rig):
     fr = frames.frame(rig)
-    prin_idx = sorted(set(fr.principal_index().tolist()))
+    prin_idx = sorted(set(fr.principal.tolist()))
     for fi in range(len(fr.pfilters)):
         for k in range(len(prin_idx) + 1):
             for family in itertools.combinations(prin_idx, k):
@@ -431,7 +431,7 @@ def test_frame_distributivity_triples_catch_a_corrupted_meet(monkeypatch):
     # scan does not run and the triple scan alone must report the fault
     rig = LADDER["Z1^4"]()
     fr = frames.frame(rig)
-    assert len(set(fr.principal_index().tolist())) > suites.SUBSET_SIZE_LIMIT
+    assert len(set(fr.principal.tolist())) > suites.SUBSET_SIZE_LIMIT
     _corrupted(monkeypatch, rig, "meet_table", (fr.top, fr.top), fr.bottom)
     assert _locale_result(rig, "frame-distributivity") == (
         "FAIL", "fails for filter 15 against family (1, 14)")
@@ -460,7 +460,8 @@ def test_frame_checks_run_past_sixteen_elements(make):
 # by closure.
 
 def reference_principal_filters(rig):
-    return {a: frames.principal_pfilter(rig, a).members for a in rig.elements()}
+    return {a: frames._members(frames._closure(rig, row))
+            for a, row in enumerate(np.eye(rig.size, dtype=bool))}
 
 
 def reference_pfilter_decomposition(r):
@@ -545,7 +546,7 @@ def test_principal_join_law_catches_a_corrupted_join(zoo, monkeypatch):
     assert _locale_result(rig, "theta-iso") == ("FAIL", "F_1 v F_2 is not F_ab at (1, 2)")
     tm = frames._theta_map(rig)
     with pytest.raises(MvwError, match=r"^F_1 v F_2 is not F_ab at \(1, 2\)$"):
-        frames._verify_theta(rig, tm, bad.principal_index())
+        frames._verify_theta(rig, tm, bad.principal)
 
 
 def test_principal_meet_law_catches_a_corrupted_meet(zoo, monkeypatch):
@@ -788,7 +789,7 @@ def reference_frame_covers(r):
     suites._need_within(r, "SUBSET_SIZE_LIMIT")
     fr = frames.frame(r)
     full = frozenset(r.elements())
-    prin = fr.principal_index().tolist()
+    prin = fr.principal.tolist()
     for k in range(1, r.size + 1):
         for gens in itertools.combinations(range(r.size), k):
             join = fr.join_of(prin[g] for g in gens)
