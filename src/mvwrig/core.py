@@ -71,6 +71,7 @@ associativity is scanned.  MVW-iii stays a linear scan.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,10 +176,8 @@ class FiniteMvwRig:
         self.join_table = add[self.monus_table, idx[None, :]]
         self.meet_table = neg[self.join_table[neg[:, None], neg]]
 
-        for t in (self.neg_table, self.add_table, self.mul_table, self.monus_table,
-                  self.times_table, self.leq_table, self.join_table, self.meet_table):
-            if t is not None:
-                t.setflags(write=False)
+        _read_only(self.neg_table, self.add_table, self.mul_table, self.monus_table,
+                   self.times_table, self.leq_table, self.join_table, self.meet_table)
 
         self.commutative = None
         self.unit = None
@@ -317,6 +316,53 @@ def _powers(rig):
         yield power
 
 
+# -- kept families of sets: distinct boolean rows, one column per element, in
+# canonical order (smaller sets first, then by sorted members), read-only
+
+def _read_only(*tables):
+    """Make each array that is not None read-only; returns the first."""
+    for table in tables:
+        if table is not None:
+            table.flags.writeable = False
+    return tables[0]
+
+
+def _members(row) -> frozenset:
+    """The set a boolean row holds."""
+    return frozenset(np.flatnonzero(row).tolist())
+
+
+def _member_rows(n, sets):
+    """One boolean row of n columns per set of elements."""
+    table = np.zeros((len(sets), n), dtype=bool)
+    table[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+          np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = True
+    return table
+
+
+def _canonical_order(rows):
+    """The stable permutation that sorts boolean rows canonically: by size,
+    then by sorted members.  Of two sets of one size, the one holding the
+    first element where they differ comes first, so the rows compare as
+    their complements do, bit by bit; ``packbits`` reads eight at a time."""
+    packed = np.packbits(~rows, axis=1)
+    return np.lexsort(np.vstack([packed.T[::-1], rows.sum(axis=1)]))
+
+
+def _canonical_rows(rows):
+    """The distinct rows of a boolean table in canonical order, read-only,
+    and the position of each input row among them.  Rows are told apart by
+    their bytes: ``np.unique(axis=0)`` sorts the whole table."""
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    first = {}
+    copy_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
+    distinct = np.array(list(first.values()), dtype=np.intp)
+    order = distinct[_canonical_order(rows[distinct])]
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return _read_only(rows[order]), rank[copy_of]
+
+
 def _as_table(data, shape, size):
     arr = np.array(data, dtype=np.int32)
     if arr.shape != shape:
@@ -431,9 +477,8 @@ def chain_decomposition(rig: FiniteMvwRig) -> ChainDecomposition | None:
     del prod_add
     if (add[phi[:, None], phi] != phi_of_sum).any():
         return None
-    phi.setflags(write=False)
     return ChainDecomposition(atoms=tuple(int(e) for e in atoms),
-                              lengths=tuple(len(c) - 1 for c in chains), phi=phi)
+                              lengths=tuple(len(c) - 1 for c in chains), phi=_read_only(phi))
 
 
 def scan_mv(rig: FiniteMvwRig) -> AxiomReport:

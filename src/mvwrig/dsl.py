@@ -912,9 +912,7 @@ def serialize(obj) -> str:
         return _dump(rig_document(obj))
     if isinstance(obj, ideals.QuotientRig):
         return _dump(rig_document(obj.rig))
-    if isinstance(obj, ideals.Ideal):
-        return _dump(sorted(obj.members))
-    if isinstance(obj, frames.PFilter):
+    if isinstance(obj, (ideals.Ideal, frames.PFilter)):
         return _dump(sorted(obj.members))
     if isinstance(obj, spectrum.SpecSpace):
         return _dump(spectrum.export_json_doc(obj))

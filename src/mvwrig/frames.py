@@ -22,7 +22,8 @@ element above a^k, and so every x with a^k <= s(x).  So the seed row
 {x : a^k <= s(x) for some k >= 1} lies inside F_a, and it holds a, since
 a.a is a dotted sum of a; F_a is the closure of its seed row.  All n seed
 rows come from one walk over the powers (``core._powers``), and the
-closure runs once per distinct seed row.  On a commutative product the
+closure runs once per distinct seed row, in the canonical order ``core``
+keeps every family of sets in.  On a commutative product the
 seed row is F_a itself, the dotted-sum description of a generated
 P-filter, so the closure stops after one round.  The table, the dotted-sum
 vector and the frame are built once per structure and kept on it
@@ -44,9 +45,10 @@ On a commutative product a lies in F_ba by the second step, so every
 P-filter is principal.  On the noncommutative M2(Z1) and M2(Z2) the
 certificate fails (ab need not be a dotted sum of a), and the frame is the
 closure of the principal filters under binary join.  Either way the frame
-lists every P-filter, smallest first, with intersections for meets, so a
-generated P-filter and a cover question are a fold of its join table over
-the principal filters of the seed, as for ideals.
+lists every P-filter in canonical order, smallest first and the carrier
+last, with intersections for meets, so a generated P-filter and a cover
+question are a fold of its join table over the principal filters of the
+seed, as for ideals.
 
 Every law about the frame is checked on pairs or triples.  In a finite
 lattice binary distributivity gives distributivity over every finite
@@ -104,10 +106,6 @@ def _require_product(rig):
         raise GateNotMet("P-filters need a product")
 
 
-def _members(mask) -> frozenset:
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
 def dotsum_closure(rig: FiniteMvwRig, x: int) -> frozenset:
     """All finite sums b1.x + .. + bm.x: the sum closure of the multiples
     of x.  Exact in a finite carrier."""
@@ -138,8 +136,7 @@ def _dotsum_tops(rig):
     while True:
         doubled = add[t, t]
         if (doubled == t).all():
-            t.flags.writeable = False
-            return t
+            return core._read_only(t)
         t = doubled
 
 
@@ -175,7 +172,7 @@ def is_pfilter(rig: FiniteMvwRig, members):
     bad = np.flatnonzero(~mask & mask[_dotsum_tops(rig)])
     if bad.size:
         x = int(bad[0])
-        return False, ("dotted-sum", (x, min(dotsum_closure(rig, x) & _members(mask))))
+        return False, ("dotted-sum", (x, min(dotsum_closure(rig, x) & core._members(mask))))
     return True, None
 
 
@@ -197,10 +194,6 @@ def _closure(rig, mask):
         if nxt.size == inside.size:
             return mask
         mask, inside = grown, nxt
-
-
-def _canonical(members):
-    return len(members), sorted(members)
 
 
 @dataclass(frozen=True)
@@ -230,27 +223,17 @@ def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
     of each distinct seed row, each distinct F_a verified as a P-filter,
     and the certificate one n^2 gather."""
     _require_product(rig)
-    closed, keys = {}, []
-    for row in _seed_rows(rig):
-        # a dict on the row bytes: np.unique(axis=0) sorts the whole table
-        key = row.tobytes()
-        if key not in closed:
-            closed[key] = _closure(rig, row)
-        keys.append(key)
-    members = {key: _members(row) for key, row in closed.items()}
-    pfilters = sorted(set(members.values()), key=_canonical)
-    position = {f: i for i, f in enumerate(pfilters)}
-    index = np.array([position[members[key]] for key in keys])
-    first = np.unique(index, return_index=True)[1]
-    for f, a in zip(pfilters, first):
+    seeds, seed_of = core._canonical_rows(_seed_rows(rig))
+    masks, closed_of = core._canonical_rows([_closure(rig, row) for row in seeds])
+    index = core._read_only(closed_of[seed_of])
+    pfilters = tuple(core._members(row) for row in masks)
+    for i, f in enumerate(pfilters):
         ok, witness = is_pfilter(rig, f)
         if not ok:
+            a = int(np.flatnonzero(index == i)[0])
             raise MvwError(f"F_{a} fails a P-filter clause: {witness}")
-    masks = np.array([closed[keys[a]] for a in first])
-    for table in (masks, index):
-        table.flags.writeable = False
     elements = np.arange(rig.size)
-    return PrincipalTable(rig=rig, pfilters=tuple(pfilters), masks=masks, index=index,
+    return PrincipalTable(rig=rig, pfilters=pfilters, masks=masks, index=index,
                           certified=bool(masks[index[rig.mul_table], elements[:, None]].all()))
 
 
@@ -323,18 +306,18 @@ def _frame(rig):
     Distributivity is verified by the locale law suite."""
     prin = principal_table(rig)
     if prin.certified:
-        filters, masks = list(prin.pfilters), prin.masks
+        filters, masks = prin.pfilters, prin.masks
     else:
         found = {}
         todo = list(prin.masks)
         while todo:
             mask = todo.pop()
-            key = _members(mask)
+            key = mask.tobytes()
             if key not in found:
                 found[key] = mask
                 todo.extend(_closure(rig, mask | p) for p in prin.masks)
-        filters = sorted(found, key=_canonical)
-        masks = np.array([ideals._member_mask(rig, s) for s in filters])
+        masks = core._canonical_rows(list(found.values()))[0]
+        filters = tuple(core._members(row) for row in masks)
     inside = spectrum._inclusion(masks)
     # below[j, k - 1 - l]: filter l lies inside filter j
     below = np.ascontiguousarray(inside.T[:, ::-1])
@@ -350,11 +333,11 @@ def _frame(rig):
             raise MvwError("intersection of P-filters is not a P-filter")
     # F_a lies inside every P-filter holding a, so it is the first listed one
     principal = masks.argmax(axis=0)
-    for table in (masks, join, meet, principal):
-        table.flags.writeable = False
-    return FrameLA(rig=rig, pfilters=tuple(filters), masks=masks, join_table=join,
-                   meet_table=meet, bottom=int(principal[rig.u]),
-                   top=filters.index(frozenset(rig.elements())), principal=principal)
+    core._read_only(join, meet, principal)
+    # the carrier is the only set of n elements, so it is listed last
+    return FrameLA(rig=rig, pfilters=filters, masks=masks, join_table=join,
+                   meet_table=meet, bottom=int(principal[rig.u]), top=k - 1,
+                   principal=principal)
 
 
 @dataclass
@@ -425,9 +408,7 @@ def _verify_theta(rig, tm, principal_idx):
     if bad.any():
         a = int(np.flatnonzero(bad)[0])
         raise MvwError(f"open map depends on the presentation ({a},)")
-    opens = np.zeros((len(space.opens), holds.shape[1]), dtype=bool)
-    for o, points in enumerate(space.opens):
-        opens[o, list(points)] = True
+    opens = core._member_rows(holds.shape[1], space.opens)
     bad = np.flatnonzero((opens[open_of] != holds).any(axis=1))
     if bad.size:
         raise MvwError(f"open {open_of[bad[0]]} is not V({bad[0]}) at ({bad[0]},)")

@@ -120,11 +120,6 @@ def is_ideal(rig: FiniteMvwRig, members):
 
 # -- enumeration and generation ----------------------------------------------
 
-def _read_only(table):
-    table.flags.writeable = False
-    return table
-
-
 @core.per_structure
 def _tops(rig):
     """The idempotent e of each ideal down e, the ideals smallest first.
@@ -134,20 +129,19 @@ def _tops(rig):
     leq, mul, u = rig.leq_table, rig.mul_table, rig.u
     if mul is not None:
         tops = tops[leq[mul[tops, u], tops] & leq[mul[u, tops], tops]]
-    return _read_only(np.array(sorted(tops, key=lambda e: (
-        int(leq[:, e].sum()), np.flatnonzero(leq[:, e]).tolist()))))
+    return core._read_only(tops[core._canonical_order(leq[:, tops].T)])
 
 
 @core.per_structure
 def _ideal_masks(rig):
     """The membership mask of each listed ideal, one read-only row each."""
-    return _read_only(np.ascontiguousarray(rig.leq_table[:, _tops(rig)].T))
+    return core._read_only(np.ascontiguousarray(rig.leq_table[:, _tops(rig)].T))
 
 
 @core.per_structure
 def _least(rig):
     """least[x]: the index of the first, hence least, listed ideal holding x."""
-    return _read_only(_ideal_masks(rig).argmax(axis=0))
+    return core._read_only(_ideal_masks(rig).argmax(axis=0))
 
 
 @core.per_structure
@@ -155,7 +149,7 @@ def _lattice_table(rig, op):
     """The k x k index table least[op[e, f]] over the tops of the listed
     ideals: their join for the sum, their product ideal for the product."""
     tops = _tops(rig)
-    return _read_only(_least(rig)[getattr(rig, f"{op}_table")[tops[:, None], tops]])
+    return core._read_only(_least(rig)[getattr(rig, f"{op}_table")[tops[:, None], tops]])
 
 
 @core.per_structure
@@ -170,7 +164,7 @@ def _positions(rig):
 
 
 def _as_ideal(rig, mask) -> Ideal:
-    return Ideal(rig, frozenset(np.flatnonzero(mask).tolist()))
+    return Ideal(rig, core._members(mask))
 
 
 def _check_bound(rig):
@@ -532,16 +526,17 @@ def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
     listed, masks = _ideal_list(rig), _ideal_masks(rig)
     up = np.flatnonzero(masks[:, _member_mask(rig, ideal.members)].all(axis=1))
     above = masks[up]
-    below = {m.tobytes(): b for b, m in enumerate(_ideal_masks(q.rig))}
+    below = _positions(q.rig)
     images = np.zeros((len(above), q.rig.size), dtype=bool)
     rows, cols = np.nonzero(above)
     images[rows, np.asarray(q.projection)[cols]] = True
     pairs = []
     for j, img in zip(up, images):
-        if img.tobytes() not in below:
+        members = core._members(img)
+        if members not in below:
             raise MvwError(f"image of {listed[j].display()} is not an ideal of the quotient")
-        pairs.append((listed[j], _ideal_list(q.rig)[below[img.tobytes()]]))
-    if len({img.tobytes() for img in images}) != len(pairs):
+        pairs.append((listed[j], _ideal_list(q.rig)[below[members]]))
+    if len({image for _, image in pairs}) != len(pairs):
         raise MvwError("correspondence is not injective")
     if len(pairs) != len(below):
         raise MvwError("correspondence is not surjective")
@@ -574,8 +569,8 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
     dec = core.chain_decomposition(rig)
     if dec is None:
         raise MvwError(f"{rig.name} is not a product of finite chains")
-    primes = sorted((_as_ideal(rig, rig.meet_table[:, e] == 0) for e in dec.atoms),
-                    key=lambda p: (len(p.members), p.sorted_members()))
+    rows = np.array([rig.meet_table[:, e] == 0 for e in dec.atoms])
+    primes = [_as_ideal(rig, rows[i]) for i in core._canonical_order(rows)]
     quotients = [mv_quotient(rig, p) for p in primes]
     for q in quotients:
         if not (q.rig.leq_table | q.rig.leq_table.T).all():

@@ -8,7 +8,9 @@ outright and every topological statement becomes a finite assertion.  The
 space is built once per structure and kept on it (``core.per_structure``),
 together with its boolean points matrix, whose row a is V(a), and the
 index of each element's open; the base laws and the open-to-filter map
-``frames.theta`` are verified by gathers over those two arrays.
+``frames.theta`` are verified by gathers over those two arrays.  The
+points keep the listed ideals' canonical order, and the opens are the
+distinct rows of the points matrix in canonical order.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class SpecSpace:
         return ideals.format_subset(self.rig, self.points[i])
 
 
-def _canon_sets(sets):
-    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-
-
 #: Cells of the largest boolean block the intersection law gathers at once.
 _LAW_BLOCK = 1 << 20
 
@@ -65,16 +63,13 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
 
 @core.per_structure
 def _spec(rig):
-    points = _canon_sets([p.members for p in ideals.prime_ideals(rig)])
-    holds = np.zeros((rig.size, len(points)), dtype=bool)
-    for i, p in enumerate(points):
-        holds[sorted(p), i] = True
-    base = {a: frozenset(np.flatnonzero(row).tolist()) for a, row in enumerate(holds)}
-    opens = _canon_sets(set(base.values()))
-    position = {o: i for i, o in enumerate(opens)}
-    open_of = np.array([position[base[a]] for a in rig.elements()])
-    for table in (holds, open_of):
-        table.flags.writeable = False
+    # the ideals, and so the primes, are listed in canonical order
+    points = tuple(p.members for p in ideals.prime_ideals(rig))
+    holds = np.ascontiguousarray(core._member_rows(rig.size, points).T)
+    open_rows, open_of = core._canonical_rows(holds)
+    core._read_only(holds, open_of)
+    opens = tuple(core._members(row) for row in open_rows)
+    base = {a: opens[o] for a, o in enumerate(open_of.tolist())}
     warnings = ()
     if rig.unit is None:
         warnings = (f"{rig.name} has no unitary element; unit-gated theorems are skipped",)

@@ -84,20 +84,12 @@ def _need_within(rig, cap):
 
 # -- whole-table oracles ---------------------------------------------------------
 
-def _mask_rows(n, sets):
-    """One boolean row of n columns per set of elements."""
-    table = np.zeros((len(sets), n), dtype=bool)
-    table[np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
-          np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = True
-    return table
-
-
 def _seeds(n, smallest=0):
     """Every subset of range(n) with at least ``smallest`` elements, in
     ``itertools.combinations`` order (by size, then lexicographic): the
     tuples, and one boolean row each."""
     seeds = [s for k in range(smallest, n + 1) for s in itertools.combinations(range(n), k)]
-    return seeds, _mask_rows(n, seeds)
+    return seeds, core._member_rows(n, seeds)
 
 
 def _hits(rows, rel):
@@ -278,18 +270,10 @@ def _check_product_meet_bound(r):
                 return f"fails at ({a}, {b}, {c})"
 
 
-def _powers(rig, upto):
-    idx = np.arange(rig.size)
-    out = [idx]
-    for _ in range(upto - 1):
-        out.append(rig.mul_table[out[-1], idx])
-    return out
-
-
 def _check_power_join_bound(r):
     _need_product(r)
     join, leq = r.join_table, r.leq_table
-    for n, p in enumerate(_powers(r, 3), start=1):
+    for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
         lhs = p[join]
         rhs = join[p[:, None], p]
         if not leq[rhs, lhs].all():
@@ -300,7 +284,7 @@ def _check_power_join_bound(r):
 def _check_power_meet_bound(r):
     _need_product(r)
     meet, leq = r.meet_table, r.leq_table
-    for n, p in enumerate(_powers(r, 3), start=1):
+    for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
         lhs = p[meet]
         rhs = meet[p[:, None], p]
         if not leq[lhs, rhs].all():
@@ -358,7 +342,7 @@ def _ideal_closure(rig, seeds):
     steps = [lambda f: _pair_images(f, rig.add_table), lambda f: _hits(f, rig.leq_table.T)]
     if rig.mul_table is not None:
         # row a: the products a.y and y.a for every y
-        absorb = _mask_rows(rig.size, [row + col for row, col in zip(
+        absorb = core._member_rows(rig.size, [row + col for row, col in zip(
             rig.mul_table.tolist(), rig.mul_table.T.tolist())])
         steps.append(lambda f: _hits(f, absorb))
     return _fixpoint(rows, *steps)
@@ -369,9 +353,9 @@ def _check_generated_least(r):
     listed = ideals.enumerate_ideals(r)
     seeds, table = _seeds(r.size)
     answers = [ideals.generated_ideal(r, seed).members for seed in seeds]
-    gens = _mask_rows(r.size, answers)
+    gens = core._member_rows(r.size, answers)
     witness = {s: ideals.is_ideal(r, s)[1] for s in dict.fromkeys(answers)}  # once per set
-    escapes = _escapes(table, gens, _mask_rows(r.size, [i.members for i in listed]))
+    escapes = _escapes(table, gens, core._member_rows(r.size, [i.members for i in listed]))
     return _first_failure([
         (np.array([witness[s] is not None for s in answers]),
          lambda i: f"<{seeds[i]}> is not an ideal: {witness[answers[i]]}"),
@@ -684,7 +668,7 @@ def _check_spec_compactness(r):
     _need_within(r, "SUBSET_SIZE_LIMIT")
     s, fr = spectrum.spec(r), frames.frame(r)
     seeds, table = _seeds(r.size)
-    basic = _mask_rows(len(s.points), [s.base[a] for a in r.elements()])
+    basic = core._member_rows(len(s.points), [s.base[a] for a in r.elements()])
     subs, failure = [], None
     for i in np.flatnonzero(_hits(table, basic).all(axis=1)):
         try:
@@ -692,7 +676,7 @@ def _check_spec_compactness(r):
         except MvwError as exc:
             failure = f"cover {seeds[i]}: {exc}"
             break
-    misses = ~_hits(_mask_rows(r.size, [sub for _, sub in subs]), basic).all(axis=1)
+    misses = ~_hits(core._member_rows(r.size, [sub for _, sub in subs]), basic).all(axis=1)
     return _first_failure([(misses & ~fr.masks[fr.bottom].all(),
                             lambda k: f"subcover of {subs[k][0]} misses a point")]) or failure
 
@@ -701,7 +685,7 @@ def _check_spec_compactness(r):
 
 def _dotted_sums(rig):
     """[x, d]: d is a dotted sum of x, by ``frames.dotsum_closure``."""
-    return _mask_rows(rig.size, [frames.dotsum_closure(rig, x) for x in rig.elements()])
+    return core._member_rows(rig.size, [frames.dotsum_closure(rig, x) for x in rig.elements()])
 
 
 def _pfilter_rows(rig, rows, dotted):
@@ -769,7 +753,7 @@ def _check_pfilter_generated_least(r):
     _need_within(r, "SUBSET_SIZE_LIMIT")
     fr = frames.frame(r)
     seeds, table = _seeds(r.size, 1)
-    gens = _mask_rows(r.size, [frames.pfilter_generated(r, seed).members for seed in seeds])
+    gens = core._member_rows(r.size, [frames.pfilter_generated(r, seed).members for seed in seeds])
     clauses = [(_escapes(table, gens, fr.masks).any(axis=1),
                 lambda i: f"<{seeds[i]}> is not least")]
     if r.commutative:
@@ -833,8 +817,9 @@ def _check_theta_iso(r):
     table = frames.principal_table(r)
     prin = np.array([fr.index_of(table.pfilters[i]) for i in table.index])
     seeds, rows = _seeds(r.size)
-    opens = _mask_rows(len(space.points), space.opens)
-    unions = _hits(rows, _mask_rows(len(space.points), [space.base[a] for a in r.elements()]))
+    width = len(space.points)
+    opens = core._member_rows(width, space.opens)
+    unions = _hits(rows, core._member_rows(width, [space.base[a] for a in r.elements()]))
     # [i, o]: the union of row i is open o
     same = ~_hits(unions, ~opens.T) & ~_hits(~unions, opens.T)
     mapped = np.asarray(tm.open_to_filter)[same.argmax(axis=1)]
@@ -858,7 +843,7 @@ def _check_frame_covers(r):
             break
     covers = _joins(fr, fr.principal, table[:len(answers)]) == fr.top
     refused = np.array([sub is None for sub in answers], dtype=bool)
-    subs = _mask_rows(r.size, [sub or () for sub in answers])
+    subs = core._member_rows(r.size, [sub or () for sub in answers])
     detail = _first_failure([
         (refused & covers, lambda i: f"{seeds[i]} covers but was rejected"),
         (~refused & ~covers, lambda i: f"{seeds[i]} does not cover but a subcover was returned"),

@@ -112,3 +112,35 @@ def pfilter_by_formula(rig, seed, dotsums):
         prods = grown
     above = rig.leq_table[prods].any(axis=0).tolist()
     return frozenset(x for x in range(rig.size) if any(above[d] for d in dotsums[x]))
+
+
+def _three_powers(rig):
+    """x, x^2 and x^3 of every element, left-associated, by two product
+    steps."""
+    idx = np.arange(rig.size)
+    out = [idx]
+    for _ in range(2):
+        out.append(rig.mul_table[out[-1], idx])
+    return out
+
+
+def power_join_bound(rig):
+    """The earlier ``power-join-bound`` body: a^n v b^n <= (a v b)^n for
+    n = 1, 2, 3, the first failure in row-major order, or None."""
+    join, leq = rig.join_table, rig.leq_table
+    for n, p in enumerate(_three_powers(rig), start=1):
+        bad = ~leq[join[p[:, None], p], p[join]]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad)[0])
+            return f"fails at n={n} ({a}, {b})"
+
+
+def power_meet_bound(rig):
+    """The earlier ``power-meet-bound`` body: (a ^ b)^n <= a^n ^ b^n for
+    n = 1, 2, 3, the first failure in row-major order, or None."""
+    meet, leq = rig.meet_table, rig.leq_table
+    for n, p in enumerate(_three_powers(rig), start=1):
+        bad = ~leq[p[meet], meet[p[:, None], p]]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad)[0])
+            return f"fails at n={n} ({a}, {b})"

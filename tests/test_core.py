@@ -791,3 +791,81 @@ def test_restrict_matches_reference(rig):
     for subset in subsets:
         assert _outcome(core.restrict, rig, subset) == _outcome(_ref_restrict, rig, subset), \
             sorted(subset)
+
+
+# -- kept families of sets --------------------------------------------------------
+
+def reference_canonical(table):
+    """The distinct sets a boolean table's rows hold, sorted by size and
+    then by sorted members, and the position of each row's set among them."""
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in table]
+    distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
+    return distinct, [distinct.index(s) for s in sets]
+
+
+def _seeded_tables():
+    """Seeded random boolean tables with repeated rows and many sets of one
+    size, widths on and off a multiple of 8, and the empty shapes."""
+    rng = np.random.default_rng(19)
+    tables = {"no rows": np.zeros((0, 5), dtype=bool),
+              "width 0": np.zeros((4, 0), dtype=bool),
+              "no rows, width 0": np.zeros((0, 0), dtype=bool)}
+    for k, n, density in [(1, 3, 0.5), (12, 4, 0.5), (40, 5, 0.4), (60, 9, 0.5),
+                          (80, 16, 0.2), (50, 20, 0.8)]:
+        rows = rng.random((k, n)) < density
+        tables[f"{k}x{n}"] = np.vstack([rows, rows[rng.integers(0, k, size=k // 2 + 1)]])
+    return tables
+
+
+SEEDED_TABLES = _seeded_tables()
+
+
+def test_seeded_tables_repeat_rows_and_sizes():
+    # without repeats and ties of size the mutations below would pass
+    for name in ("12x4", "40x5", "60x9"):
+        table = SEEDED_TABLES[name]
+        distinct, _ = reference_canonical(table)
+        assert len(distinct) < len(table)
+        assert len({len(s) for s in distinct}) < len(distinct)
+
+
+@pytest.mark.parametrize("name", SEEDED_TABLES)
+def test_canonical_rows_match_the_frozenset_sort(name):
+    table = SEEDED_TABLES[name]
+    rows, position = core._canonical_rows(table)
+    distinct, expected = reference_canonical(table)
+    assert rows.shape == (len(distinct), table.shape[1])
+    assert [core._members(row) for row in rows] == distinct
+    assert position.tolist() == expected
+    assert (rows[position] == table).all()
+    assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("name", SEEDED_TABLES)
+def test_canonical_order_sorts_distinct_rows(name):
+    distinct, _ = reference_canonical(SEEDED_TABLES[name])
+    rows = core._member_rows(SEEDED_TABLES[name].shape[1], [sorted(s) for s in distinct])
+    shuffled = np.random.default_rng(len(rows)).permutation(len(rows))
+    order = core._canonical_order(rows[shuffled])
+    assert shuffled[order].tolist() == list(range(len(rows)))
+
+
+def test_canonical_rows_by_hand():
+    sets = [{1}, {0, 2}, {0}, {0, 1}, set(), {0}, {2}]
+    rows, position = core._canonical_rows(core._member_rows(3, sets))
+    assert [sorted(core._members(row)) for row in rows] == [[], [0], [1], [2], [0, 1], [0, 2]]
+    assert position.tolist() == [2, 5, 1, 4, 0, 1, 3]
+
+
+def test_member_rows_round_trip():
+    sets = [(), (0, 3), (2,), (0, 1, 2, 3)]
+    table = core._member_rows(4, sets)
+    assert table.dtype == bool and table.shape == (4, 4)
+    assert [core._members(row) for row in table] == [frozenset(s) for s in sets]
+    assert core._member_rows(0, []).shape == (0, 0)
+
+
+def test_read_only_skips_none_and_returns_the_first():
+    a, b = np.zeros(3), np.ones(2)
+    assert core._read_only(a, None, b) is a
+    assert not a.flags.writeable and not b.flags.writeable

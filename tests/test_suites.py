@@ -409,6 +409,39 @@ def test_nary_check_matches_tuple_scan_on_corrupted_tables():
     assert caught
 
 
+def _corrupted_products():
+    """Every copy of four small products with one product cell changed."""
+    for rig in (builders.build_zn(3), builders.build_zn(4),
+                builders.direct_product([builders.build_zn(1)] * 2),
+                builders.direct_product([builders.build_zn(2), builders.build_zn(1)])):
+        n = rig.size
+        for a, b, v in itertools.product(range(n), repeat=3):
+            if v != rig.mul_table[a, b]:
+                mul = rig.mul_table.copy()
+                mul[a, b] = v
+                yield core.derive(rig.neg_table, rig.add_table, mul)
+
+
+def test_power_bounds_match_the_three_power_loop():
+    # the checks read core._powers, which stops once no power moves, so
+    # the exponents it skips repeat ones already checked
+    failed_at = collections.Counter()
+    settled = 0
+    for rig in itertools.chain(ZOO.values(), (f() for f in LADDER.values()),
+                               _corrupted_products()):
+        if rig.mul_table is None:
+            continue
+        details = (suites._check_power_join_bound(rig), suites._check_power_meet_bound(rig))
+        assert details == (scalar_oracles.power_join_bound(rig),
+                           scalar_oracles.power_meet_bound(rig)), rig.name
+        failed_at.update(d.split()[2] for d in details if d)
+        square = rig.mul_table[np.arange(rig.size), np.arange(rig.size)]
+        settled += any(details) and (rig.mul_table[square, np.arange(rig.size)] == square).all()
+    # failures at n = 2 and n = 3, and failures whose powers settle after
+    # the square, where the walk yields no third vector
+    assert failed_at["n=2"] and failed_at["n=3"] and settled
+
+
 def test_frame_distributivity_matches_family_scan(zoo):
     for rig in zoo.values():
         if rig.mul_table is None or not rig.commutative:
@@ -460,7 +493,7 @@ def test_frame_checks_run_past_sixteen_elements(make):
 # by closure.
 
 def reference_principal_filters(rig):
-    return {a: frames._members(frames._closure(rig, row))
+    return {a: core._members(frames._closure(rig, row))
             for a, row in enumerate(np.eye(rig.size, dtype=bool))}
 
 
@@ -699,7 +732,7 @@ def test_oracles_match_accessor_bodies_without_commutativity():
     rig = ZOO["M2(Z1)"]
     rows = scalar_oracles.rows(rig)
     seeds = [s for k in range(3) for s in itertools.combinations(range(rig.size), k)]
-    for seed, row in zip(seeds, suites._ideal_closure(rig, suites._mask_rows(rig.size, seeds))):
+    for seed, row in zip(seeds, suites._ideal_closure(rig, core._member_rows(rig.size, seeds))):
         assert _members(row) == reference_generated_fixpoint(rig, seed) == \
             scalar_oracles.generated_fixpoint(rows, seed), seed
     mv = core.derive(rig.neg_table, rig.add_table, None)
