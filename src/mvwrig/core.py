@@ -13,10 +13,16 @@ else is derived:
 
 The exhaustive axiom scans (:func:`scan_mv`, :func:`scan_mvw`) test every
 tuple and are the oracle for every other module.  Tables are int32 numpy
-arrays so the scans vectorize: for each element x, a scan gathers from the
-flattened tables at int32 indices a·n + b, which keeps every temporary at
-n^2 cells.  A commutative product has the same right-hand laws as left-hand
-ones, so their scan runs once.
+arrays, and a scan over the triples (x, y, z) pays for cells, not calls:
+it walks blocks of whole rows x (:func:`_blocks`), at most
+``_BLOCK_CELLS`` = 2^15 cells and never less than one row, and its kernel
+answers each block with a few ``ndarray.take`` gathers, rows of one table
+at the values of another or a flattened table at a·n + b.  So the whole
+cube is one block up to n = 32, and past n = 128 each block is one row of
+n^2 cells, which bounds every temporary.  Counts and witnesses come x
+first, then (y, z), as an element-by-element scan gives them.  The law
+checks of ``suites`` walk the same blocks.  A commutative product has the
+same right-hand laws as left-hand ones, so their scan runs once.
 
 The checks (:func:`check_mv`, :func:`check_mvw`, :func:`check_all`) return
 the scans' reports, counts and first witnesses alike, but prove a zero by
@@ -168,9 +174,10 @@ class FiniteMvwRig:
         self.times_table = neg[add[neg[:, None], neg]]
         self.leq_table = self.monus_table == 0
 
-        bad = np.argwhere(self.leq_table & self.leq_table.T & ~np.eye(n, dtype=bool))
-        if bad.size:
-            x, y = (int(v) for v in bad[0])
+        # x <= y <= x off the diagonal: counted first, located only when found
+        both = self.leq_table & self.leq_table.T
+        if np.count_nonzero(both) > np.count_nonzero(both.diagonal()):
+            x, y = (int(v) for v in np.argwhere(both & ~np.eye(n, dtype=bool))[0])
             raise OrderNotAntisymmetric(x, y)
 
         self.join_table = add[self.monus_table, idx[None, :]]
@@ -185,10 +192,12 @@ class FiniteMvwRig:
         if self.mul_table is not None:
             mul = self.mul_table
             self.commutative = bool((mul == mul.T).all())
-            # a unitary element is unique when it exists, so the scan may stop
-            for s in range(n):
+            # s is unitary when its row and its column are the identity, so
+            # u.s = u; only those s are tried, and the first unitary one is
+            # the unit, since it is unique when it exists
+            for s in np.flatnonzero(mul[self.u] == self.u):
                 if (mul[s] == idx).all() and (mul[:, s] == idx).all():
-                    self.unit = s
+                    self.unit = int(s)
                     break
             self.product_below_meet = bool(self.leq_table[mul, self.meet_table].all())
 
@@ -386,21 +395,61 @@ def derive(neg, add, mul=None, names=None, name="A") -> FiniteMvwRig:
     return FiniteMvwRig(carrier, neg, add, mul, name=name)
 
 
-def _scan_per_element(n, row_failures, rows=None):
-    """Run a per-element vectorized law check; returns (count, samples).
+#: The most cells a blocked scan gathers at once (``_blocks``).
+_BLOCK_CELLS = 1 << 15
 
-    ``row_failures(x)`` returns an (n, n) boolean array marking failures at
-    (y, z) for fixed x.  Looping over one index keeps intermediates at n^2.
-    ``rows`` (ascending, all of 0..n-1 by default) lists the x to scan.
+
+def _blocks(count, cells):
+    """Slices of range(count), the rows of an outer index space taken in
+    row-major order, each a block of whole rows of ``cells`` cells: at most
+    ``_BLOCK_CELLS`` cells a block, and never less than one row."""
+    step = max(1, _BLOCK_CELLS // cells)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def _scan_per_element(n, block_failures, rows=None):
+    """Run a blocked law check; returns (count, samples).
+
+    ``block_failures(xs)`` returns a (len(xs), n, n) boolean table marking
+    failures at (x, y, z) for each x of the ascending array xs.  ``rows``
+    (ascending, all of 0..n-1 by default) lists the x to scan, handed over
+    in blocks of whole x (``_blocks``), so counts and witnesses come x
+    first, then (y, z).
     """
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     total = 0
     samples = []
-    for x in range(n) if rows is None else rows:
-        bad = np.flatnonzero(row_failures(x))
-        total += len(bad)
-        for cell in bad[:MAX_WITNESSES - len(samples)]:
-            samples.append((x, *divmod(int(cell), n)))
+    for block in _blocks(len(rows), n * n):
+        xs = rows[block]
+        bad = block_failures(xs)
+        count = int(np.count_nonzero(bad))
+        total += count
+        if count and len(samples) < MAX_WITNESSES:
+            for cell in np.flatnonzero(bad)[:MAX_WITNESSES - len(samples)]:
+                i, cell = divmod(int(cell), n * n)
+                samples.append((int(xs[i]), *divmod(cell, n)))
     return total, samples
+
+
+def _pair_cells(table, f, g):
+    """[i, b, c]: table[f[i, b], g[i, c]] for two (rows, n) maps, gathered
+    from the flat table at f·n + g, built in intp, the index type of
+    ``take``."""
+    f, g = f.astype(np.intp), g.astype(np.intp)
+    return table.ravel().take((f * len(table))[:, :, None] + g[:, None, :])
+
+
+def _associativity(op):
+    """The blocked kernel of x(yz) = (xy)z for one table: the rows x of the
+    table, gathered at every yz, against its rows at every xy.  The n^2
+    index is cast to intp, the index type of ``take``, once per scan."""
+    op_index = op.astype(np.intp)
+
+    def block_failures(xs):
+        rows = op.take(xs, axis=0)          # [x, y]: xy
+        return rows.take(op_index, axis=1) != op.take(rows, axis=0)
+    return block_failures
 
 
 @dataclass(frozen=True)
@@ -492,7 +541,7 @@ def scan_mv(rig: FiniteMvwRig) -> AxiomReport:
     report.record("closure", [])
 
     # MV1: x + (y + z) = (x + y) + z
-    report.failures["MV1"] = _scan_per_element(n, lambda x: add[x][add] != add[add[x]])
+    report.failures["MV1"] = _scan_per_element(n, _associativity(add))
     report.record("MV2", np.argwhere(add != add.T))
     report.record("MV3", [(int(x),) for x in np.flatnonzero(add[:, 0] != idx)])
     report.record("MV4", [(int(x),) for x in np.flatnonzero(add[:, rig.u] != rig.u)])
@@ -525,8 +574,7 @@ def _mvw_report(rig, distributive_rows, associativity_rows):
     mul = rig.mul_table
     report = AxiomReport(axioms=MVW_AXIOMS)
 
-    report.failures["MVW-ii"] = _scan_per_element(
-        n, lambda x: mul[x][mul] != mul[mul[x]], associativity_rows)
+    report.failures["MVW-ii"] = _scan_per_element(n, _associativity(mul), associativity_rows)
 
     zero_bad = [(int(a), 0) for a in np.flatnonzero(mul[:, 0] != 0)]
     zero_bad += [(0, int(a)) for a in np.flatnonzero(mul[0, :] != 0)]
@@ -541,38 +589,34 @@ def _scan_distributive(rig, rows):
     """MVW-iv and MVW-v for each a in ``rows``, scanned over all (b, c)."""
     n = rig.size
     mul, add, monus = rig.mul_table, rig.add_table, rig.monus_table
-    n32 = np.int32(n)
-    # the tables are read flat at a·n + b in int32, and a <= b fails where
-    # not_leq[a·n + b] holds
-    flat_add, flat_monus = add.ravel(), monus.ravel()
+    # a <= b fails where not_leq[a·n + b] holds
     not_leq = ~rig.leq_table.ravel()
 
-    # For fixed a, row = a*_ and col = _*a cover the left and right laws:
-    #   iv)  a(b + c) <= ab + ac        v)  a(b - c) >= ab - ac
-    # A commutative product has col = row, so its column pass would repeat
-    # the row pass cell for cell.
+    # For fixed a, the maps f = a*_ (rows) and f = _*a (columns) cover the
+    # left and right laws, one map per row of a (block, n) table F:
+    #   iv)  f(b + c) <= f(b) + f(c)        v)  f(b - c) >= f(b) - f(c)
+    # A commutative product has columns equal to rows, so its column pass
+    # would repeat the row pass cell for cell.
     def both_sides(fails):
-        def row_failures(x):
-            out = fails(mul[x])
+        def block_failures(xs):
+            out = fails(mul.take(xs, axis=0))
             if not rig.commutative:
-                out |= fails(mul[:, x])
+                out |= fails(mul.T.take(xs, axis=0))
             return out
-        return row_failures
+        return block_failures
 
-    def subdist(vec):
-        # not_leq at a(b + c)·n + (ab + ac)
-        vec_n = vec * n32
-        cells = flat_add[vec_n[:, None] + vec]
-        cells += vec_n[add]
-        return not_leq[cells]
+    def subdist(F):
+        # not_leq at f(b + c)·n + (f(b) + f(c))
+        cells = _pair_cells(add, F, F)
+        cells += (F * n).take(add, axis=1)
+        return not_leq.take(cells)
 
-    def superdist(vec):
-        # not_leq at (ab - ac)·n + a(b - c)
-        vec_n = vec * n32
-        cells = flat_monus[vec_n[:, None] + vec]
-        cells *= n32
-        cells += vec[monus]
-        return not_leq[cells]
+    def superdist(F):
+        # not_leq at (f(b) - f(c))·n + f(b - c)
+        cells = _pair_cells(monus, F, F)
+        cells *= n
+        cells += F.take(monus, axis=1)
+        return not_leq.take(cells)
 
     return (_scan_per_element(n, both_sides(subdist), rows),
             _scan_per_element(n, both_sides(superdist), rows))

@@ -97,8 +97,22 @@ def is_ideal(rig: FiniteMvwRig, members):
     product, absorption on both sides, in that order, on one member mask.
 
     Returns (ok, witness); the witness names the violated clause and its
-    first violating pair, taking members in ascending order.
+    first violating pair, taking members in ascending order.  The verdict
+    is kept on the structure for as long as it lives, one per distinct set
+    of members, so a caller that probes many subsets keeps one per subset.
     """
+    return _ideal_verdict(rig, frozenset(members))
+
+
+@core.per_structure
+def _ideal_verdict(rig, members):
+    # rebuilt, so each structure keeps a verdict of its own: the verdicts
+    # ``_ideal_check`` returns as literals are one object for every call
+    ok, witness = _ideal_check(rig, members)
+    return ok, witness
+
+
+def _ideal_check(rig, members):
     mask = _member_mask(rig, members)
     if not mask[0]:
         return False, ("zero", (0,))
@@ -310,8 +324,22 @@ def is_congruence(rig: FiniteMvwRig, class_of):
     per operation and side.  The witness is the first failure with classes
     in order of their least elements, x ascending within its class, and at
     each x the negation first, then for each y the sum on the left and on
-    the right, then the product on the left and on the right.
+    the right, then the product on the left and on the right.  The verdict
+    is kept on the structure for as long as it lives, one per distinct
+    tuple of labels, so a caller that probes many partitions keeps one per
+    partition.
     """
+    return _congruence_verdict(rig, tuple(class_of))
+
+
+@core.per_structure
+def _congruence_verdict(rig, class_of):
+    # rebuilt, as in ``_ideal_verdict``
+    ok, witness = _congruence_check(rig, class_of)
+    return ok, witness
+
+
+def _congruence_check(rig, class_of):
     if len(class_of) != rig.size:
         return False, ("shape", (len(class_of),))
     least = {}

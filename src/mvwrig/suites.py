@@ -23,6 +23,15 @@ routes they check, but each runs on one boolean table, a row per seed in
 ``itertools.combinations`` order or a row per partition, with a few
 whole-table operations per clause; only the library calls under test stay
 per seed, and the first failing row names the seed a scan would name.
+
+The laws over triples (``order-lattice``, ``residuation``,
+``monus-superadditive``, whose outer index is the pair (x1, y1), and the
+``product-*`` bounds) are kernels over the blocks of ``core._blocks``:
+each block of outer indices is answered by a few ``ndarray.take`` gathers
+on whole rows, one (block, n, n) failure table per side of the law, and
+``_first_cell`` names the first failure in the order the element-by-element
+loop met it.  The n^2-cell tables that ``take`` reads as indices are cast
+to intp once per check, not once per block.
 """
 
 from __future__ import annotations
@@ -132,6 +141,33 @@ def _first_failure(clauses):
         return next(detail(i) for bad, detail in clauses if bad[i])
 
 
+def _first_cell(count, n, sides):
+    """The first failure of a law over an outer index space range(count)
+    and all (y, z) in range(n)^2, scanned in the blocks of ``core._blocks``.
+    ``sides(block)`` gives, for the slice ``block`` of outer indices, one
+    (rows, n, n) failure table per side of the law, tried in order at each
+    outer index.  Returns (outer index, side, y, z), or None."""
+    for block in core._blocks(count, n * n):
+        tables = sides(block)
+        hit = np.logical_or.reduce([t.any(axis=(1, 2)) for t in tables])
+        if hit.any():
+            i = int(hit.argmax())
+            side = next(k for k, t in enumerate(tables) if t[i].any())
+            y, z = np.unravel_index(int(tables[side][i].argmax()), tables[side][i].shape)
+            return block.start + i, side, int(y), int(z)
+
+
+def _not_leq(leq, lo, hi):
+    """Where lo <= hi fails, cell by cell (the two broadcast together)."""
+    return ~leq.ravel().take(lo * len(leq) + hi)
+
+
+def _maps(mul, block):
+    """The rows a*_ and the columns _*a of the product, for a in the slice
+    ``block``, one map per row."""
+    return mul[block], np.ascontiguousarray(mul[:, block].T)
+
+
 # -- core laws ---------------------------------------------------------------
 
 def _check_mv_axioms(r):
@@ -159,43 +195,55 @@ def _check_order_lattice(r):
         return "order is not transitive"
     if not (leq[0, :].all() and leq[:, r.u].all()):
         return "0 is not bottom or u is not top"
+    join, meet = r.join_table.astype(np.intp), r.meet_table.astype(np.intp)
+    geq = np.ascontiguousarray(leq.T)
     idx = np.arange(n)
-    if not (leq[idx[:, None], r.join_table].all()
-            and leq[idx[None, :], r.join_table].all()):
+    if not (leq[idx[:, None], join].all() and leq[idx[None, :], join].all()):
         return "join is not an upper bound"
-    if not (leq[r.meet_table, idx[:, None]].all()
-            and leq[r.meet_table, idx[None, :]].all()):
+    if not (leq[meet, idx[:, None]].all() and leq[meet, idx[None, :]].all()):
         return "meet is not a lower bound"
-    for z in range(n):
-        up = leq[:, z]
-        both = up[:, None] & up[None, :]
-        if (both & ~leq[r.join_table, z]).any():
-            return f"join is not the least upper bound (against {z})"
-        dn = leq[z, :]
-        both = dn[:, None] & dn[None, :]
-        if (both & ~leq[z, r.meet_table]).any():
-            return f"meet is not the greatest lower bound (against {z})"
+
+    def sides(block):
+        # [z, x, y]: x, y <= z but not x v y <= z; z <= x, y but not z <= x ^ y
+        up, dn = geq[block], leq[block]            # [z, x]: x <= z, z <= x
+        return [(up[:, :, None] & up[:, None, :]) > up.take(join, axis=1),
+                (dn[:, :, None] & dn[:, None, :]) > dn.take(meet, axis=1)]
+    cell = _first_cell(n, n, sides)
+    if cell is not None:
+        z, side = cell[:2]
+        return (f"join is not the least upper bound (against {z})",
+                f"meet is not the greatest lower bound (against {z})")[side]
 
 
 def _check_residuation(r):
-    add, monus, leq = r.add_table, r.monus_table, r.leq_table
-    for x in range(r.size):
-        lhs = leq[x][add]               # [y, z] : x <= y + z
-        rhs = leq[monus[x]][:, :].T     # [y, z] : x - z <= y
-        if (lhs != rhs).any():
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            return f"fails at ({x}, {y}, {z})"
+    add, monus, leq = r.add_table.astype(np.intp), r.monus_table, r.leq_table
+
+    def sides(block):
+        lhs = leq[block].take(add, axis=1)                        # [x, y, z]: x <= y + z
+        rhs = leq.take(monus[block], axis=0).transpose(0, 2, 1)   # [x, y, z]: x - z <= y
+        return [lhs != rhs]
+    cell = _first_cell(r.size, r.size, sides)
+    if cell is not None:
+        x, _, y, z = cell
+        return f"fails at ({x}, {y}, {z})"
 
 
 def _check_monus_superadditive(r):
-    add, monus, leq = r.add_table, r.monus_table, r.leq_table
-    for x1 in range(r.size):
-        for y1 in range(r.size):
-            lhs = monus[add[x1][:, None], add[y1][None, :]]
-            rhs = add[monus[x1, y1]][monus]
-            if not leq[lhs, rhs].all():
-                x2, y2 = map(int, np.argwhere(~leq[lhs, rhs])[0])
-                return f"fails at x=({x1},{x2}) y=({y1},{y2})"
+    """Blocked over the pairs p = x1·n + y1, n^2 cells (x2, y2) each."""
+    n = r.size
+    add, monus = r.add_table, r.monus_table
+    monus_index = monus.astype(np.intp)
+    x1, y1 = np.divmod(np.arange(n * n), n)
+
+    def sides(block):
+        # [p, x2, y2]: (x1 + x2) - (y1 + y2) and (x1 - y1) + (x2 - y2)
+        lhs = core._pair_cells(monus, add.take(x1[block], axis=0), add.take(y1[block], axis=0))
+        rhs = add.take(monus.ravel()[block], axis=0).take(monus_index, axis=1)
+        return [_not_leq(r.leq_table, lhs, rhs)]
+    cell = _first_cell(n * n, n, sides)
+    if cell is not None:
+        p, _, x2, y2 = cell
+        return f"fails at x=({p // n},{x2}) y=({p % n},{y2})"
 
 
 def _check_monus_superadditive_nary(r):
@@ -237,37 +285,46 @@ def _nary_scan(r):
 
 def _check_product_monotone(r):
     _need_product(r)
-    mul, leq = r.mul_table, r.leq_table
-    for c in range(r.size):
-        for vec in (mul[:, c], mul[c, :]):
-            bad = leq & ~leq[vec[:, None], vec]
-            if bad.any():
-                a, b = map(int, np.argwhere(bad)[0])
-                return f"fails at a={a} b={b} c={c}"
+    leq = r.leq_table
+
+    def sides(block):
+        # [c, a, b]: a <= b but not f(a) <= f(b), f the column _*c, then the row c*_
+        return [leq & _not_leq(leq, f[:, :, None], f[:, None, :])
+                for f in _maps(r.mul_table, block)[::-1]]
+    cell = _first_cell(r.size, r.size, sides)
+    if cell is not None:
+        c, _, a, b = cell
+        return f"fails at a={a} b={b} c={c}"
 
 
 def _check_product_join_bound(r):
     _need_product(r)
-    mul, join, leq = r.mul_table, r.join_table, r.leq_table
-    for a in range(r.size):
-        for vec in (mul[a], mul[:, a]):
-            lhs = vec[join]
-            rhs = join[vec[:, None], vec]
-            if not leq[rhs, lhs].all():
-                b, c = map(int, np.argwhere(~leq[rhs, lhs])[0])
-                return f"fails at ({a}, {b}, {c})"
+    join, leq = r.join_table, r.leq_table
+    join_index = join.astype(np.intp)
+
+    def sides(block):
+        # [a, b, c]: f(b) v f(c) <= f(b v c), f the row a*_, then the column _*a
+        return [_not_leq(leq, core._pair_cells(join, f, f), f.take(join_index, axis=1))
+                for f in _maps(r.mul_table, block)]
+    cell = _first_cell(r.size, r.size, sides)
+    if cell is not None:
+        a, _, b, c = cell
+        return f"fails at ({a}, {b}, {c})"
 
 
 def _check_product_meet_bound(r):
     _need_product(r)
-    mul, meet, leq = r.mul_table, r.meet_table, r.leq_table
-    for a in range(r.size):
-        for vec in (mul[a], mul[:, a]):
-            lhs = vec[meet]
-            rhs = meet[vec[:, None], vec]
-            if not leq[lhs, rhs].all():
-                b, c = map(int, np.argwhere(~leq[lhs, rhs])[0])
-                return f"fails at ({a}, {b}, {c})"
+    meet, leq = r.meet_table, r.leq_table
+    meet_index = meet.astype(np.intp)
+
+    def sides(block):
+        # [a, b, c]: f(b ^ c) <= f(b) ^ f(c), f the row a*_, then the column _*a
+        return [_not_leq(leq, f.take(meet_index, axis=1), core._pair_cells(meet, f, f))
+                for f in _maps(r.mul_table, block)]
+    cell = _first_cell(r.size, r.size, sides)
+    if cell is not None:
+        a, _, b, c = cell
+        return f"fails at ({a}, {b}, {c})"
 
 
 def _check_power_join_bound(r):
@@ -295,8 +352,9 @@ def _check_power_meet_bound(r):
 def _check_unit_unique(r):
     _need_product(r)
     idx = np.arange(r.size)
-    units = [s for s in range(r.size)
-             if (r.mul_table[s] == idx).all() and (r.mul_table[:, s] == idx).all()]
+    mul = r.mul_table
+    # s is unitary when its row and its column are the identity
+    units = np.flatnonzero((mul == idx).all(axis=1) & (mul.T == idx).all(axis=1)).tolist()
     if len(units) > 1:
         return f"multiple unitary elements: {units}"
     if (units and r.unit != units[0]) or (not units and r.unit is not None):

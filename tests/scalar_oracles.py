@@ -1,13 +1,18 @@
-"""The law suites' earlier scalar oracles, one seed or one partition at a
-time, kept as references for the whole-table oracles in ``suites``.
+"""The earlier scalar oracles and scans, kept as references.
 
-They read the tables as rows of tuples (``rows``) instead of calling the
-bounds-checked accessors.
+The law suites' subset and partition oracles, one seed or one partition at
+a time, are references for the whole-table oracles in ``suites``; they
+read the tables as rows of tuples (``rows``) instead of calling the
+bounds-checked accessors.  The per-element axiom scans and law checks,
+one element or one pair at a time, are references for the blocked kernels
+in ``core`` and ``suites``.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from mvwrig import core
 
 
 class Rows(NamedTuple):
@@ -144,3 +149,166 @@ def power_meet_bound(rig):
         if bad.any():
             a, b = map(int, np.argwhere(bad)[0])
             return f"fails at n={n} ({a}, {b})"
+
+
+# -- the per-element law scans and checks that the blocked kernels replaced -----
+
+def scan_per_element(n, row_failures, rows=None):
+    """The earlier row loop of ``core._scan_per_element``: ``row_failures(x)``
+    marks the failing (y, z) of one x; returns (count, first witnesses)."""
+    total = 0
+    samples = []
+    for x in range(n) if rows is None else rows:
+        bad = np.flatnonzero(row_failures(x))
+        total += len(bad)
+        for cell in bad[:core.MAX_WITNESSES - len(samples)]:
+            samples.append((x, *divmod(int(cell), n)))
+    return total, samples
+
+
+def associativity(table):
+    """The earlier per-element kernel of MV1 and MVW-ii."""
+    return lambda x: table[x][table] != table[table[x]]
+
+
+def scan_distributive(rig, rows):
+    """The earlier per-element MVW-iv and MVW-v scans over ``rows``: one
+    row a*_ and, on a non-commutative product, one column _*a at a time,
+    read flat at int32 indices."""
+    n = rig.size
+    mul, add, monus = rig.mul_table, rig.add_table, rig.monus_table
+    n32 = np.int32(n)
+    flat_add, flat_monus = add.ravel(), monus.ravel()
+    not_leq = ~rig.leq_table.ravel()
+
+    def both_sides(fails):
+        def row_failures(x):
+            out = fails(mul[x])
+            if not rig.commutative:
+                out |= fails(mul[:, x])
+            return out
+        return row_failures
+
+    def subdist(vec):
+        vec_n = vec * n32
+        cells = flat_add[vec_n[:, None] + vec]
+        cells += vec_n[add]
+        return not_leq[cells]
+
+    def superdist(vec):
+        vec_n = vec * n32
+        cells = flat_monus[vec_n[:, None] + vec]
+        cells *= n32
+        cells += vec[monus]
+        return not_leq[cells]
+
+    return (scan_per_element(n, both_sides(subdist), rows),
+            scan_per_element(n, both_sides(superdist), rows))
+
+
+def unit(mul):
+    """The earlier unit search of ``core.FiniteMvwRig``: the first s whose
+    row and column are the identity, or None."""
+    idx = np.arange(len(mul))
+    for s in range(len(mul)):
+        if (mul[s] == idx).all() and (mul[:, s] == idx).all():
+            return s
+    return None
+
+
+def order_lattice(r):
+    """The earlier ``order-lattice`` body, one z at a time in its last part."""
+    n = r.size
+    leq = r.leq_table
+    if not leq.diagonal().all():
+        return "order is not reflexive"
+    reach = leq.astype(np.int64)
+    if ((reach @ reach > 0) & ~leq).any():
+        return "order is not transitive"
+    if not (leq[0, :].all() and leq[:, r.u].all()):
+        return "0 is not bottom or u is not top"
+    idx = np.arange(n)
+    if not (leq[idx[:, None], r.join_table].all()
+            and leq[idx[None, :], r.join_table].all()):
+        return "join is not an upper bound"
+    if not (leq[r.meet_table, idx[:, None]].all()
+            and leq[r.meet_table, idx[None, :]].all()):
+        return "meet is not a lower bound"
+    for z in range(n):
+        up = leq[:, z]
+        both = up[:, None] & up[None, :]
+        if (both & ~leq[r.join_table, z]).any():
+            return f"join is not the least upper bound (against {z})"
+        dn = leq[z, :]
+        both = dn[:, None] & dn[None, :]
+        if (both & ~leq[z, r.meet_table]).any():
+            return f"meet is not the greatest lower bound (against {z})"
+
+
+def residuation(r):
+    """The earlier ``residuation`` body, one x at a time."""
+    add, monus, leq = r.add_table, r.monus_table, r.leq_table
+    for x in range(r.size):
+        lhs = leq[x][add]               # [y, z] : x <= y + z
+        rhs = leq[monus[x]][:, :].T     # [y, z] : x - z <= y
+        if (lhs != rhs).any():
+            y, z = map(int, np.argwhere(lhs != rhs)[0])
+            return f"fails at ({x}, {y}, {z})"
+
+
+def monus_superadditive(r):
+    """The earlier ``monus-superadditive`` body, one (x1, y1) at a time."""
+    add, monus, leq = r.add_table, r.monus_table, r.leq_table
+    for x1 in range(r.size):
+        for y1 in range(r.size):
+            lhs = monus[add[x1][:, None], add[y1][None, :]]
+            rhs = add[monus[x1, y1]][monus]
+            if not leq[lhs, rhs].all():
+                x2, y2 = map(int, np.argwhere(~leq[lhs, rhs])[0])
+                return f"fails at x=({x1},{x2}) y=({y1},{y2})"
+
+
+def product_monotone(r):
+    """The earlier ``product-monotone`` body, one c at a time."""
+    mul, leq = r.mul_table, r.leq_table
+    for c in range(r.size):
+        for vec in (mul[:, c], mul[c, :]):
+            bad = leq & ~leq[vec[:, None], vec]
+            if bad.any():
+                a, b = map(int, np.argwhere(bad)[0])
+                return f"fails at a={a} b={b} c={c}"
+
+
+def product_join_bound(r):
+    """The earlier ``product-join-bound`` body, one a at a time."""
+    mul, join, leq = r.mul_table, r.join_table, r.leq_table
+    for a in range(r.size):
+        for vec in (mul[a], mul[:, a]):
+            lhs = vec[join]
+            rhs = join[vec[:, None], vec]
+            if not leq[rhs, lhs].all():
+                b, c = map(int, np.argwhere(~leq[rhs, lhs])[0])
+                return f"fails at ({a}, {b}, {c})"
+
+
+def product_meet_bound(r):
+    """The earlier ``product-meet-bound`` body, one a at a time."""
+    mul, meet, leq = r.mul_table, r.meet_table, r.leq_table
+    for a in range(r.size):
+        for vec in (mul[a], mul[:, a]):
+            lhs = vec[meet]
+            rhs = meet[vec[:, None], vec]
+            if not leq[lhs, rhs].all():
+                b, c = map(int, np.argwhere(~leq[lhs, rhs])[0])
+                return f"fails at ({a}, {b}, {c})"
+
+
+def unit_unique(r):
+    """The earlier ``unit-unique`` body, one s at a time."""
+    idx = np.arange(r.size)
+    units = [s for s in range(r.size)
+             if (r.mul_table[s] == idx).all() and (r.mul_table[:, s] == idx).all()]
+    if len(units) > 1:
+        return f"multiple unitary elements: {units}"
+    if (units and r.unit != units[0]) or (not units and r.unit is not None):
+        return "cached unit disagrees with the scan"

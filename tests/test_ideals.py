@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -109,6 +110,63 @@ def test_is_mv_ideal_does_not_need_absorption():
     assert ideals.is_mv_ideal(l3, {0})[0]
     ok, witness = ideals.is_mv_ideal(l3, {0, 1})
     assert not ok and witness == ("sum", (1, 1))
+
+
+# -- kept verdicts ------------------------------------------------------------------
+
+def _verdicts(rig, build):
+    """The verdicts a structure keeps from one build, by its argument."""
+    return {key[1]: value for key, value in rig._memo.items() if key[0] is build.__wrapped__}
+
+
+def test_equal_size_sets_keep_their_own_ideal_verdicts():
+    rig = copy.copy(ZOO["Z1xZ1"])
+    assert ideals.is_ideal(rig, {0, 1}) == (True, None)
+    assert ideals.is_ideal(rig, {0, 3}) == (False, ("downward", (1, 3)))
+    assert _verdicts(rig, ideals._ideal_verdict) == {
+        frozenset({0, 1}): (True, None), frozenset({0, 3}): (False, ("downward", (1, 3)))}
+
+
+def test_a_list_and_a_frozenset_share_one_verdict():
+    rig = copy.copy(ZOO["Z1xZ1"])
+    first = ideals.is_ideal(rig, [1, 0, 1])
+    assert ideals.is_ideal(rig, frozenset({0, 1})) is first
+    assert len(_verdicts(rig, ideals._ideal_verdict)) == 1
+    # the labels of a congruence may be any hashables
+    first = ideals.is_congruence(rig, ["a", "a", "b", "b"])
+    assert first == (True, None)
+    assert ideals.is_congruence(rig, ("a", "a", "b", "b")) is first
+    assert len(_verdicts(rig, ideals._congruence_verdict)) == 1
+
+
+def test_an_mv_ideal_verdict_is_kept_on_the_reduct():
+    rig = copy.copy(ZOO["T3"])
+    verdict = ideals.is_mv_ideal(rig, {0, 1})
+    assert ideals.is_mv_ideal(rig, [0, 1]) is verdict
+    assert _verdicts(ideals._mv_reduct(rig), ideals._ideal_verdict) == {frozenset({0, 1}): verdict}
+    assert not _verdicts(rig, ideals._ideal_verdict)
+
+
+def test_a_copy_with_a_corrupted_table_recomputes_its_verdicts():
+    rig = copy.copy(ZOO["Z1xZ1"])
+    assert ideals.is_ideal(rig, {0, 1}) == (True, None)
+    assert ideals.is_congruence(rig, (0, 0, 1, 1)) == (True, None)
+    twin = copy.copy(rig)
+    mul = rig.mul_table.copy()
+    mul[1, 2] = mul[2, 1] = 3       # 1.2 leaves {0, 1}, and 0.2 and 1.2 part classes
+    twin.mul_table = mul
+    assert ideals.is_ideal(twin, {0, 1}) == (False, ("absorb", (1, 2)))
+    assert ideals.is_congruence(twin, (0, 0, 1, 1)) == (False, ("mul", (0, 1, 2)))
+    assert ideals.is_ideal(rig, {0, 1}) == (True, None)
+    assert ideals.is_congruence(rig, (0, 0, 1, 1)) == (True, None)
+
+
+def test_a_verdict_that_raises_keeps_nothing():
+    rig = copy.copy(ZOO["Z1xZ1"])
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            ideals.is_ideal(rig, {0, 7})
+    assert not _verdicts(rig, ideals._ideal_verdict)
 
 
 def test_generated_ideal_examples(z3, t3):
