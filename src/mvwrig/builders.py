@@ -153,34 +153,35 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
         raise ValueError("base must have a product")
     _check_size("matrix carrier", base.size ** (n * n))
 
-    cells = n * n
-    elems = list(itertools.product(range(base.size), repeat=cells))
-    index = {e: i for i, e in enumerate(elems)}
-    bneg, badd, bmul = base.neg_table, base.add_table, base.mul_table
+    # a matrix is the tuple of its n^2 entries, row by row, at its
+    # mixed-radix index, the first entry the most significant digit
+    b, cells = base.size, n * n
+    size = b ** cells
+    weights = np.array([b ** (cells - 1 - c) for c in range(cells)], dtype=np.int32)
+    digits = np.arange(size, dtype=np.int32)[:, None] // weights % np.int32(b)
+    neg, add, _ = _product_tables([(base.neg_table, base.add_table, None)] * cells)
+    # entry (i, j) of a product is the base sum over k of a[i, k].b[k, j]:
+    # for a block of left factors (``core._blocks``) against every right
+    # factor, each term is a grid of the base product at two digit columns
+    flat_add, bmul = base.add_table.ravel(), base.mul_table
+    mul = np.empty((size, size), dtype=np.int32)
+    for block in core._blocks(size, size):
+        left = digits[block]
+        out = np.zeros((len(left), size), dtype=np.int32)
+        for i, j in itertools.product(range(n), repeat=2):
+            acc = core._grid(bmul, left[:, i * n], digits[:, j])
+            for k in range(1, n):
+                term = core._grid(bmul, left[:, i * n + k], digits[:, k * n + j])
+                acc = flat_add.take(acc * np.int32(b) + term)
+            out += acc * weights[i * n + j]
+        mul[block] = out
 
     def mat_name(e):
-        rows = []
-        for i in range(n):
-            row = ",".join(base.element_name(e[i * n + j]) for j in range(n))
-            rows.append(f"[{row}]")
+        rows = ("[" + ",".join(base.carrier.names[d] for d in e[i * n:(i + 1) * n]) + "]"
+                for i in range(n))
         return "[" + ",".join(rows) + "]"
 
-    neg = [index[tuple(int(bneg[c]) for c in e)] for e in elems]
-    add = [[index[tuple(int(badd[a, b]) for a, b in zip(e, f))] for f in elems]
-           for e in elems]
-
-    def mat_mul(e, f):
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = int(bmul[e[i * n + 0], f[0 * n + j]])
-                for k in range(1, n):
-                    acc = int(badd[acc, bmul[e[i * n + k], f[k * n + j]]])
-                out.append(acc)
-        return tuple(out)
-
-    mul = [[index[mat_mul(e, f)] for f in elems] for e in elems]
-    names = tuple(mat_name(e) for e in elems)
+    names = tuple(mat_name(e) for e in digits.tolist())
     rig = derive(neg, add, mul, names=names, name=f"M{n}({base.name})")
     if not check:
         return rig, None
@@ -197,6 +198,19 @@ def _combine(ta, tb):
     return (ta[:, None, :, None] * sb + tb[None, :, None, :]).reshape(sa * sb, sa * sb)
 
 
+def _product_tables(factors):
+    """The negation, sum and product tables of the componentwise product of
+    factors given as (neg, add, mul) tables, folded in pairwise: the tuple
+    (x_1, .., x_r) at its mixed-radix index, x_1 the most significant.  The
+    product is None unless every factor has one."""
+    neg, add, mul = factors[0]
+    for f_neg, f_add, f_mul in factors[1:]:
+        neg = (neg[:, None] * len(f_neg) + f_neg[None, :]).reshape(-1)
+        add = _combine(add, f_add)
+        mul = None if mul is None or f_mul is None else _combine(mul, f_mul)
+    return neg, add, mul
+
+
 def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
     """Componentwise product of finitely many structures.
 
@@ -210,14 +224,11 @@ def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
     _check_size("product carrier", math.prod(r.size for r in rigs))
     acc = rigs[0]
     if len(rigs) > 1:
-        neg, add, mul = acc.neg_table, acc.add_table, acc.mul_table
         names, name = acc.carrier.names, acc.name
         for r in rigs[1:]:
-            neg = (neg[:, None] * r.size + r.neg_table[None, :]).reshape(-1)
-            add = _combine(add, r.add_table)
-            mul = None if mul is None or r.mul_table is None else _combine(mul, r.mul_table)
             names = tuple(f"({x},{y})" for x in names for y in r.carrier.names)
             name = f"{name}x{r.name}"
+        neg, add, mul = _product_tables([(r.neg_table, r.add_table, r.mul_table) for r in rigs])
         acc = derive(neg, add, mul, names=names, name=name)
     return _checked(acc) if check else acc
 
@@ -226,7 +237,9 @@ def gamma_zk(k: int, u, check: bool = True) -> FiniteMvwRig:
     """The interval [0, u] of Z^k under the componentwise order, with the
     truncated sum (x+y) meet u and the componentwise integer product.
 
-    The requirement u.u <= u forces every coordinate of u into {0, 1}.
+    The requirement u.u <= u forces every coordinate of u into {0, 1}, so
+    the interval is the direct product of one factor per coordinate: Z1 for
+    a coordinate 1, the one-element structure for a 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,18 +250,17 @@ def gamma_zk(k: int, u, check: bool = True) -> FiniteMvwRig:
         raise InvalidUnit(f"unit vector entries must be 0 or 1, got {u}")
     _check_size("interval carrier", 2 ** sum(u))
 
-    elems = list(itertools.product(*[range(c + 1) for c in u]))
-    index = {e: i for i, e in enumerate(elems)}
+    def factor(c):
+        idx = np.arange(c + 1, dtype=np.int32)
+        return c - idx, np.minimum(c, idx[:, None] + idx), idx[:, None] * idx
 
     def vec_name(e):
         return str(e[0]) if k == 1 else "(" + ",".join(str(c) for c in e) + ")"
 
-    neg = [index[tuple(uc - xc for uc, xc in zip(u, e))] for e in elems]
-    add = [[index[tuple(min(xc + yc, uc) for xc, yc, uc in zip(e, f, u))]
-            for f in elems] for e in elems]
-    mul = [[index[tuple(xc * yc for xc, yc in zip(e, f))] for f in elems]
-           for e in elems]
-    names = tuple(vec_name(e) for e in elems)
+    # the names follow the factors' order, as the indices of the tables do
+    factors = [factor(c) for c in u]
+    neg, add, mul = _product_tables(factors)
+    names = tuple(vec_name(e) for e in itertools.product(*(range(len(f[0])) for f in factors)))
     uname = "".join(str(c) for c in u)
     rig = derive(neg, add, mul, names=names, name=f"G{k}_{uname}")
     return _checked(rig) if check else rig

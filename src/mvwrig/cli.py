@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="principal P-filters and the frame")
     p.add_argument("file")
-    p.add_argument("--principal", metavar="ELEM",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--principal", metavar="ELEM",
                    help="show the principal P-filter of one element")
-    p.add_argument("--frame", action="store_true", help="enumerate all P-filters")
+    g.add_argument("--frame", action="store_true", help="enumerate all P-filters")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_filters)
 

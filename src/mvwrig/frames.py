@@ -84,8 +84,8 @@ from .errors import (
 #: pairwise laws, k^3 distributivity).  At the cap, on the 1024-element
 #: Z1^10 (k = 1024), the frame takes about 1.5 s and the whole locale suite
 #: about 18 s on 2 vCPUs, of which distributivity takes 4 s and the
-#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 about 3 s,
-#: nearly all of it loading the structure.
+#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 about 1.5 s,
+#: most of it loading the structure.
 DEFAULT_FRAME_BOUND = 1024
 
 
@@ -113,7 +113,7 @@ def dotsum_closure(rig: FiniteMvwRig, x: int) -> frozenset:
     sums = set(rig.mul_table[:, rig._check(x)].tolist())
     while True:
         idx = np.array(sorted(sums))
-        grown = sums | set(rig.add_table[idx[:, None], idx].ravel().tolist())
+        grown = sums | set(core._grid(rig.add_table, idx, idx).ravel().tolist())
         if grown == sums:
             return frozenset(sums)
         sums = grown
@@ -151,10 +151,10 @@ def is_filter(rig: FiniteMvwRig, members):
     if not mask.any():
         return False, ("nonempty", ())
     inside = np.flatnonzero(mask)
-    pair = ideals._first_pair(rig.leq_table[inside] & ~mask, inside, rig.elements())
+    pair = ideals._first_pair(rig.leq_table.take(inside, axis=0) & ~mask, inside, rig.elements())
     if pair is not None:
         return False, ("upward", pair)
-    pair = ideals._first_pair(~mask[rig.mul_table[inside[:, None], inside]], inside, inside)
+    pair = ideals._first_pair(~mask[core._grid(rig.mul_table, inside, inside)], inside, inside)
     if pair is not None:
         return False, ("product", pair)
     return True, None
@@ -185,8 +185,8 @@ def _closure(rig, mask):
     leq, mul, tops = rig.leq_table, rig.mul_table, _dotsum_tops(rig)
     inside = mask.nonzero()[0]
     while True:
-        grown = leq[inside].any(axis=0)
-        grown[mul[inside[:, None], inside]] = True
+        grown = leq.take(inside, axis=0).any(axis=0)
+        grown[core._grid(mul, inside, inside)] = True
         grown |= mask[tops]
         grown |= mask
         # the set only grows, so an equal count means nothing changed
@@ -210,10 +210,10 @@ def _seed_rows(rig):
     """Row a holds every x with a^k <= s(x) for some k >= 1, s(x) the
     largest dotted sum of x: a subset of F_a that holds a (module
     docstring), read off one walk over the powers."""
-    below_top = rig.leq_table[:, _dotsum_tops(rig)]    # [y, x]: y <= s(x)
+    below_top = rig.leq_table.take(_dotsum_tops(rig), axis=1)    # [y, x]: y <= s(x)
     rows = np.zeros((rig.size, rig.size), dtype=bool)
     for power in core._powers(rig):
-        rows |= below_top[power]
+        rows |= below_top.take(power, axis=0)
     return rows
 
 
@@ -379,7 +379,7 @@ def principal_law_failure(table, prin, op):
     """The first pair (a, b) in row-major order where the frame table does
     not send (F_a, F_b) to F_(a op b), or None; ``prin`` maps each element
     to the index of F_a, as ``FrameLA.principal`` does."""
-    bad = table[prin[:, None], prin[None, :]] != prin[op]
+    bad = core._grid(table, prin, prin) != prin[op]
     return _first(bad) if bad.any() else None
 
 
@@ -420,12 +420,14 @@ def _verify_theta(rig, tm, principal_idx):
     # open of a product of their elements and the intersection that of a sum
     reps = np.zeros(len(mapping), dtype=np.int64)
     reps[open_of] = np.arange(rig.size)
-    cells, pairs = (reps[:, None], reps), (mapping[:, None], mapping[None, :])
-    if (mapping[open_of[mul[cells]]] != fr.join_table[pairs]).any():
+    if (mapping[open_of[core._grid(mul, reps, reps)]]
+            != core._grid(fr.join_table, mapping, mapping)).any():
         raise MvwError("open map does not preserve joins")
-    if (mapping[open_of[rig.add_table[cells]]] != fr.meet_table[pairs]).any():
+    if (mapping[open_of[core._grid(rig.add_table, reps, reps)]]
+            != core._grid(fr.meet_table, mapping, mapping)).any():
         raise MvwError("open map does not preserve meets")
-    if (spectrum._inclusion(holds[reps]) != spectrum._inclusion(fr.masks)[pairs]).any():
+    if (spectrum._inclusion(holds.take(reps, axis=0))
+            != core._grid(spectrum._inclusion(fr.masks), mapping, mapping)).any():
         raise MvwError("open map does not preserve order")
 
 

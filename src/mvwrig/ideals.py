@@ -117,16 +117,17 @@ def _ideal_check(rig, members):
     if not mask[0]:
         return False, ("zero", (0,))
     inside = np.flatnonzero(mask)
-    below = _first_pair(rig.leq_table[:, inside].T & ~mask, inside, rig.elements())
+    below = _first_pair(rig.leq_table.take(inside, axis=1).T & ~mask, inside, rig.elements())
     if below is not None:
         b, a = below
         return False, ("downward", (a, b))
-    pair = _first_pair(~mask[rig.add_table[inside[:, None], inside]], inside, inside)
+    pair = _first_pair(~mask[core._grid(rig.add_table, inside, inside)], inside, inside)
     if pair is not None:
         return False, ("sum", pair)
     mul = rig.mul_table
     if mul is not None:
-        pair = _first_pair(~mask[mul[inside]] | ~mask[mul[:, inside].T], inside, rig.elements())
+        pair = _first_pair(~mask[mul.take(inside, axis=0)] | ~mask[mul.take(inside, axis=1).T],
+                           inside, rig.elements())
         if pair is not None:
             return False, ("absorb", pair)
     return True, None
@@ -143,13 +144,13 @@ def _tops(rig):
     leq, mul, u = rig.leq_table, rig.mul_table, rig.u
     if mul is not None:
         tops = tops[leq[mul[tops, u], tops] & leq[mul[u, tops], tops]]
-    return core._read_only(tops[core._canonical_order(leq[:, tops].T)])
+    return core._read_only(tops[core._canonical_order(leq.take(tops, axis=1).T)])
 
 
 @core.per_structure
 def _ideal_masks(rig):
     """The membership mask of each listed ideal, one read-only row each."""
-    return core._read_only(np.ascontiguousarray(rig.leq_table[:, _tops(rig)].T))
+    return core._read_only(np.ascontiguousarray(rig.leq_table.take(_tops(rig), axis=1).T))
 
 
 @core.per_structure
@@ -163,7 +164,7 @@ def _lattice_table(rig, op):
     """The k x k index table least[op[e, f]] over the tops of the listed
     ideals: their join for the sum, their product ideal for the product."""
     tops = _tops(rig)
-    return core._read_only(_least(rig)[getattr(rig, f"{op}_table")[tops[:, None], tops]])
+    return core._read_only(_least(rig)[core._grid(getattr(rig, f"{op}_table"), tops, tops)])
 
 
 @core.per_structure
@@ -230,13 +231,13 @@ def _classified(rig):
     maximality from the ideals holding e (module docstring)."""
     masks, tops = _ideal_masks(rig), _tops(rig)
     # above[j, i]: ideal j holds e_i, so it contains ideal i
-    above = masks[:, tops] & ~masks[:, [rig.u]] & ~np.eye(len(masks), dtype=bool)
+    above = masks.take(tops, axis=1) & ~masks[:, rig.u, None] & ~np.eye(len(masks), dtype=bool)
     out = []
     for ideal, mask, e, up in zip(enumerate_ideals(rig), masks, tops, above.T):
         reps = np.flatnonzero(rig.leq_table[:, rig.neg_table[e]])[1:]   # 0 comes first
-        block = (reps[:, None], reps)
-        prime = rig.mul_table is None or not mask[rig.mul_table[block]].any()
-        out.append((ideal, IdealClass(prime=prime, mv_prime=not mask[rig.meet_table[block]].any(),
+        prime = rig.mul_table is None or not mask[core._grid(rig.mul_table, reps, reps)].any()
+        mv_prime = not mask[core._grid(rig.meet_table, reps, reps)].any()
+        out.append((ideal, IdealClass(prime=prime, mv_prime=mv_prime,
                                       maximal=not up.any(), proper=ideal.proper)))
     return tuple(out)
 
@@ -349,7 +350,7 @@ def _congruence_check(rig, class_of):
     for op in (rig.add_table, rig.mul_table):
         if op is not None:
             cls = rep[op]   # [x, y]: the class of x op y, by its least element
-            clauses += [cls[rep] != cls, (cls[:, rep] != cls).T]
+            clauses += [cls.take(rep, axis=0) != cls, (cls.take(rep, axis=1) != cls).T]
     row_bad = neg_bad | np.any([bad.any(axis=1) for bad in clauses], axis=0)
     if not row_bad.any():
         return True, None
@@ -418,12 +419,11 @@ def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
     proj = np.array(cong.class_of)
     # a class's least element is where the running maximum label steps up
     reps = np.flatnonzero(np.diff(np.maximum.accumulate(proj), prepend=-1) > 0)
-    block = (reps[:, None], reps)
-    mul = None if rig.mul_table is None else proj[rig.mul_table[block]]
+    mul = None if rig.mul_table is None else proj[core._grid(rig.mul_table, reps, reps)]
     names = tuple(f"[{rig.carrier.names[r]}]" for r in reps)
     qname = f"{rig.name}/{format_subset(rig, ideal.members)}"
-    q = core.derive(proj[rig.neg_table[reps]], proj[rig.add_table[block]], mul,
-                    names=names, name=qname)
+    q = core.derive(proj[rig.neg_table.take(reps)], proj[core._grid(rig.add_table, reps, reps)],
+                    mul, names=names, name=qname)
     return QuotientRig(parent=rig, ideal=ideal, rig=q, projection=cong.class_of,
                        reps=tuple(int(r) for r in reps))
 
@@ -466,10 +466,9 @@ def check_homomorphism(f: Homomorphism, require_product=None):
     if m[0] != 0:
         return False, ("zero", (0,))
     m = np.asarray(m)
-    block = (m[:, None], m)
     # column 0 holds the negation clause at x, column y + 1 the sum at (x, y)
-    mv_bad = np.column_stack([m[a.neg_table] != b.neg_table[m],
-                              m[a.add_table] != b.add_table[block]])
+    mv_bad = np.column_stack([m[a.neg_table] != b.neg_table.take(m),
+                              m[a.add_table] != core._grid(b.add_table, m, m)])
     pair = _first_pair(mv_bad, range(a.size), range(-1, a.size))
     if pair is not None:
         x, y = pair
@@ -479,7 +478,8 @@ def check_homomorphism(f: Homomorphism, require_product=None):
     if require_product:
         if a.mul_table is None or b.mul_table is None:
             return False, ("product-missing", ())
-        pair = _first_pair(m[a.mul_table] != b.mul_table[block], range(a.size), range(a.size))
+        pair = _first_pair(m[a.mul_table] != core._grid(b.mul_table, m, m),
+                           range(a.size), range(a.size))
         if pair is not None:
             return False, ("mul", pair)
     return True, None
@@ -512,10 +512,14 @@ def image(f: Homomorphism):
 
     For a homomorphism of the underlying MV-algebras only, the image is a
     substructure of the target's MV-reduct (it need not be closed under a
-    product the map ignores).
+    product the map ignores).  The image of an onto map is that target
+    itself, with the identity inclusion.
     """
     target = f.target if _preserves_product(f) else _mv_reduct(f.target)
-    return core.restrict(target, set(f.mapping))
+    values = set(f.mapping)
+    if values == set(range(target.size)):
+        return target, tuple(range(target.size))
+    return core.restrict(target, values)
 
 
 @dataclass

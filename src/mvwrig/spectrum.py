@@ -97,7 +97,8 @@ def _intersection_law_failure(add, holds):
     step = max(1, _LAW_BLOCK // max(1, n * points))
     for lo in range(0, n, step):
         rows = holds[lo:lo + step]
-        bad = ((rows[:, None, :] & holds[None, :, :]) != holds[add[lo:lo + step]]).any(axis=2)
+        bad = ((rows[:, None, :] & holds[None, :, :])
+               != holds.take(add[lo:lo + step], axis=0)).any(axis=2)
         if bad.any():
             a, b = np.argwhere(bad)[0]
             return lo + int(a), int(b)

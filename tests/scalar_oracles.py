@@ -5,9 +5,12 @@ a time, are references for the whole-table oracles in ``suites``; they
 read the tables as rows of tuples (``rows``) instead of calling the
 bounds-checked accessors.  The per-element axiom scans and law checks,
 one element or one pair at a time, are references for the blocked kernels
-in ``core`` and ``suites``.
+in ``core`` and ``suites``.  The broadcast-indexing reads of ``core``,
+``ideals`` and ``frames`` are references for their ``take`` gathers, and
+the cell-by-cell builders for the digit gathers of ``builders``.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -312,3 +315,192 @@ def unit_unique(r):
         return f"multiple unitary elements: {units}"
     if (units and r.unit != units[0]) or (not units and r.unit is not None):
         return "cached unit disagrees with the scan"
+
+
+# -- the broadcast-indexing reads that the ``take`` gathers replaced -------------
+
+def init_tables(neg, add, mul=None):
+    """The derived tables of ``core.FiniteMvwRig`` by the earlier fancy
+    indexing, and with a product whether it lies below the meet."""
+    idx = np.arange(len(neg))
+    monus = neg[add[neg, :]]
+    leq = monus == 0
+    join = add[monus, idx[None, :]]
+    tables = {"monus": monus, "times": neg[add[neg[:, None], neg]], "leq": leq,
+              "join": join, "meet": neg[join[neg[:, None], neg]]}
+    below = None if mul is None else bool(leq[mul, tables["meet"]].all())
+    return tables, below
+
+
+def light_test(mul, gens) -> bool:
+    """The earlier ``core._light_test``: a column gather of the table."""
+    return all((mul[mul[:, g]] == mul[:, mul[g]]).all() for g in gens)
+
+
+def _first_pair(bad, rows, cols):
+    if not bad.any():
+        return None
+    i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+    return int(rows[i]), int(cols[j])
+
+
+def _mask(rig, members):
+    mask = np.zeros(rig.size, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def ideal_check(rig, members):
+    """The earlier ``ideals._ideal_check``."""
+    mask = _mask(rig, members)
+    if not mask[0]:
+        return False, ("zero", (0,))
+    inside = np.flatnonzero(mask)
+    below = _first_pair(rig.leq_table[:, inside].T & ~mask, inside, rig.elements())
+    if below is not None:
+        b, a = below
+        return False, ("downward", (a, b))
+    pair = _first_pair(~mask[rig.add_table[inside[:, None], inside]], inside, inside)
+    if pair is not None:
+        return False, ("sum", pair)
+    mul = rig.mul_table
+    if mul is not None:
+        pair = _first_pair(~mask[mul[inside]] | ~mask[mul[:, inside].T], inside, rig.elements())
+        if pair is not None:
+            return False, ("absorb", pair)
+    return True, None
+
+
+def is_filter(rig, members):
+    """The earlier ``frames.is_filter``."""
+    mask = _mask(rig, members)
+    if not mask.any():
+        return False, ("nonempty", ())
+    inside = np.flatnonzero(mask)
+    pair = _first_pair(rig.leq_table[inside] & ~mask, inside, rig.elements())
+    if pair is not None:
+        return False, ("upward", pair)
+    pair = _first_pair(~mask[rig.mul_table[inside[:, None], inside]], inside, inside)
+    if pair is not None:
+        return False, ("product", pair)
+    return True, None
+
+
+def congruence_check(rig, class_of):
+    """The earlier ``ideals._congruence_check``."""
+    if len(class_of) != rig.size:
+        return False, ("shape", (len(class_of),))
+    least = {}
+    rep = np.array([least.setdefault(c, x) for x, c in enumerate(class_of)], dtype=np.int32)
+    neg_bad = rep[rig.neg_table[rep]] != rep[rig.neg_table]
+    clauses = []
+    for op in (rig.add_table, rig.mul_table):
+        if op is not None:
+            cls = rep[op]
+            clauses += [cls[rep] != cls, (cls[:, rep] != cls).T]
+    row_bad = neg_bad | np.any([bad.any(axis=1) for bad in clauses], axis=0)
+    if not row_bad.any():
+        return True, None
+    bad = np.stack(clauses, axis=2)
+    order = np.argsort(rep, kind="stable")
+    x = int(order[row_bad[order].argmax()])
+    base = int(rep[x])
+    if neg_bad[x]:
+        return False, ("neg", (base, x))
+    y, k = divmod(int(bad[x].argmax()), len(clauses))
+    return False, ("add" if k < 2 else "mul", (base, x, y) if k % 2 == 0 else (y, base, x))
+
+
+def check_homomorphism(source, target, mapping, require_product=None):
+    """The earlier ``ideals.check_homomorphism`` on a map given by its parts."""
+    a, b, m = source, target, mapping
+    if len(m) != a.size or any(not 0 <= v < b.size for v in m):
+        return False, ("total", ())
+    if m[0] != 0:
+        return False, ("zero", (0,))
+    m = np.asarray(m)
+    block = (m[:, None], m)
+    mv_bad = np.column_stack([m[a.neg_table] != b.neg_table[m],
+                              m[a.add_table] != b.add_table[block]])
+    pair = _first_pair(mv_bad, range(a.size), range(-1, a.size))
+    if pair is not None:
+        x, y = pair
+        return False, ("neg", (x,)) if y < 0 else ("add", (x, y))
+    if require_product is None:
+        require_product = a.mul_table is not None and b.mul_table is not None
+    if require_product:
+        if a.mul_table is None or b.mul_table is None:
+            return False, ("product-missing", ())
+        pair = _first_pair(m[a.mul_table] != b.mul_table[block], range(a.size), range(a.size))
+        if pair is not None:
+            return False, ("mul", pair)
+    return True, None
+
+
+def classified(rig, ideal_masks, tops):
+    """The earlier clauses of ``ideals._classified``, as (prime, mv_prime,
+    maximal) per listed ideal."""
+    above = ideal_masks[:, tops] & ~ideal_masks[:, [rig.u]] & ~np.eye(len(ideal_masks), dtype=bool)
+    out = []
+    for mask, e, up in zip(ideal_masks, tops, above.T):
+        reps = np.flatnonzero(rig.leq_table[:, rig.neg_table[e]])[1:]
+        block = (reps[:, None], reps)
+        prime = rig.mul_table is None or not mask[rig.mul_table[block]].any()
+        out.append((prime, not mask[rig.meet_table[block]].any(), not up.any()))
+    return out
+
+
+# -- the per-cell builders that the digit gathers replaced ------------------------
+
+def gamma_zk(k, u):
+    """The earlier cell-by-cell tables of ``builders.gamma_zk``: (neg, add,
+    mul, names, name) as lists, for a valid unit vector ``u``."""
+    elems = list(itertools.product(*[range(c + 1) for c in u]))
+    index = {e: i for i, e in enumerate(elems)}
+
+    def vec_name(e):
+        return str(e[0]) if k == 1 else "(" + ",".join(str(c) for c in e) + ")"
+
+    neg = [index[tuple(uc - xc for uc, xc in zip(u, e))] for e in elems]
+    add = [[index[tuple(min(xc + yc, uc) for xc, yc, uc in zip(e, f, u))]
+            for f in elems] for e in elems]
+    mul = [[index[tuple(xc * yc for xc, yc in zip(e, f))] for f in elems]
+           for e in elems]
+    names = tuple(vec_name(e) for e in elems)
+    return neg, add, mul, names, f"G{k}_{''.join(str(c) for c in u)}"
+
+
+def matrix_rig(base, n):
+    """The earlier cell-by-cell tables of ``builders.build_matrix_rig``:
+    (neg, add, mul, names, name) as lists; the base tables are read as
+    tuples of rows."""
+    cells = n * n
+    elems = list(itertools.product(range(base.size), repeat=cells))
+    index = {e: i for i, e in enumerate(elems)}
+    base_rows = rows(base)
+    bneg, badd, bmul = base_rows.neg, base_rows.add, base_rows.mul
+
+    def mat_name(e):
+        out = []
+        for i in range(n):
+            row = ",".join(base.element_name(e[i * n + j]) for j in range(n))
+            out.append(f"[{row}]")
+        return "[" + ",".join(out) + "]"
+
+    neg = [index[tuple(bneg[c] for c in e)] for e in elems]
+    add = [[index[tuple(badd[a][b] for a, b in zip(e, f))] for f in elems]
+           for e in elems]
+
+    def mat_mul(e, f):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = bmul[e[i * n + 0]][f[0 * n + j]]
+                for k in range(1, n):
+                    acc = badd[acc][bmul[e[i * n + k]][f[k * n + j]]]
+                out.append(acc)
+        return tuple(out)
+
+    mul = [[index[mat_mul(e, f)] for f in elems] for e in elems]
+    names = tuple(mat_name(e) for e in elems)
+    return neg, add, mul, names, f"M{n}({base.name})"

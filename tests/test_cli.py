@@ -293,6 +293,16 @@ def test_filters_json_needs_target(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", [("--principal", "1", "--frame"), ("--frame", "--principal", "1")])
+def test_filters_principal_and_frame_exclude_each_other(capsys, order):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["filters", str(algebra_path("z3.mvw")), *order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
+    assert "--principal" in err and "--frame" in err
+
+
 def test_parse_emit_json_roundtrips(capsys):
     code, out, err = run(capsys, "parse", str(algebra_path("z3.mvw")),
                          "--emit-json")
