@@ -232,9 +232,11 @@ def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
         if not ok:
             a = int(np.flatnonzero(index == i)[0])
             raise MvwError(f"F_{a} fails a P-filter clause: {witness}")
-    elements = np.arange(rig.size)
+    # a lies in F_ab: the row of F_x for every x, read at (ab, a)
+    certified = core._read_at(masks.take(index, axis=0), rig.mul_table,
+                              np.arange(rig.size)[:, None]).all()
     return PrincipalTable(rig=rig, pfilters=pfilters, masks=masks, index=index,
-                          certified=bool(masks[index[rig.mul_table], elements[:, None]].all()))
+                          certified=bool(certified))
 
 
 def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:

@@ -6,8 +6,9 @@ read the tables as rows of tuples (``rows``) instead of calling the
 bounds-checked accessors.  The per-element axiom scans and law checks,
 one element or one pair at a time, are references for the blocked kernels
 in ``core`` and ``suites``.  The broadcast-indexing reads of ``core``,
-``ideals`` and ``frames`` are references for their ``take`` gathers, and
-the cell-by-cell builders for the digit gathers of ``builders``.
+``ideals`` and ``frames`` are references for their ``take`` gathers, the
+map-by-map row certificate for ``core._certified_rows``, and the
+cell-by-cell builders for the digit gathers of ``builders``.
 """
 
 import itertools
@@ -335,6 +336,39 @@ def init_tables(neg, add, mul=None):
 def light_test(mul, gens) -> bool:
     """The earlier ``core._light_test``: a column gather of the table."""
     return all((mul[mul[:, g]] == mul[:, mul[g]]).all() for g in gens)
+
+
+def certified_rows(rig, dec, maps):
+    """The earlier ``core._certified_rows``: blocks of whole maps, one map
+    a row, each gathered at every pair with ``take(axis=1)``."""
+    n = rig.size
+    n32 = np.int32(n)
+    add = rig.add_table
+    flat_add = add.ravel()
+    not_leq = ~rig.leq_table.ravel()
+    steps = [add[:, e] for e in dec.atoms]
+    b, c = np.nonzero(np.triu(rig.times_table == 0))
+    b_plus_c = add[b, c]
+    ok = np.ones(len(maps), dtype=bool)
+    block = max(1, n * n // (2 * max(len(b), n)))
+    for lo in range(0, len(maps), block):
+        f = maps[lo:lo + block]
+        f_n = f * n32
+        good = np.ones(len(f), dtype=bool)
+        for step in steps:
+            good &= ~not_leq.take(f_n + f.take(step, axis=1)).any(axis=1)
+        cells = flat_add.take(f_n.take(b, axis=1) + f.take(c, axis=1))
+        cells += f_n.take(b_plus_c, axis=1)
+        good &= ~not_leq.take(cells).any(axis=1)
+        ok[lo:lo + len(f)] = good
+    return ok
+
+
+def principal_certified(rig, prin):
+    """The earlier certificate of ``frames.principal_table``: a in F_ab for
+    every (a, b), by broadcast fancy indexing at an n^2 index."""
+    elements = np.arange(rig.size)
+    return bool(prin.masks[prin.index[rig.mul_table], elements[:, None]].all())
 
 
 def _first_pair(bad, rows, cols):

@@ -3,6 +3,7 @@ reads and cell-by-cell builders they replaced (``scalar_oracles``): the same
 tables to the byte, dtype included, the same names and reports, and the
 same verdicts and witnesses on every single-cell corruption."""
 
+import copy
 import functools
 import itertools
 
@@ -101,6 +102,25 @@ def test_matrix_product_blocks_cover_every_row(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_CELLS", 10 * 81)
     rig, _ = builders.build_matrix_rig(base, 2, check=False)
     assert _bytes(rig.mul_table) == _bytes(_from_cells(*oracle.matrix_rig(base, 2)).mul_table)
+
+
+PRINCIPAL = [name for name in sorted(ZOO) if ZOO[name].mul_table is not None] \
+    + sorted(LADDER) + ["M2(Z2)"]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 7])
+def test_principal_certificate_matches_the_broadcast_read(rows, monkeypatch):
+    # the default blocks, and one, two and seven index rows a block
+    verdicts = []
+    for name in PRINCIPAL:
+        rig = _structure(name)
+        if rows is not None:
+            monkeypatch.setattr(core, "_BLOCK_CELLS", rows * rig.size)
+        prin = frames.principal_table(copy.copy(rig))
+        assert prin.certified == oracle.principal_certified(rig, prin), name
+        verdicts.append(prin.certified)
+    # M2(Z1) and M2(Z2) are not commutative, and their certificates fail
+    assert verdicts.count(False) >= 2 and verdicts.count(True) >= 15
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
