@@ -572,9 +572,6 @@ def pretty(source: AlgebraSource) -> str:
 #: A formula node whose magnitude bound reaches this is evaluated on
 #: Python-int object arrays instead of int64, so no value can wrap.
 _INT64_LIMIT = 1 << 62
-#: Binary tables are evaluated in blocks of whole rows of about this many
-#: cells, which keeps the temporaries small on large carriers.
-_BLOCK_CELLS = 4096
 
 
 def _exact(nums, bound):
@@ -667,7 +664,8 @@ def _formula_table(opname, formula, values):
 
     Each carrier value ``v`` enters as the integer ``v·D``, where D is the
     lcm of the carrier's denominators, and the formula is evaluated over the
-    whole grid at once with exact integer arithmetic.  Raises
+    grid with exact integer arithmetic, a binary table in ``core._blocks``
+    of whole rows, which keeps the temporaries small.  Raises
     ClosureViolation at the first cell, in row-major order, whose value is
     not in the carrier.
     """
@@ -677,26 +675,24 @@ def _formula_table(opname, formula, values):
     bound = max(max(abs(v) for v in ints), 1)
     scaled = _exact(ints, bound)
     unary = len(formula.params) == 1
-    rows = n if unary else max(1, _BLOCK_CELLS // n)
     out = np.empty((n,) if unary else (n, n), dtype=np.int32)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for block in [slice(0, n)] if unary else core._blocks(n, n):
         if unary:
             env = {formula.params[0]: (scaled, scale, bound)}
         else:
             # a repeated parameter name binds the column, as a dict would
-            env = {formula.params[0]: (scaled[lo:hi, None], scale, bound),
+            env = {formula.params[0]: (scaled[block, None], scale, bound),
                    formula.params[1]: (scaled[None, :], scale, bound)}
         nums, den, top = _grid_value(formula.body, env)
-        nums = np.broadcast_to(_exact(nums, top), out[lo:hi].shape)
+        nums = np.broadcast_to(_exact(nums, top), out[block].shape)
         pos, hit = _carrier_index(nums, den, top, scaled, scale)
         misses = np.flatnonzero(~hit)
         if misses.size:
             cell = int(misses[0])
-            inputs = (values[lo + cell],) if unary else \
-                (values[lo + cell // n], values[cell % n])
+            inputs = (values[block.start + cell],) if unary else \
+                (values[block.start + cell // n], values[cell % n])
             raise ClosureViolation(opname, inputs, Fraction(int(nums.flat[cell]), den))
-        out[lo:hi] = pos
+        out[block] = pos
     return out
 
 

@@ -372,7 +372,8 @@ def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
     ok, witness = is_ideal(rig, ideal.members)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    related = _member_mask(rig, ideal.members)[rig.add_table[rig.monus_table, rig.monus_table.T]]
+    related = _member_mask(rig, ideal.members)[
+        core._read_at(rig.add_table, rig.monus_table, rig.monus_table.T)]
     least = related.argmax(axis=1)
     label = np.cumsum(least == np.arange(rig.size)) - 1
     cong = Congruence(rig, tuple(int(c) for c in label[least]))

@@ -7,8 +7,8 @@ all the opens.  The space is finite, so the open lattice is materialized
 outright and every topological statement becomes a finite assertion.  The
 space is built once per structure and kept on it (``core.per_structure``),
 together with its boolean points matrix, whose row a is V(a), and the
-index of each element's open; the base laws and the open-to-filter map
-``frames.theta`` are verified by gathers over those two arrays.  The
+index of each element's open; ``spec`` verifies both base laws by blocked
+gathers over the matrix, and ``frames.theta`` reads the verified space.  The
 points keep the listed ideals' canonical order, and the opens are the
 distinct rows of the points matrix in canonical order.
 """
@@ -44,15 +44,11 @@ class SpecSpace:
         return ideals.format_subset(self.rig, self.points[i])
 
 
-#: Cells of the largest boolean block the intersection law gathers at once.
-_LAW_BLOCK = 1 << 20
-
-
 def spec(rig: FiniteMvwRig) -> SpecSpace:
     """Enumerate the proper primes, materialize the basic opens, which
-    form the whole open lattice, and verify the base laws.  The gates and
-    the enumeration bound are checked on every call; the space is built
-    once per structure."""
+    form the whole open lattice, and verify the intersection law, then
+    the union law they rest on.  The gates and the enumeration bound are
+    checked on every call; the space is built once per structure."""
     if rig.mul_table is None:
         raise GateNotMet("spectrum needs a product")
     if not rig.commutative:
@@ -82,26 +78,27 @@ def _spec(rig):
         raise MvwError("V(0) is not the whole spectrum")
     if base[rig.u] != frozenset():
         raise MvwError("V(u) is not empty")
-    pair = _intersection_law_failure(rig.add_table, holds)
-    if pair is not None:
-        a, b = pair
-        raise MvwError(f"V({a}) and V({b}) break the intersection law")
+    for table, combine, law in ((rig.add_table, np.logical_and, "intersection"),
+                                (rig.mul_table, np.logical_or, "union")):
+        pair = _base_law_failure(table, holds, combine)
+        if pair is not None:
+            a, b = pair
+            raise MvwError(f"V({a}) and V({b}) break the {law} law")
     return space
 
 
-def _intersection_law_failure(add, holds):
-    """The first pair (a, b) in row-major order with V(a) ^ V(b) != V(a + b),
-    or None.  Row a of the boolean points matrix ``holds`` is V(a); the
-    rows are gathered in blocks of at most ``_LAW_BLOCK`` cells."""
+def _base_law_failure(table, holds, combine):
+    """The first pair (a, b) in row-major order with
+    combine(V(a), V(b)) != V(table[a, b]), or None.  Row a of the boolean
+    points matrix ``holds`` is V(a); the rows a go in ``core._blocks`` of
+    n x points cells each (at least one, for a space with no points)."""
     n, points = holds.shape
-    step = max(1, _LAW_BLOCK // max(1, n * points))
-    for lo in range(0, n, step):
-        rows = holds[lo:lo + step]
-        bad = ((rows[:, None, :] & holds[None, :, :])
-               != holds.take(add[lo:lo + step], axis=0)).any(axis=2)
+    for block in core._blocks(n, max(1, n * points)):
+        bad = (combine(holds[block, None, :], holds[None, :, :])
+               != holds.take(table[block], axis=0)).any(axis=2)
         if bad.any():
             a, b = np.argwhere(bad)[0]
-            return lo + int(a), int(b)
+            return block.start + int(a), int(b)
     return None
 
 

@@ -780,9 +780,9 @@ def _check_pfilter_decomposition(r):
 
 def _check_principal_meet_law(r):
     """F_a ^ F_b = F_(a v b) on every pair, read off the meet table, whose
-    cells ``frames.frame`` checked to be intersections.  The principal
-    table verified each distinct F_a as a P-filter, so every intersection
-    is one too."""
+    cells ``frames.frame`` checked to be intersections.  Each F_a is a
+    fixpoint of the P-filter closure, so a P-filter, and so is every
+    intersection."""
     _need_commutative(r)
     fr = frames.frame(r)
     pair = frames.principal_law_failure(fr.meet_table, fr.principal, r.join_table)

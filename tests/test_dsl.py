@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvwrig import builders, dsl
+from mvwrig import builders, core, dsl
 from mvwrig.errors import (
     AxiomViolation,
     ClosureViolation,
@@ -458,6 +458,34 @@ def test_grid_tables_on_a_carrier_past_int64():
     values = [Fraction(0), Fraction(1, 10 ** 20), Fraction(1, 3), Fraction(1)]
     for body in ("min(1, x + y)", "x * y", "max(x, y)", "min(x, 1/3)"):
         assert_grid_matches_scalar("mul", _formula("mul", "x, y", body), values)
+
+
+def _budget_cases():
+    """Binary formulas on chains 0..n, among them the unclosed ``x * y`` on
+    0..100, and on the shipped carriers of 1/2 and 1/3 steps whose real
+    product leaves them."""
+    for n in (1, 5, 12, 40, 100):
+        values = [Fraction(v) for v in range(n + 1)]
+        for body in (f"min({n}, x + y)", f"min({n}, x * y)", "max(x, y)", "x * y"):
+            yield values, _formula("mul", "x, y", body)
+    for name in ("luk3_realprod.mvw", "luk4_realprod.mvw"):
+        (source,) = dsl.parse(algebra_path(name).read_text(encoding="utf-8"))
+        for opname, op in source.ops:
+            if isinstance(op, dsl.FormulaOp) and len(op.params) == 2:
+                yield _carrier_values(source), op
+
+
+@pytest.mark.parametrize("budget", [1, 7, core._BLOCK_CELLS])
+def test_grid_tables_do_not_depend_on_the_block_budget(budget, monkeypatch):
+    # binary tables are evaluated in ``core._blocks`` of whole rows: one row
+    # a block, a few rows on small carriers, or the default budget give the
+    # scalar route's table or its first ClosureViolation
+    monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    violations = 0
+    for values, formula in _budget_cases():
+        assert_grid_matches_scalar("mul", formula, values)
+        violations += _outcome(dsl._formula_table, "mul", formula, values)[0] == "violation"
+    assert violations >= 6
 
 
 _LITERALS = st.one_of(

@@ -813,41 +813,52 @@ def test_frame_fallback_closes_a_partial_table_under_join(monkeypatch):
 def test_principal_table_verifies_each_distinct_row_once(rig, monkeypatch):
     # a shallow copy starts with no table, so its one build is counted; the
     # second call reads the kept table.  Each distinct seed row is closed
-    # once, in canonical order, and each distinct F_a verified once
+    # once, in canonical order, and the closure is the only verification:
+    # the build calls no ``is_pfilter``
     rig = copy.copy(rig)
     verified, closed = [], []
-    original, closure = frames.is_pfilter, frames._closure
-
-    def counted(r, members):
-        verified.append(frozenset(members))
-        return original(r, members)
+    closure = frames._closure
 
     def counted_closure(r, mask):
         closed.append(mask.tobytes())
         return closure(r, mask)
 
-    monkeypatch.setattr(frames, "is_pfilter", counted)
+    monkeypatch.setattr(frames, "is_pfilter", lambda r, members: verified.append(members))
     monkeypatch.setattr(frames, "_closure", counted_closure)
     prin = frames.principal_table(rig)
     assert frames.principal_table(rig) is prin
-    assert verified == list(prin.pfilters)
+    assert verified == []
     assert sorted(closed) == sorted({row.tobytes() for row in frames._seed_rows(rig)})
 
 
-def test_principal_table_rejects_a_row_that_is_no_pfilter(square, monkeypatch):
-    # F_0 of Z1xZ1 is the carrier, the last distinct row, and 0 is the only
-    # nilpotent, so only the seed row of 0 holds 0; close that seed row to
-    # {0, 1, 2} instead, which is not upward closed
-    original = frames._closure
+@pytest.mark.parametrize("rig", TABLE_RIGS)
+def test_every_closure_is_the_scalar_pfilter_of_its_seed(rig, monkeypatch):
+    # the fixpoint of the closure is the only proof that a row is a
+    # P-filter.  Every closure the principal table and the frame make (the
+    # seed rows, and on M2(Z1) and M2(Z2) the join closures of the fallback)
+    # holds its seed, passes ``is_pfilter`` and is the scalar generated
+    # P-filter; so is every row F_a, which holds a
+    rig, ref = copy.copy(rig), Scalar(rig)
+    closures = []
+    closure = frames._closure
 
-    def corrupted(rig, mask):
-        out = original(rig, mask)
-        return np.array([True, True, True, False]) if mask[0] else out
+    def recorded(r, mask):
+        out = closure(r, mask)
+        closures.append((core._members(mask), core._members(out)))
+        return out
 
-    # on a copy, which has no table kept yet; a failed build keeps nothing
-    square = copy.copy(square)
-    monkeypatch.setattr(frames, "_closure", corrupted)
-    for _ in range(2):
-        with pytest.raises(MvwError,
-                           match=r"^F_0 fails a P-filter clause: \('upward', \(0, 3\)\)$"):
-            frames.principal_table(square)
+    monkeypatch.setattr(frames, "_closure", recorded)
+    prin = frames.principal_table(rig)
+    table_closures = len(closures)
+    fr = frames.frame(rig)
+    # only the uncertified table of a noncommutative product falls back
+    assert (len(closures) > table_closures) == (not prin.certified) == (not rig.commutative)
+    for seed, members in set(closures):
+        assert seed <= members, sorted(seed)
+        assert frames.is_pfilter(rig, members) == (True, None), sorted(seed)
+        assert members == ref.generated(seed), sorted(seed)
+    for a in rig.elements():
+        members = prin.pfilters[prin.index[a]]
+        assert a in members and members == ref.generated({a}), a
+        assert frames.is_pfilter(rig, members) == (True, None), a
+    assert set(prin.pfilters) <= set(fr.pfilters)

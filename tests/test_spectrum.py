@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mvwrig import builders, frames, ideals, spectrum
+from mvwrig import builders, core, frames, ideals, spectrum, suites
 from mvwrig.errors import GateNotMet, MvwError, NotCommutative, SizeBound
 
 from conftest import LADDER, ZOO
@@ -300,10 +300,11 @@ def test_spec_reads_the_given_primes(rig):
         space.base[0] = frozenset()
 
 
-# -- the intersection law against its scalar loop --------------------------------
+# -- the base laws against their scalar loops -----------------------------------
 #
-# ``spec`` checks V(a) ^ V(b) = V(a + b) with one gather of a boolean points
-# matrix per block of rows.  This is the earlier body, a loop over all pairs.
+# ``spec`` checks V(a) ^ V(b) = V(a + b), then V(a) u V(b) = V(ab), with one
+# kernel that gathers the boolean points matrix over ``core._blocks`` of
+# rows.  These are the earlier bodies, loops over all pairs.
 
 def reference_intersection_law(rig, base):
     for a in rig.elements():
@@ -312,32 +313,79 @@ def reference_intersection_law(rig, base):
                 return f"V({a}) and V({b}) break the intersection law"
 
 
-@pytest.mark.parametrize("block", [spectrum._LAW_BLOCK, 1])
-@pytest.mark.parametrize("rig", [
+def reference_union_law(rig, base):
+    for a in rig.elements():
+        for b in rig.elements():
+            if base[a] | base[b] != base[rig.mul(a, b)]:
+                return f"V({a}) and V({b}) break the union law"
+
+
+BASE_LAW_RIGS = [
     pytest.param(r, id=k) for k, r in ZOO.items()
     if r.mul_table is not None and r.commutative and spectrum.spec(r).points
-] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
-def test_intersection_law_matches_scalar_loop(rig, block, monkeypatch):
-    # a block of one cell gathers one row at a time; each shallow copy keeps
-    # no spectrum, and is given the primes of the structure it copies
-    monkeypatch.setattr(spectrum, "_LAW_BLOCK", block)
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)]
+
+# a whole space per block, the default budget, and one row per block
+BLOCK_BUDGETS = [1 << 20, core._BLOCK_CELLS, 1]
+
+
+def _corrupted_specs(rig, field, reference, monkeypatch):
+    """Twenty copies of the structure, each with one cell of ``field``
+    moved: the message ``spec`` raises on each, None when it passes,
+    against the scalar loop's, and the last copy that failed.  Each
+    shallow copy keeps no spectrum, and is given the primes of the
+    structure it copies."""
     primes = ideals.prime_ideals(rig)
     base = spectrum.spec(rig).base
     monkeypatch.setattr(ideals, "prime_ideals", lambda r: primes)
     rng = random.Random(rig.size)
-    caught = 0
+    outcomes, failed = [], None
     for _ in range(20):
-        add = rig.add_table.copy()
+        table = getattr(rig, field).copy()
         a, b = rng.randrange(rig.size), rng.randrange(rig.size)
-        add[a, b] = (add[a, b] + rng.randrange(1, rig.size)) % rig.size
+        table[a, b] = (table[a, b] + rng.randrange(1, rig.size)) % rig.size
         fake = copy.copy(rig)
-        fake.add_table = add
-        expect = reference_intersection_law(fake, base)
+        setattr(fake, field, table)
         try:
             spectrum.spec(fake)
             got = None
         except MvwError as exc:
             got = str(exc)
-        assert got == expect, (a, b)
-        caught += got is not None
-    assert caught
+            failed = fake
+        outcomes.append((got, reference(fake, base), (a, b)))
+    return outcomes, failed
+
+
+@pytest.mark.parametrize("block", BLOCK_BUDGETS)
+@pytest.mark.parametrize("rig", BASE_LAW_RIGS)
+def test_intersection_law_matches_scalar_loop(rig, block, monkeypatch):
+    # the intersection law runs first, so a corrupted sum keeps its witness
+    monkeypatch.setattr(core, "_BLOCK_CELLS", block)
+    outcomes, _ = _corrupted_specs(rig, "add_table", reference_intersection_law, monkeypatch)
+    for got, expect, cell in outcomes:
+        assert got == expect, cell
+    assert any(got for got, _, _ in outcomes)
+
+
+@pytest.mark.parametrize("block", BLOCK_BUDGETS)
+@pytest.mark.parametrize("rig", BASE_LAW_RIGS)
+def test_union_law_matches_scalar_loop(rig, block, monkeypatch):
+    # a corrupted product leaves the intersection law intact; the union law
+    # is checked by ``spec`` alone, so ``theta-iso`` reports its message
+    monkeypatch.setattr(core, "_BLOCK_CELLS", block)
+    outcomes, failed = _corrupted_specs(rig, "mul_table", reference_union_law, monkeypatch)
+    for got, expect, cell in outcomes:
+        assert got == expect, cell
+    assert failed is not None
+    if rig.unit is not None:
+        # the frame of the intact structure, so the space is what fails
+        fr = frames.frame(rig)
+        original = frames.frame
+        monkeypatch.setattr(frames, "frame", lambda r: fr if r is failed else original(r))
+        monkeypatch.setitem(suites.SUITES, "locale",
+                            [c for c in suites.SUITES["locale"] if c[0] == "theta-iso"])
+        [result] = suites.run_suite(failed, "locale")
+        with pytest.raises(MvwError) as exc:
+            spectrum.spec(failed)
+        assert (result.status, result.detail) == ("FAIL", str(exc.value))
+        assert str(exc.value).endswith("break the union law")
