@@ -1,10 +1,9 @@
 """Constructors for the standard example families.
 
 Every builder pushes its output through the axiom checker instead of
-trusting the construction; the matrix builder returns the product-axiom
-report alongside the structure because not every base yields a lawful
-product.  ``check=False`` leaves the result unchecked, for a caller that
-checks it itself (``mvw check`` prints the report of its one scan).
+trusting the construction, and raises AxiomViolation with the first
+failing report.  ``check=False`` leaves the result unchecked, for a caller
+that checks it itself (``mvw check`` prints the report of its one scan).
 """
 
 from __future__ import annotations
@@ -143,9 +142,8 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
 
     Sum and negation are componentwise; the product is the truncated
     matrix product whose (i, j) entry is the base-sum over k of
-    a[i,k].b[k,j].  Returns (rig, product_report): associativity can fail
-    for some bases, so the product axioms are reported, not assumed.  The
-    report is None when ``check`` is off.
+    a[i,k].b[k,j].  Associativity can fail for some bases, so the product
+    axioms are checked, not assumed.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
@@ -183,12 +181,7 @@ def build_matrix_rig(base: FiniteMvwRig, n: int, check: bool = True):
 
     names = tuple(mat_name(e) for e in digits.tolist())
     rig = derive(neg, add, mul, names=names, name=f"M{n}({base.name})")
-    if not check:
-        return rig, None
-    report = core.check_mv(rig)
-    if not report.passed:
-        raise AxiomViolation(report, context=rig.name)
-    return rig, core.check_mvw(rig)
+    return _checked(rig) if check else rig
 
 
 def _combine(ta, tb):

@@ -771,8 +771,11 @@ def _light_test(mul, gens) -> bool:
     generator g and all x, y.  The elements g that pass are closed under the
     product, so when ``gens`` generates the carrier, True proves the product
     associative.  Each generator costs two n^2 gathers, the rows of the
-    table at its column and the columns at its row, each at a 1-D index."""
-    return all((mul.take(mul[:, g], axis=0) == mul.take(mul[g], axis=1)).all() for g in gens)
+    table at its column and the columns at its row, each at a 1-D index,
+    into two buffers kept for the call, as in :func:`_associativity`."""
+    xg_y, x_gy = np.empty_like(mul), np.empty_like(mul)
+    return all(np.array_equal(mul.take(mul[:, g], axis=0, out=xg_y, mode="clip"),
+                              mul.take(mul[g], axis=1, out=x_gy, mode="clip")) for g in gens)
 
 
 def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
@@ -790,15 +793,17 @@ def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
     if dec is None:
         return scan_mvw(rig)
     mul = rig.mul_table
+
+    def cleared(rows):
+        # one table of maps, so one pass finds the orthogonal pairs once
+        sides = [mul[rows]] if rig.commutative else [mul[rows], mul.T[rows]]
+        return _certified_rows(rig, dec, np.concatenate(sides)).reshape(len(sides), -1).all(0)
+
     gens = _generators(mul)
     associative = len(gens) < rig.size and _light_test(mul, gens)
-    if associative and _certified_rows(rig, dec, mul[gens]).all() \
-            and (rig.commutative or _certified_rows(rig, dec, mul.T[gens]).all()):
+    if associative and cleared(gens).all():
         return _mvw_report(rig, [], [])
-    cleared = _certified_rows(rig, dec, mul)
-    if not rig.commutative:
-        cleared &= _certified_rows(rig, dec, mul.T)
-    return _mvw_report(rig, np.flatnonzero(~cleared).tolist(),
+    return _mvw_report(rig, np.flatnonzero(~cleared(slice(None))).tolist(),
                        [] if associative else range(rig.size))
 
 

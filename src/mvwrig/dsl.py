@@ -40,7 +40,6 @@ import numpy as np
 from . import builders, core, frames, ideals, spectrum
 from .core import FiniteMvwRig
 from .errors import (
-    AxiomViolation,
     ClosureViolation,
     DslSyntaxError,
     InvalidUnit,
@@ -757,10 +756,7 @@ def _run_builder(node, registry, span, check=True):
             return builders.lift_trivial_product(args[0], check=check)
         if node.fn == "matrix":
             want([FiniteMvwRig, int])
-            rig, report = builders.build_matrix_rig(args[0], args[1], check=check)
-            if report is not None and not report.passed:
-                raise AxiomViolation(report, context=rig.name)
-            return rig
+            return builders.build_matrix_rig(args[0], args[1], check=check)
         if node.fn == "gamma":
             want([int, tuple])
             return builders.gamma_zk(args[0], args[1], check=check)

@@ -13,7 +13,8 @@ idempotents of the listed ideals and least[x], the first listed one holding x:
   generated ideal is a fold of the join table from the zero ideal;
 - down e is prime iff no a, b in (down neg e) minus {0}, in either order,
   have ab in it (MV-prime: the meet): |down neg e|^2 cells, not n^2;
-- the ideals above down e are those holding e, so maximality is a gather.
+- the ideals above down e are those holding e, so maximality and the ideal
+  correspondence are gathers; its congruence keys each x by meet[x, neg e].
 Each object is kept on the structure by ``core.per_structure`` (these
 tables, the ideals and their classes, the MV-reduct and, per ideal, one
 congruence and one quotient), built and verified once by its defining
@@ -364,19 +365,24 @@ def _congruence_check(rig, class_of):
     return False, ("add" if k < 2 else "mul", (base, x, y) if k % 2 == 0 else (y, base, x))
 
 
+def _idempotent(rig, ideal):
+    """e of the ideal down e: the top of the largest least[x], x in it."""
+    return int(_tops(rig)[_least(rig)[_member_mask(rig, ideal.members)].max()])
+
+
 @core.per_structure
 def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
-    """x ~ y iff (x - y) + (y - x) lies in the ideal, each class labelled by
-    the rank of its least element; built and verified once per structure
-    and ideal."""
+    """x ~ y iff x ^ neg e = y ^ neg e for the ideal down e (module docstring),
+    each class labelled by the rank of its least element; built once per
+    structure and ideal, and verified by ``is_congruence``."""
     ok, witness = is_ideal(rig, ideal.members)
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
-    related = _member_mask(rig, ideal.members)[
-        core._read_at(rig.add_table, rig.monus_table, rig.monus_table.T)]
-    least = related.argmax(axis=1)
+    key = rig.meet_table[:, rig.neg_table[_idempotent(rig, ideal)]]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    least = first[inverse]
     label = np.cumsum(least == np.arange(rig.size)) - 1
-    cong = Congruence(rig, tuple(int(c) for c in label[least]))
+    cong = Congruence(rig, tuple(label[least].tolist()))
     ok, witness = is_congruence(rig, cong.class_of)
     if not ok:
         raise MvwError(f"ideal congruence failed compatibility: {witness}")
@@ -557,7 +563,7 @@ def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
     above maps to its image mask under the projection."""
     q = quotient(rig, ideal)
     listed, masks = _ideal_list(rig), _ideal_masks(rig)
-    up = np.flatnonzero(masks[:, _member_mask(rig, ideal.members)].all(axis=1))
+    up = np.flatnonzero(masks[:, _idempotent(rig, ideal)])
     above = masks[up]
     below = _positions(q.rig)
     images = np.zeros((len(above), q.rig.size), dtype=bool)

@@ -19,7 +19,7 @@ def build_zoo():
         "trivial": builders.build_trivial(),
         "Z1xZ1": builders.direct_product(
             [builders.build_zn(1), builders.build_zn(1)]).set_name("Z1xZ1"),
-        "M2(Z1)": builders.build_matrix_rig(builders.build_zn(1), 2)[0],
+        "M2(Z1)": builders.build_matrix_rig(builders.build_zn(1), 2),
         "G1": builders.gamma_zk(1, (1,)),
         "G2": builders.gamma_zk(2, (1, 1)),
         "G3": builders.gamma_zk(3, (1, 1, 1)),

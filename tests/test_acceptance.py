@@ -23,7 +23,7 @@ def _families():
     base = [builders.build_zn(n) for n in range(1, 7)]
     base += [builders.lift_trivial_product(builders.build_luk_mv(n)).set_name(f"T{n}")
              for n in range(2, 6)]
-    base.append(builders.build_matrix_rig(builders.build_zn(1), 2)[0])
+    base.append(builders.build_matrix_rig(builders.build_zn(1), 2))
     for k in range(1, 4):
         for u in itertools.product((0, 1), repeat=k):
             base.append(builders.gamma_zk(k, u))

@@ -80,9 +80,9 @@ def test_trivial_product_lift():
 
 
 def test_matrix_rig_over_boolean():
-    rig, report = builders.build_matrix_rig(builders.build_zn(1), 2)
+    rig = builders.build_matrix_rig(builders.build_zn(1), 2)
     assert rig.size == 16
-    assert report.passed
+    assert core.check_mvw(rig).passed
     assert core.check_mv(rig).passed
     # the top element is the all-ones matrix
     assert rig.element_name(rig.u) == "[[1,1],[1,1]]"
@@ -90,9 +90,9 @@ def test_matrix_rig_over_boolean():
 
 
 def test_matrix_rig_over_trivial_base():
-    rig, report = builders.build_matrix_rig(builders.build_trivial(), 3)
+    rig = builders.build_matrix_rig(builders.build_trivial(), 3)
     assert rig.size == 1
-    assert report.passed
+    assert core.check_mvw(rig).passed
 
 
 def test_matrix_rig_size_bound():
@@ -142,7 +142,7 @@ def _pairwise_product(rigs):
     lambda: [builders.build_zn(2), builders.build_luk_mv(3), builders.build_zn(1)],
     lambda: [builders.build_luk_mv(3), builders.build_luk_mv(2)],
     lambda: [builders.build_zn(3), builders.build_trivial(), builders.gamma_zk(2, (1, 1))],
-    lambda: [builders.build_matrix_rig(builders.build_zn(1), 2)[0], builders.build_zn(1)],
+    lambda: [builders.build_matrix_rig(builders.build_zn(1), 2), builders.build_zn(1)],
 ])
 def test_direct_product_derives_once(factors, monkeypatch):
     factors = factors()

@@ -200,7 +200,7 @@ def test_export_json_doc(square):
 
 FRAME_LADDER = dict(LADDER, **{
     "Z1^3": lambda: builders.direct_product([builders.build_zn(1)] * 3),
-    "M2(Z2)": lambda: builders.build_matrix_rig(builders.build_zn(2), 2)[0],
+    "M2(Z2)": lambda: builders.build_matrix_rig(builders.build_zn(2), 2),
 })
 REFERENCE_RIGS = [pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None] + \
     [pytest.param(FRAME_LADDER[k](), id=k) for k in sorted(FRAME_LADDER)]

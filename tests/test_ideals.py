@@ -789,10 +789,31 @@ RELABELLED = dsl.elaborate_file("""algebra Relabelled {
   mul: [[o, o, o, o], [o, u, p, q], [o, p, p, o], [o, q, o, q]]
 }""")[0]
 
+
+def relabelled(rig, seed):
+    """``rig`` renumbered by a seeded permutation that fixes the zero: the
+    element least by index in a class need not be x ^ neg e, its least by
+    order."""
+    p = np.concatenate([[0], np.random.default_rng(seed).permutation(np.arange(1, rig.size))])
+
+    def moved(table):
+        out = np.empty_like(table)
+        out[np.ix_(p, p) if table.ndim == 2 else p] = p[table]
+        return out
+
+    names = np.empty(rig.size, dtype=object)
+    names[p] = rig.carrier.names
+    return core.derive(moved(rig.neg_table), moved(rig.add_table), moved(rig.mul_table),
+                       names=tuple(names), name=f"{rig.name}~{seed}")
+
+
+Z1_Z2_Z1 = builders.direct_product([builders.build_zn(1), builders.build_zn(2), builders.build_zn(1)])
+
 LATTICE_RIGS = REFERENCE_RIGS + [pytest.param(z1_power(k), id=f"Z1^{k}") for k in range(5, 9)] + [
-    pytest.param(builders.build_matrix_rig(builders.build_zn(2), 2)[0], id="M2(Z2)"),
+    pytest.param(builders.build_matrix_rig(builders.build_zn(2), 2), id="M2(Z2)"),
     pytest.param(half_product(), id="Z1xZ1*"),
-    pytest.param(RELABELLED, id="relabelled")]
+    pytest.param(RELABELLED, id="relabelled"),
+    pytest.param(relabelled(Z1_Z2_Z1, 5), id="Z1xZ2xZ1~5")]
 
 
 def sample(items, rng, limit):
@@ -845,6 +866,15 @@ def test_kept_congruences_match_the_gather(rig):
         assert ideals.quotient(rig, ideal).projection == cong.class_of
         if rig.size <= 16:
             assert cong.class_of == scalar_ideal_classes(rig, ideal.members)
+        above = [j for j in ideals.enumerate_ideals(rig) if ideal.members <= j.members]
+        assert [j for j, _ in ideals.ideal_correspondence(rig, ideal)] == above
+    # the MV-ideals, through the MV-reduct, which has an idempotent of its own
+    # for each: down e need not absorb the product
+    mv = ideals._mv_reduct(rig)
+    for ideal in mv_ideals(rig):
+        cong = ideals.congruence_from_ideal(mv, ideals.Ideal(mv, ideal.members))
+        assert cong.class_of == reference_congruence(rig, ideal.members)
+        assert ideals.mv_quotient(rig, ideal).projection == cong.class_of
 
 
 @pytest.mark.parametrize("rig", [p for p in LATTICE_RIGS if p.values[0].size > 1])

@@ -33,8 +33,8 @@ GAMMAS = [(k, u) for k in range(1, 5) for u in itertools.product((0, 1), repeat=
 BUILDS = {
     **{name: lambda rig=rig: rig for name, rig in ZOO.items() if rig.mul_table is not None},
     **LADDER,
-    "M2(Z2)": lambda: builders.build_matrix_rig(builders.build_zn(2), 2)[0],
-    "M3(Z1)": lambda: builders.build_matrix_rig(builders.build_zn(1), 3)[0],
+    "M2(Z2)": lambda: builders.build_matrix_rig(builders.build_zn(2), 2),
+    "M3(Z1)": lambda: builders.build_matrix_rig(builders.build_zn(1), 3),
     **{f"G{k}_{''.join(map(str, u))}": lambda k=k, u=u: builders.gamma_zk(k, u) for k, u in GAMMAS},
     **{f"{product}{m}": lambda m=m, product=product: _chain(m, product)
        for product in ("max", "sum") for m in (3, 7, 20)},
