@@ -33,7 +33,13 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:   # located at the first undecodable byte
+            head, at = exc.object[:exc.start], exc.start
+            line, column = head.count(b"\n") + 1, len(head[head.rfind(b"\n") + 1:].decode()) + 1
+            raise DslSyntaxError(dsl.ParseDiagnostic("error", line, column, (
+                f"{path} is not UTF-8 text: byte 0x{exc.object[at]:02x} at offset {at}"))) from None
 
 
 def _load_all(path: str, check=True):
@@ -93,32 +99,25 @@ def _cmd_check(args) -> int:
     return worst
 
 
+#: The fields of ``ideals.IdealClass`` that ``mvw ideals`` filters on and
+#: tags, in its order, with their tags.
+_CLASS_TAGS = (("prime", "prime"), ("mv_prime", "mv-prime"), ("maximal", "maximal"))
+
+
 def _cmd_ideals(args) -> int:
     rig = _load_one(args.file)
-    rows = []
-    for ideal, cls in ideals.classified_ideals(rig):
-        if args.prime and not (cls.prime and ideal.proper):
-            continue
-        if args.mv_prime and not (cls.mv_prime and ideal.proper):
-            continue
-        if args.maximal and not (cls.maximal and ideal.proper):
-            continue
-        rows.append((ideal, cls))
+    # the --prime, --mv-prime and --maximal filters keep proper ideals only
+    wanted = [field for field, _ in _CLASS_TAGS if getattr(args, field)]
+    rows = [(ideal, cls) for ideal, cls in ideals.classified_ideals(rig)
+            if all(ideal.proper and getattr(cls, field) for field in wanted)]
     if args.json:
         import json
-        doc = {"ideals": [sorted(i.members) for i, _ in rows]}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"ideals": [sorted(i.members) for i, _ in rows]}, indent=2))
         return PASS
     print(rig.describe())
     for ideal, cls in rows:
-        tags = []
-        tags.append("proper" if cls.proper else "improper")
-        if cls.prime:
-            tags.append("prime")
-        if cls.mv_prime:
-            tags.append("mv-prime")
-        if cls.maximal:
-            tags.append("maximal")
+        tags = ["proper" if cls.proper else "improper"]
+        tags += [tag for field, tag in _CLASS_TAGS if getattr(cls, field)]
         print(f"  {ideal.display()}  {' '.join(tags)}")
     print(f"{len(rows)} ideals")
     return PASS
@@ -226,10 +225,7 @@ def _cmd_verify(args) -> int:
             "error", 1, 1,
             f"unknown suite {args.suite!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
     print(rig.describe())
-    if args.suite == "all":
-        results = suites.run_all(rig)
-    else:
-        results = suites.run_suite(rig, args.suite)
+    results = suites.run_all(rig) if args.suite == "all" else suites.run_suite(rig, args.suite)
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
     for result in results:
         counts[result.status] += 1

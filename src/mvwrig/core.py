@@ -508,6 +508,12 @@ def _associativity(op):
     return block_failures
 
 
+@per_structure
+def _atoms(rig):
+    """The atoms: the elements with exactly two elements at or below them."""
+    return _read_only(np.flatnonzero(rig.leq_table.sum(axis=0) == 2))
+
+
 @dataclass(frozen=True)
 class ChainDecomposition:
     """A verified isomorphism from a product of Łukasiewicz chains onto a
@@ -529,18 +535,17 @@ def chain_decomposition(rig: FiniteMvwRig) -> ChainDecomposition | None:
     """The structure as a product of finite chains, or None when its
     tables are not those of an MV-algebra with zero 0.
 
-    The atoms are the elements with exactly two elements at or below them.
-    The multiples of the atoms give the candidate map phi, the sum of one
-    multiple of each atom.  It is accepted only when it is a bijection that
-    preserves the negation on all n elements and the sum on all n^2 pairs:
-    then the tables are isomorphic to a product of chains, which is an
-    MV-algebra, and every MV count is 0.  Its zero is element 0: phi(0) is
-    a sum of copies of element 0, and in a product of chains a sum is the
-    zero only when every term is, so phi(0) = 0 needs no test of its own.
+    The multiples of the atoms (``_atoms``) give the candidate map phi, the
+    sum of one multiple of each atom, accepted only when it is a bijection
+    that preserves the negation on all n elements and the sum on all n^2
+    pairs: then the tables are isomorphic to a product of chains, which is
+    an MV-algebra, and every MV count is 0.  Its zero is element 0: phi(0)
+    is a sum of copies of element 0, and in a product of chains a sum is
+    the zero only when every term is, so phi(0) = 0 needs no test of its own.
     """
     n = rig.size
     add = rig.add_table
-    atoms = np.flatnonzero(rig.leq_table.sum(axis=0) == 2)
+    atoms = _atoms(rig)
     chains = []
     total = 1
     for e in atoms:

@@ -85,11 +85,7 @@ from .errors import (
 #: Carrier cap for the frame when MVW_SIZE_BOUND is unset.  Building and
 #: verifying the frame costs polynomial time in the carrier size n and the
 #: number k of P-filters (the principal table, k x k join and meet tables,
-#: pairwise laws, k^3 distributivity).  At the cap, on the 1024-element
-#: Z1^10 (k = 1024), the frame takes about 1.5 s and the whole locale suite
-#: about 18 s on 2 vCPUs, of which distributivity takes 4 s and the
-#: spectrum theta reads 9 s; G3xG2xZ1^5 takes 19 s and Z1023 about 1.5 s,
-#: most of it loading the structure.
+#: pairwise laws, and k^3 distributivity, the slowest locale check at the cap).
 DEFAULT_FRAME_BOUND = 1024
 
 

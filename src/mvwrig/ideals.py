@@ -12,14 +12,20 @@ idempotents of the listed ideals and least[x], the first listed one holding x:
   rows and columns of a product are monotone: two k x k gathers, and a
   generated ideal is a fold of the join table from the zero ideal;
 - down e is prime iff no a, b in (down neg e) minus {0}, in either order,
-  have ab in it (MV-prime: the meet): |down neg e|^2 cells, not n^2;
+  have ab <= e (MV-prime: the meet).  If a table is monotone in each
+  argument, as the product (``core``, paragraph 2) and the meet are, such
+  a, b exist iff some atoms p <= a, q <= b have pq <= e: every nonzero
+  element lies above an atom, and pq <= pb <= ab.  So both clauses read the
+  pairs of atoms under neg e, k r^2 cells for k ideals and r atoms.  For
+  the meet, distinct atoms meet in 0, so down e is MV-prime iff at most one
+  atom lies under neg e;
 - the ideals above down e are those holding e, so maximality and the ideal
   correspondence are gathers; its congruence keys each x by meet[x, neg e].
 Each object is kept on the structure by ``core.per_structure`` (these
-tables, the ideals and their classes, the MV-reduct and, per ideal, one
-congruence and one quotient), built and verified once by its defining
-clauses; theorems about the result, such as the axioms of a quotient, are
-re-checked by the law suites in ``suites``, not on every call.
+tables, the ideals and their classes, the nilpotents, the MV-reduct and,
+per ideal, one congruence and one quotient), built and verified once by
+its defining clauses; theorems about the result, such as the axioms of a
+quotient, are re-checked by the law suites in ``suites``, not on every call.
 """
 
 from __future__ import annotations
@@ -228,19 +234,22 @@ def classified_ideals(rig: FiniteMvwRig):
 
 @core.per_structure
 def _classified(rig):
-    """The prime and MV-prime clauses on the nonzero part of down neg e, and
+    """The prime and MV-prime clauses on the pairs of atoms under neg e, and
     maximality from the ideals holding e (module docstring)."""
-    masks, tops = _ideal_masks(rig), _tops(rig)
+    masks, tops, atoms = _ideal_masks(rig), _tops(rig), core._atoms(rig)
+    # under[i, p]: atom p lies under neg e_i
+    under = core._grid(rig.leq_table, atoms, rig.neg_table.take(tops)).T
+    pairs = under[:, :, None] & under[:, None, :]
+
+    def clause(table):   # [i]: no atoms p, q under neg e_i have pq in ideal i
+        return (~(pairs & masks[:, core._grid(table, atoms, atoms)]).any(axis=(1, 2))).tolist()
+
+    prime = [True] * len(masks) if rig.mul_table is None else clause(rig.mul_table)
     # above[j, i]: ideal j holds e_i, so it contains ideal i
     above = masks.take(tops, axis=1) & ~masks[:, rig.u, None] & ~np.eye(len(masks), dtype=bool)
-    out = []
-    for ideal, mask, e, up in zip(enumerate_ideals(rig), masks, tops, above.T):
-        reps = np.flatnonzero(rig.leq_table[:, rig.neg_table[e]])[1:]   # 0 comes first
-        prime = rig.mul_table is None or not mask[core._grid(rig.mul_table, reps, reps)].any()
-        mv_prime = not mask[core._grid(rig.meet_table, reps, reps)].any()
-        out.append((ideal, IdealClass(prime=prime, mv_prime=mv_prime,
-                                      maximal=not up.any(), proper=ideal.proper)))
-    return tuple(out)
+    return tuple((ideal, IdealClass(prime=p, mv_prime=m, maximal=not up, proper=ideal.proper))
+                 for ideal, p, m, up in zip(enumerate_ideals(rig), prime, clause(rig.meet_table),
+                                            above.any(axis=0).tolist()))
 
 
 def prime_ideals(rig: FiniteMvwRig):
@@ -262,14 +271,20 @@ def maximal_ideals(rig: FiniteMvwRig):
 # -- nilpotents and radicals -------------------------------------------------
 
 def is_nilpotent(rig: FiniteMvwRig, x: int) -> bool:
-    """Some power of x is 0; powers cycle within |A| steps, so the search
-    is bounded and exact."""
-    acc = rig._check(x)
-    for _ in range(rig.size):
-        if acc == 0:
-            return True
-        acc = rig.mul(acc, x)
-    return acc == 0
+    """Some power of x is 0 (``_nilpotent``)."""
+    x = rig._check(x)
+    if rig.mul_table is None:
+        raise GateNotMet("structure has no product")
+    return bool(_nilpotent(rig)[x])
+
+
+@core.per_structure
+def _nilpotent(rig):
+    """[x]: x is nilpotent.  0 absorbs, so x is iff its last power in the
+    walk of ``core._powers`` (x^(n+1), or where no power moves) is 0."""
+    for last in core._powers(rig):
+        pass
+    return core._read_only(last == 0)
 
 
 def _require_commutative(rig):
@@ -280,9 +295,10 @@ def _require_commutative(rig):
 
 
 def nilradical(rig: FiniteMvwRig) -> Ideal:
-    """The ideal of nilpotent elements, the radical of the zero ideal
-    (commutative structures only)."""
-    nil = radical(rig, Ideal(rig, frozenset({0})))
+    """The ideal of nilpotent elements (``_nilpotent``), the radical of the
+    zero ideal (commutative structures only)."""
+    _require_commutative(rig)
+    nil = _as_ideal(rig, _nilpotent(rig))
     ok, witness = is_ideal(rig, nil.members)
     if not ok:
         raise MvwError(f"nilpotent set is not an ideal: {witness}")

@@ -1027,19 +1027,13 @@ def run_suite(rig, suite: str):
     for name, _desc, fn in SUITES[suite]:
         try:
             detail = fn(rig)
-        except _Skip as skip:
-            results.append(CheckResult(suite, name, "SKIPPED", str(skip)))
-            continue
-        except SizeBound as exc:
-            results.append(CheckResult(suite, name, "SKIPPED", str(exc)))
-            continue
+        except (_Skip, SizeBound) as skip:
+            status, detail = "SKIPPED", str(skip)
         except MvwError as exc:
-            results.append(CheckResult(suite, name, "FAIL", str(exc)))
-            continue
-        if detail is None:
-            results.append(CheckResult(suite, name, "PASS"))
+            status, detail = "FAIL", str(exc)
         else:
-            results.append(CheckResult(suite, name, "FAIL", detail))
+            status, detail = ("PASS", "") if detail is None else ("FAIL", detail)
+        results.append(CheckResult(suite, name, status, detail))
     return results
 
 
@@ -1047,16 +1041,9 @@ def run_all(rig):
     """Every suite in order.  The ideals, the spectrum and the frame are
     kept on the structure, so each is computed once however many checks
     read it."""
-    out = []
-    for suite in SUITE_NAMES:
-        out.extend(run_suite(rig, suite))
-    return out
+    return [result for suite in SUITE_NAMES for result in run_suite(rig, suite)]
 
 
 def listing():
     """(suite, check, description) rows for the traceability table."""
-    rows = []
-    for suite, checks in SUITES.items():
-        for name, desc, _fn in checks:
-            rows.append((suite, name, desc))
-    return rows
+    return [(suite, name, desc) for suite, checks in SUITES.items() for name, desc, _fn in checks]

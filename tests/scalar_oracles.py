@@ -471,6 +471,17 @@ def check_homomorphism(source, target, mapping, require_product=None):
     return True, None
 
 
+def is_nilpotent(rig, x):
+    """The earlier n-step search of ``ideals.is_nilpotent``: some power of x
+    is 0; powers cycle within |A| steps, so the search is bounded."""
+    acc = rig._check(x)
+    for _ in range(rig.size):
+        if acc == 0:
+            return True
+        acc = rig.mul(acc, x)
+    return acc == 0
+
+
 def classified(rig, ideal_masks, tops):
     """The earlier clauses of ``ideals._classified``, as (prime, mv_prime,
     maximal) per listed ideal."""

@@ -76,6 +76,17 @@ def test_syntax_error_exit_2(capsys, tmp_path):
     assert "expected an algebra name" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["ideals"], ["quotient", "--ideal", "0"], ["spec"], ["filters"], ["verify"],
+    ["parse"]], ids=lambda command: command[0])
+def test_non_utf8_file_is_a_located_error(capsys, tmp_path, command):
+    bad = tmp_path / "bin.mvw"
+    bad.write_bytes(b"algebra A {\n  \xc3\xa9 \xff\xfe\x00bad")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: 2:5: error: {bad} is not UTF-8 text: byte 0xff at offset 17\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["nosuchcommand"])

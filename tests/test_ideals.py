@@ -235,6 +235,18 @@ def test_nilradical_gates():
 def test_is_nilpotent(t3, z3):
     assert all(ideals.is_nilpotent(t3, x) for x in range(3))
     assert [x for x in range(4) if ideals.is_nilpotent(z3, x)] == [0]
+    # the kept walk of the powers against the n-step search, on the
+    # reference structures and all their quotients
+    for rig in (p.values[0] for p in REFERENCE_RIGS):
+        if rig.mul_table is None:
+            with pytest.raises(GateNotMet):
+                ideals.is_nilpotent(rig, 0)
+            continue
+        with pytest.raises(IndexError):
+            ideals.is_nilpotent(rig, rig.size)
+        for q in [rig] + [ideals.quotient(rig, i).rig for i in ideals.enumerate_ideals(rig)]:
+            assert [ideals.is_nilpotent(q, x) for x in q.elements()] == \
+                [scalar_oracles.is_nilpotent(q, x) for x in q.elements()], q.name
 
 
 def test_radical_examples(z3, t3):

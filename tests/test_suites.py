@@ -219,10 +219,10 @@ def _commands_read(rig):
             frames.principal_table(rig))
 
 
-KEPT = {"chain_decomposition", "_ideal_masks", "_tops", "_least", "_lattice_table",
+KEPT = {"_atoms", "chain_decomposition", "_ideal_masks", "_tops", "_least", "_lattice_table",
         "_ideal_list", "_positions", "_classified", "congruence_from_ideal", "quotient",
         "_mv_reduct", "_spec", "_dotsum_tops", "principal_table", "_frame",
-        "_ideal_verdict", "_congruence_verdict"}
+        "_ideal_verdict", "_congruence_verdict", "_nilpotent"}
 
 
 def test_run_all_and_the_commands_build_each_object_once():
