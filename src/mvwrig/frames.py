@@ -392,7 +392,7 @@ def _verify_theta(rig, tm, principal_idx):
     space, fr = tm.space, tm.frame
     prin = np.asarray(principal_idx)
     mapping = np.asarray(tm.open_to_filter)
-    holds, open_of, mul = space.holds, space.open_of, rig.mul_table
+    words, open_of, mul = space.words, space.open_of, rig.mul_table
     pair = principal_law_failure(fr.join_table, prin, mul)
     if pair is not None:
         a, b = pair
@@ -401,8 +401,7 @@ def _verify_theta(rig, tm, principal_idx):
     if bad.any():
         a = int(np.flatnonzero(bad)[0])
         raise MvwError(f"open map depends on the presentation ({a},)")
-    opens = core._member_rows(holds.shape[1], space.opens)
-    bad = np.flatnonzero((opens[open_of] != holds).any(axis=1))
+    bad = np.flatnonzero(spectrum._open_words(space)[open_of] != words)
     if bad.size:
         raise MvwError(f"open {open_of[bad[0]]} is not V({bad[0]}) at ({bad[0]},)")
 
@@ -419,7 +418,7 @@ def _verify_theta(rig, tm, principal_idx):
     if (mapping[open_of[core._grid(rig.add_table, reps, reps)]]
             != core._grid(fr.meet_table, mapping, mapping)).any():
         raise MvwError("open map does not preserve meets")
-    if (spectrum._inclusion(holds.take(reps, axis=0))
+    if (spectrum._word_inclusion(words.take(reps))
             != core._grid(spectrum._inclusion(fr.masks), mapping, mapping)).any():
         raise MvwError("open map does not preserve order")
 

@@ -5,12 +5,16 @@ a collects the points containing a.  A prime contains a product exactly
 when it contains a factor, so V(a) u V(b) = V(ab) and the basic opens are
 all the opens.  The space is finite, so the open lattice is materialized
 outright and every topological statement becomes a finite assertion.  The
-space is built once per structure and kept on it (``core.per_structure``),
-together with its boolean points matrix, whose row a is V(a), and the
-index of each element's open; ``spec`` verifies both base laws by blocked
-gathers over the matrix, and ``frames.theta`` reads the verified space.  The
-points keep the listed ideals' canonical order, and the opens are the
-distinct rows of the points matrix in canonical order.
+space is built once per structure (``core.per_structure``).  The points
+keep the listed ideals' canonical order, the opens are the distinct V(a)
+in canonical order, ``open_of[a]`` indexes V(a) among them, and
+``words[a]`` is V(a) as one uint64 whose bit i is point i.  Only this
+module packs or unpacks words, and every topological reader here is a
+word operation.
+One word is enough: a proper prime is meet-irreducible among the ideals
+(a in I - P and b in J - P give ab in I ^ J - P), a distributive lattice
+of idempotents of length at most log2 n, so a space has p <= log2 n
+points, 12 at the 4096-element size cap; ``spec`` refuses p > 63.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from . import core, ideals
 from .core import FiniteMvwRig
 from .errors import GateNotMet, MvwError, NotCommutative
 
+_BITS = np.arange(64, dtype=np.uint64)
+
 
 @dataclass(frozen=True)
 class SpecSpace:
@@ -31,7 +37,7 @@ class SpecSpace:
     points: tuple            # frozensets of carrier indices, canonically sorted
     base: MappingProxyType   # element -> frozenset of point indices, read-only
     opens: tuple             # the distinct base sets, canonically sorted
-    holds: np.ndarray        # n x len(points) read-only booleans: row a is V(a)
+    words: np.ndarray        # element a -> V(a) as uint64 bits, read-only
     open_of: np.ndarray      # element a -> index of V(a) in opens, read-only
     unit_gated: bool = False # no unit: unit-dependent theorems are skipped
     warnings: tuple = ()
@@ -61,45 +67,77 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
 def _spec(rig):
     # the ideals, and so the primes, are listed in canonical order
     points = tuple(p.members for p in ideals.prime_ideals(rig))
-    holds = np.ascontiguousarray(core._member_rows(rig.size, points).T)
+    if len(points) > 63:
+        raise MvwError(f"{rig.name} has {len(points)} proper primes; "
+                       f"a spectrum keeps at most 63 points")
+    holds = core._member_rows(rig.size, points).T
     open_rows, open_of = core._canonical_rows(holds)
-    core._read_only(holds, open_of)
+    words = core._read_only(_pack(holds), open_of)
     opens = tuple(core._members(row) for row in open_rows)
     base = {a: opens[o] for a, o in enumerate(open_of.tolist())}
     warnings = ()
     if rig.unit is None:
         warnings = (f"{rig.name} has no unitary element; unit-gated theorems are skipped",)
     space = SpecSpace(rig=rig, points=points, base=MappingProxyType(base), opens=opens,
-                      holds=holds, open_of=open_of, unit_gated=rig.unit is None,
+                      words=words, open_of=open_of, unit_gated=rig.unit is None,
                       warnings=warnings)
 
-    all_pts = space.all_points
-    if base[0] != all_pts:
+    if words[0] != (1 << len(points)) - 1:
         raise MvwError("V(0) is not the whole spectrum")
-    if base[rig.u] != frozenset():
+    if words[rig.u]:
         raise MvwError("V(u) is not empty")
-    for table, combine, law in ((rig.add_table, np.logical_and, "intersection"),
-                                (rig.mul_table, np.logical_or, "union")):
-        pair = _base_law_failure(table, holds, combine)
+    for table, combine, law in ((rig.add_table, np.bitwise_and, "intersection"),
+                                (rig.mul_table, np.bitwise_or, "union")):
+        pair = _base_law_failure(table, words, combine)
         if pair is not None:
             a, b = pair
             raise MvwError(f"V({a}) and V({b}) break the {law} law")
     return space
 
 
-def _base_law_failure(table, holds, combine):
+def _base_law_failure(table, words, combine):
     """The first pair (a, b) in row-major order with
-    combine(V(a), V(b)) != V(table[a, b]), or None.  Row a of the boolean
-    points matrix ``holds`` is V(a); the rows a go in ``core._blocks`` of
-    n x points cells each (at least one, for a space with no points)."""
-    n, points = holds.shape
-    for block in core._blocks(n, max(1, n * points)):
-        bad = (combine(holds[block, None, :], holds[None, :, :])
-               != holds.take(table[block], axis=0)).any(axis=2)
+    combine(V(a), V(b)) != V(table[a, b]), or None, the rows a in
+    ``core._blocks`` of n cells each."""
+    n = len(words)
+    for block in core._blocks(n, n):
+        bad = combine(words[block, None], words) != words.take(table[block])
         if bad.any():
             a, b = np.argwhere(bad)[0]
             return block.start + int(a), int(b)
     return None
+
+
+def _pack(rows):
+    """One word per boolean row, bit i its column i."""
+    return np.bitwise_or.reduce(rows.astype(np.uint64) << _BITS[:rows.shape[1]], axis=1)
+
+
+def _point_rows(space):
+    """[i, x]: bit i of words[x]; row i is point i as a mask over the carrier."""
+    return (space.words >> _BITS[:len(space.points), None] & 1).astype(bool)
+
+
+def _moved(words, src, dst):
+    """Each word with bit src[j] carried to bit dst[j], for every j, and no
+    other bit set."""
+    return np.bitwise_or.reduce((words[:, None] >> src & 1) << dst, axis=1)
+
+
+def _open_words(space):
+    """One word per listed open, packed from its set of points."""
+    return _pack(core._member_rows(len(space.points), space.opens))
+
+
+def _word_inclusion(words):
+    """inside[i, j]: the points of word i lie inside those of word j."""
+    return (words[:, None] & ~words) == 0
+
+
+def _check_point(space, i):
+    if not 0 <= i < len(space.points):
+        raise IndexError(f"point index {i} out of range 0..{len(space.points) - 1}")
+    return i
 
 
 def basic_open(space: SpecSpace, a: int):
@@ -107,45 +145,44 @@ def basic_open(space: SpecSpace, a: int):
 
 
 def v_of_set(space: SpecSpace, members):
-    """Points containing a whole subset (the open attached to an ideal)."""
-    ms = frozenset(members)
-    return frozenset(i for i, p in enumerate(space.points) if ms <= p)
+    """Points containing a whole subset (the open attached to an ideal):
+    the AND of the members' words, from V(0), the whole space."""
+    words = space.words.take([space.rig._check(a) for a in members])
+    return core._members(np.bitwise_and.reduce(words, initial=space.words[0]) >> _BITS & 1)
 
 
 def is_t0(space: SpecSpace) -> bool:
-    """Some open tells every two points apart: no two columns of the points
-    matrix, whose rows are the opens, are equal."""
-    inside = _inclusion(space.holds.T)
+    """Some open tells every two points apart: no two points are equal as
+    masks over the carrier."""
+    inside = _inclusion(_point_rows(space))
     return int((inside & inside.T).sum()) == len(space.points)
 
 
 def is_irreducible(space: SpecSpace) -> bool:
-    """Nonempty, and every two nonempty opens meet."""
-    if not space.points:
-        return False
-    nonempty = [o for o in space.opens if o]
-    return all(u & v for u in nonempty for v in nonempty)
+    """Nonempty, and every two nonempty opens meet.  The opens are closed
+    under intersection (the law ``spec`` verifies), so that is some point
+    lying in every nonempty open."""
+    words = space.words
+    return bool(np.bitwise_and.reduce(words[words != 0], initial=words[0]))
 
 
 def set_closure(space: SpecSpace, subset):
-    """Smallest closed superset, computed from the materialized opens."""
-    subset = frozenset(subset)
-    cl = set(space.all_points)
-    for o in space.opens:
-        closed = space.all_points - o
-        if subset <= closed:
-            cl &= closed
-    return frozenset(cl)
+    """Smallest closed superset: the points outside every open that misses
+    the subset."""
+    bits = _BITS[[_check_point(space, i) for i in subset]]
+    words = space.words
+    misses = words[(words & np.bitwise_or.reduce(np.uint64(1) << bits, initial=0)) == 0]
+    return core._members((words[0] & ~np.bitwise_or.reduce(misses, initial=0)) >> _BITS & 1)
 
 
 def point_closure(space: SpecSpace, i: int):
-    return set_closure(space, {i})
+    return set_closure(space, (i,))
 
 
 def specialization_downset(space: SpecSpace, i: int):
     """{Q : Q contained in P} for the point P; equals the closure of P."""
-    p = space.points[i]
-    return frozenset(j for j, q in enumerate(space.points) if q <= p)
+    rows = _point_rows(space)
+    return core._members(~(rows & ~rows[_check_point(space, i)]).any(axis=1))
 
 
 @dataclass
@@ -159,54 +196,45 @@ class SpecMap:
 def spec_map(f: ideals.Homomorphism) -> SpecMap:
     """The continuous preimage map from Spec of the codomain to Spec of the
     domain, with each of its stated properties checked whenever its
-    hypothesis holds."""
+    hypothesis holds: a surjection is a homeomorphism onto V(ker f)."""
     ideals.verify_homomorphism(f)
     a, b = f.source, f.target
     sa, sb = spec(a), spec(b)
-    target_index = {p: i for i, p in enumerate(sa.points)}
+    # pre[x] is V(f(x)) in Spec b; row j of pre_rows is the preimage of point j
+    pre = sb.words.take(f.mapping)
+    pre_rows = _point_rows(sb).take(f.mapping, axis=1)
+    same = (pre_rows[:, None] == _point_rows(sa)).all(axis=2)
+    missed = np.flatnonzero(~same.any(axis=1))
+    if missed.size:
+        raise MvwError(f"preimage {np.flatnonzero(pre_rows[missed[0]]).tolist()} "
+                       f"is not a proper prime")
+    # each preimage is one point of Spec a; Spec b has none when Spec a has none
+    mapping = (same.argmax(axis=1) if sa.points else np.zeros(0)).astype(np.uint64)
+    phi = SpecMap(hom=f, source=sb, target=sa, mapping=tuple(mapping.tolist()))
+    own = _BITS[:len(sb.points)]
 
-    mapping = []
-    for q in sb.points:
-        pre = frozenset(x for x in a.elements() if f.mapping[x] in q)
-        if pre not in target_index:
-            raise MvwError(f"preimage {sorted(pre)} is not a proper prime")
-        mapping.append(target_index[pre])
-    mapping = tuple(mapping)
-    phi = SpecMap(hom=f, source=sb, target=sa, mapping=mapping)
-
-    opens_b = set(sb.opens)
-    for x in a.elements():
-        pre_open = frozenset(i for i in range(len(sb.points))
-                             if mapping[i] in sa.base[x])
-        if pre_open not in opens_b:
-            raise MvwError(f"preimage of V({x}) is not open")
-
+    pulled = _moved(sa.words, mapping, own)
+    bad = ~np.isin(pulled, sb.words)
+    if bad.any():
+        raise MvwError(f"preimage of V({int(bad.argmax())}) is not open")
+    law = np.stack([pulled, pre], axis=1)
     for ideal in ideals.enumerate_ideals(a):
-        lhs = frozenset(i for i in range(len(sb.points))
-                        if mapping[i] in v_of_set(sa, ideal.members))
-        rhs = v_of_set(sb, {f.mapping[x] for x in ideal.members})
+        lhs, rhs = np.bitwise_and.reduce(law.take(ideal.sorted_members(), axis=0))
         if lhs != rhs:
             raise MvwError(f"preimage law fails for ideal {ideal.display()}")
 
-    injective = len(set(f.mapping)) == a.size
-    if injective:
-        back = {f.mapping[x]: x for x in a.elements()}
-        for bel in set(f.mapping):
-            img = frozenset(mapping[i] for i in sb.base[bel])
-            if img != sa.base[back[bel]]:
-                raise MvwError(f"image law fails at element {bel}")
-        if frozenset(mapping) != sa.all_points:
+    image = np.bitwise_or.reduce(np.uint64(1) << mapping, initial=0)
+    if len(set(f.mapping)) == a.size:
+        bad = _moved(pre, own, mapping) != sa.words
+        if bad.any():
+            raise MvwError(f"image law fails at element {int(np.asarray(f.mapping)[bad].min())}")
+        if image != sa.words[0]:
             raise MvwError("image of the spectrum map misses a prime")
-
-    bijective = injective and len(set(f.mapping)) == b.size
-    if bijective:
-        ker = ideals.kernel(f)
-        sub = v_of_set(sa, ker.members)
-        if frozenset(mapping) != sub or len(set(mapping)) != len(mapping):
-            raise MvwError("bijective map does not induce a homeomorphism")
-        sub_opens = {o & sub for o in sa.opens}
-        img_opens = {frozenset(mapping[i] for i in o) for o in sb.opens}
-        if sub_opens != img_opens:
+    if len(set(f.mapping)) == b.size:
+        sub = np.bitwise_and.reduce(sa.words.take(ideals.kernel(f).sorted_members()))
+        if image != sub or len(set(phi.mapping)) != len(mapping):
+            raise MvwError("surjective map does not induce a homeomorphism")
+        if set((sa.words & sub).tolist()) != set(_moved(sb.words, own, mapping).tolist()):
             raise MvwError("open sets do not correspond under the induced map")
     return phi
 
@@ -236,7 +264,7 @@ def export_dot(space: SpecSpace) -> str:
     lines = ["digraph spec {", "  rankdir=BT;"]
     for i in range(len(space.points)):
         lines.append(f'  p{i} [label="{space.point_display(i)}"];')
-    for i, j in covering_edges(space.holds.T):
+    for i, j in covering_edges(_point_rows(space)):
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

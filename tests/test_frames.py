@@ -524,15 +524,16 @@ def test_theta_corruptions_fail_both_verifications(rig, seed):
 @pytest.mark.parametrize("rig", [p for p in THETA_RIGS
                                  if len(frames.frame(p.values[0]).pfilters) > 1])
 def test_theta_fails_on_a_corrupted_points_matrix_or_open_index(rig, monkeypatch):
-    # theta reads the spectrum's kept points matrix and open index; a copy
-    # of the space with any one cell of either changed is refused
+    # theta reads the spectrum's kept words, bit p of word a set iff point p
+    # holds a, and its open index; a copy of the space with any one bit of
+    # a word flipped, or any one label changed, is refused
     space = spectrum.spec(rig)
     copies = []
     for a in rig.elements():
         for p in range(len(space.points)):
-            holds = space.holds.copy()
-            holds[a, p] = not holds[a, p]
-            copies.append(dataclasses.replace(space, holds=holds))
+            words = space.words.copy()
+            words[a] ^= np.uint64(1 << p)
+            copies.append(dataclasses.replace(space, words=words))
         for o in range(len(space.opens)):
             if o != space.open_of[a]:
                 open_of = space.open_of.copy()
@@ -549,8 +550,8 @@ def test_theta_fails_on_a_corrupted_points_matrix_or_open_index(rig, monkeypatch
 
 def test_theta_refuses_relabelled_opens(square, monkeypatch):
     # opens 1 and 2 of Z1xZ1, {0} and {1}, swap labels: every gather over
-    # open_of stays consistent, so only tying each label to row a of the
-    # points matrix catches it; unchecked, theta sends the open {0} = V(1)
+    # open_of stays consistent, so only tying each label to word a of the
+    # space catches it; unchecked, theta sends the open {0} = V(1)
     # to the filter {2, 3} = F_2 instead of F_1 = {1, 3}
     space = spectrum.spec(square)
     assert space.opens[1:3] == (frozenset({0}), frozenset({1}))

@@ -67,27 +67,37 @@ def reference_is_t0(space):
                for p in pts for q in pts if p < q)
 
 
+def _point_matrix(space):
+    """[a, i]: bit i of word a, read one bit at a time; column i is point i."""
+    p = len(space.points)
+    return np.array([[w >> i & 1 for i in range(p)] for w in space.words.tolist()],
+                    dtype=bool).reshape(len(space.words), p)
+
+
 def _with_point(space, column):
     """A copy of a space with one more point, given as its column of the
-    points matrix; the opens are the rows of the new matrix."""
-    holds = np.hstack([space.holds, column[:, None]])
+    points matrix: the bit past the last point of each word.  The opens
+    are the distinct words."""
+    p = len(space.points)
+    words = space.words | (column.astype(np.uint64) << np.uint64(p))
     return dataclasses.replace(
         space, points=space.points + (frozenset(np.flatnonzero(column).tolist()),),
-        holds=holds, opens=tuple({frozenset(np.flatnonzero(row).tolist()) for row in holds}))
+        words=words,
+        opens=tuple({frozenset(i for i in range(p + 1) if w >> i & 1) for w in words.tolist()}))
 
 
 @pytest.mark.parametrize("rig", [
     pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
 ] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
 def test_t0_matches_the_pairwise_scan(rig):
-    # the columns of the points matrix against the earlier scan of every
+    # the points as masks over the carrier against the earlier scan of every
     # pair of points over the opens: on each spectrum, on a copy with its
     # last point listed twice, which no open tells apart, and on a copy
     # with a point strictly inside the last one, which an open does
     space = spectrum.spec(rig)
     assert spectrum.is_t0(space) == reference_is_t0(space) is True
     if space.points:
-        last = space.holds[:, -1]
+        last = _point_matrix(space)[:, -1]
         twin = _with_point(space, last)
         assert spectrum.is_t0(twin) == reference_is_t0(twin) is False
         if last.sum() > 1:
@@ -213,7 +223,7 @@ def test_covering_edges_match_the_triple_loop_on_the_zoo(rig):
     families = [(fr.masks, list(fr.pfilters))]
     if rig.commutative:
         space = spectrum.spec(rig)
-        families += [(space.holds.T, list(space.points)),
+        families += [(_point_matrix(space).T, list(space.points)),
                      (_rows(space.opens, len(space.points)), list(space.opens))]
     for rows, sets in families:
         assert rows.tolist() == _rows(sets, rows.shape[1]).tolist()
@@ -303,7 +313,7 @@ def test_spec_reads_the_given_primes(rig):
 # -- the base laws against their scalar loops -----------------------------------
 #
 # ``spec`` checks V(a) ^ V(b) = V(a + b), then V(a) u V(b) = V(ab), with one
-# kernel that gathers the boolean points matrix over ``core._blocks`` of
+# kernel that gathers the words, one per element, over ``core._blocks`` of
 # rows.  These are the earlier bodies, loops over all pairs.
 
 def reference_intersection_law(rig, base):
@@ -389,3 +399,93 @@ def test_union_law_matches_scalar_loop(rig, block, monkeypatch):
             spectrum.spec(failed)
         assert (result.status, result.detail) == ("FAIL", str(exc.value))
         assert str(exc.value).endswith("break the union law")
+
+
+# -- the words: one per element, bit i set iff point i holds it -----------------
+
+COMMUTATIVE_RIGS = [
+    pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)]
+
+
+@pytest.mark.parametrize("rig", COMMUTATIVE_RIGS)
+def test_words_are_the_basic_opens(rig):
+    space = spectrum.spec(rig)
+    assert space.words.dtype == np.uint64 and space.words.shape == (rig.size,)
+    assert not space.words.flags.writeable
+    for a in rig.elements():
+        for i in range(len(space.points)):
+            assert bool(int(space.words[a]) >> i & 1) == (i in space.base[a]), (a, i)
+        assert int(space.words[a]) >> len(space.points) == 0
+
+
+@pytest.mark.parametrize("rig", COMMUTATIVE_RIGS + [
+    pytest.param(builders.direct_product([builders.build_zn(1)] * 10), id="Z1^10")])
+def test_a_spectrum_has_at_most_log2_n_points(rig):
+    # each prime is meet-irreducible in the ideal lattice, a distributive
+    # lattice of at most log2 n atoms of the idempotents (module docstring)
+    assert 2 ** len(spectrum.spec(rig).points) <= rig.size
+
+
+def test_spec_refuses_more_than_63_points(monkeypatch):
+    # no MVW-rig has that many primes; the prime {0} of Z1 listed 63 times
+    # still fits one word, 64 times it would not
+    for count in (63, 64):
+        rig = builders.build_zn(1)
+        monkeypatch.setattr(ideals, "prime_ideals",
+                            lambda r: [ideals.Ideal(r, frozenset({0}))] * count)
+        if count == 63:
+            assert spectrum.spec(rig).words.tolist() == [(1 << 63) - 1, 0]
+        else:
+            with pytest.raises(MvwError, match="^Z1 has 64 proper primes; "
+                                               "a spectrum keeps at most 63 points$"):
+                spectrum.spec(rig)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_point_closure_checks_the_point_index(ssq, i):
+    with pytest.raises(IndexError, match=rf"^point index {i} out of range 0..1$"):
+        spectrum.point_closure(ssq, i)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_specialization_downset_checks_the_point_index(ssq, i):
+    with pytest.raises(IndexError, match=rf"^point index {i} out of range 0..1$"):
+        spectrum.specialization_downset(ssq, i)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_set_closure_checks_every_point_index(ssq, i):
+    with pytest.raises(IndexError, match=rf"^point index {i} out of range 0..1$"):
+        spectrum.set_closure(ssq, {0, i})
+
+
+@pytest.mark.parametrize("a", [-1, 4, 9])
+def test_v_of_set_checks_every_element_index(ssq, a):
+    assert spectrum.v_of_set(ssq, {1}) == frozenset({0})
+    with pytest.raises(IndexError, match=rf"^element index {a} out of range 0..3$"):
+        spectrum.v_of_set(ssq, {1, a})
+
+
+@pytest.mark.parametrize("rig", COMMUTATIVE_RIGS)
+def test_projections_are_homeomorphisms_onto_v_of_the_ideal(rig, monkeypatch):
+    # Spec(A/I) -> Spec(A) is a bijection onto V(I) carrying the opens of
+    # Spec(A/I) onto the traces O ^ V(I); a copy of Spec(A/I) with its last
+    # point listed twice passes every other clause of ``spec_map``, and the
+    # homeomorphism clause, which runs on every surjection, refuses it
+    space = spectrum.spec(rig)
+    original = spectrum.spec
+    for ideal in ideals.enumerate_ideals(rig):
+        q = ideals.quotient(rig, ideal)
+        f = ideals.Homomorphism(rig, q.rig, q.projection)
+        phi = spectrum.spec_map(f)
+        sub = frozenset(i for i, p in enumerate(space.points) if ideal.members <= p)
+        assert sorted(phi.mapping) == sorted(sub), ideal.display()
+        assert {frozenset(phi.mapping[j] for j in o) for o in phi.source.opens} == \
+            {o & sub for o in space.opens}, ideal.display()
+        if phi.source.points:
+            twin = _with_point(phi.source, _point_matrix(phi.source)[:, -1])
+            monkeypatch.setattr(spectrum, "spec", lambda r: twin if r is q.rig else original(r))
+            with pytest.raises(MvwError, match="^surjective map does not induce a homeomorphism$"):
+                spectrum.spec_map(f)
+            monkeypatch.setattr(spectrum, "spec", original)
