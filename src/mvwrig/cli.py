@@ -4,11 +4,17 @@ Exit codes: 0 when every requested check passes, 1 when a mathematical
 property fails (a witness is printed), 2 for input, parse or validation
 errors.  Human-readable reports go to standard output; JSON and DOT are
 emitted only when requested.
+
+``main`` may be called many times in one process.  The argument parser is
+built on the first call and shared by every later call; each call still
+reads its own argv and environment (``MVW_SIZE_BOUND``, and ``COLUMNS``
+when a usage or help text is formatted) and parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import builders, core, dsl, frames, ideals, spectrum, suites
@@ -171,10 +177,10 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_filters(args) -> int:
-    rig = _load_one(args.file)
     if args.json and not (args.frame or args.principal is not None):
         raise DslSyntaxError(dsl.ParseDiagnostic(
             "error", 1, 1, "--json needs --frame or --principal"))
+    rig = _load_one(args.file)
     if args.principal is not None:
         elems = _parse_elements(rig, args.principal)
         if len(elems) != 1:
@@ -219,11 +225,11 @@ def _cmd_verify(args) -> int:
         return PASS
     if not args.file:
         raise DslSyntaxError(dsl.ParseDiagnostic("error", 1, 1, "missing input file"))
-    rig = _load_one(args.file)
     if args.suite != "all" and args.suite not in suites.SUITE_NAMES:
         raise DslSyntaxError(dsl.ParseDiagnostic(
             "error", 1, 1,
             f"unknown suite {args.suite!r} (choose from {', '.join(suites.SUITE_NAMES)}, all)"))
+    rig = _load_one(args.file)
     print(rig.describe())
     results = suites.run_all(rig) if args.suite == "all" else suites.run_suite(rig, args.suite)
     counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
@@ -248,7 +254,10 @@ def _cmd_parse(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mvw`` parser, built once per process; it keeps no per-call
+    state (``build_parser.__wrapped__()`` builds a new one)."""
     parser = argparse.ArgumentParser(
         prog="mvw",
         description="Workbench for finite MV-algebras with product: check "
@@ -310,8 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``mvw`` command (``argv`` defaults to ``sys.argv[1:]``) and
+    return its exit code; argparse raises SystemExit for usage errors and
+    ``--help``.  The parser is built on the first call and shared by later
+    calls, each of which reads its own argv, ``MVW_SIZE_BOUND`` and
+    ``COLUMNS``."""
+    args = build_parser().parse_args(argv)
     try:
         # MVW_SIZE_BOUND is validated before any work; when set it caps the
         # carriers, the enumerations and the frame

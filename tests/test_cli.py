@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +131,17 @@ def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", str(algebra_path("z3.mvw")),
                          "--suite", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "nosuch.mvw", "--suite", "nosuch"], "unknown suite 'nosuch'"),
+    (["filters", "nosuch.mvw", "--json"], "--json needs --frame or --principal"),
+])
+def test_bad_arguments_are_refused_before_the_load(capsys, argv, message):
+    # the file does not exist either: the argument is checked first
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err and "No such file" not in err
 
 
 def test_verify_failure_exits_1(capsys, tmp_path):
@@ -505,3 +521,118 @@ def test_analysis_commands_never_scan_the_mv_axioms(capsys, monkeypatch, tmp_pat
         code, _out, err = run(capsys, argv[0], *argv[1:-1], str(tmp_path / argv[-1]))
         assert (code, err) == (0, ""), argv
     assert calls["scan_mv"] == 0
+
+
+# -- the shared parser ------------------------------------------------------------
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call; a SystemExit from
+    argparse counts as its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parser_calls(tmp_path):
+    z3 = str(algebra_path("z3.mvw"))
+    calls = [
+        ["check", z3], ["check", z3, "--mv-only"],
+        ["ideals", z3], ["ideals", z3, "--prime", "--json"],
+        ["quotient", z3, "--ideal", "0", "-o", str(tmp_path / "q.json")],
+        ["spec", z3], ["spec", z3, "--json"], ["spec", z3, "--dot", str(tmp_path / "s.dot")],
+        ["filters", z3], ["filters", z3, "--principal", "1", "--json"], ["filters", z3, "--frame"],
+        ["verify", "--list"], ["verify", z3], ["verify", z3, "--suite", "core"],
+        ["parse", z3], ["parse", z3, "--emit-json"],
+        # usage errors: argparse exits 2 with the usage on stderr
+        [], ["nosuchcommand"], ["quotient", z3], ["spec", z3, "--dot", "X", "--json"],
+        ["filters", z3, "--principal", "1", "--frame"],
+        ["--help"],
+    ]
+    calls += [[command, "--help"] for command in
+              ("check", "ideals", "quotient", "spec", "filters", "verify", "parse")]
+    return calls + [["--help"], ["verify", "--list"], ["verify", z3]]
+
+
+def _run_sequence(capsys, monkeypatch, calls):
+    # a different terminal width on each call: argparse reads COLUMNS when
+    # it formats a usage or help text
+    widths = ("80", "40", "200", "57", "123")
+    outcomes = []
+    for i, argv in enumerate(calls):
+        monkeypatch.setenv("COLUMNS", widths[i % len(widths)])
+        outcomes.append(_outcome(capsys, argv))
+    return outcomes
+
+
+def test_shared_parser_matches_a_fresh_parser_on_every_call(capsys, monkeypatch, tmp_path):
+    calls = _parser_calls(tmp_path)
+    namespaces = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        namespaces.append(namespace)
+        return namespace
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    cli.build_parser.cache_clear()
+    shared = _run_sequence(capsys, monkeypatch, calls)
+    # each call parses into a namespace of its own, holding what a freshly
+    # built parser gives for that argv and nothing an earlier call set
+    assert len({id(ns) for ns in namespaces}) == len(namespaces)
+    parsed = [argv for argv, (code, _out, _err) in zip(calls, shared)
+              if code in (0, 1) and "--help" not in argv]
+    assert [vars(ns) for ns in namespaces] == [
+        vars(parse_args(cli.build_parser.__wrapped__(), argv)) for argv in parsed]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_sequence(capsys, monkeypatch, calls)
+    for argv, got, expect in zip(calls, shared, fresh):
+        assert got == expect, argv
+    assert [code for code, _out, _err in shared].count(2) == 5
+    for argv, (code, _out, err) in zip(calls, shared):
+        if code == 2:
+            assert err.startswith("usage: mvw"), argv
+    # the two top-level help texts were formatted at different widths
+    helps = [out for argv, (_code, out, _err) in zip(calls, shared) if argv == ["--help"]]
+    assert len(helps) == 2 and helps[0] != helps[1]
+    assert all(out.startswith("usage: mvw") for out in helps)
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.__wrapped__()
+    one_build = list(built)
+    assert len(one_build) == 1 + 7  # mvw and its seven subcommands
+    built.clear()
+    cli.build_parser.cache_clear()
+    calls = _parser_calls(tmp_path)
+    for argv in calls[:20]:
+        _outcome(capsys, argv)
+    assert built == one_build
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter, so the import is the first one
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import mvwrig.cli\n"
+        "print(len(built))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

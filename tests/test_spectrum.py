@@ -330,10 +330,21 @@ def reference_union_law(rig, base):
                 return f"V({a}) and V({b}) break the union law"
 
 
+# selected by the prime ideals, not by ``spec``, so a defect in ``spec``
+# fails the tests below instead of the collection of this file
 BASE_LAW_RIGS = [
     pytest.param(r, id=k) for k, r in ZOO.items()
-    if r.mul_table is not None and r.commutative and spectrum.spec(r).points
+    if r.mul_table is not None and r.commutative and ideals.prime_ideals(r)
 ] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)]
+
+
+def test_base_law_structures_are_the_commutative_zoo_with_points_and_the_ladder():
+    assert [p.id for p in BASE_LAW_RIGS] == [
+        "Z1xZ1", "G1", "G2", "G3", "G110", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6",
+        "G3xG2", "Z1^4", "Z2xZ3"]
+    for p in BASE_LAW_RIGS:
+        assert spectrum.spec(p.values[0]).points
+
 
 # a whole space per block, the default budget, and one row per block
 BLOCK_BUDGETS = [1 << 20, core._BLOCK_CELLS, 1]
