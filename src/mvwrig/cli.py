@@ -14,7 +14,9 @@ when a usage or help text is formatted) and parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 from . import builders, core, dsl, frames, ideals, spectrum, suites
@@ -59,6 +61,25 @@ def _load_one(path: str, check=True):
             "error", 1, 1,
             f"{path} defines {len(rigs)} algebras; this command needs exactly one"))
     return rigs[0]
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Refuse an unwritable output ``path`` (None: no output) before the
+    command loads anything, with the error a write would raise: the path
+    is opened to append, which changes no byte of a file already there.  A
+    file that opening created is removed again when the command fails."""
+    if path is None:
+        yield
+        return
+    fresh = not os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if fresh:
+            os.remove(path)
+        raise
 
 
 def _witness_names(rig, witness):
@@ -130,50 +151,52 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    rig = _load_one(args.file)
-    members = set(_parse_elements(rig, args.ideal))
-    ok, witness = ideals.is_ideal(rig, members)
-    if not ok:
-        clause, pair = witness
-        raise DslSyntaxError(dsl.ParseDiagnostic(
-            "error", 1, 1,
-            f"{ideals.format_subset(rig, members)} is not an ideal "
-            f"({clause} fails at {_witness_names(rig, pair)})"))
-    q = ideals.quotient(rig, ideals.Ideal(rig, frozenset(members)))
-    print(rig.describe())
-    print(f"quotient by {q.ideal.display()} has {q.rig.size} classes")
-    for c in q.rig.elements():
-        cls = sorted(x for x in rig.elements() if q.projection[x] == c)
-        print(f"  {q.rig.element_name(c)} = "
-              f"{ideals.format_subset(rig, cls)}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dsl.serialize(q))
-        print(f"wrote {args.output}")
-    return PASS
+    with _output(args.output):
+        rig = _load_one(args.file)
+        members = set(_parse_elements(rig, args.ideal))
+        ok, witness = ideals.is_ideal(rig, members)
+        if not ok:
+            clause, pair = witness
+            raise DslSyntaxError(dsl.ParseDiagnostic(
+                "error", 1, 1,
+                f"{ideals.format_subset(rig, members)} is not an ideal "
+                f"({clause} fails at {_witness_names(rig, pair)})"))
+        q = ideals.quotient(rig, ideals.Ideal(rig, frozenset(members)))
+        print(rig.describe())
+        print(f"quotient by {q.ideal.display()} has {q.rig.size} classes")
+        for c in q.rig.elements():
+            cls = sorted(x for x in rig.elements() if q.projection[x] == c)
+            print(f"  {q.rig.element_name(c)} = "
+                  f"{ideals.format_subset(rig, cls)}")
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(dsl.serialize(q))
+            print(f"wrote {args.output}")
+        return PASS
 
 
 def _cmd_spec(args) -> int:
-    rig = _load_one(args.file)
-    space = spectrum.spec(rig)
-    if args.json:
-        print(dsl.serialize(space), end="")
+    with _output(args.dot):
+        rig = _load_one(args.file)
+        space = spectrum.spec(rig)
+        if args.json:
+            print(dsl.serialize(space), end="")
+            return PASS
+        if args.dot is not None:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(spectrum.export_dot(space))
+            print(f"wrote {args.dot}")
+            return PASS
+        print(rig.describe())
+        for warning in space.warnings:
+            print(f"  warning: {warning}")
+        print(f"  {len(space.points)} prime ideal point(s)")
+        for i in range(len(space.points)):
+            print(f"    P{i} = {space.point_display(i)}")
+        print(f"  {len(space.opens)} open set(s)")
+        print(f"  T0: {'yes' if spectrum.is_t0(space) else 'no'}")
+        print(f"  irreducible: {'yes' if spectrum.is_irreducible(space) else 'no'}")
         return PASS
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(spectrum.export_dot(space))
-        print(f"wrote {args.dot}")
-        return PASS
-    print(rig.describe())
-    for warning in space.warnings:
-        print(f"  warning: {warning}")
-    print(f"  {len(space.points)} prime ideal point(s)")
-    for i in range(len(space.points)):
-        print(f"    P{i} = {space.point_display(i)}")
-    print(f"  {len(space.opens)} open set(s)")
-    print(f"  T0: {'yes' if spectrum.is_t0(space) else 'no'}")
-    print(f"  irreducible: {'yes' if spectrum.is_irreducible(space) else 'no'}")
-    return PASS
 
 
 def _cmd_filters(args) -> int:

@@ -36,7 +36,8 @@ goes in ``_blocks`` of whole index rows, and the copy is one block.
 
 The checks (:func:`check_mv`, :func:`check_mvw`, :func:`check_all`) return
 the scans' reports, counts and first witnesses alike, but prove a zero by
-two structure theorems where they apply, and scan only where they do not.
+the structure theorems below where they apply, and scan only where they do
+not.
 
 (1) MV axioms in O(n^2 log n).  Every finite MV-algebra is a product of
 finite Łukasiewicz chains L_m = {0, 1/m, .., 1} (Cignoli, D'Ottaviano and
@@ -90,6 +91,24 @@ product) clear (2), so does every row and column, and MVW-ii, MVW-iv and
 MVW-v all count 0.  When a generator fails either test, or G is the whole
 carrier and the test would be the scan itself, (2) runs on every row and
 associativity is scanned.  MVW-iii stays a linear scan.
+
+(4) MVW-ii, MVW-iv and MVW-v for a lattice product, given (1).  When the
+product is the meet or the join, all three are identities of every
+MV-algebra.  Both lattice operations are associative, commutative and
+monotone.  For a monotone f = a*_, MVW-iv gives MVW-v: b <= (b - c) + c,
+so f(b) <= f(b - c) + f(c), which by residuation reads
+f(b) - f(c) <= f(b - c).  MVW-iv for the join: a and b + c are both at
+most (a v b) + (a v c).  For the meet it is an equation, so it need
+only hold in a chain, since every MV-algebra is a subdirect product of
+chains (Chang): a ^ (b + c) is at most a, which is at most
+(a ^ b) + (a ^ c) when a <= b or a <= c, and at most b + c, which is that
+sum otherwise.  So a product equal to ``meet_table`` or ``join_table`` is
+proved at n^2 cells, before any generator is sought: on a chain every
+element is irreducible under either operation, and (3) would fall back
+to the scan.  Only MVW-iii is scanned; it holds for the meet and fails at
+every (a, 0) and (0, a), a != 0, for the join.  The identities need (1):
+an algebra whose MV axioms fail may break them with its own derived meet
+or join.
 """
 
 from __future__ import annotations
@@ -785,19 +804,24 @@ def _light_test(mul, gens) -> bool:
 
 def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
     """The product-axiom report of :func:`scan_mvw`.  On a structure with a
-    chain decomposition, associativity and the distributive laws are first
-    proved on a generating set of the product (paragraph (3) of the module
-    docstring); when that proof fails or the generating set is the whole
-    carrier, MVW-iv and MVW-v are scanned only on the rows a whose maps a*_
-    and _*a the row theorem does not clear, and associativity on every row
-    unless Light's test has proved it.  The cleared rows have no failures,
-    so the counts and witnesses are the exhaustive scan's."""
+    chain decomposition, a product equal to the meet or the join is an
+    MV-algebra identity away from MVW-ii, MVW-iv and MVW-v (paragraph (4)
+    of the module docstring), so only MVW-iii is scanned.  Any other
+    product has associativity and the distributive laws first proved on a
+    generating set (paragraph (3)); when that proof fails or the generating
+    set is the whole carrier, MVW-iv and MVW-v are scanned only on the rows
+    a whose maps a*_ and _*a the row theorem does not clear, and
+    associativity on every row unless Light's test has proved it.  The
+    cleared rows have no failures, so the counts and witnesses are the
+    exhaustive scan's."""
     if rig.mul_table is None:
         raise GateNotMet("structure has no product; nothing to check")
     dec = chain_decomposition(rig)
     if dec is None:
         return scan_mvw(rig)
     mul = rig.mul_table
+    if (mul == rig.meet_table).all() or (mul == rig.join_table).all():
+        return _mvw_report(rig, [], [])
 
     def cleared(rows):
         # one table of maps, so one pass finds the orthogonal pairs once

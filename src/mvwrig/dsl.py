@@ -701,21 +701,29 @@ _BUILDER_ARITY = {
 }
 
 
-def _run_builder(node, registry, span, check=True):
+def _run_builder(node, registry, span, check=True, built=None, proved=None):
     """The structure a builder call makes, checked when ``check`` is on
     (``sub`` needs no check: a closed subset inherits every law).
 
     An argument made by a nested call is built unchecked and checked
-    before this call builds on it; a product's factors are checked only
-    after its size cap has passed.
+    before this call builds on it, once per expression: ``built`` maps
+    each nested call to its structure (``BuilderExpr`` equality ignores
+    the span), and ``proved`` holds the structures known to pass, with
+    the named ones when ``check`` is on, since the file elaborated them
+    with the same flag.  A product's factors are checked only after its
+    size cap has passed, and a product of proved factors is proved by
+    them (``builders.direct_product``).
     """
+    if built is None:
+        built, proved = {}, set(registry.values()) if check else set()
     nested = []
 
     def resolve(arg):
         if isinstance(arg, BuilderExpr):
-            rig = _run_builder(arg, registry, span, check=False)
-            nested.append(rig)
-            return rig
+            if arg not in built:
+                built[arg] = _run_builder(arg, registry, span, False, built, proved)
+            nested.append(built[arg])
+            return built[arg]
         if isinstance(arg, NameRef):
             if arg.name not in registry:
                 _err(span[0], span[1], f"unknown algebra {arg.name!r}")
@@ -733,7 +741,9 @@ def _run_builder(node, registry, span, check=True):
 
     def check_nested():
         for arg in nested:
-            builders._checked(arg)
+            if arg not in proved:
+                builders._checked(arg)
+                proved.add(arg)
 
     # the builder's own argument checks and size caps point at its call
     line, col = node.span
@@ -743,7 +753,9 @@ def _run_builder(node, registry, span, check=True):
                 _err(span[0], span[1], "builder product takes at least two algebras")
             rig = builders.direct_product(args, check=False)
             check_nested()
-            return builders._checked(rig) if check else rig
+            if all(a in proved for a in args):
+                proved.add(rig)
+            return rig
         check_nested()
         if node.fn == "zn":
             want([int])

@@ -144,6 +144,51 @@ def test_bad_arguments_are_refused_before_the_load(capsys, argv, message):
     assert message in err and "No such file" not in err
 
 
+def _output_argvs(source, out):
+    return [["quotient", source, "--ideal", "0", "-o", out], ["spec", source, "--dot", out]]
+
+
+@pytest.mark.parametrize("where", ["missing/out", "", "."])
+def test_an_unwritable_output_is_refused_before_the_load(capsys, monkeypatch, tmp_path, where):
+    # a missing directory, the empty path and a directory: the error a write
+    # raises, before the input (which does not exist either) is read
+    monkeypatch.chdir(tmp_path)
+    calls = _counting(monkeypatch, cli, "_load_one")
+    for argv in _output_argvs("nosuch.mvw", where):
+        with pytest.raises(OSError) as expected:
+            open(where, "w", encoding="utf-8")
+        assert run(capsys, *argv) == (2, "", f"error: {expected.value}\n")
+    assert calls["_load_one"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_a_failing_run_leaves_no_new_output_behind(capsys, tmp_path):
+    # the quotient's ideal is no ideal, and M2(Z1) has no spectrum: the
+    # output is refused after it was opened
+    z3, m2z1 = str(algebra_path("z3.mvw")), str(algebra_path("boolmat2.mvw"))
+    out = tmp_path / "out"
+    for argv in (["quotient", z3, "--ideal", "0,1", "-o", str(out)],
+                 ["spec", m2z1, "--dot", str(out)]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and err.startswith("error: ")
+        assert not out.exists()
+        # a file that was there keeps its bytes
+        out.write_text("kept\n", encoding="utf-8")
+        assert run(capsys, *argv) == (code, stdout, err)
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        out.unlink()
+
+
+def test_an_output_that_was_there_is_replaced(capsys, tmp_path):
+    z1xz1 = str(algebra_path("z1xz1.mvw"))
+    out = tmp_path / "out"
+    for argv in _output_argvs(z1xz1, str(out)):
+        out.write_text("~" * 10000, encoding="utf-8")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and stdout.endswith(f"wrote {out}\n")
+        assert "~" not in out.read_text(encoding="utf-8")
+
+
 def test_verify_failure_exits_1(capsys, tmp_path):
     # associativity of the product is broken at (1,1,2): table passes the
     # MV axioms but the law suites must flag it
@@ -494,7 +539,9 @@ def test_nested_builder_arguments_are_checked(monkeypatch, tmp_path):
     assert [r.size for r in dsl.elaborate_file(text, check=False)] == [3, 9]
     assert calls["_checked"] == 2        # luk(3) and zn(2), not the results
     assert [r.size for r in dsl.elaborate_file(text)] == [3, 9]
-    assert calls["_checked"] == 6
+    # luk(3), then T itself, then zn(2); the product is proved by zn(2) and
+    # by T, which was checked when it was elaborated
+    assert calls["_checked"] == 5
 
 
 _ANALYZE_LARGE = {

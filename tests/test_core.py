@@ -638,15 +638,40 @@ CERTIFIED_BASES = {
     pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)] + [
     pytest.param(CERTIFIED_BASES[k](), id=k) for k in sorted(CERTIFIED_BASES)])
 def test_every_mvw_rig_is_certified_on_its_generators(rig, monkeypatch):
-    # nothing is scanned unless the generators are the whole carrier
+    # nothing is scanned unless the product is no lattice operation and the
+    # generators are the whole carrier
     gens = core._generators(rig.mul_table)
     calls = _mvw_reports(monkeypatch)
     assert core.check_mvw(rig).passed
-    if len(gens) < rig.size:
+    if _is_lattice_product(rig):
+        assert calls == [([], [])]
+    elif len(gens) < rig.size:
         assert core._light_test(rig.mul_table, gens)
         assert calls == [([], [])]
     else:
         assert calls == [([], list(range(rig.size)))]
+
+
+def _is_lattice_product(rig):
+    return any(np.array_equal(rig.mul_table, t) for t in (rig.meet_table, rig.join_table))
+
+
+@pytest.mark.parametrize("m", [1, 4, 15])
+def test_left_projection_takes_the_all_generators_fallback(m, monkeypatch):
+    # x*y = x is neither the meet nor the join, and no element is a product
+    # of two others, so the generators are the whole carrier: every row goes
+    # to the row theorem and clears, associativity is scanned on every row,
+    # and only the zero law fails
+    base = builders.build_zn(m)
+    n = base.size
+    rig = core.derive(base.neg_table, base.add_table, np.repeat(np.arange(n), n).reshape(n, n))
+    assert not _is_lattice_product(rig)
+    assert core._generators(rig.mul_table) == list(range(n))
+    calls = _mvw_reports(monkeypatch)
+    report = core.check_mvw(rig)
+    assert calls == [([], list(range(n)))]
+    assert report.failed_axioms() == ["MVW-iii"]
+    assert report.failures == core.scan_mvw(rig).failures
 
 
 def _one_cell_corruptions(base, count, rng):
