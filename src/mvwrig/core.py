@@ -11,6 +11,11 @@ else is derived:
     x v y      = add(monus(x, y), y)
     x ^ y      = neg(join(neg(x), neg(y)))
 
+A structure builds the monus and the order at construction, since its
+antisymmetry test reads them, and the strong product, the join, the meet
+and the product's flags on first read (:class:`FiniteMvwRig`): a command
+that never reads a table never builds it.
+
 The exhaustive axiom scans (:func:`scan_mv`, :func:`scan_mvw`) test every
 tuple and are the oracle for every other module.  Tables are int32 numpy
 arrays, and a scan over the triples (x, y, z) pays for cells, not calls:
@@ -105,10 +110,14 @@ chains (Chang): a ^ (b + c) is at most a, which is at most
 sum otherwise.  So a product equal to ``meet_table`` or ``join_table`` is
 proved at n^2 cells, before any generator is sought: on a chain every
 element is irreducible under either operation, and (3) would fall back
-to the scan.  Only MVW-iii is scanned; it holds for the meet and fails at
-every (a, 0) and (0, a), a != 0, for the join.  The identities need (1):
-an algebra whose MV axioms fail may break them with its own derived meet
-or join.
+to the scan.  Each compare waits for a row pre-test, which (1) makes
+exact: u ^ x = x and 0 v x = x, so the product can be the meet only when
+its row u is the identity, and the join only when its row 0 is.  So a
+Z_n product builds neither lattice table, and a chain with the bounded
+sum as its product builds only the join.  Only MVW-iii is scanned; it
+holds for the meet and fails at every (a, 0) and (0, a), a != 0, for the
+join.  The identities need (1): an algebra whose MV axioms fail may break
+them with its own derived meet or join.
 """
 
 from __future__ import annotations
@@ -158,8 +167,10 @@ class AxiomReport:
     failures: dict[str, tuple[int, list[tuple[int, ...]]]] = field(default_factory=dict)
 
     def record(self, axiom: str, witnesses) -> None:
-        ws = [tuple(int(v) for v in w) for w in witnesses]
-        self.failures[axiom] = (len(ws), ws[:MAX_WITNESSES])
+        """Keep the count of a sequence of witness tuples (a list, or an
+        array with one row each) and its first ``MAX_WITNESSES``, as ints."""
+        kept = [tuple(int(v) for v in w) for w in witnesses[:MAX_WITNESSES]]
+        self.failures[axiom] = (len(witnesses), kept)
 
     @property
     def passed(self) -> bool:
@@ -182,15 +193,44 @@ class AxiomReport:
         return merged
 
 
+class _derived:
+    """A derived table or flag of :class:`FiniteMvwRig`, built on its first
+    read by the decorated method and kept as a plain attribute of the same
+    name, which later reads find before this descriptor.  Unlike
+    ``functools.cached_property`` it never reads the instance ``__dict__``:
+    on CPython 3.11 that read makes every later attribute read of the
+    structure a dictionary lookup, about three times slower."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rig, owner=None):
+        if rig is None:
+            return self
+        value = self.build(rig)
+        setattr(rig, self.name, value)
+        return value
+
+
 class FiniteMvwRig:
     """A finite MV-algebra, optionally with a product, plus derived tables.
 
     Instances are immutable after construction and safe to share; use
     :func:`derive` to build one.  ``mul_table`` is None for product-free
-    (MV-only) structures.  Objects computed from the tables, such as the
-    ideals, the spectrum and the frame, are kept on the structure by
-    :func:`per_structure`; a shallow copy starts without them, and
-    :meth:`set_name` drops them, since some embed the name.
+    (MV-only) structures.  Construction builds ``monus_table`` and
+    ``leq_table``, which the antisymmetry test needs; ``times_table``,
+    ``join_table``, ``meet_table``, ``commutative``, ``unit`` and
+    ``product_below_meet`` are built on first read and kept, so a command
+    that never reads one never builds it (the last three are None without a
+    product).  Every table is read-only.  Objects computed from the
+    tables, such as the ideals, the spectrum and the frame, are kept on the
+    structure by :func:`per_structure`; a shallow copy starts without them,
+    and :meth:`set_name` drops them, since some embed the name.  A shallow
+    copy shares the derived tables built before it and builds the rest from
+    its own tables.
     """
 
     def __init__(self, carrier, neg_table, add_table, mul_table=None, name="A"):
@@ -204,11 +244,9 @@ class FiniteMvwRig:
         self.mul_table = None if mul_table is None else _as_table(mul_table, (n, n), n)
 
         neg, add = self.neg_table, self.add_table
-        idx = np.arange(n, dtype=np.int32)
         self.u = int(neg[0])
         # monus(x, y) = neg(add(neg(x), y)); rows of add gathered by neg.
         self.monus_table = _read_at(neg, add.take(neg, axis=0))
-        self.times_table = _read_at(neg, _grid(add, neg, neg))
         self.leq_table = self.monus_table == 0
 
         # x <= y <= x off the diagonal: counted first, located only when found
@@ -217,26 +255,49 @@ class FiniteMvwRig:
             x, y = (int(v) for v in np.argwhere(both & ~np.eye(n, dtype=bool))[0])
             raise OrderNotAntisymmetric(x, y)
 
-        self.join_table = _read_at(add, self.monus_table, idx)
-        self.meet_table = _read_at(neg, _grid(self.join_table, neg, neg))
-
         _read_only(self.neg_table, self.add_table, self.mul_table, self.monus_table,
-                   self.times_table, self.leq_table, self.join_table, self.meet_table)
+                   self.leq_table)
 
-        self.commutative = None
-        self.unit = None
-        self.product_below_meet = None
-        if self.mul_table is not None:
-            mul = self.mul_table
-            self.commutative = bool((mul == mul.T).all())
-            # s is unitary when its row and its column are the identity, so
-            # u.s = u; only those s are tried, and the first unitary one is
-            # the unit, since it is unique when it exists
-            for s in np.flatnonzero(mul[self.u] == self.u):
-                if (mul[s] == idx).all() and (mul[:, s] == idx).all():
-                    self.unit = int(s)
-                    break
-            self.product_below_meet = bool(_read_at(self.leq_table, mul, self.meet_table).all())
+    # -- derived on first read, kept, read-only ----------------------------
+
+    @_derived
+    def times_table(self):
+        neg = self.neg_table
+        return _read_only(_read_at(neg, _grid(self.add_table, neg, neg)))
+
+    @_derived
+    def join_table(self):
+        idx = np.arange(self.size, dtype=np.int32)
+        return _read_only(_read_at(self.add_table, self.monus_table, idx))
+
+    @_derived
+    def meet_table(self):
+        neg = self.neg_table
+        return _read_only(_read_at(neg, _grid(self.join_table, neg, neg)))
+
+    @_derived
+    def commutative(self):
+        mul = self.mul_table
+        return None if mul is None else bool((mul == mul.T).all())
+
+    @_derived
+    def unit(self):
+        mul = self.mul_table
+        if mul is None:
+            return None
+        # s is unitary when its row and its column are the identity, so
+        # u.s = u; only those s are tried, and the first unitary one is
+        # the unit, since it is unique when it exists
+        idx = np.arange(self.size)
+        for s in np.flatnonzero(mul[self.u] == self.u):
+            if (mul[s] == idx).all() and (mul[:, s] == idx).all():
+                return int(s)
+        return None
+
+    @_derived
+    def product_below_meet(self):
+        mul = self.mul_table
+        return None if mul is None else bool(_read_at(self.leq_table, mul, self.meet_table).all())
 
     # -- element-wise accessors ------------------------------------------
 
@@ -419,7 +480,8 @@ def _as_table(data, shape, size):
 
 
 def derive(neg, add, mul=None, names=None, name="A") -> FiniteMvwRig:
-    """Build a structure from raw tables, populating all derived tables.
+    """Build a structure from raw tables; the derived tables follow on first
+    read (:class:`FiniteMvwRig`).
 
     Raises OrderNotAntisymmetric when the truncated-difference relation
     fails antisymmetry (the input cannot be an MV-algebra; the witness
@@ -623,9 +685,9 @@ def scan_mv(rig: FiniteMvwRig) -> AxiomReport:
     # MV1: x + (y + z) = (x + y) + z
     report.failures["MV1"] = _scan_per_element(n, _associativity(add))
     report.record("MV2", np.argwhere(add != add.T))
-    report.record("MV3", [(int(x),) for x in np.flatnonzero(add[:, 0] != idx)])
-    report.record("MV4", [(int(x),) for x in np.flatnonzero(add[:, rig.u] != rig.u)])
-    report.record("MV5", [(int(x),) for x in np.flatnonzero(neg[neg] != idx)])
+    report.record("MV3", np.flatnonzero(add[:, 0] != idx)[:, None])
+    report.record("MV4", np.flatnonzero(add[:, rig.u] != rig.u)[:, None])
+    report.record("MV5", np.flatnonzero(neg[neg] != idx)[:, None])
     # MV6: neg(neg x + y) + y = neg(neg y + x) + x, which says the derived
     # join table is symmetric.
     join = rig.join_table
@@ -659,8 +721,11 @@ def _mvw_report(rig, distributive_rows, associativity_rows):
     report.failures["MVW-ii"] = (_scan_per_element(n, _associativity(mul), associativity_rows)
                                  if len(associativity_rows) else (0, []))
 
-    zero_bad = [(int(a), 0) for a in np.flatnonzero(mul[:, 0] != 0)]
-    zero_bad += [(0, int(a)) for a in np.flatnonzero(mul[0, :] != 0)]
+    # (a, 0) for each a with a.0 != 0, then (0, a) for each a with 0.a != 0
+    left, right = np.flatnonzero(mul[:, 0]), np.flatnonzero(mul[0])
+    zero_bad = np.zeros((len(left) + len(right), 2), dtype=np.intp)
+    zero_bad[:len(left), 0] = left
+    zero_bad[len(left):, 1] = right
     report.record("MVW-iii", zero_bad)
 
     report.failures["MVW-iv"], report.failures["MVW-v"] = \
@@ -820,7 +885,11 @@ def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
     if dec is None:
         return scan_mvw(rig)
     mul = rig.mul_table
-    if (mul == rig.meet_table).all() or (mul == rig.join_table).all():
+    # u ^ x = x and 0 v x = x: a product whose row u, or row 0, is not the
+    # identity is not that lattice operation, and builds no lattice table
+    idx = np.arange(rig.size)
+    if ((mul[rig.u] == idx).all() and (mul == rig.meet_table).all()) or \
+            ((mul[0] == idx).all() and (mul == rig.join_table).all()):
         return _mvw_report(rig, [], [])
 
     def cleared(rows):

@@ -620,7 +620,8 @@ def _combine(op, parts):
     den = math.lcm(*(d for _, d, _ in parts))
     scaled_bounds = [b * (den // d) for _, d, b in parts]
     bound = sum(scaled_bounds) if op in ("+", "-") else max(scaled_bounds)
-    a, b, *rest = (_exact(nums, bound) * (den // d) for nums, d, _ in parts)
+    a, b, *rest = (_exact(nums, bound) if d == den else _exact(nums, bound) * (den // d)
+                   for nums, d, _ in parts)
     if op in ("+", "-"):
         return (a + b if op == "+" else a - b), den, bound
     fold = np.minimum if op == "min" else np.maximum
@@ -637,7 +638,10 @@ def _carrier_index(nums, den, bound, scaled, scale):
 
     ``nums/den`` is an element ``s/scale`` iff ``den' | nums`` and
     ``(nums/den')·scale' = s``, where ``g = gcd(den, scale)``,
-    ``den' = den/g`` and ``scale' = scale/g``.
+    ``den' = den/g`` and ``scale' = scale/g``.  Where the scaled carrier is
+    consecutive integers, as for every range ``lo..hi`` and evenly spaced
+    list such as ``[0, 1/2, 1]``, the index of s is s minus the least
+    element; an uneven list, or values past int64, are searched.
     """
     g = math.gcd(den, scale)
     step, grow = den // g, scale // g
@@ -647,11 +651,17 @@ def _carrier_index(nums, den, bound, scaled, scale):
     cand = _exact(nums // step if step > 1 else nums, bound * grow)
     if grow > 1:
         cand = cand * grow
-    if cand.dtype == object or scaled.dtype == object:
-        scaled, cand = scaled.astype(object), cand.astype(object)
-    pos = np.searchsorted(scaled, cand)
-    np.minimum(pos, len(scaled) - 1, out=pos)
-    hit = scaled[pos] == cand
+    n = len(scaled)
+    objects = cand.dtype == object or scaled.dtype == object
+    if not objects and scaled[-1] - scaled[0] == n - 1:
+        pos = cand - scaled[0]
+        hit = (pos >= 0) & (pos < n)
+    else:
+        if objects:
+            scaled, cand = scaled.astype(object), cand.astype(object)
+        pos = np.searchsorted(scaled, cand)
+        np.minimum(pos, n - 1, out=pos)
+        hit = scaled[pos] == cand
     if step > 1:
         hit &= nums % step == 0
     return pos, hit
@@ -804,7 +814,9 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
         _err(line, col, "missing 'zero' declaration")
 
     if isinstance(source.carrier, RangeCarrier):
-        declared = [Fraction(v) for v in range(source.carrier.lo, source.carrier.hi + 1)]
+        # Python ints, which compare and hash equal to the Fractions of
+        # numeric atoms
+        declared = list(range(source.carrier.lo, source.carrier.hi + 1))
         named = False
     else:
         atoms = source.carrier.atoms

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvwrig import builders, ideals
+from mvwrig import builders, core, ideals
 
 ALGEBRAS_DIR = Path(__file__).resolve().parent.parent / "algebras"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -48,6 +48,29 @@ LADDER = {
 @pytest.fixture(scope="session")
 def zoo():
     return ZOO
+
+
+#: The attributes of ``core.FiniteMvwRig`` built on first read.
+LAZY = ("times_table", "join_table", "meet_table", "commutative", "unit", "product_below_meet")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The names of the lazily built attributes, one entry per build on any
+    structure, while the test runs: each ``core._derived`` attribute of
+    ``core.FiniteMvwRig`` is wrapped in a counting one of the same name."""
+    built = []
+    for name in LAZY:
+        lazy = vars(core.FiniteMvwRig)[name]
+        assert isinstance(lazy, core._derived), name
+
+        def counted(rig, build=lazy.build, name=name):
+            built.append(name)
+            return build(rig)
+        wrapped = core._derived(counted)
+        wrapped.__set_name__(core.FiniteMvwRig, name)
+        monkeypatch.setattr(core.FiniteMvwRig, name, wrapped)
+    return built
 
 
 def zoo_items(predicate=None):

@@ -7,16 +7,18 @@ bounds-checked accessors.  The per-element axiom scans and law checks,
 one element or one pair at a time, are references for the blocked kernels
 in ``core`` and ``suites``.  The broadcast-indexing reads of ``core``,
 ``ideals`` and ``frames`` are references for their ``take`` gathers, the
-map-by-map row certificate for ``core._certified_rows``, and the
-cell-by-cell builders for the digit gathers of ``builders``.
+map-by-map row certificate for ``core._certified_rows``, the
+cell-by-cell builders for the digit gathers of ``builders``, and the binary
+search of every formula cell for ``dsl._carrier_index``.
 """
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from mvwrig import core
+from mvwrig import core, dsl
 
 
 class Rows(NamedTuple):
@@ -549,3 +551,22 @@ def matrix_rig(base, n):
     mul = [[index[mat_mul(e, f)] for f in elems] for e in elems]
     names = tuple(mat_name(e) for e in elems)
     return neg, add, mul, names, f"M{n}({base.name})"
+
+
+def carrier_index(nums, den, bound, scaled, scale):
+    """The earlier ``dsl._carrier_index``: every value ``nums / den`` is
+    searched in the sorted scaled carrier, for ranges too."""
+    g = math.gcd(den, scale)
+    step, grow = den // g, scale // g
+    nums = dsl._exact(nums, max(bound, step))
+    cand = dsl._exact(nums // step if step > 1 else nums, bound * grow)
+    if grow > 1:
+        cand = cand * grow
+    if cand.dtype == object or scaled.dtype == object:
+        scaled, cand = scaled.astype(object), cand.astype(object)
+    pos = np.searchsorted(scaled, cand)
+    np.minimum(pos, len(scaled) - 1, out=pos)
+    hit = scaled[pos] == cand
+    if step > 1:
+        hit &= nums % step == 0
+    return pos, hit

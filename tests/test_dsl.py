@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from mvwrig.errors import (
     SizeBound,
 )
 
+import scalar_oracles as oracle
 from conftest import ZOO, algebra_path, golden_path
 
 SHIPPED_SOURCES = [
@@ -539,3 +541,94 @@ def _rename_y(node):
     if isinstance(node, dsl.MinMax):
         return dsl.MinMax(node.fn, tuple(_rename_y(a) for a in node.args))
     return node
+
+
+# -- the carrier index against the binary search ------------------------------------
+
+#: carriers as (values, written as a range): ranges from 0, from 5 and past
+#: int64, evenly spaced fraction lists (consecutive once scaled), and lists
+#: that are not: uneven, spaced by 2, and past int64
+INDEX_CARRIERS = [
+    ([Fraction(v) for v in range(13)], True),
+    ([Fraction(v) for v in range(5, 21)], True),
+    ([Fraction(v) for v in range(2 ** 63 - 8, 2 ** 63 + 3)], True),
+    ([Fraction(k, 3) for k in range(4)], False),
+    ([Fraction(k, 2) for k in range(5)], False),
+    ([Fraction(0), Fraction(1, 6), Fraction(1, 2), Fraction(2, 3), Fraction(1)], False),
+    ([Fraction(k) for k in range(0, 8, 2)], False),
+    ([Fraction(k * 10 ** 22) for k in range(3)], False),
+]
+
+#: binary formulas over the carrier's ends {lo} and {hi} and a constant {c}:
+#: closed ones, and ones that escape below, above or between the elements
+INDEX_FORMULAS = (
+    "min({hi}, x + y - {lo})", "max({lo}, x + y - {hi})", "x + y", "x - y", "min(x, y)",
+    "max(x, y) * 1/2", "x * y", "min({hi}, max({lo}, x * y * {c}))", "min({hi}, x + {c})",
+    "{hi} + {lo} - y", "x * 2 - y", "max({lo}, min({hi}, x * {c} - y))",
+)
+INDEX_CONSTANTS = ("1/2", "2", "1/3", "3/2", "7", "10000000000000000000")
+
+
+def _index_file(values, as_range, add, mul):
+    lo, hi = values[0], values[-1]
+    elements = f"{lo}..{hi}" if as_range else "[" + ", ".join(map(str, values)) + "]"
+    neg = ", ".join(map(str, reversed(values)))
+    return (f"algebra I {{\n  elements: {elements}\n  zero: {lo}\n  neg: [{neg}]\n"
+            f"  add(x, y) = {add}\n  mul(x, y) = {mul}\n}}\n")
+
+
+def _index_outcome(text, index, monkeypatch):
+    """The add and mul tables a load builds with ``index`` as its carrier
+    index, or the text of its first ClosureViolation."""
+    monkeypatch.setattr(dsl, "_carrier_index", index)
+    monkeypatch.setattr(core, "derive", lambda neg, add, mul, **_: (add.tolist(), mul.tolist()))
+    try:
+        [tables] = dsl.elaborate_file(text, check=False)
+    except ClosureViolation as exc:
+        return str(exc)
+    return tables
+
+
+_SUBTRACTION = dsl._carrier_index
+
+#: a carrier, its add and mul formulas, and the first escape, None when both close
+INDEX_CASES = [
+    (1, "min(20, x + y - 5)", "max(5, x + y - 20)", None),
+    (1, "x - y", "x", "add(5, 5) = 0 is not in the carrier"),
+    (1, "x + y", "x", "add(5, 16) = 21 is not in the carrier"),
+    (0, "max(x, y) * 1/2", "x", "add(0, 1) = 1/2 is not in the carrier"),
+    (0, "max(0, x + y - 12)", "x + y + 1", "mul(0, 12) = 13 is not in the carrier"),
+    (4, "min(2, x + y)", "max(x, y) * 1/2", "mul(0, 1/2) = 1/4 is not in the carrier"),
+    (4, "min(2, x + y)", "max(0, x + y - 2)", None),
+    (5, "max(x, y)", "x * y", "mul(1/6, 1/6) = 1/36 is not in the carrier"),
+    (2, "min(9223372036854775810, x + y - 9223372036854775800)", "max(x, y)", None),
+    (2, "x + y - 9223372036854775801", "x",
+     "add(9223372036854775800, 9223372036854775800) = 9223372036854775799 "
+     "is not in the carrier"),
+    (7, "max(x, y)", "x * 1/2", "mul(10000000000000000000000, 0) = "
+     "5000000000000000000000 is not in the carrier"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(INDEX_CASES)))
+def test_the_carrier_index_locates_each_cell_or_the_first_escape(case, monkeypatch):
+    carrier, add, mul, escape = INDEX_CASES[case]
+    text = _index_file(*INDEX_CARRIERS[carrier], add, mul)
+    got = _index_outcome(text, _SUBTRACTION, monkeypatch)
+    assert got == _index_outcome(text, oracle.carrier_index, monkeypatch)
+    assert (got if isinstance(got, str) else None) == escape
+
+
+def test_the_carrier_index_matches_the_binary_search_on_seeded_files(monkeypatch):
+    escapes = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        values, as_range = rng.choice(INDEX_CARRIERS)
+        add, mul = (rng.choice(INDEX_FORMULAS).format(lo=values[0], hi=values[-1],
+                                                      c=rng.choice(INDEX_CONSTANTS))
+                    for _ in range(2))
+        text = _index_file(values, as_range, add, mul)
+        got = _index_outcome(text, _SUBTRACTION, monkeypatch)
+        assert got == _index_outcome(text, oracle.carrier_index, monkeypatch), text
+        escapes += isinstance(got, str)
+    assert 50 < escapes < 250

@@ -2,14 +2,16 @@
 
 A product equal to the meet or the join (``core`` docstring, paragraph
 (4)) gets the report of ``core.scan_mvw``, counts and witnesses alike, and
-so does every structure one cell away from one.  A direct product is
+so does every structure one cell away from one, whether the cell breaks
+the identity row that ``check_mvw`` tests before it compares the whole
+table (row u for the meet, row 0 for the join) or lies elsewhere.  A direct product is
 proved by its checked factors (``builders`` docstring): it passes when
 they do, and a failing factor fails with the same text as a check of the
 whole product."""
 
 import contextlib
-import functools
 import io
+import random
 
 import numpy as np
 import pytest
@@ -68,29 +70,71 @@ def test_min_and_max_chains_match_the_scan(op, monkeypatch):
     assert calls[::2] == [([], [])] * 41
 
 
-@functools.cache
 def _corruptions(op, m):
-    """Every structure one product cell away from the chain."""
+    """Every structure one product cell away from the chain, with the row
+    of its cell."""
     base = _chain(m, op)
     n = base.size
-    out = []
     for x in range(n):
         for y in range(n):
             for v in range(n):
                 if v != base.mul_table[x, y]:
                     mul = base.mul_table.copy()
                     mul[x, y] = v
-                    out.append(_with_product(base, mul, f"{op}{m}[{x},{y}]={v}"))
-    return out
+                    yield x, _with_product(base, mul, f"{op}{m}[{x},{y}]={v}")
+
+
+def _lattice_compares(rig, table_builds):
+    """The report of ``check_mvw``, checked against the scan, and the
+    lattice tables it compared the product with: the row pre-test lets
+    through the meet when row u is the identity and the join when row 0 is,
+    and only those compares build the tables."""
+    table_builds.clear()
+    report = core.check_mvw(rig)
+    compared = {"join_table", "meet_table"} & set(table_builds)
+    assert report.failures == core.scan_mvw(rig).failures, rig.name
+    return report, compared
 
 
 @pytest.mark.parametrize("op, m", [("min", 4), ("max", 4), ("min", 7), ("max", 7)])
-def test_every_one_cell_corruption_of_a_chain_matches_the_scan(op, m):
-    rigs = _corruptions(op, m)
-    assert len(rigs) == (m + 1) ** 2 * m
-    failing = sum(not _matches_the_scan(rig).passed for rig in rigs)
+def test_every_one_cell_corruption_of_a_chain_matches_the_scan(op, m, table_builds):
+    # row u of min and row 0 of max are the identity, and no other row is:
+    # a cell off that row keeps the pre-test passing, and the full compare
+    # must refuse the product
+    identity_row = m if op == "min" else 0
+    compared_tables = {"join_table", "meet_table"} if op == "min" else {"join_table"}
+    failing = compared = total = 0
+    for x, rig in _corruptions(op, m):
+        report, tables = _lattice_compares(rig, table_builds)
+        assert tables == (compared_tables if x != identity_row else set()), rig.name
+        failing += not report.passed
+        compared += bool(tables)
+        total += 1
+    assert total == (m + 1) ** 2 * m
+    assert compared == m * (m + 1) * m
     # a corruption still passes only where it keeps the product an MVW-rig
-    assert failing > len(rigs) // 2
+    assert failing > total // 2
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTS))
+@pytest.mark.parametrize("table", ["meet_table", "join_table"])
+def test_a_lattice_product_changed_off_its_identity_row_is_refused(name, table, table_builds):
+    # the pre-test passes, since row u of the meet and row 0 of the join
+    # are the identity and stay so, and the full compare must refuse
+    base = REDUCTS[name]()
+    n = base.size
+    lattice = getattr(base, table)
+    identity_row = base.u if table == "meet_table" else 0
+    rows = [x for x in range(n) if x != identity_row]
+    rng = random.Random(f"{name}/{table}")
+    for _ in range(8 if rows else 0):
+        x, y = rng.choice(rows), rng.randrange(n)
+        mul = lattice.copy()
+        mul[x, y] = rng.choice([v for v in range(n) if v != lattice[x, y]])
+        rig = _with_product(base, mul, f"{name}/{table}[{x},{y}]={mul[x, y]}")
+        assert (mul[identity_row] == np.arange(n)).all()
+        _report, tables = _lattice_compares(rig, table_builds)
+        assert table in tables, rig.name
 
 
 @pytest.mark.parametrize("table", ["meet_table", "join_table"])
