@@ -280,19 +280,11 @@ def build_trivial() -> FiniteMvwRig:
 
 def subalgebra_closure(rig: FiniteMvwRig, seed):
     """Least subset containing the seed and 0, closed under all operations,
-    returned as a structure with its inclusion into the parent."""
-    members = {0} | {rig._check(a) for a in seed}
-    while True:
-        fresh = set()
-        for a in members:
-            fresh.add(rig.neg(a))
-            for b in members:
-                fresh.add(rig.add(a, b))
-                if rig.mul_table is not None:
-                    fresh.add(rig.mul(a, b))
-                    fresh.add(rig.mul(b, a))
-        if fresh <= members:
-            break
-        members |= fresh
-    sub, embedding = core.restrict(rig, members)
+    returned as a structure with its inclusion into the parent.  The
+    closure is one frontier walk (``core._close``) under the negation, the
+    sum and, when present, the product."""
+    fresh = [0] + [rig._check(a) for a in seed]
+    ops = (rig.add_table,) if rig.mul_table is None else (rig.add_table, rig.mul_table)
+    members = core._close(np.zeros(rig.size, dtype=bool), fresh, (rig.neg_table,), ops)
+    sub, embedding = core.restrict(rig, np.flatnonzero(members).tolist())
     return sub.set_name(f"{rig.name}|sub"), embedding

@@ -54,8 +54,8 @@ def _load_all(path: str, check=True):
     return dsl.elaborate_file(_read(path), check=check)
 
 
-def _load_one(path: str, check=True):
-    rigs = _load_all(path, check=check)
+def _load_one(path: str):
+    rigs = _load_all(path)
     if len(rigs) != 1:
         raise DslSyntaxError(dsl.ParseDiagnostic(
             "error", 1, 1,

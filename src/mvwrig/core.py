@@ -798,7 +798,8 @@ def _certified_rows(rig, dec, maps):
     flat_add = rig.add_table.ravel()
     not_leq = ~rig.leq_table.ravel()
     steps = [rig.add_table[:, e] for e in dec.atoms]
-    b, c = np.nonzero(np.triu(rig.times_table == 0))
+    # b (.) c = 0 iff b <= neg c, so the pairs need no ``times_table``
+    b, c = np.nonzero(np.triu(rig.leq_table.take(rig.neg_table, axis=1)))
     b_plus_c = flat_add.take(b * n + c)
     ok = np.empty(len(maps), dtype=bool)
     for group in _blocks(len(maps), n):
@@ -822,37 +823,48 @@ def _certified_rows(rig, dec, maps):
     return ok
 
 
+def _close(members, fresh, maps, ops):
+    """Grow the boolean mask ``members``, closed under each unary table of
+    ``maps`` and each binary table of ``ops``, in place into the least
+    superset that also holds the elements ``fresh`` (an index array).
+
+    The closure grows one frontier at a time: a round gathers the images
+    of the new members, and each operation at new x members and at members
+    x new, so every pair is read in the round its later element joins."""
+    frontier = np.asarray(fresh, dtype=np.intp)
+    while frontier.size:
+        members[frontier] = True
+        inside = np.flatnonzero(members)
+        grown = np.zeros(len(members), dtype=bool)
+        for f in maps:
+            grown[f.take(frontier)] = True
+        for op in ops:
+            grown[_grid(op, frontier, inside)] = True
+            grown[_grid(op, inside, frontier)] = True
+        grown &= ~members
+        frontier = np.flatnonzero(grown)
+    return members
+
+
 def _generators(mul) -> list[int]:
     """A set that generates the carrier under the product: the irreducible
     elements z, those that are no product x*y with x != z and y != z, in
-    ascending order, then, while their closure falls short of the carrier,
-    its least missing element.
+    ascending order, then, while their closure (:func:`_close`) falls short
+    of the carrier, its least missing element.
 
     Every generating set holds the irreducibles: a shortest way of writing a
     non-generator z as a product of generators splits as z = x*y with both
-    sides shorter, so neither side is z.  The closure grows one frontier at
-    a time, gathering frontier x members and members x frontier."""
+    sides shorter, so neither side is z."""
     n = len(mul)
     idx = np.arange(n, dtype=np.int32)
     reducible = np.zeros(n, dtype=bool)
     reducible[mul[(mul != idx[:, None]) & (mul != idx)]] = True
     gens = np.flatnonzero(~reducible).tolist()
-    members = np.zeros(n, dtype=bool)
-    frontier = np.array(gens, dtype=np.intp)
-    while True:
-        members[frontier] = True
-        inside = np.flatnonzero(members)
-        grown = np.zeros(n, dtype=bool)
-        grown[_grid(mul, frontier, inside)] = True
-        grown[_grid(mul, inside, frontier)] = True
-        grown &= ~members
-        frontier = np.flatnonzero(grown)
-        if not frontier.size:
-            missing = np.flatnonzero(~members)
-            if not missing.size:
-                return gens
-            frontier = missing[:1]
-            gens.append(int(missing[0]))
+    members = _close(np.zeros(n, dtype=bool), gens, (), (mul,))
+    while not members.all():
+        gens.append(int(np.argmin(members)))
+        _close(members, gens[-1:], (), (mul,))
+    return gens
 
 
 def _light_test(mul, gens) -> bool:

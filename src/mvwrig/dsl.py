@@ -54,14 +54,13 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    witness: tuple = ()
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-def _err(line, column, message, witness=()):
-    raise DslSyntaxError(ParseDiagnostic("error", line, column, message, witness))
+def _err(line, column, message):
+    raise DslSyntaxError(ParseDiagnostic("error", line, column, message))
 
 
 def _rational(tok) -> Fraction:
@@ -281,6 +280,15 @@ class _Parser:
     def at(self, value):
         return self.peek().value == value
 
+    def items(self, parse_item, close):
+        """item ("," item)* close, the opening token already read."""
+        items = [parse_item()]
+        while self.at(","):
+            self.advance()
+            items.append(parse_item())
+        self.expect(value=close, expected=[repr(close)])
+        return items
+
     def enter(self, tok):
         """Open one more level at ``tok``; the caller leaves it when it
         closes the level."""
@@ -332,18 +340,14 @@ class _Parser:
         if tok.kind == "INT":
             lo = int(self.advance().value)
             self.expect(value="..", expected=["'..'"])
-            hi = int(self.expect(kind="INT", expected=["an integer"]).value)
+            hi = self.parse_int()
             if hi < lo:
                 _err(tok.line, tok.column, f"empty range {lo}..{hi}")
             carrier = RangeCarrier(lo, hi)
             size = hi - lo + 1
         elif tok.value == "[":
             self.advance()
-            atoms = [self.parse_atom()]
-            while self.at(","):
-                self.advance()
-                atoms.append(self.parse_atom())
-            self.expect(value="]", expected=["']'"])
+            atoms = self.items(self.parse_atom, "]")
             carrier = ListCarrier(tuple(atoms))
             size = len(atoms)
         else:
@@ -385,29 +389,14 @@ class _Parser:
         self.fail(["'('", "':'"])
 
     def parse_tablelit(self):
-        open_tok = self.expect(value="[", expected=["'['"])
+        self.expect(value="[", expected=["'['"])
         if self.at("["):
-            rows = [self.parse_table_row()]
-            while self.at(","):
-                self.advance()
-                rows.append(self.parse_table_row())
-            self.expect(value="]", expected=["']'"])
-            return TableOp(tuple(rows), nested=True)
-        atoms = [self.parse_atom()]
-        while self.at(","):
-            self.advance()
-            atoms.append(self.parse_atom())
-        self.expect(value="]", expected=["']'"])
-        return TableOp(tuple(atoms), nested=False)
+            return TableOp(tuple(self.items(self.parse_table_row, "]")), nested=True)
+        return TableOp(tuple(self.items(self.parse_atom, "]")), nested=False)
 
     def parse_table_row(self):
         self.expect(value="[", expected=["'['"])
-        atoms = [self.parse_atom()]
-        while self.at(","):
-            self.advance()
-            atoms.append(self.parse_atom())
-        self.expect(value="]", expected=["']'"])
-        return tuple(atoms)
+        return tuple(self.items(self.parse_atom, "]"))
 
     # expr := term (("+"|"-") term)*    term := factor ("*" factor)*
     def parse_expr(self):
@@ -437,11 +426,7 @@ class _Parser:
             self.enter(tok)
             fn = self.advance().value
             self.expect(value="(", expected=["'('"])
-            args = [self.parse_expr()]
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr())
-            self.expect(value=")", expected=["')'"])
+            args = self.items(self.parse_expr, ")")
             self.depth -= 1
             if len(args) < 2:
                 _err(tok.line, tok.column, f"{fn} needs at least two arguments")
@@ -460,13 +445,12 @@ class _Parser:
         head = self.expect(kind="IDENT", expected=["a builder name"])
         self.enter(head)
         self.expect(value="(", expected=["'('"])
-        args = [self.parse_builderarg()]
-        while self.at(","):
-            self.advance()
-            args.append(self.parse_builderarg())
-        self.expect(value=")", expected=["')'"])
+        args = self.items(self.parse_builderarg, ")")
         self.depth -= 1
         return BuilderExpr(head.value, tuple(args), span=(head.line, head.column))
+
+    def parse_int(self):
+        return int(self.expect(kind="INT", expected=["an integer"]).value)
 
     def parse_builderarg(self):
         tok = self.peek()
@@ -474,12 +458,7 @@ class _Parser:
             return int(self.advance().value)
         if tok.value == "[":
             self.advance()
-            vals = [int(self.expect(kind="INT", expected=["an integer"]).value)]
-            while self.at(","):
-                self.advance()
-                vals.append(int(self.expect(kind="INT", expected=["an integer"]).value))
-            self.expect(value="]", expected=["']'"])
-            return VectorArg(tuple(vals))
+            return VectorArg(tuple(self.items(self.parse_int, "]")))
         if tok.kind == "IDENT":
             name = self.advance().value
             if self.at("("):
@@ -705,9 +684,20 @@ def _formula_table(opname, formula, values):
     return out
 
 
-_BUILDER_ARITY = {
-    "zn": "n", "luk": "n", "trivial": "algebra", "matrix": "algebra, n",
-    "product": "algebras", "gamma": "k, unit vector", "sub": "algebra, elements",
+#: each builder but ``product`` (any number of algebras): the kinds of its
+#: arguments, their text in the arity error, and its call, which looks the
+#: builder up in ``builders`` when it runs
+_BUILDERS = {
+    "zn": ([int], "n", lambda n, check: builders.build_zn(n, check=check)),
+    "luk": ([int], "n", lambda n, check: builders.build_luk_mv(n, check=check)),
+    "trivial": ([FiniteMvwRig], "algebra",
+                lambda rig, check: builders.lift_trivial_product(rig, check=check)),
+    "matrix": ([FiniteMvwRig, int], "algebra, n",
+               lambda rig, n, check: builders.build_matrix_rig(rig, n, check=check)),
+    "gamma": ([int, tuple], "k, unit vector",
+              lambda k, u, check: builders.gamma_zk(k, u, check=check)),
+    "sub": ([FiniteMvwRig, tuple], "algebra, elements",
+            lambda rig, elements, check: builders.subalgebra_closure(rig, set(elements))[0]),
 }
 
 
@@ -744,11 +734,6 @@ def _run_builder(node, registry, span, check=True, built=None, proved=None):
 
     args = [resolve(a) for a in node.args]
 
-    def want(kinds):
-        if len(args) != len(kinds) or not all(isinstance(a, k) for a, k in zip(args, kinds)):
-            _err(span[0], span[1],
-                 f"builder {node.fn} takes ({_BUILDER_ARITY[node.fn]})")
-
     def check_nested():
         for arg in nested:
             if arg not in proved:
@@ -767,25 +752,11 @@ def _run_builder(node, registry, span, check=True, built=None, proved=None):
                 proved.add(rig)
             return rig
         check_nested()
-        if node.fn == "zn":
-            want([int])
-            return builders.build_zn(args[0], check=check)
-        if node.fn == "luk":
-            want([int])
-            return builders.build_luk_mv(args[0], check=check)
-        if node.fn == "trivial":
-            want([FiniteMvwRig])
-            return builders.lift_trivial_product(args[0], check=check)
-        if node.fn == "matrix":
-            want([FiniteMvwRig, int])
-            return builders.build_matrix_rig(args[0], args[1], check=check)
-        if node.fn == "gamma":
-            want([int, tuple])
-            return builders.gamma_zk(args[0], args[1], check=check)
-        if node.fn == "sub":
-            want([FiniteMvwRig, tuple])
-            sub, _embedding = builders.subalgebra_closure(args[0], set(args[1]))
-            return sub
+        if node.fn in _BUILDERS:
+            kinds, arity, build = _BUILDERS[node.fn]
+            if len(args) != len(kinds) or not all(isinstance(a, k) for a, k in zip(args, kinds)):
+                _err(span[0], span[1], f"builder {node.fn} takes ({arity})")
+            return build(*args, check=check)
     except (ValueError, IndexError, InvalidUnit) as exc:
         _err(line, col, str(exc))
     except SizeBound as exc:

@@ -474,14 +474,13 @@ class Homomorphism:
         return self.mapping[x]
 
 
-def check_homomorphism(f: Homomorphism, require_product=None):
+def check_homomorphism(f: Homomorphism):
     """Exact verification of the homomorphism clauses, one gather per
     operation: m[a.add] against b.add[m, m], and likewise for neg and mul.
 
     The witness is the first failure with x ascending, the negation clause
     at x before the sum clauses at (x, y) for ascending y.  The product
-    clause applies when both sides carry a product (or always, with
-    ``require_product=True``).
+    clause applies when both sides carry a product.
     """
     a, b, m = f.source, f.target, f.mapping
     if len(m) != a.size or any(not 0 <= v < b.size for v in m):
@@ -496,11 +495,7 @@ def check_homomorphism(f: Homomorphism, require_product=None):
     if pair is not None:
         x, y = pair
         return False, ("neg", (x,)) if y < 0 else ("add", (x, y))
-    if require_product is None:
-        require_product = a.mul_table is not None and b.mul_table is not None
-    if require_product:
-        if a.mul_table is None or b.mul_table is None:
-            return False, ("product-missing", ())
+    if _preserves_product(f):
         pair = _first_pair(m[a.mul_table] != core._grid(b.mul_table, m, m),
                            range(a.size), range(a.size))
         if pair is not None:
@@ -508,8 +503,8 @@ def check_homomorphism(f: Homomorphism, require_product=None):
     return True, None
 
 
-def verify_homomorphism(f: Homomorphism, require_product=None) -> Homomorphism:
-    ok, witness = check_homomorphism(f, require_product)
+def verify_homomorphism(f: Homomorphism) -> Homomorphism:
+    ok, witness = check_homomorphism(f)
     if not ok:
         raise NotAHomomorphism(*witness)
     return f
@@ -636,7 +631,7 @@ def chang_embedding(rig: FiniteMvwRig) -> ChangEmbedding:
         mapping = mapping * q.rig.size + np.asarray(q.projection)
     mapping = tuple(int(v) for v in mapping)
     emb = Homomorphism(rig, product, mapping)
-    ok, witness = check_homomorphism(emb, require_product=False)
+    ok, witness = check_homomorphism(emb)
     if not ok:
         raise MvwError(f"canonical map fails a clause: {witness}")
     if len(set(mapping)) != rig.size:

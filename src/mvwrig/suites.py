@@ -502,8 +502,7 @@ def _check_first_iso_natural(r):
             fi = ideals.first_iso(f)
         except MvwError as exc:
             return f"{ideal.display()}: {exc}"
-        ok, witness = ideals.check_homomorphism(
-            fi.iso, require_product=ideals._preserves_product(f) or None)
+        ok, witness = ideals.check_homomorphism(fi.iso)
         if not ok:
             return f"{ideal.display()}: induced map fails a clause: {witness}"
 

@@ -8,8 +8,9 @@ one element or one pair at a time, are references for the blocked kernels
 in ``core`` and ``suites``.  The broadcast-indexing reads of ``core``,
 ``ideals`` and ``frames`` are references for their ``take`` gathers, the
 map-by-map row certificate for ``core._certified_rows``, the
-cell-by-cell builders for the digit gathers of ``builders``, and the binary
-search of every formula cell for ``dsl._carrier_index``.
+cell-by-cell builders for the digit gathers of ``builders``, the binary
+search of every formula cell for ``dsl._carrier_index``, and the
+pair-by-pair closure for ``builders.subalgebra_closure``.
 """
 
 import itertools
@@ -447,7 +448,7 @@ def congruence_check(rig, class_of):
     return False, ("add" if k < 2 else "mul", (base, x, y) if k % 2 == 0 else (y, base, x))
 
 
-def check_homomorphism(source, target, mapping, require_product=None):
+def check_homomorphism(source, target, mapping):
     """The earlier ``ideals.check_homomorphism`` on a map given by its parts."""
     a, b, m = source, target, mapping
     if len(m) != a.size or any(not 0 <= v < b.size for v in m):
@@ -462,11 +463,7 @@ def check_homomorphism(source, target, mapping, require_product=None):
     if pair is not None:
         x, y = pair
         return False, ("neg", (x,)) if y < 0 else ("add", (x, y))
-    if require_product is None:
-        require_product = a.mul_table is not None and b.mul_table is not None
-    if require_product:
-        if a.mul_table is None or b.mul_table is None:
-            return False, ("product-missing", ())
+    if a.mul_table is not None and b.mul_table is not None:
         pair = _first_pair(m[a.mul_table] != b.mul_table[block], range(a.size), range(a.size))
         if pair is not None:
             return False, ("mul", pair)
@@ -570,3 +567,23 @@ def carrier_index(nums, den, bound, scaled, scale):
     if step > 1:
         hit &= nums % step == 0
     return pos, hit
+
+
+def subalgebra_closure(rig, seed):
+    """The earlier ``builders.subalgebra_closure``: every round reads every
+    pair of members through the accessors, until a round adds nothing."""
+    members = {0} | {rig._check(a) for a in seed}
+    while True:
+        fresh = set()
+        for a in members:
+            fresh.add(rig.neg(a))
+            for b in members:
+                fresh.add(rig.add(a, b))
+                if rig.mul_table is not None:
+                    fresh.add(rig.mul(a, b))
+                    fresh.add(rig.mul(b, a))
+        if fresh <= members:
+            break
+        members |= fresh
+    sub, embedding = core.restrict(rig, members)
+    return sub.set_name(f"{rig.name}|sub"), embedding

@@ -65,7 +65,7 @@ def test_zn_isomorphic_to_luk_chain():
         zn = builders.build_zn(n)
         luk = builders.build_luk_mv(n + 1)
         f = ideals.Homomorphism(zn, luk, tuple(range(zn.size)))
-        ok, witness = ideals.check_homomorphism(f, require_product=False)
+        ok, witness = ideals.check_homomorphism(f)
         assert ok, witness
         assert sorted(f.mapping) == list(range(luk.size))
 

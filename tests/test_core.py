@@ -601,16 +601,18 @@ def test_generators_generate_and_hold_every_irreducible(tables):
 
 
 def test_generators_complete_what_the_irreducibles_miss():
-    # M2(Z1) has one irreducible element; the rest of its generators are
-    # added one at a time, each the least element still missing
-    mul = ZOO["M2(Z1)"].mul_table
-    gens = core._generators(mul)
-    irreducible = sorted(_ref_irreducibles(mul))
-    assert gens[:len(irreducible)] == irreducible
-    for k in range(len(irreducible), len(gens)):
-        missing = set(range(len(mul))) - _ref_closure(mul, gens[:k])
-        assert gens[k] == min(missing)
-    assert len(gens) > len(irreducible)
+    # M2(Z1) and M2(Z2) have one irreducible element each; the rest of
+    # their generators, 5 and 10, are added one at a time, each the least
+    # element still missing
+    for mul, shortfall in ((ZOO["M2(Z1)"].mul_table, 5),
+                           (builders.build_matrix_rig(builders.build_zn(2), 2).mul_table, 10)):
+        gens = core._generators(mul)
+        irreducible = sorted(_ref_irreducibles(mul))
+        assert gens[:len(irreducible)] == irreducible
+        for k in range(len(irreducible), len(gens)):
+            missing = set(range(len(mul))) - _ref_closure(mul, gens[:k])
+            assert gens[k] == min(missing)
+        assert len(gens) == len(irreducible) + shortfall
 
 
 def _mvw_reports(monkeypatch):
