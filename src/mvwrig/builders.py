@@ -2,11 +2,15 @@
 
 Every builder pushes its output through the axiom checker instead of
 trusting the construction, and raises AxiomViolation with the first
-failing report, except that a product is proved by its checked factors:
-the MV and MVW axioms are equations (x <= y is x (-) y = 0), so they hold
-in a direct product iff they hold in every factor.  ``check=False`` leaves
-the result unchecked, for a caller that checks it itself (``mvw check``
-prints the report of its one scan).
+failing report.  The reports are kept on the structure (``core.check_mv``,
+``core.check_mvw``), and a direct product and a subalgebra inherit passing
+ones from their sources (``core.inherit_reports``): the MV and MVW axioms
+are equations (x <= y is x (-) y = 0), so they hold in a direct product of
+factors where they hold, and in a closed subset.  So the check of a
+product of lawful factors, or of a ``sub`` of a lawful parent, scans
+nothing.  ``check=False`` leaves the result unchecked, for a caller that
+checks it itself (``mvw check`` prints the kept reports, built once per
+structure).
 """
 
 from __future__ import annotations
@@ -61,20 +65,14 @@ def _check_size(what: str, size: int) -> None:
         raise SizeBound(f"{what} would have {size} elements (bound {bound})")
 
 
-def _failure(rig: FiniteMvwRig) -> core.AxiomReport | None:
-    """The first failing report of ``rig``, the MV axioms and then, with a
-    product, the product axioms; None when both pass."""
+def _checked(rig: FiniteMvwRig) -> FiniteMvwRig:
+    """``rig`` when it passes the MV axioms and, with a product, the product
+    axioms; else AxiomViolation with the first failing report.  Both are
+    the kept reports, so a structure is checked once."""
     report = core.check_mv(rig)
     if report.passed and rig.mul_table is not None:
         report = core.check_mvw(rig)
-    return None if report.passed else report
-
-
-def _checked(rig: FiniteMvwRig) -> FiniteMvwRig:
-    """``rig`` when it passes the MV axioms and, with a product, the product
-    axioms; else AxiomViolation with the first failing report."""
-    report = _failure(rig)
-    if report is not None:
+    if not report.passed:
         raise AxiomViolation(report, context=rig.name)
     return rig
 
@@ -218,10 +216,11 @@ def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
     The result carries a product only when every factor does.  The factors
     are folded in pairwise on the raw tables and names, the pair of the
     product so far with the next factor, and only the result is derived.
-    ``check`` checks each distinct factor once, after the size cap, and not
-    the product, which satisfies every axiom its factors do (module
-    docstring).  When a factor fails, so does the product, and the product
-    is checked for its own report, in its own elements.
+    After the size cap, the factors' reports are read, once per distinct
+    factor, and a product of passing factors inherits passing reports
+    (module docstring), so ``check`` scans nothing.  When a factor fails,
+    so does the product, and ``check`` checks the product for its own
+    report, in its own elements.
     """
     rigs = list(rigs)
     if not rigs:
@@ -234,10 +233,8 @@ def direct_product(rigs, check: bool = True) -> FiniteMvwRig:
             names = tuple(f"({x},{y})" for x in names for y in r.carrier.names)
             name = f"{name}x{r.name}"
         neg, add, mul = _product_tables([(r.neg_table, r.add_table, r.mul_table) for r in rigs])
-        acc = derive(neg, add, mul, names=names, name=name)
-    if check and any(_failure(r) is not None for r in dict.fromkeys(rigs)):
-        return _checked(acc)
-    return acc
+        acc = core.inherit_reports(derive(neg, add, mul, names=names, name=name), rigs)
+    return _checked(acc) if check else acc
 
 
 def gamma_zk(k: int, u, check: bool = True) -> FiniteMvwRig:
@@ -280,11 +277,13 @@ def build_trivial() -> FiniteMvwRig:
 
 def subalgebra_closure(rig: FiniteMvwRig, seed):
     """Least subset containing the seed and 0, closed under all operations,
-    returned as a structure with its inclusion into the parent.  The
-    closure is one frontier walk (``core._close``) under the negation, the
-    sum and, when present, the product."""
+    returned as a structure named ``<parent>|sub`` with its inclusion into
+    the parent.  The closure is one frontier walk (``core._close``) under
+    the negation, the sum and, when present, the product.  The parent's
+    reports are read, and the subalgebra of a passing parent inherits
+    passing ones (module docstring)."""
     fresh = [0] + [rig._check(a) for a in seed]
     ops = (rig.add_table,) if rig.mul_table is None else (rig.add_table, rig.mul_table)
     members = core._close(np.zeros(rig.size, dtype=bool), fresh, (rig.neg_table,), ops)
     sub, embedding = core.restrict(rig, np.flatnonzero(members).tolist())
-    return sub.set_name(f"{rig.name}|sub"), embedding
+    return core.inherit_reports(sub, [rig]), embedding

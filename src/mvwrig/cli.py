@@ -50,12 +50,8 @@ def _read(path: str) -> str:
                 f"{path} is not UTF-8 text: byte 0x{exc.object[at]:02x} at offset {at}"))) from None
 
 
-def _load_all(path: str, check=True):
-    return dsl.elaborate_file(_read(path), check=check)
-
-
 def _load_one(path: str):
-    rigs = _load_all(path)
+    rigs = dsl.elaborate_file(_read(path))
     if len(rigs) != 1:
         raise DslSyntaxError(dsl.ParseDiagnostic(
             "error", 1, 1,
@@ -104,7 +100,8 @@ def _parse_elements(rig, text: str):
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    rigs = _load_all(args.file, check=False)
+    # loaded unchecked, so that a failing structure is reported, not refused
+    rigs = dsl.elaborate_file(_read(args.file), check=False)
     worst = PASS
     for rig in rigs:
         print(rig.describe())

@@ -42,7 +42,12 @@ goes in ``_blocks`` of whole index rows, and the copy is one block.
 The checks (:func:`check_mv`, :func:`check_mvw`, :func:`check_all`) return
 the scans' reports, counts and first witnesses alike, but prove a zero by
 the structure theorems below where they apply, and scan only where they do
-not.
+not.  The two reports are kept on the structure (:func:`per_structure`), so
+every reader of a structure's verdict reads one report.  A direct product
+and a subalgebra are given theirs by :func:`inherit_reports`: every MV and
+product axiom is an equation (x <= y reads x (-) y = 0), so it holds in a
+direct product of structures where it holds, and in a subset closed under
+the operations of one.  The scans stay unkept: they are the oracle.
 
 (1) MV axioms in O(n^2 log n).  Every finite MV-algebra is a product of
 finite Łukasiewicz chains L_m = {0, 1/m, .., 1} (Cignoli, D'Ottaviano and
@@ -124,7 +129,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -154,43 +160,49 @@ class Carrier:
         return self.names[i]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of an exhaustive axiom scan.
+    """Outcome of an axiom check, immutable, so a structure can keep it.
 
-    ``failures`` maps each checked axiom to (count, sample witnesses); an
-    axiom passes iff its count is zero, and the report passes iff every
+    ``failures`` maps each checked axiom to (count, sample witnesses), the
+    witnesses a tuple of int tuples (:func:`_recorded`); it is read-only.
+    An axiom passes iff its count is zero, and the report passes iff every
     axiom does.
     """
 
     axioms: tuple[str, ...]
-    failures: dict[str, tuple[int, list[tuple[int, ...]]]] = field(default_factory=dict)
+    failures: MappingProxyType
 
-    def record(self, axiom: str, witnesses) -> None:
-        """Keep the count of a sequence of witness tuples (a list, or an
-        array with one row each) and its first ``MAX_WITNESSES``, as ints."""
-        kept = [tuple(int(v) for v in w) for w in witnesses[:MAX_WITNESSES]]
-        self.failures[axiom] = (len(witnesses), kept)
+    def __post_init__(self):
+        object.__setattr__(self, "failures", MappingProxyType(dict(self.failures)))
 
     @property
     def passed(self) -> bool:
         return all(count == 0 for count, _ in self.failures.values())
 
     def failed_axioms(self) -> list[str]:
-        return [a for a in self.axioms if self.failures.get(a, (0, []))[0] > 0]
+        return [a for a in self.axioms if self.failures.get(a, (0, ()))[0] > 0]
 
     def status(self, axiom: str) -> str:
-        count, _ = self.failures.get(axiom, (0, []))
+        count, _ = self.failures.get(axiom, (0, ()))
         return "PASS" if count == 0 else "FAIL"
 
     def witnesses(self, axiom: str) -> list[tuple[int, ...]]:
-        return self.failures.get(axiom, (0, []))[1]
+        return list(self.failures.get(axiom, (0, ()))[1])
 
     def merged_with(self, other: "AxiomReport") -> "AxiomReport":
-        merged = AxiomReport(axioms=self.axioms + other.axioms)
-        merged.failures.update(self.failures)
-        merged.failures.update(other.failures)
-        return merged
+        return AxiomReport(self.axioms + other.axioms, {**self.failures, **other.failures})
+
+
+def _recorded(witnesses):
+    """The count of a sequence of witness tuples (a list, or an array with
+    one row each) and its first ``MAX_WITNESSES``, as tuples of ints."""
+    return len(witnesses), tuple(tuple(int(v) for v in w) for w in witnesses[:MAX_WITNESSES])
+
+
+def _passing(axioms):
+    """A report in which every axiom of ``axioms`` passes."""
+    return AxiomReport(axioms, dict.fromkeys(axioms, (0, ())))
 
 
 class _derived:
@@ -226,11 +238,12 @@ class FiniteMvwRig:
     ``product_below_meet`` are built on first read and kept, so a command
     that never reads one never builds it (the last three are None without a
     product).  Every table is read-only.  Objects computed from the
-    tables, such as the ideals, the spectrum and the frame, are kept on the
-    structure by :func:`per_structure`; a shallow copy starts without them,
-    and :meth:`set_name` drops them, since some embed the name.  A shallow
-    copy shares the derived tables built before it and builds the rest from
-    its own tables.
+    tables, such as the axiom reports, the ideals, the spectrum and the
+    frame, are kept on the structure by :func:`per_structure`; a shallow
+    copy starts without them, since it may have a table swapped, and
+    :meth:`set_name` drops those that embed the name.  A shallow copy
+    shares the derived tables built before it and builds the rest from its
+    own tables.
     """
 
     def __init__(self, carrier, neg_table, add_table, mul_table=None, name="A"):
@@ -369,10 +382,13 @@ class FiniteMvwRig:
         return bool(ok)
 
     def set_name(self, name: str) -> "FiniteMvwRig":
-        """Rename the structure; the kept objects are dropped, since a
-        quotient's name and the spectrum's warnings embed the name."""
+        """Rename the structure.  The kept objects that embed the name are
+        dropped (the builds marked by :func:`reads_name`: the quotients, the
+        spectrum with its warnings and the MV-reduct); the axiom reports and
+        every other kept object read no name, and stay."""
         self.name = name
-        self._memo = {}
+        for key in [key for key in self._memo if key[0] in _READS_NAME]:
+            del self._memo[key]
         return self
 
     def __copy__(self):
@@ -391,11 +407,13 @@ class FiniteMvwRig:
 
 def per_structure(build):
     """Compute ``build(rig, *args)`` once per structure and positional
-    arguments, and keep the result on the structure.  A build that raises
-    keeps nothing, so the next call builds, and raises, again.  Callers
-    share the result, so it must be immutable (read-only arrays, tuples,
-    frozen dataclasses); caps are checked by the callers, before each
-    read."""
+    arguments, and keep the result on the structure under the key
+    ``(build, *args)``.  A build that raises keeps nothing, so the next
+    call builds, and raises, again.  Callers share the result, so it must
+    be immutable (read-only arrays, tuples, frozen dataclasses); caps are
+    checked by the callers, before each read.  The result survives
+    :meth:`FiniteMvwRig.set_name` unless the build is marked by
+    :func:`reads_name`, and no shallow copy has it."""
     @functools.wraps(build)
     def memoized(rig, *args):
         memo = rig._memo
@@ -404,6 +422,18 @@ def per_structure(build):
             memo[key] = build(rig, *args)
         return memo[key]
     return memoized
+
+
+#: The builds whose kept objects embed the structure's name (:func:`reads_name`).
+_READS_NAME = set()
+
+
+def reads_name(build):
+    """Mark a build whose object embeds the structure's name, so that
+    :meth:`FiniteMvwRig.set_name` drops it; apply it below
+    :func:`per_structure`."""
+    _READS_NAME.add(build)
+    return build
 
 
 def _powers(rig):
@@ -553,7 +583,7 @@ def _scan_per_element(n, block_failures, rows=None):
             for cell in np.flatnonzero(bad)[:MAX_WITNESSES - len(samples)]:
                 i, cell = divmod(int(cell), n * n)
                 samples.append((int(xs[i]), *divmod(cell, n)))
-    return total, samples
+    return total, tuple(samples)
 
 
 def _pair_cells(table, f, g):
@@ -677,33 +707,27 @@ def scan_mv(rig: FiniteMvwRig) -> AxiomReport:
     n = rig.size
     neg, add = rig.neg_table, rig.add_table
     idx = np.arange(n)
-    report = AxiomReport(axioms=MV_AXIOMS)
-
-    # table totality was already enforced at construction
-    report.record("closure", [])
-
-    # MV1: x + (y + z) = (x + y) + z
-    report.failures["MV1"] = _scan_per_element(n, _associativity(add))
-    report.record("MV2", np.argwhere(add != add.T))
-    report.record("MV3", np.flatnonzero(add[:, 0] != idx)[:, None])
-    report.record("MV4", np.flatnonzero(add[:, rig.u] != rig.u)[:, None])
-    report.record("MV5", np.flatnonzero(neg[neg] != idx)[:, None])
-    # MV6: neg(neg x + y) + y = neg(neg y + x) + x, which says the derived
-    # join table is symmetric.
-    join = rig.join_table
-    report.record("MV6", np.argwhere(join != join.T))
-    return report
+    return AxiomReport(MV_AXIOMS, {
+        # table totality was already enforced at construction
+        "closure": _recorded([]),
+        # MV1: x + (y + z) = (x + y) + z
+        "MV1": _scan_per_element(n, _associativity(add)),
+        "MV2": _recorded(np.argwhere(add != add.T)),
+        "MV3": _recorded(np.flatnonzero(add[:, 0] != idx)[:, None]),
+        "MV4": _recorded(np.flatnonzero(add[:, rig.u] != rig.u)[:, None]),
+        "MV5": _recorded(np.flatnonzero(neg[neg] != idx)[:, None]),
+        # MV6: neg(neg x + y) + y = neg(neg y + x) + x, which says the
+        # derived join table is symmetric.
+        "MV6": _recorded(np.argwhere(rig.join_table != rig.join_table.T)),
+    })
 
 
+@per_structure
 def check_mv(rig: FiniteMvwRig) -> AxiomReport:
     """The MV-axiom report of :func:`scan_mv`, which runs only when the
-    structure is not certified by a chain decomposition."""
-    if chain_decomposition(rig) is None:
-        return scan_mv(rig)
-    report = AxiomReport(axioms=MV_AXIOMS)
-    for axiom in MV_AXIOMS:
-        report.record(axiom, [])
-    return report
+    structure is not certified by a chain decomposition, kept on the
+    structure."""
+    return scan_mv(rig) if chain_decomposition(rig) is None else _passing(MV_AXIOMS)
 
 
 def _mvw_report(rig, distributive_rows, associativity_rows):
@@ -714,29 +738,26 @@ def _mvw_report(rig, distributive_rows, associativity_rows):
         raise GateNotMet("structure has no product; nothing to check")
     n = rig.size
     mul = rig.mul_table
-    report = AxiomReport(axioms=MVW_AXIOMS)
-
-    # a kernel is built only for rows it scans, so a certified report,
-    # which scans none, casts no n^2 index
-    report.failures["MVW-ii"] = (_scan_per_element(n, _associativity(mul), associativity_rows)
-                                 if len(associativity_rows) else (0, []))
-
     # (a, 0) for each a with a.0 != 0, then (0, a) for each a with 0.a != 0
     left, right = np.flatnonzero(mul[:, 0]), np.flatnonzero(mul[0])
     zero_bad = np.zeros((len(left) + len(right), 2), dtype=np.intp)
     zero_bad[:len(left), 0] = left
     zero_bad[len(left):, 1] = right
-    report.record("MVW-iii", zero_bad)
-
-    report.failures["MVW-iv"], report.failures["MVW-v"] = \
-        _scan_distributive(rig, distributive_rows)
-    return report
+    distributive = _scan_distributive(rig, distributive_rows)
+    return AxiomReport(MVW_AXIOMS, {
+        # a kernel is built only for rows it scans, so a certified report,
+        # which scans none, casts no n^2 index
+        "MVW-ii": (_scan_per_element(n, _associativity(mul), associativity_rows)
+                   if len(associativity_rows) else (0, ())),
+        "MVW-iii": _recorded(zero_bad),
+        "MVW-iv": distributive[0], "MVW-v": distributive[1],
+    })
 
 
 def _scan_distributive(rig, rows):
     """MVW-iv and MVW-v for each a in ``rows``, scanned over all (b, c)."""
     if not len(rows):
-        return (0, []), (0, [])
+        return (0, ()), (0, ())
     n = rig.size
     mul, add, monus = rig.mul_table, rig.add_table, rig.monus_table
     # a <= b fails where not_leq[a·n + b] holds
@@ -879,8 +900,10 @@ def _light_test(mul, gens) -> bool:
                               mul.take(mul[g], axis=1, out=x_gy, mode="clip")) for g in gens)
 
 
+@per_structure
 def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
-    """The product-axiom report of :func:`scan_mvw`.  On a structure with a
+    """The product-axiom report of :func:`scan_mvw`, kept on the
+    structure.  On a structure with a
     chain decomposition, a product equal to the meet or the join is an
     MV-algebra identity away from MVW-ii, MVW-iv and MVW-v (paragraph (4)
     of the module docstring), so only MVW-iii is scanned.  Any other
@@ -918,11 +941,26 @@ def check_mvw(rig: FiniteMvwRig) -> AxiomReport:
 
 
 def check_all(rig: FiniteMvwRig) -> AxiomReport:
-    """MV axioms plus, when a product is present, the product axioms."""
+    """MV axioms plus, when a product is present, the product axioms: the
+    kept reports of :func:`check_mv` and :func:`check_mvw`, merged."""
     report = check_mv(rig)
     if rig.mul_table is not None:
         report = report.merged_with(check_mvw(rig))
     return report
+
+
+def inherit_reports(rig: FiniteMvwRig, sources) -> FiniteMvwRig:
+    """Keep passing axiom reports on ``rig``, the direct product of the
+    structures ``sources`` or a subalgebra of its one source, when the
+    sources' reports pass (module docstring): the MV report when theirs
+    all pass, and the product-axiom report when ``rig`` has a product and
+    theirs pass too.  The sources' reports are read, and built when they
+    are not kept.  Returns ``rig``."""
+    if all(check_mv(s).passed for s in sources):
+        rig._memo[(check_mv.__wrapped__,)] = _passing(MV_AXIOMS)
+        if rig.mul_table is not None and all(check_mvw(s).passed for s in sources):
+            rig._memo[(check_mvw.__wrapped__,)] = _passing(MVW_AXIOMS)
+    return rig
 
 
 def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:
@@ -941,9 +979,9 @@ def restrict(rig: FiniteMvwRig, subset) -> tuple[FiniteMvwRig, tuple[int, ...]]:
     back[inside] = np.arange(len(inside))
 
     def renumbered(part):
-        if (back[part] < 0).any():
-            raise ValueError(f"subset not closed: element {part[back[part] < 0][0]} escapes")
-        return back[part]
+        if ((out := back[part]) < 0).any():
+            raise ValueError(f"subset not closed: element {part[out < 0][0]} escapes")
+        return out
 
     neg = renumbered(rig.neg_table.take(inside))
     for p in members[len(inside):]:

@@ -701,27 +701,26 @@ _BUILDERS = {
 }
 
 
-def _run_builder(node, registry, span, check=True, built=None, proved=None):
-    """The structure a builder call makes, checked when ``check`` is on
-    (``sub`` needs no check: a closed subset inherits every law).
+def _run_builder(node, registry, span, check, built):
+    """The structure a builder call makes, checked when ``check`` is on.
+    A ``product`` or a ``sub`` needs no check of its own: it inherits
+    passing reports from its sources (``core.inherit_reports``), the nested
+    calls, checked here, and the named algebras, which the file checked
+    when ``check`` is on.
 
     An argument made by a nested call is built unchecked and checked
-    before this call builds on it, once per expression: ``built`` maps
-    each nested call to its structure (``BuilderExpr`` equality ignores
-    the span), and ``proved`` holds the structures known to pass, with
-    the named ones when ``check`` is on, since the file elaborated them
-    with the same flag.  A product's factors are checked only after its
-    size cap has passed, and a product of proved factors is proved by
-    them (``builders.direct_product``).
+    before this call builds on it: ``built`` maps each nested call to its
+    structure (``BuilderExpr`` equality ignores the span), so equal calls
+    are built once, and a structure keeps its reports, so a second check
+    of it reads them.  A product's factors are checked only after its size
+    cap has passed.
     """
-    if built is None:
-        built, proved = {}, set(registry.values()) if check else set()
     nested = []
 
     def resolve(arg):
         if isinstance(arg, BuilderExpr):
             if arg not in built:
-                built[arg] = _run_builder(arg, registry, span, False, built, proved)
+                built[arg] = _run_builder(arg, registry, span, False, built)
             nested.append(built[arg])
             return built[arg]
         if isinstance(arg, NameRef):
@@ -736,9 +735,7 @@ def _run_builder(node, registry, span, check=True, built=None, proved=None):
 
     def check_nested():
         for arg in nested:
-            if arg not in proved:
-                builders._checked(arg)
-                proved.add(arg)
+            builders._checked(arg)
 
     # the builder's own argument checks and size caps point at its call
     line, col = node.span
@@ -748,8 +745,6 @@ def _run_builder(node, registry, span, check=True, built=None, proved=None):
                 _err(span[0], span[1], "builder product takes at least two algebras")
             rig = builders.direct_product(args, check=False)
             check_nested()
-            if all(a in proved for a in args):
-                proved.add(rig)
             return rig
         check_nested()
         if node.fn in _BUILDERS:
@@ -777,7 +772,7 @@ def elaborate(source: AlgebraSource, registry=None, check=True) -> FiniteMvwRig:
     if source.builder is not None:
         if source.carrier or source.zero or source.ops:
             _err(line, col, "a builder algebra takes no other declarations")
-        return _run_builder(source.builder, registry, source.span, check).set_name(source.name)
+        return _run_builder(source.builder, registry, source.span, check, {}).set_name(source.name)
 
     if source.carrier is None:
         _err(line, col, "missing 'elements' declaration")

@@ -87,6 +87,7 @@ def _first_pair(bad, rows, cols):
 
 
 @core.per_structure
+@core.reads_name
 def _mv_reduct(rig):
     """The structure without its product, derived once."""
     return rig if rig.mul_table is None else core.derive(
@@ -431,6 +432,7 @@ class QuotientRig:
 
 
 @core.per_structure
+@core.reads_name
 def quotient(rig: FiniteMvwRig, ideal: Ideal) -> QuotientRig:
     """The structure of congruence classes, built once per structure and
     ideal; the projection is a surjective homomorphism whose kernel is the

@@ -64,6 +64,7 @@ def spec(rig: FiniteMvwRig) -> SpecSpace:
 
 
 @core.per_structure
+@core.reads_name
 def _spec(rig):
     # the ideals, and so the primes, are listed in canonical order
     points = tuple(p.members for p in ideals.prime_ideals(rig))

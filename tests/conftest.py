@@ -73,6 +73,42 @@ def table_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def report_log(monkeypatch):
+    """The axiom reports the structures made while the test runs come to
+    keep, in order, one (structure, "check_mv" or "check_mvw", "built" or
+    "inherited") each: inherited when ``core.inherit_reports`` gives the
+    report to the structure it was called for, built otherwise."""
+    log, planting = [], []
+
+    class Memo(dict):
+        def __init__(self, rig):
+            super().__init__()
+            self.rig = rig
+
+        def __setitem__(self, key, value):
+            name = key[0].__name__
+            if name in ("check_mv", "check_mvw"):
+                log.append((self.rig, name, "inherited" if self.rig in planting else "built"))
+            super().__setitem__(key, value)
+
+    init, inherit = core.FiniteMvwRig.__init__, core.inherit_reports
+
+    def logging_init(rig, *args, **kwargs):
+        init(rig, *args, **kwargs)
+        rig._memo = Memo(rig)
+
+    def inheriting(rig, sources):
+        planting.append(rig)
+        try:
+            return inherit(rig, sources)
+        finally:
+            planting.pop()
+    monkeypatch.setattr(core.FiniteMvwRig, "__init__", logging_init)
+    monkeypatch.setattr(core, "inherit_reports", inheriting)
+    return log
+
+
 def zoo_items(predicate=None):
     items = ZOO.items()
     if predicate is not None:

@@ -170,7 +170,7 @@ def scan_per_element(n, row_failures, rows=None):
         total += len(bad)
         for cell in bad[:core.MAX_WITNESSES - len(samples)]:
             samples.append((x, *divmod(int(cell), n)))
-    return total, samples
+    return total, tuple(samples)
 
 
 def associativity(table):

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,7 @@ def test_direct_product_boolean_square():
     assert p.element_name(p.u) == "(1,1)"
     # (0,1).(1,0) = (0,0)
     assert p.mul(1, 2) == 0
-    assert core.check_mvw(p).passed
+    assert core.check_mvw(p).passed and core.scan_mvw(copy.copy(p)).passed
 
 
 def test_direct_product_absorbs_trivial_factor():

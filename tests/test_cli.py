@@ -532,16 +532,29 @@ def test_failing_factor_messages(capsys, tmp_path, expr, message):
         assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
 
-def test_nested_builder_arguments_are_checked(monkeypatch, tmp_path):
+def test_nested_builder_arguments_are_checked(report_log):
     # unchecked as built, each nested result is checked once before use
-    calls = _counting(monkeypatch, builders, "_checked")
     text = "algebra T { builder: trivial(luk(3)) }\nalgebra P { builder: product(zn(2), T) }"
+
+    def logged():
+        entries = [(rig.name, report, how) for rig, report, how in report_log]
+        report_log.clear()
+        return entries
     assert [r.size for r in dsl.elaborate_file(text, check=False)] == [3, 9]
-    assert calls["_checked"] == 2        # luk(3) and zn(2), not the results
+    # luk(3), and the product's sources zn(2) and T, which the product reads
+    # before its nested zn(2) is checked; the product inherits
+    assert logged() == [("L3", "check_mv", "built"),
+                        ("Z2", "check_mv", "built"), ("T", "check_mv", "built"),
+                        ("P", "check_mv", "inherited"),
+                        ("Z2", "check_mvw", "built"), ("T", "check_mvw", "built"),
+                        ("P", "check_mvw", "inherited")]
     assert [r.size for r in dsl.elaborate_file(text)] == [3, 9]
-    # luk(3), then T itself, then zn(2); the product is proved by zn(2) and
-    # by T, which was checked when it was elaborated
-    assert calls["_checked"] == 5
+    # luk(3), then T itself, then zn(2); the product inherits from zn(2)
+    # and from T, which was checked when it was elaborated
+    assert logged() == [("L3", "check_mv", "built"),
+                        ("T", "check_mv", "built"), ("T", "check_mvw", "built"),
+                        ("Z2", "check_mv", "built"), ("P", "check_mv", "inherited"),
+                        ("Z2", "check_mvw", "built"), ("P", "check_mvw", "inherited")]
 
 
 _ANALYZE_LARGE = {

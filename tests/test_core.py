@@ -169,6 +169,46 @@ def test_set_name_drops_the_kept_objects():
     assert ideals.quotient(rig, zero).rig.name == "W/{0}"
 
 
+def test_set_name_keeps_the_reports():
+    # the axiom reports and the other objects that read no name stay, the
+    # same objects; a quotient, which embeds the name, is rebuilt
+    rig = builders.build_zn(3)
+    kept = (core.check_mv(rig), core.check_mvw(rig), core.chain_decomposition(rig))
+    zero = ideals.Ideal(rig, frozenset({0}))
+    quotient = ideals.quotient(rig, zero)
+    rig.set_name("W")
+    assert all(new is old for new, old in zip(
+        (core.check_mv(rig), core.check_mvw(rig), core.chain_decomposition(rig)), kept))
+    assert ideals.quotient(rig, zero) is not quotient
+
+
+def test_a_kept_report_is_immutable():
+    report = core.check_mv(builders.build_zn(3))
+    with pytest.raises(TypeError):
+        report.failures["MV1"] = (1, ((0, 0, 0),))
+    with pytest.raises(AttributeError):
+        report.axioms = ()
+
+
+@pytest.mark.parametrize("build", [lambda: builders.build_zn(3),
+                                   lambda: builders.direct_product([builders.build_zn(1)] * 2)],
+                         ids=["Z3", "Z1xZ1"])
+def test_a_copy_with_a_swapped_table_inherits_no_report(build):
+    # a built and an inherited report alike stay with the structure; a copy
+    # whose product breaks the zero law builds its own, failing one
+    rig = build()
+    passed = core.check_mvw(rig)
+    assert passed.passed
+    twin = copy.copy(rig)
+    mul = rig.mul_table.copy()
+    mul[1, 0] = 1
+    twin.mul_table = mul
+    report = core.check_mvw(twin)
+    assert "MVW-iii" in report.failed_axioms()
+    assert report.failures == core.scan_mvw(twin).failures
+    assert core.check_mvw(rig) is passed
+
+
 def test_power(z3):
     assert z3.power(2, 2) == 3
     assert z3.power(2, 1) == 2
@@ -214,9 +254,10 @@ def test_restrict_closed_subset(z3):
 
 @pytest.mark.parametrize("rig", zoo_items())
 def test_zoo_passes_axioms(rig):
-    assert core.check_mv(rig).passed
+    # the product Z1xZ1 inherited its reports; the scans read its tables
+    assert core.check_mv(rig).passed and core.scan_mv(rig).passed
     if rig.mul_table is not None:
-        assert core.check_mvw(rig).passed
+        assert core.check_mvw(rig).passed and core.scan_mvw(rig).passed
 
 
 @pytest.mark.parametrize("rig", zoo_items())
@@ -247,33 +288,30 @@ def _ref_scan_per_element(n, row_failures):
         for y, z in bad[:core.MAX_WITNESSES]:
             if len(samples) < core.MAX_WITNESSES:
                 samples.append((x, int(y), int(z)))
-    return total, samples
+    return total, tuple(samples)
 
 
 def _ref_check_mv(rig):
     n = rig.size
     neg, add = rig.neg_table, rig.add_table
     idx = np.arange(n)
-    report = core.AxiomReport(axioms=core.MV_AXIOMS)
-    report.record("closure", [])
-    report.failures["MV1"] = _ref_scan_per_element(n, lambda x: add[x][add] != add[add[x]])
-    report.record("MV2", np.argwhere(add != add.T))
-    report.record("MV3", [(int(x),) for x in np.flatnonzero(add[:, 0] != idx)])
-    report.record("MV4", [(int(x),) for x in np.flatnonzero(add[:, rig.u] != rig.u)])
-    report.record("MV5", [(int(x),) for x in np.flatnonzero(neg[neg] != idx)])
     join = rig.join_table
-    report.record("MV6", np.argwhere(join != join.T))
-    return report
+    return core.AxiomReport(core.MV_AXIOMS, {
+        "closure": core._recorded([]),
+        "MV1": _ref_scan_per_element(n, lambda x: add[x][add] != add[add[x]]),
+        "MV2": core._recorded(np.argwhere(add != add.T)),
+        "MV3": core._recorded([(int(x),) for x in np.flatnonzero(add[:, 0] != idx)]),
+        "MV4": core._recorded([(int(x),) for x in np.flatnonzero(add[:, rig.u] != rig.u)]),
+        "MV5": core._recorded([(int(x),) for x in np.flatnonzero(neg[neg] != idx)]),
+        "MV6": core._recorded(np.argwhere(join != join.T)),
+    })
 
 
 def _ref_check_mvw(rig):
     n = rig.size
     mul, add, monus, leqb = rig.mul_table, rig.add_table, rig.monus_table, rig.leq_table
-    report = core.AxiomReport(axioms=core.MVW_AXIOMS)
-    report.failures["MVW-ii"] = _ref_scan_per_element(n, lambda x: mul[x][mul] != mul[mul[x]])
     zero_bad = [(int(a), 0) for a in np.flatnonzero(mul[:, 0] != 0)]
     zero_bad += [(0, int(a)) for a in np.flatnonzero(mul[0, :] != 0)]
-    report.record("MVW-iii", zero_bad)
 
     def subdist(x):
         out = np.zeros((n, n), dtype=bool)
@@ -287,9 +325,12 @@ def _ref_check_mvw(rig):
             out |= ~leqb[monus[np.ix_(vec, vec)], vec[monus]]
         return out
 
-    report.failures["MVW-iv"] = _ref_scan_per_element(n, subdist)
-    report.failures["MVW-v"] = _ref_scan_per_element(n, superdist)
-    return report
+    return core.AxiomReport(core.MVW_AXIOMS, {
+        "MVW-ii": _ref_scan_per_element(n, lambda x: mul[x][mul] != mul[mul[x]]),
+        "MVW-iii": core._recorded(zero_bad),
+        "MVW-iv": _ref_scan_per_element(n, subdist),
+        "MVW-v": _ref_scan_per_element(n, superdist),
+    })
 
 
 def _assert_same(report, ref):
@@ -298,15 +339,19 @@ def _assert_same(report, ref):
 
 def assert_scans_match_reference(rig):
     """The certified checks and the exhaustive scans both give the
-    reference reports, counts and first witnesses alike."""
+    reference reports, counts and first witnesses alike, and so do the
+    reports the structure keeps or inherited.  The checks run on a copy,
+    which keeps no report, so they read its tables."""
+    fresh = copy.copy(rig)
     ref = _ref_check_mv(rig)
-    _assert_same(core.check_mv(rig), ref)
+    _assert_same(core.check_mv(fresh), ref)
     _assert_same(core.scan_mv(rig), ref)
     if rig.mul_table is not None:
         ref_mvw = _ref_check_mvw(rig)
-        _assert_same(core.check_mvw(rig), ref_mvw)
+        _assert_same(core.check_mvw(fresh), ref_mvw)
         _assert_same(core.scan_mvw(rig), ref_mvw)
         ref = ref.merged_with(ref_mvw)
+    _assert_same(core.check_all(fresh), ref)
     _assert_same(core.check_all(rig), ref)
 
 
@@ -515,8 +560,9 @@ def _scanned_rows(monkeypatch):
 @pytest.mark.parametrize("rig", zoo_items(lambda r: r.mul_table is not None) + [
     pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
 def test_every_mvw_rig_clears_every_row(rig, monkeypatch):
+    # a copy keeps no report, so its own is built
     calls = _scanned_rows(monkeypatch)
-    assert core.check_mvw(rig).passed
+    assert core.check_mvw(copy.copy(rig)).passed
     assert calls == [[]]
 
 
@@ -549,7 +595,7 @@ def test_column_maps_are_certified_too(monkeypatch):
     assert len(cases) >= 5
     calls = _scanned_rows(monkeypatch)
     for rig, uncleared in cases:
-        _assert_same(core.check_mvw(rig), _ref_check_mvw(rig))
+        _assert_same(core.check_mvw(copy.copy(rig)), _ref_check_mvw(rig))
         assert calls.pop() == uncleared
 
 
@@ -644,7 +690,7 @@ def test_every_mvw_rig_is_certified_on_its_generators(rig, monkeypatch):
     # generators are the whole carrier
     gens = core._generators(rig.mul_table)
     calls = _mvw_reports(monkeypatch)
-    assert core.check_mvw(rig).passed
+    assert core.check_mvw(copy.copy(rig)).passed
     if _is_lattice_product(rig):
         assert calls == [([], [])]
     elif len(gens) < rig.size:

@@ -10,6 +10,7 @@ they do, and a failing factor fails with the same text as a check of the
 whole product."""
 
 import contextlib
+import copy
 import io
 import random
 
@@ -151,31 +152,46 @@ def test_a_lattice_product_without_a_chain_decomposition_is_scanned(table):
 
 # -- direct products -------------------------------------------------------------
 
+def _scans_pass(rig):
+    """Whether the exhaustive scans pass ``rig``'s own tables; unlike the
+    checks, they read no report the structure keeps or inherited."""
+    return core.scan_mv(rig).passed and (rig.mul_table is None or core.scan_mvw(rig).passed)
+
+
 @pytest.mark.parametrize("left", sorted(ZOO))
 def test_every_product_of_two_zoo_factors_passes(left):
     for right in sorted(ZOO):
         product = builders.direct_product([ZOO[left], ZOO[right]])
-        assert core.check_all(product).passed, product.name
+        assert core.check_all(product).passed and _scans_pass(product), product.name
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_every_power_of_z1_passes(k):
     product = builders.direct_product([builders.build_zn(1)] * k)
     assert product.size == 2 ** k
-    assert core.check_all(product).passed
+    assert core.check_all(product).passed and _scans_pass(product)
 
 
-def test_a_product_checks_each_distinct_factor_once(monkeypatch):
-    z1, z2 = builders.build_zn(1), builders.build_zn(2)
-    checked = []
-    original = builders._failure
-    monkeypatch.setattr(builders, "_failure", lambda rig: checked.append(rig) or original(rig))
+def _logged(report_log):
+    """The report log by structure name, and cleared."""
+    entries = [(rig.name, report, how) for rig, report, how in report_log]
+    report_log.clear()
+    return entries
+
+
+def test_a_product_checks_each_distinct_factor_once(report_log):
+    # each distinct factor builds its reports once; the product builds none
+    z1, z2 = builders.build_zn(1, check=False), builders.build_zn(2, check=False)
     product = builders.direct_product([z1, z2, z1, z1])
-    assert checked == [z1, z2]
-    checked.clear()
+    assert _logged(report_log) == [
+        ("Z1", "check_mv", "built"), ("Z2", "check_mv", "built"),
+        ("Z1xZ2xZ1xZ1", "check_mv", "inherited"),
+        ("Z1", "check_mvw", "built"), ("Z2", "check_mvw", "built"),
+        ("Z1xZ2xZ1xZ1", "check_mvw", "inherited")]
     assert builders.direct_product([z1, z2], check=False).same_tables(
         builders.direct_product([z1, z2]))
-    assert checked == [z1, z2]
+    assert _logged(report_log) == [("Z1xZ2", "check_mv", "inherited"),
+                                   ("Z1xZ2", "check_mvw", "inherited")] * 2
     assert product.size == 24
 
 
@@ -259,21 +275,58 @@ def _recording(monkeypatch, module, name):
     return calls
 
 
-def test_equal_nested_calls_are_built_and_checked_once(monkeypatch):
+def test_equal_nested_calls_are_built_and_checked_once(monkeypatch, report_log):
     built = _recording(monkeypatch, builders, "build_zn")
-    checked = _recording(monkeypatch, builders, "_checked")
     [rig] = dsl.elaborate_file("algebra P { builder: product(zn(1), zn(1), zn(1), zn(1)) }")
     assert rig.size == 16 and core.check_all(rig).passed
     assert [a[0] for a in built] == [1]
-    assert [a[0].name for a in checked] == ["Z1"]
+    assert _logged(report_log) == [("Z1", "check_mv", "built"), ("P", "check_mv", "inherited"),
+                                   ("Z1", "check_mvw", "built"), ("P", "check_mvw", "inherited")]
     built.clear()
-    checked.clear()
-    # the inner product is proved by its factors, and checked by no one
+    # the inner product inherits its factors' reports, and builds none
     [rig] = dsl.elaborate_file(
         "algebra Q { builder: product(product(zn(1), zn(2)), zn(2), product(zn(1), zn(2))) }")
     assert rig.size == 108 and core.check_all(rig).passed
     assert [a[0] for a in built] == [1, 2]
-    assert [a[0].name for a in checked] == ["Z1", "Z2"]
+    assert _logged(report_log) == [
+        ("Z1", "check_mv", "built"), ("Z2", "check_mv", "built"),
+        ("Z1xZ2", "check_mv", "inherited"),
+        ("Z1", "check_mvw", "built"), ("Z2", "check_mvw", "built"),
+        ("Z1xZ2", "check_mvw", "inherited"),
+        ("Q", "check_mv", "inherited"), ("Q", "check_mvw", "inherited")]
+
+
+def _check_output(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("expr, source", [("sub(zn(63), [1])", "Z63"),
+                                          ("product(zn(1), zn(1), zn(1))", "Z1")])
+def test_mvw_check_builds_each_report_once(expr, source, monkeypatch, report_log, tmp_path):
+    # the nested zn(n) builds its two reports once, and the whole-carrier
+    # sub or the product inherits both: nothing scans or certifies it
+    path = tmp_path / "p.mvw"
+    path.write_text(f"algebra P {{ builder: {expr} }}\n", encoding="utf-8")
+    mvw_reports = _recording(monkeypatch, core, "_mvw_report")
+    scans = [_recording(monkeypatch, core, name) for name in ("scan_mv", "scan_mvw")]
+    code, out, err = _check_output(path)
+    assert (code, err) == (0, "") and out.endswith("result: PASS\n")
+    assert sorted((rig.name, report, how) for rig, report, how in report_log) == [
+        ("P", "check_mv", "inherited"), ("P", "check_mvw", "inherited"),
+        (source, "check_mv", "built"), (source, "check_mvw", "built")]
+    [result] = {rig for rig, _, how in report_log if how == "inherited"}
+    assert [a[0].name for a in mvw_reports] == [source] and scans == [[], []]
+    assert not [key for key in result._memo if key[0] is core.chain_decomposition.__wrapped__]
+    # the same text as a check of a copy, which keeps no report
+    elaborate_file = dsl.elaborate_file
+    monkeypatch.setattr(dsl, "elaborate_file", lambda text, check=True: [
+        copy.copy(rig) for rig in elaborate_file(text, check=check)])
+    assert _check_output(path) == (code, out, err)
+    # the second load built its own source, and the copy its own report
+    assert [a[0].name for a in mvw_reports] == [source, source, "P"]
 
 
 #: ``mvw check`` loads unchecked, so a named factor T that fails the axioms

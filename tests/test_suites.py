@@ -225,11 +225,16 @@ KEPT = {"_atoms", "chain_decomposition", "_ideal_masks", "_tops", "_least", "_la
         "_ideal_verdict", "_congruence_verdict", "_nilpotent"}
 
 
+#: the axiom reports, which a product inherits from its factors
+REPORTS = {"check_mv", "check_mvw"}
+
+
 def test_run_all_and_the_commands_build_each_object_once():
     # every object is built once and read-only, and a shallow copy keeps
-    # none of them
+    # none of them; the product keeps only the reports it inherited, and
+    # builds none, while its copy builds its own
     rig = builders.direct_product([builders.build_zn(1)] * 3, check=False)
-    assert not rig._memo
+    assert {key[0].__name__ for key in rig._memo} == REPORTS
     builds = _count_builds(rig)
     kept = _commands_read(rig)
     assert set(builds.values()) == {1}
@@ -249,7 +254,7 @@ def test_run_all_and_the_commands_build_each_object_once():
     for old, new in zip(kept, again):
         assert new is not old
     assert set(twin_builds.values()) == {1}
-    assert {k[0] for k in twin_builds} == KEPT
+    assert {k[0] for k in twin_builds} == KEPT | REPORTS
     shared = {id(value) for value in rig._memo.values()}
     assert not [k for k, value in twin._memo.items() if id(value) in shared]
     assert ideals._mv_reduct(twin) is not reduct
