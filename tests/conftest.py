@@ -92,11 +92,19 @@ def report_log(monkeypatch):
                 log.append((self.rig, name, "inherited" if self.rig in planting else "built"))
             super().__setitem__(key, value)
 
-    init, inherit = core.FiniteMvwRig.__init__, core.inherit_reports
+    init, shallow, inherit = core.FiniteMvwRig.__init__, core.FiniteMvwRig.__copy__, \
+        core.inherit_reports
 
     def logging_init(rig, *args, **kwargs):
         init(rig, *args, **kwargs)
         rig._memo = Memo(rig)
+
+    def logging_copy(rig):
+        # a shallow copy, such as the whole-carrier ``core.restrict``, is
+        # a structure of its own
+        twin = shallow(rig)
+        twin._memo = Memo(twin)
+        return twin
 
     def inheriting(rig, sources):
         planting.append(rig)
@@ -105,6 +113,7 @@ def report_log(monkeypatch):
         finally:
             planting.pop()
     monkeypatch.setattr(core.FiniteMvwRig, "__init__", logging_init)
+    monkeypatch.setattr(core.FiniteMvwRig, "__copy__", logging_copy)
     monkeypatch.setattr(core, "inherit_reports", inheriting)
     return log
 

@@ -8,6 +8,7 @@ one element or one pair at a time, are references for the blocked kernels
 in ``core`` and ``suites``.  The broadcast-indexing reads of ``core``,
 ``ideals`` and ``frames`` are references for their ``take`` gathers, the
 map-by-map row certificate for ``core._certified_rows``, the
+two-gather Light's test for the value-class one of ``core._light_test``, the
 cell-by-cell builders for the digit gathers of ``builders``, the binary
 search of every formula cell for ``dsl._carrier_index``, and the
 pair-by-pair closure for ``builders.subalgebra_closure``.
@@ -339,6 +340,15 @@ def init_tables(neg, add, mul=None):
 def light_test(mul, gens) -> bool:
     """The earlier ``core._light_test``: a column gather of the table."""
     return all((mul[mul[:, g]] == mul[:, mul[g]]).all() for g in gens)
+
+
+def light_test_by_gathers(mul, gens) -> bool:
+    """The ``core._light_test`` before value classes: for each generator g,
+    the rows of the table at its column against the columns at its row, two
+    n^2 gathers into two buffers kept for the call."""
+    xg_y, x_gy = np.empty_like(mul), np.empty_like(mul)
+    return all(np.array_equal(mul.take(mul[:, g], axis=0, out=xg_y, mode="clip"),
+                              mul.take(mul[g], axis=1, out=x_gy, mode="clip")) for g in gens)
 
 
 def certified_rows(rig, dec, maps):
