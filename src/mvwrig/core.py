@@ -327,8 +327,12 @@ class FiniteMvwRig:
 
     @_derived
     def commutative(self):
+        # each block of rows from the diagonal on against its mirror strip of
+        # columns, so every cell pair is compared once
         mul = self.mul_table
-        return None if mul is None else bool((mul == mul.T).all())
+        return None if mul is None else all(
+            (mul[b.start:b.stop, b.start:] == mul[b.start:, b.start:b.stop].T).all()
+            for b in _blocks(self.size, self.size))
 
     @_derived
     def unit(self):
@@ -578,6 +582,16 @@ def _grid(table, rows, cols):
     """``table[rows[:, None], cols]``: a ``take`` of the rows, then one of
     the columns."""
     return table.take(rows, axis=0).take(cols, axis=1)
+
+
+def _fold(table, start, leaves):
+    """For each row of ``leaves``, the binary index table ``table`` folded
+    from ``start`` over the row's entries left to right, skipping the
+    negative ones: one gather per column, whatever the number of rows."""
+    acc = np.full(len(leaves), start)
+    for col in leaves.T:
+        acc = np.where(col < 0, acc, table[acc, col])
+    return acc
 
 
 def _read_at(table, rows, cols=None):

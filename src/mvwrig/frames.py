@@ -51,7 +51,12 @@ closure of the principal filters under binary join.  Either way the frame
 lists every P-filter in canonical order, smallest first and the carrier
 last, with intersections for meets, so a generated P-filter and a cover
 question are a fold of its join table over the principal filters of the
-seed, as for ideals.
+seed, as for ideals.  Each is answered for a whole table of seeds at once
+(``pfilters_generated``, ``finite_subcovers``), one gather per column
+whatever the number of seeds, and the one-seed functions are one-row
+calls; the search for a zero product behind a subcover runs over every
+generator list together, one level at a time, and picks the same
+subfamily as the search of each list on its own.
 
 Every law about the frame is checked on pairs or triples.  In a finite
 lattice binary distributivity gives distributivity over every finite
@@ -68,6 +73,7 @@ locale law suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,16 +240,23 @@ def principal_table(rig: FiniteMvwRig) -> PrincipalTable:
                           certified=bool(certified))
 
 
-def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
-    """Least P-filter containing the seed: the join of the F_a for a in the
-    seed, folded over the frame's join table, whose cap it honours.  Works
-    for noncommutative products too."""
+def pfilters_generated(rig: FiniteMvwRig, rows):
+    """The frame index of the least P-filter holding each row of a boolean
+    seed table: the join of the F_a for a in the row, folded over the
+    frame's join table, whose cap it honours once per call.  Works for
+    noncommutative products too."""
     _require_product(rig)
-    seed = sorted({rig._check(a) for a in seed})
-    if not seed:
+    if not rows.any(axis=1).all():
         raise EmptySeed("P-filters are nonempty; seed must be too")
     fr = frame(rig)
-    return PFilter(rig, fr.pfilters[fr.join_of(fr.principal[seed])])
+    return core._fold(fr.join_table, fr.bottom, np.where(rows, fr.principal, -1))
+
+
+def pfilter_generated(rig: FiniteMvwRig, seed) -> PFilter:
+    """Least P-filter containing the seed, a one-row ``pfilters_generated``."""
+    _require_product(rig)
+    index = pfilters_generated(rig, ideals._member_mask(rig, seed)[None])[0]
+    return PFilter(rig, frame(rig).pfilters[index])
 
 
 def principal_pfilter(rig: FiniteMvwRig, a: int) -> PFilter:
@@ -423,6 +436,92 @@ def _verify_theta(rig, tm, principal_idx):
         raise MvwError("open map does not preserve order")
 
 
+class Subcovers(NamedTuple):
+    """The answers of ``finite_subcovers``, one row per generator list."""
+    members: np.ndarray      # [i, g]: generator g is in the subfamily of list i
+    refused: np.ndarray      # [i]: the join of list i is proper
+    unsound: np.ndarray      # [i]: the subfamily extracted from list i does not cover
+
+    def fault(self, i):
+        """What ``finite_subcover`` raises for list i, or None."""
+        if self.refused[i]:
+            return NotACover("the principal filters of the generators have a proper join")
+        if self.unsound[i]:
+            return MvwError("extracted subfamily does not cover")
+        return None
+
+
+def finite_subcovers(rig: FiniteMvwRig, ranks) -> Subcovers:
+    """``finite_subcover`` for many generator lists at once: ranks[i, g] is
+    the position of g in list i, or -1 when g is not in it.
+
+    A breadth-first search over the products of every list together, one
+    level at a time: each newly reached product keeps the first (frontier
+    position, generator rank) pair that reaches it, as the search of one
+    list in order does, and a list stops once it reaches 0.  The numpy
+    calls per level do not depend on the number of lists.  The frame's cap
+    is checked once per call.
+    """
+    _require_product(rig)
+    fr = frame(rig)
+    m, n = ranks.shape
+    held = ranks >= 0
+    # by_rank[i, r]: the generator of rank r in list i; past the list's
+    # end, its first generator, whose products the rank-0 pairs reach first
+    count = held.sum(axis=1)
+    valid = np.arange(count.max(initial=0)) < count[:, None]
+    by_rank = np.argsort(np.where(held, ranks, n), axis=1)[:, :valid.shape[1]]
+    by_rank = np.where(valid, by_rank, by_rank[:, :1])
+    # flat cells i·n + x of list i and element x: reached, and the frontier
+    # node and generator that first reached x (-1 and x for a generator)
+    reached = held.ravel().copy()
+    parent = np.full(m * n, -1)
+    via = np.arange(m * n) % n
+    rows, pos = np.nonzero(valid)
+    nodes = by_rank[rows, pos]
+    mul = rig.mul_table
+    while True:
+        live = ~reached[rows * n]          # the list has not reached 0
+        rows, nodes = rows[live], nodes[live]
+        if not rows.size:
+            break
+        gens = by_rank[rows]
+        # the products of the frontier, in (list, position, rank) order
+        cells = ((rows * n)[:, None] + mul[nodes[:, None], gens]).ravel()
+        fresh = (~reached[cells]).nonzero()[0]
+        cells = cells[fresh]
+        order = np.arange(len(cells))
+        first = np.full(m * n, len(cells))
+        np.minimum.at(first, cells, order)
+        wins = first[cells] == order
+        cells, fresh = cells[wins], fresh[wins]
+        reached[cells] = True
+        parent[cells] = nodes[fresh // gens.shape[1]]
+        via[cells] = gens.ravel()[fresh]
+        rows, nodes = np.divmod(cells, n)
+    # the subfamily: the generators on the path from 0 back to a generator
+    found = reached[np.arange(m) * n]
+    used = np.zeros((m, n), dtype=bool)
+    rows = found.nonzero()[0]
+    node = np.zeros(len(rows), dtype=np.int64)
+    while rows.size:
+        at = rows * n + node
+        used[rows, via[at]] = True
+        node = parent[at]
+        rows, node = rows[node >= 0], node[node >= 0]
+    # without a zero product (only without commutativity) the list itself
+    # is a sound answer when it covers
+    members = np.where(found[:, None], used, held)
+    kept = valid & members[np.arange(m)[:, None], by_rank]
+    covers = core._fold(fr.join_table, fr.bottom, np.where(kept, fr.principal[by_rank], -1)) \
+        == fr.top
+    refused = ~found & ~covers
+    # the empty join is the frame's bottom, F_u; if that is already
+    # everything, the empty subfamily is a sound subcover of every list
+    members[refused | (fr.bottom == fr.top)] = False
+    return Subcovers(members, refused, found & ~covers)
+
+
 def finite_subcover(rig: FiniteMvwRig, generators):
     """Given elements whose principal P-filters join to the whole carrier,
     return a finite (here: small) subfamily that already joins to it.
@@ -432,48 +531,17 @@ def finite_subcover(rig: FiniteMvwRig, generators):
     proper.  Soundness is asserted; minimality is not.  The join of the
     principal filters of a family is the P-filter the family generates,
     so each cover question is a fold of the frame's join table, whose cap
-    it honours: is the join of the principal filters the top?
+    it honours.  A one-row ``finite_subcovers``.
     """
     _require_product(rig)
     gens = list(dict.fromkeys(rig._check(g) for g in generators))
-    fr = frame(rig)
-    # the empty join is the frame's bottom, F_u; if that is already
-    # everything, the empty subfamily is a sound subcover
-    if fr.bottom == fr.top:
-        return []
-    prin = fr.principal
-    # row v holds the products v*g of the generators g
-    products = rig.mul_table.take(gens, axis=1).tolist()
-    parent = {g: (None, g) for g in gens}
-    frontier = list(gens)
-    found = 0 in parent
-    while frontier and not found:
-        fresh = []
-        for v in frontier:
-            for g, w in zip(gens, products[v]):
-                if w not in parent:
-                    parent[w] = (v, g)
-                    fresh.append(w)
-                    if w == 0:
-                        found = True
-        frontier = fresh
-    if 0 not in parent:
-        if fr.join_of(prin[gens]) != fr.top:
-            raise NotACover("the principal filters of the generators have a proper join")
-        # commutative structures always yield a zero product here; without
-        # commutativity the witness may be unavailable, and the (finite)
-        # input family itself is a sound answer
-        return gens
-    used = set()
-    node = 0
-    while node is not None:
-        prev, g = parent[node]
-        used.add(g)
-        node = prev
-    sub = [g for g in gens if g in used]
-    if fr.join_of(prin[sub]) != fr.top:
-        raise MvwError("extracted subfamily does not cover")
-    return sub
+    ranks = np.full((1, rig.size), -1)
+    ranks[0, gens] = np.arange(len(gens))
+    cov = finite_subcovers(rig, ranks)
+    fault = cov.fault(0)
+    if fault is not None:
+        raise fault
+    return [g for g in gens if cov.members[0, g]]
 
 
 def export_json_doc(fr: FrameLA) -> dict:

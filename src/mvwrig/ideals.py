@@ -203,15 +203,17 @@ def enumerate_ideals(rig: FiniteMvwRig):
     return list(_ideal_list(rig))
 
 
+def generated_ideals(rig: FiniteMvwRig, rows):
+    """The position in the ideal list of the least ideal holding each row of
+    a boolean seed table: the join table folded over least[x] for the
+    row's elements x, from the zero ideal, which is listed first.  This
+    holds for noncommutative structures too."""
+    return core._fold(_lattice_table(rig, "add"), 0, np.where(rows, _least(rig), -1))
+
+
 def generated_ideal(rig: FiniteMvwRig, seed) -> Ideal:
-    """Least ideal containing the seed: the join table folded over least[x]
-    for the seed elements x, from the zero ideal, which is listed first.
-    This holds for noncommutative structures too."""
-    least, join = _least(rig), _lattice_table(rig, "add")
-    acc = 0
-    for a in seed:
-        acc = join[acc, least[rig._check(a)]]
-    return _ideal_list(rig)[acc]
+    """Least ideal containing the seed, a one-row ``generated_ideals``."""
+    return _ideal_list(rig)[generated_ideals(rig, _member_mask(rig, seed)[None])[0]]
 
 
 # -- classification --------------------------------------------------------
@@ -396,9 +398,12 @@ def congruence_from_ideal(rig: FiniteMvwRig, ideal: Ideal) -> Congruence:
     if not ok:
         raise ValueError(f"not an ideal: {witness}")
     key = rig.meet_table[:, rig.neg_table[_idempotent(rig, ideal)]]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    least = first[inverse]
-    label = np.cumsum(least == np.arange(rig.size)) - 1
+    # least[x]: the least element with the key of x, by one scatter
+    idx = np.arange(rig.size)
+    least = np.full(rig.size, rig.size)
+    np.minimum.at(least, key, idx)
+    least = least[key]
+    label = np.cumsum(least == idx) - 1
     cong = Congruence(rig, tuple(label[least].tolist()))
     ok, witness = is_congruence(rig, cong.class_of)
     if not ok:

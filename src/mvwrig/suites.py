@@ -21,8 +21,10 @@ the frame) is built once per structure and kept on it by
 The subset and partition oracles stay exhaustive and independent of the
 routes they check, but each runs on one boolean table, a row per seed in
 ``itertools.combinations`` order or a row per partition, with a few
-whole-table operations per clause; only the library calls under test stay
-per seed, and the first failing row names the seed a scan would name.
+whole-table operations per clause, and the first failing row names the
+seed a scan would name.  The library calls under test answer the same
+table in one call (``ideals.generated_ideals``,
+``frames.pfilters_generated``, ``frames.finite_subcovers``).
 
 The laws over triples (``order-lattice``, ``residuation``,
 ``monus-superadditive``, whose outer index is the pair (x1, y1), and the
@@ -99,6 +101,21 @@ def _seeds(n, smallest=0):
     tuples, and one boolean row each."""
     seeds = [s for k in range(smallest, n + 1) for s in itertools.combinations(range(n), k)]
     return seeds, core._member_rows(n, seeds)
+
+
+@core.per_structure
+def _seed_table(rig, smallest):
+    """``_seeds`` of the carrier, kept on the structure for the checks that
+    scan it: the seeds as a tuple and their rows read-only."""
+    seeds, table = _seeds(rig.size, smallest)
+    return tuple(seeds), core._read_only(table)
+
+
+def _ranks(rows):
+    """[i, a]: the position of a in row i's elements taken in ascending
+    order, or -1 when row i does not hold a: the generator lists of
+    ``frames.finite_subcovers``."""
+    return np.where(rows, rows.cumsum(axis=1) - 1, -1)
 
 
 def _hits(rows, rel):
@@ -409,13 +426,14 @@ def _ideal_closure(rig, seeds):
 def _check_generated_least(r):
     _need_within(r, "SUBSET_SIZE_LIMIT")
     listed = ideals.enumerate_ideals(r)
-    seeds, table = _seeds(r.size)
-    answers = [ideals.generated_ideal(r, seed).members for seed in seeds]
-    gens = core._member_rows(r.size, answers)
-    witness = {s: ideals.is_ideal(r, s)[1] for s in dict.fromkeys(answers)}  # once per set
-    escapes = _escapes(table, gens, core._member_rows(r.size, [i.members for i in listed]))
+    seeds, table = _seed_table(r, 0)
+    answers = ideals.generated_ideals(r, table)
+    masks = core._member_rows(r.size, [i.members for i in listed])
+    gens = masks.take(answers, axis=0)
+    witness = [ideals.is_ideal(r, i.members)[1] for i in listed]
+    escapes = _escapes(table, gens, masks)
     return _first_failure([
-        (np.array([witness[s] is not None for s in answers]),
+        (np.array([w is not None for w in witness], dtype=bool)[answers],
          lambda i: f"<{seeds[i]}> is not an ideal: {witness[answers[i]]}"),
         ((table & ~gens).any(axis=1), lambda i: f"<{seeds[i]}> lost its seed"),
         (escapes.any(axis=1), lambda i: f"<{seeds[i]}> is not least (exceeds "
@@ -449,15 +467,18 @@ def _partitions(n):
 def _congruence_rows(rig, classes):
     """Which rows of a class table are congruences: x and the least element
     of its class land in one class under the negation and each column and
-    row of each operation.  Rows failing a map are dropped before the next,
-    so most candidates cost a few gathers."""
+    row of each operation.  Rows failing the negation, then the first
+    column of the sum, are dropped before the survivors meet every other
+    map in one gather, so most candidates cost a few gathers."""
     reps = (classes[:, :, None] == classes[:, None, :]).argmax(axis=2).astype(np.int8)
-    maps = [rig.neg_table] + [f for op in (rig.add_table, rig.mul_table) if op is not None
-                              for y in range(rig.size) for f in (op[:, y], op[y])]
+    maps = np.array([rig.neg_table] + [f for op in (rig.add_table, rig.mul_table) if op is not None
+                                       for y in range(rig.size) for f in (op[:, y], op[y])]).T
     keep = np.arange(len(classes))
-    for f in maps:
+    for group in (maps[:, :1], maps[:, 1:2], maps[:, 2:]):
         cls = classes[keep]
-        keep = keep[(np.take_along_axis(cls, f[reps[keep]], axis=1) == cls[:, f]).all(axis=1)]
+        # [row, x, map]: the class of map(rep(x)) against that of map(x)
+        images = cls[np.arange(len(keep))[:, None, None], group[reps[keep]]]
+        keep = keep[(images == cls[:, group]).all(axis=(1, 2))]
     return np.isin(np.arange(len(classes)), keep)
 
 
@@ -711,8 +732,9 @@ def _check_irreducible_iff_unique_maximal(r):
 def _check_radical_order(r):
     _need_commutative(r)
     s = spectrum.spec(r)
-    rads = [ideals.radical(r, ideals.generated_ideal(r, {a})).members
-            for a in r.elements()]
+    listed = ideals.enumerate_ideals(r)
+    rads = [ideals.radical(r, listed[j]).members
+            for j in ideals.generated_ideals(r, np.eye(r.size, dtype=bool))]
     for a in r.elements():
         for b in r.elements():
             if (s.base[a] <= s.base[b]) != (rads[b] <= rads[a]):
@@ -724,18 +746,15 @@ def _check_spec_compactness(r):
     _need_unit(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
     s, fr = spectrum.spec(r), frames.frame(r)
-    seeds, table = _seeds(r.size)
+    seeds, table = _seed_table(r, 0)
     basic = core._member_rows(len(s.points), [s.base[a] for a in r.elements()])
-    subs, failure = [], None
-    for i in np.flatnonzero(_hits(table, basic).all(axis=1)):
-        try:
-            subs.append((seeds[i], frames.finite_subcover(r, list(seeds[i]))))
-        except MvwError as exc:
-            failure = f"cover {seeds[i]}: {exc}"
-            break
-    misses = ~_hits(core._member_rows(r.size, [sub for _, sub in subs]), basic).all(axis=1)
-    return _first_failure([(misses & ~fr.masks[fr.bottom].all(),
-                            lambda k: f"subcover of {subs[k][0]} misses a point")]) or failure
+    covering = np.flatnonzero(_hits(table, basic).all(axis=1))
+    cov = frames.finite_subcovers(r, _ranks(table[covering]))
+    # a cover refused or not sound comes first, since it has no subfamily
+    misses = ~_hits(cov.members, basic).all(axis=1) & ~fr.masks[fr.bottom].all()
+    return _first_failure([
+        (cov.refused | cov.unsound, lambda k: f"cover {seeds[covering[k]]}: {cov.fault(k)}"),
+        (misses, lambda k: f"subcover of {seeds[covering[k]]} misses a point")])
 
 
 # -- locale laws ----------------------------------------------------------------
@@ -757,7 +776,7 @@ def _pfilter_rows(rig, rows, dotted):
 def _check_pfilters_complete(r):
     _need_product(r)
     _need_within(r, "BRUTE_PFILTER_LIMIT")
-    _, table = _seeds(r.size, 1)
+    _, table = _seed_table(r, 1)
     brute = table[_pfilter_rows(r, table, _dotted_sums(r))]
     if {row.tobytes() for row in brute} != {row.tobytes() for row in frames.frame(r).masks}:
         return "the enumeration misses or invents a P-filter"
@@ -809,8 +828,8 @@ def _check_pfilter_generated_least(r):
     _need_product(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
     fr = frames.frame(r)
-    seeds, table = _seeds(r.size, 1)
-    gens = core._member_rows(r.size, [frames.pfilter_generated(r, seed).members for seed in seeds])
+    seeds, table = _seed_table(r, 1)
+    gens = fr.masks.take(frames.pfilters_generated(r, table), axis=0)
     clauses = [(_escapes(table, gens, fr.masks).any(axis=1),
                 lambda i: f"<{seeds[i]}> is not least")]
     if r.commutative:
@@ -823,10 +842,7 @@ def _check_pfilter_generated_least(r):
 def _joins(fr, prin, rows):
     """The join of the F_a (index prin[a]) over each row's elements a, folded
     over the frame's join table from the bottom in ascending a."""
-    acc = np.full(len(rows), fr.bottom)
-    for a in range(rows.shape[1]):
-        acc = np.where(rows[:, a], fr.join_table[acc, prin[a]], acc)
-    return acc
+    return core._fold(fr.join_table, fr.bottom, np.where(rows, prin, -1))
 
 
 def _check_frame_distributivity(r):
@@ -873,7 +889,7 @@ def _check_theta_iso(r):
     space, fr = tm.space, tm.frame
     table = frames.principal_table(r)
     prin = np.array([fr.index_of(table.pfilters[i]) for i in table.index])
-    seeds, rows = _seeds(r.size)
+    seeds, rows = _seed_table(r, 0)
     width = len(space.points)
     opens = core._member_rows(width, space.opens)
     unions = _hits(rows, core._member_rows(width, [space.base[a] for a in r.elements()]))
@@ -888,27 +904,20 @@ def _check_frame_covers(r):
     _need_product(r)
     _need_within(r, "SUBSET_SIZE_LIMIT")
     fr = frames.frame(r)
-    seeds, table = _seeds(r.size, 1)
-    answers, error = [], None    # a subfamily, or None for a refused cover
-    for seed in seeds:
-        try:
-            answers.append(frames.finite_subcover(r, list(seed)))
-        except frames.NotACover:
-            answers.append(None)
-        except MvwError as exc:
-            error = exc
-            break
-    covers = _joins(fr, fr.principal, table[:len(answers)]) == fr.top
-    refused = np.array([sub is None for sub in answers], dtype=bool)
-    subs = core._member_rows(r.size, [sub or () for sub in answers])
+    seeds, table = _seed_table(r, 1)
+    cov = frames.finite_subcovers(r, _ranks(table))
+    # the scan stops at the first subfamily that is not sound
+    stop = int(np.append(cov.unsound, True).argmax())
+    covers = _joins(fr, fr.principal, table[:stop]) == fr.top
+    refused, subs = cov.refused[:stop], cov.members[:stop]
     detail = _first_failure([
         (refused & covers, lambda i: f"{seeds[i]} covers but was rejected"),
         (~refused & ~covers, lambda i: f"{seeds[i]} does not cover but a subcover was returned"),
         (subs.any(axis=1) & (_joins(fr, fr.principal, subs) != fr.top),
          lambda i: f"subcover of {seeds[i]} has a proper join"),
     ])
-    if detail is None and error is not None:
-        raise error
+    if detail is None and stop < len(seeds):
+        raise cov.fault(stop)
     return detail
 
 

@@ -11,7 +11,11 @@ map-by-map row certificate for ``core._certified_rows``, the
 two-gather Light's test for the value-class one of ``core._light_test``, the
 cell-by-cell builders for the digit gathers of ``builders``, the binary
 search of every formula cell for ``dsl._carrier_index``, and the
-pair-by-pair closure for ``builders.subalgebra_closure``.
+pair-by-pair closure for ``builders.subalgebra_closure``.  The one-seed
+bodies of ``generated_ideal``, ``pfilter_generated`` and
+``finite_subcover`` are references for the table forms in ``ideals`` and
+``frames``, and the ``np.unique`` labels for the scatter of
+``ideals.congruence_from_ideal``.
 """
 
 import itertools
@@ -20,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mvwrig import core, dsl
+from mvwrig import core, dsl, frames, ideals
+from mvwrig.errors import EmptySeed, MvwError, NotACover
 
 
 class Rows(NamedTuple):
@@ -597,3 +602,74 @@ def subalgebra_closure(rig, seed):
         members |= fresh
     sub, embedding = core.restrict(rig, members)
     return sub.set_name(f"{rig.name}|sub"), embedding
+
+
+def generated_ideal(rig, seed):
+    """The earlier ``ideals.generated_ideal``: the join table folded over
+    least[x] for the seed elements x in the seed's order."""
+    least, join = ideals._least(rig), ideals._lattice_table(rig, "add")
+    acc = 0
+    for a in seed:
+        acc = join[acc, least[rig._check(a)]]
+    return ideals._ideal_list(rig)[acc]
+
+
+def pfilter_generated(rig, seed):
+    """The earlier ``frames.pfilter_generated``: the frame's join table
+    folded over the principal filters of the sorted seed."""
+    frames._require_product(rig)
+    seed = sorted({rig._check(a) for a in seed})
+    if not seed:
+        raise EmptySeed("P-filters are nonempty; seed must be too")
+    fr = frames.frame(rig)
+    return frames.PFilter(rig, fr.pfilters[fr.join_of(fr.principal[seed])])
+
+
+def finite_subcover(rig, generators):
+    """The earlier ``frames.finite_subcover``: a breadth-first search over
+    the products of one generator list, one dict entry per reached
+    product."""
+    frames._require_product(rig)
+    gens = list(dict.fromkeys(rig._check(g) for g in generators))
+    fr = frames.frame(rig)
+    if fr.bottom == fr.top:
+        return []
+    prin = fr.principal
+    products = rig.mul_table.take(gens, axis=1).tolist()
+    parent = {g: (None, g) for g in gens}
+    frontier = list(gens)
+    found = 0 in parent
+    while frontier and not found:
+        fresh = []
+        for v in frontier:
+            for g, w in zip(gens, products[v]):
+                if w not in parent:
+                    parent[w] = (v, g)
+                    fresh.append(w)
+                    if w == 0:
+                        found = True
+        frontier = fresh
+    if 0 not in parent:
+        if fr.join_of(prin[gens]) != fr.top:
+            raise NotACover("the principal filters of the generators have a proper join")
+        return gens
+    used = set()
+    node = 0
+    while node is not None:
+        prev, g = parent[node]
+        used.add(g)
+        node = prev
+    sub = [g for g in gens if g in used]
+    if fr.join_of(prin[sub]) != fr.top:
+        raise MvwError("extracted subfamily does not cover")
+    return sub
+
+
+def congruence_labels(rig, ideal):
+    """The earlier labels of ``ideals.congruence_from_ideal``: each class
+    by the rank of its least element, found by ``np.unique``."""
+    key = rig.meet_table[:, rig.neg_table[ideals._idempotent(rig, ideal)]]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    least = first[inverse]
+    label = np.cumsum(least == np.arange(rig.size)) - 1
+    return tuple(label[least].tolist())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mvwrig import builders, core, frames, ideals, spectrum, suites
-from mvwrig.errors import MvwError, NotACover
+from mvwrig.errors import MvwError
 
 import scalar_oracles
 from conftest import LADDER, ZOO, mv_ideals, zoo_items
@@ -175,23 +175,24 @@ def test_run_all_builds_each_quotient_once():
 
 def test_run_all_builds_the_principal_table_once(monkeypatch):
     # frame-covers, compactness and pfilter-generated-least ask one question
-    # per subset; on a commutative product each is a read of the one table,
-    # so the n closures of its rows are the only closures of the run
+    # per subset, a row of one table each; on a commutative product each is
+    # a read of the one principal table, so the n closures of its rows are
+    # the only closures of the run
     rig = builders.direct_product([builders.build_zn(1)] * 3)
     builds = _count_builds(rig)
     closures, questions = [], []
-    closure, finite_subcover = frames._closure, frames.finite_subcover
+    closure, finite_subcovers = frames._closure, frames.finite_subcovers
 
     def counted_closure(*args):
         closures.append(args)
         return closure(*args)
 
-    def counted_subcover(r, generators):
-        questions.append(list(generators))
-        return finite_subcover(r, generators)
+    def counted_subcovers(r, ranks):
+        questions.extend(ranks.tolist())
+        return finite_subcovers(r, ranks)
 
     monkeypatch.setattr(frames, "_closure", counted_closure)
-    monkeypatch.setattr(frames, "finite_subcover", counted_subcover)
+    monkeypatch.setattr(frames, "finite_subcovers", counted_subcovers)
     results = {r.name: r.status for r in suites.run_all(rig)}
     assert results["frame-covers"] == results["compactness"] == "PASS"
     assert results["pfilter-generated-least"] == "PASS"
@@ -222,7 +223,7 @@ def _commands_read(rig):
 KEPT = {"_atoms", "chain_decomposition", "_ideal_masks", "_tops", "_least", "_lattice_table",
         "_ideal_list", "_positions", "_classified", "congruence_from_ideal", "quotient",
         "_mv_reduct", "_spec", "_dotsum_tops", "principal_table", "_frame",
-        "_ideal_verdict", "_congruence_verdict", "_nilpotent"}
+        "_ideal_verdict", "_congruence_verdict", "_nilpotent", "_seed_table"}
 
 
 #: the axiom reports, which a product inherits from its factors
@@ -873,39 +874,52 @@ def _chooser(salt, rate):
     return choose
 
 
-def _wrong_generated_ideal(choose):
-    original = ideals.generated_ideal
+# The faults are made in the table forms, which the per-seed library calls
+# of the references are one-row calls of, so both see the same faults.
 
-    def wrong(rig, seed):
-        bad, rng = choose(seed)
-        return rng.choice(ideals.enumerate_ideals(rig)) if bad else original(rig, seed)
-    return ideals, "generated_ideal", wrong
+def _wrong_positions(original, count):
+    """A table form answering a chosen row with a random one of the
+    ``count(rig)`` listed objects."""
+    def wrong(choose):
+        def answer(rig, rows):
+            answers = original(rig, rows).copy()
+            for i, row in enumerate(rows):
+                bad, rng = choose(np.flatnonzero(row).tolist())
+                if bad:
+                    answers[i] = rng.choice(range(count(rig)))
+            return answers
+        return answer
+    return wrong
+
+
+def _wrong_generated_ideal(choose):
+    wrong = _wrong_positions(ideals.generated_ideals, lambda r: len(ideals.enumerate_ideals(r)))
+    return ideals, "generated_ideals", wrong(choose)
 
 
 def _wrong_pfilter_generated(choose):
-    original = frames.pfilter_generated
-
-    def wrong(rig, seed):
-        bad, rng = choose(seed)
-        return frames.PFilter(rig, rng.choice(frames.frame(rig).pfilters)) if bad \
-            else original(rig, seed)
-    return frames, "pfilter_generated", wrong
+    wrong = _wrong_positions(frames.pfilters_generated, lambda r: len(frames.frame(r).pfilters))
+    return frames, "pfilters_generated", wrong(choose)
 
 
 def _wrong_finite_subcover(choose):
-    original = frames.finite_subcover
+    original = frames.finite_subcovers
 
-    def wrong(rig, generators):
-        bad, rng = choose(generators)
-        if not bad:
-            return original(rig, generators)
-        kind = rng.randrange(4)
-        if kind == 0:
-            raise NotACover("refused")
-        if kind == 1:
-            raise MvwError("broken")
-        return generators if kind == 2 else [g for g in generators if rng.random() < 0.5]
-    return frames, "finite_subcover", wrong
+    def wrong(rig, ranks):
+        members, refused, unsound = (a.copy() for a in original(rig, ranks))
+        for i, row in enumerate(ranks):
+            generators = np.argsort(row)[(row < 0).sum():].tolist()
+            bad, rng = choose(generators)
+            if not bad:
+                continue
+            kind = rng.randrange(4)
+            # refused, not sound, the whole list, or a random part of it
+            refused[i], unsound[i] = kind == 0, kind == 1
+            members[i] = False
+            if kind > 1:
+                members[i, [g for g in generators if kind == 2 or rng.random() < 0.5]] = True
+        return frames.Subcovers(members, refused, unsound)
+    return frames, "finite_subcovers", wrong
 
 
 FAULTS = {
@@ -967,31 +981,31 @@ def test_theta_oracle_matches_the_per_seed_scan(rig, monkeypatch):
 
 
 def test_generated_least_catches_a_generated_ideal_missing_an_element(zoo, monkeypatch):
-    # in Z1xZ1 the seed (1, 2) generates the whole carrier; drop its top 3
-    original = ideals.generated_ideal
+    # in Z1xZ1 the seed (1, 2) generates the whole carrier; answer it with
+    # the carrier less its top 3, listed after the ideals
+    rig = zoo["Z1xZ1"]
+    listed = ideals.enumerate_ideals(rig)
+    dropped = ideals.Ideal(rig, listed[-1].members - {3})
+    original = ideals.generated_ideals
 
-    def dropped(rig, seed, *args, **kwargs):
-        gen = original(rig, seed, *args, **kwargs)
-        if tuple(seed) == (1, 2):
-            return ideals.Ideal(rig, gen.members - {3})
-        return gen
+    def answer(r, rows):
+        seed = (rows == [False, True, True, False]).all(axis=1)
+        return np.where(seed, len(listed), original(r, rows))
 
-    monkeypatch.setattr(ideals, "generated_ideal", dropped)
-    result = _ideal_results(zoo["Z1xZ1"])["generated-least"]
-    assert (result.status, result.detail) == (
-        "FAIL", "<(1, 2)> is not an ideal: ('sum', (1, 2))")
+    monkeypatch.setattr(ideals, "generated_ideals", answer)
+    monkeypatch.setattr(ideals, "enumerate_ideals", lambda r: listed + [dropped])
+    assert suites._check_generated_least(rig) == "<(1, 2)> is not an ideal: ('sum', (1, 2))"
 
 
 def test_pfilter_generated_least_catches_an_extra_element(zoo, monkeypatch):
-    # in Z3 the seed (3,) generates {1, 2, 3}; add the bottom 0
-    original = frames.pfilter_generated
+    # in Z3 the seed (3,) generates {1, 2, 3}; add the bottom 0, which makes
+    # it the whole carrier, the frame's top
+    original = frames.pfilters_generated
 
-    def grown(rig, seed, *args, **kwargs):
-        gen = original(rig, seed, *args, **kwargs)
-        if tuple(seed) == (3,):
-            return frames.PFilter(rig, gen.members | {0})
-        return gen
+    def grown(rig, rows):
+        seed = (rows == [False, False, False, True]).all(axis=1)
+        return np.where(seed, frames.frame(rig).top, original(rig, rows))
 
-    monkeypatch.setattr(frames, "pfilter_generated", grown)
+    monkeypatch.setattr(frames, "pfilters_generated", grown)
     result = {r.name: r for r in suites.run_suite(zoo["Z3"], "locale")}["pfilter-generated-least"]
     assert (result.status, result.detail) == ("FAIL", "<(3,)> is not least")
