@@ -28,12 +28,18 @@ table in one call (``ideals.generated_ideals``,
 
 The laws over triples (``order-lattice``, ``residuation``,
 ``monus-superadditive``, whose outer index is the pair (x1, y1), and the
-``product-*`` bounds) are kernels over the blocks of ``core._blocks``:
-each block of outer indices is answered by a few ``ndarray.take`` gathers
-on whole rows, one (block, n, n) failure table per side of the law, and
-``_first_cell`` names the first failure in the order the element-by-element
-loop met it.  The n^2-cell tables that ``take`` reads as indices are cast
-to intp once per check, not once per block.
+``product-*`` laws) run on one engine, ``_first_cell``, over the blocks of
+``core._blocks``: each block of outer indices is answered by a few
+``ndarray.take`` gathers on whole rows, one (block, n, n) failure table
+per side of the law.  The engine stacks the sides as (block, side, n, n),
+so one ``argmax`` names the first failure in the order the
+element-by-element loop met it: outer index, then side, then (y, z).  The
+three ``product-*`` laws are one map law, ``_map_law``: the row a*_ and
+the column _*a of the product are read as maps, in the law's own order
+(the column first for ``product-monotone``, the row first for the two
+bounds), and each check gives only where one map fails.  The n^2-cell
+tables that ``take`` reads as indices are cast to intp once per check,
+not once per block.
 """
 
 from __future__ import annotations
@@ -158,20 +164,20 @@ def _first_failure(clauses):
         return next(detail(i) for bad, detail in clauses if bad[i])
 
 
-def _first_cell(count, n, sides):
+def _first_cell(count, n, sides, detail):
     """The first failure of a law over an outer index space range(count)
     and all (y, z) in range(n)^2, scanned in the blocks of ``core._blocks``.
     ``sides(block)`` gives, for the slice ``block`` of outer indices, one
-    (rows, n, n) failure table per side of the law, tried in order at each
-    outer index.  Returns (outer index, side, y, z), or None."""
+    (rows, n, n) failure table per side of the law.  Stacked as
+    (rows, side, n, n), the tables are met in (outer index, side, y, z)
+    order, the order of the element-by-element loop, so the first failure
+    is the first cell set.  Returns ``detail(outer index, side, y, z)``, or
+    None."""
     for block in core._blocks(count, n * n):
-        tables = sides(block)
-        hit = np.logical_or.reduce([t.any(axis=(1, 2)) for t in tables])
-        if hit.any():
-            i = int(hit.argmax())
-            side = next(k for k, t in enumerate(tables) if t[i].any())
-            y, z = np.unravel_index(int(tables[side][i].argmax()), tables[side][i].shape)
-            return block.start + i, side, int(y), int(z)
+        bad = np.stack(sides(block), axis=1)
+        if bad.any():
+            i, side, y, z = map(int, np.unravel_index(int(bad.argmax()), bad.shape))
+            return detail(block.start + i, side, y, z)
 
 
 def _not_leq(leq, lo, hi):
@@ -179,27 +185,36 @@ def _not_leq(leq, lo, hi):
     return ~leq.ravel().take(lo * len(leq) + hi)
 
 
-def _maps(mul, block):
-    """The rows a*_ and the columns _*a of the product, for a in the slice
-    ``block``, one map per row."""
-    return mul[block], np.ascontiguousarray(mul[:, block].T)
+def _map_law(r, fails, text, column_first=False):
+    """A law of the maps f = a*_ (the row of the product) and f = _*a (its
+    column), for every a, taken in the law's own order: the row first
+    unless ``column_first``.  ``fails(f)`` gives, for a (rows, n) stack of
+    maps, the (rows, n, n) cells (y, z) where the law fails; the first
+    failure is named ``text.format(a, y, z)``."""
+    mul = r.mul_table
+
+    def sides(block):
+        maps = [mul[block], np.ascontiguousarray(mul[:, block].T)]
+        return [fails(f) for f in (maps[::-1] if column_first else maps)]
+    return _first_cell(r.size, r.size, sides, lambda a, _, y, z: text.format(a, y, z))
 
 
 # -- core laws ---------------------------------------------------------------
 
-def _check_mv_axioms(r):
-    report = core.scan_mv(r)
+def _failed_axioms(report):
+    """Each failing axiom of a scan report with its first two witnesses."""
     if not report.passed:
         bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
         return f"failing: {bad}"
+
+
+def _check_mv_axioms(r):
+    return _failed_axioms(core.scan_mv(r))
 
 
 def _check_mvw_axioms(r):
     _need_product(r)
-    report = core.scan_mvw(r)
-    if not report.passed:
-        bad = ", ".join(f"{a} at {report.witnesses(a)[:2]}" for a in report.failed_axioms())
-        return f"failing: {bad}"
+    return _failed_axioms(core.scan_mvw(r))
 
 
 def _check_order_lattice(r):
@@ -207,8 +222,7 @@ def _check_order_lattice(r):
     leq = r.leq_table
     if not leq.diagonal().all():
         return "order is not reflexive"
-    reach = leq.astype(np.int64)
-    if ((reach @ reach > 0) & ~leq).any():
+    if (_hits(leq, leq) & ~leq).any():
         return "order is not transitive"
     if not (leq[0, :].all() and leq[:, r.u].all()):
         return "0 is not bottom or u is not top"
@@ -225,11 +239,9 @@ def _check_order_lattice(r):
         up, dn = geq[block], leq[block]            # [z, x]: x <= z, z <= x
         return [(up[:, :, None] & up[:, None, :]) > up.take(join, axis=1),
                 (dn[:, :, None] & dn[:, None, :]) > dn.take(meet, axis=1)]
-    cell = _first_cell(n, n, sides)
-    if cell is not None:
-        z, side = cell[:2]
-        return (f"join is not the least upper bound (against {z})",
-                f"meet is not the greatest lower bound (against {z})")[side]
+    return _first_cell(n, n, sides, lambda z, side, x, y: (
+        f"join is not the least upper bound (against {z})",
+        f"meet is not the greatest lower bound (against {z})")[side])
 
 
 def _check_residuation(r):
@@ -239,10 +251,7 @@ def _check_residuation(r):
         lhs = leq[block].take(add, axis=1)                        # [x, y, z]: x <= y + z
         rhs = leq.take(monus[block], axis=0).transpose(0, 2, 1)   # [x, y, z]: x - z <= y
         return [lhs != rhs]
-    cell = _first_cell(r.size, r.size, sides)
-    if cell is not None:
-        x, _, y, z = cell
-        return f"fails at ({x}, {y}, {z})"
+    return _first_cell(r.size, r.size, sides, lambda x, _, y, z: f"fails at ({x}, {y}, {z})")
 
 
 def _check_monus_superadditive(r):
@@ -257,10 +266,8 @@ def _check_monus_superadditive(r):
         lhs = core._pair_cells(monus, add.take(x1[block], axis=0), add.take(y1[block], axis=0))
         rhs = add.take(monus.ravel()[block], axis=0).take(monus_index, axis=1)
         return [_not_leq(r.leq_table, lhs, rhs)]
-    cell = _first_cell(n * n, n, sides)
-    if cell is not None:
-        p, _, x2, y2 = cell
-        return f"fails at x=({p // n},{x2}) y=({p % n},{y2})"
+    return _first_cell(n * n, n, sides,
+                       lambda p, _, x2, y2: f"fails at x=({p // n},{x2}) y=({p % n},{y2})")
 
 
 def _check_monus_superadditive_nary(r):
@@ -303,67 +310,50 @@ def _nary_scan(r):
 def _check_product_monotone(r):
     _need_product(r)
     leq = r.leq_table
+    # [c, a, b]: a <= b but not f(a) <= f(b), f the column _*c, then the row c*_
+    return _map_law(r, lambda f: leq & _not_leq(leq, f[:, :, None], f[:, None, :]),
+                    "fails at a={1} b={2} c={0}", column_first=True)
 
-    def sides(block):
-        # [c, a, b]: a <= b but not f(a) <= f(b), f the column _*c, then the row c*_
-        return [leq & _not_leq(leq, f[:, :, None], f[:, None, :])
-                for f in _maps(r.mul_table, block)[::-1]]
-    cell = _first_cell(r.size, r.size, sides)
-    if cell is not None:
-        c, _, a, b = cell
-        return f"fails at a={a} b={b} c={c}"
+
+def _product_bound(r, op, order):
+    """a(b op c) against ab op ac, on the row a*_ and then the column _*a:
+    the first (a, b, c) where ``order`` (the order or its transpose) fails
+    between the two.  ``_not_leq`` reads ``order`` flat, so a transpose is
+    passed contiguous."""
+    op_index = op.astype(np.intp)
+    return _map_law(r, lambda f: _not_leq(order, f.take(op_index, axis=1),
+                                          core._pair_cells(op, f, f)), "fails at ({}, {}, {})")
 
 
 def _check_product_join_bound(r):
     _need_product(r)
-    join, leq = r.join_table, r.leq_table
-    join_index = join.astype(np.intp)
-
-    def sides(block):
-        # [a, b, c]: f(b) v f(c) <= f(b v c), f the row a*_, then the column _*a
-        return [_not_leq(leq, core._pair_cells(join, f, f), f.take(join_index, axis=1))
-                for f in _maps(r.mul_table, block)]
-    cell = _first_cell(r.size, r.size, sides)
-    if cell is not None:
-        a, _, b, c = cell
-        return f"fails at ({a}, {b}, {c})"
+    return _product_bound(r, r.join_table, np.ascontiguousarray(r.leq_table.T))
 
 
 def _check_product_meet_bound(r):
     _need_product(r)
-    meet, leq = r.meet_table, r.leq_table
-    meet_index = meet.astype(np.intp)
+    return _product_bound(r, r.meet_table, r.leq_table)
 
-    def sides(block):
-        # [a, b, c]: f(b ^ c) <= f(b) ^ f(c), f the row a*_, then the column _*a
-        return [_not_leq(leq, f.take(meet_index, axis=1), core._pair_cells(meet, f, f))
-                for f in _maps(r.mul_table, block)]
-    cell = _first_cell(r.size, r.size, sides)
-    if cell is not None:
-        a, _, b, c = cell
-        return f"fails at ({a}, {b}, {c})"
+
+def _power_bound(r, op, order):
+    """(a op b)^n against a^n op b^n for n <= 3: the first pair (a, b), in
+    row-major order, where ``order`` (the order or its transpose) fails
+    between the two."""
+    for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
+        bad = ~order[p[op], op[p[:, None], p]]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad)[0])
+            return f"fails at n={n} ({a}, {b})"
 
 
 def _check_power_join_bound(r):
     _need_product(r)
-    join, leq = r.join_table, r.leq_table
-    for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
-        lhs = p[join]
-        rhs = join[p[:, None], p]
-        if not leq[rhs, lhs].all():
-            a, b = map(int, np.argwhere(~leq[rhs, lhs])[0])
-            return f"fails at n={n} ({a}, {b})"
+    return _power_bound(r, r.join_table, r.leq_table.T)
 
 
 def _check_power_meet_bound(r):
     _need_product(r)
-    meet, leq = r.meet_table, r.leq_table
-    for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
-        lhs = p[meet]
-        rhs = meet[p[:, None], p]
-        if not leq[lhs, rhs].all():
-            a, b = map(int, np.argwhere(~leq[lhs, rhs])[0])
-            return f"fails at n={n} ({a}, {b})"
+    return _power_bound(r, r.meet_table, r.leq_table)
 
 
 def _check_unit_unique(r):
@@ -582,13 +572,18 @@ def _check_nilradical_ideal(r):
             return f"quotient keeps nilpotent class {c}"
 
 
+def _prime_meet(r, members, primes):
+    """The meet of the primes holding ``members``: the whole carrier when
+    none does."""
+    return frozenset(r.elements()).intersection(*[p.members for p in primes
+                                                   if members <= p.members])
+
+
 def _check_nilradical_intersection(r):
     _need_commutative(r)
     n = ideals.nilradical(r).members
-    inter = set(r.elements())
-    for p in ideals.prime_ideals(r):
-        inter &= p.members
-    if n != frozenset(inter):
+    inter = _prime_meet(r, frozenset(), ideals.prime_ideals(r))
+    if n != inter:
         return f"nilradical {sorted(n)} vs prime intersection {sorted(inter)}"
 
 
@@ -622,10 +617,7 @@ def _check_radical_prime_intersection(r):
     primes = ideals.prime_ideals(r)
     for i in ideals.enumerate_ideals(r):
         rad = ideals.radical(r, i).members
-        inter = set(r.elements())
-        for p in primes:
-            if i.members <= p.members:
-                inter &= p.members
+        inter = _prime_meet(r, i.members, primes)
         if rad != inter:
             return (f"radical mismatch on {r.name}: definition gives "
                     f"{sorted(rad)}, prime intersection gives {sorted(inter)}")
@@ -796,6 +788,14 @@ def _check_pfilter_decomposition(r):
         return f"{sorted(f)} is not the union of its principal parts"
 
 
+def _principal_law(fr, table, op):
+    """The first pair (a, b) where the frame table does not send
+    (F_a, F_b) to F_(a op b)."""
+    pair = frames.principal_law_failure(table, fr.principal, op)
+    if pair is not None:
+        return f"fails at {pair}"
+
+
 def _check_principal_meet_law(r):
     """F_a ^ F_b = F_(a v b) on every pair, read off the meet table, whose
     cells ``frames.frame`` checked to be intersections.  Each F_a is a
@@ -803,17 +803,14 @@ def _check_principal_meet_law(r):
     intersection."""
     _need_commutative(r)
     fr = frames.frame(r)
-    pair = frames.principal_law_failure(fr.meet_table, fr.principal, r.join_table)
-    if pair is not None:
-        return f"fails at {pair}"
+    return _principal_law(fr, fr.meet_table, r.join_table)
 
 
 def _check_principal_join_law(r):
     _need_commutative(r)
     fr = frames.frame(r)
-    pair = frames.principal_law_failure(fr.join_table, fr.principal, r.mul_table)
-    if pair is not None:
-        return f"fails at {pair}"
+    return _principal_law(fr, fr.join_table, r.mul_table)
+
 
 
 def _pfilter_formula(rig, seeds, dotted):

@@ -2,6 +2,8 @@
 per-element scans and checks in ``scalar_oracles``: the same counts, first
 witnesses and FAIL details, whatever the block size."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ CHECKS = [
     (suites._check_product_monotone, oracle.product_monotone, True),
     (suites._check_product_join_bound, oracle.product_join_bound, True),
     (suites._check_product_meet_bound, oracle.product_meet_bound, True),
+    (suites._check_power_join_bound, oracle.power_join_bound, True),
+    (suites._check_power_meet_bound, oracle.power_meet_bound, True),
     (suites._check_unit_unique, oracle.unit_unique, True),
 ]
 
@@ -155,3 +159,54 @@ def test_a_last_block_of_one_row_is_scanned(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * (n + 1) ** 2)   # blocks of 3, 3, 3, 1
     assert core.scan_mvw(broken).failures["MVW-ii"] == expected
     _compare(broken)
+
+
+def _row_and_column_corruptions(base):
+    """Two-cell corruptions of the product, at (a, y) and (z, a) with
+    y != z: the row a*_ and the column _*a then change at different cells,
+    so the order in which a law reads the two maps of a shows."""
+    n = base.size
+    for a, y, z, value in itertools.product(range(n), repeat=4):
+        mul = base.mul_table.copy()
+        mul[a, y] = mul[z, a] = value
+        if y != z and (mul != base.mul_table).any():
+            yield core.derive(base.neg_table, base.add_table, mul)
+
+
+@pytest.mark.parametrize("base", ["Z3", "Z2xZ1"])
+def test_a_row_and_a_column_failing_at_one_index_keep_the_laws_order(base):
+    for rig in _row_and_column_corruptions(CORRUPTED_BASES[base]()):
+        for check, reference, _ in CHECKS:
+            if check.__name__.startswith("_check_product"):
+                assert check(rig) == reference(rig), rig.name
+
+
+#: synthetic (outer, side, y, z) failure cells over 5 outer indices, two
+#: sides and 4 x 4 cells, and the first failure the engine must name: the
+#: element-by-element loop's order is outer index, then side, then (y, z)
+ENGINE_CASES = {
+    "side 0 before an earlier cell of side 1": ([(2, 1, 0, 0), (2, 0, 3, 1)], (2, 0, 3, 1)),
+    "an earlier outer index before an earlier cell": ([(4, 0, 0, 0), (1, 1, 3, 3)], (1, 1, 3, 3)),
+    "alone in a last block of one row": ([(4, 1, 2, 0)], (4, 1, 2, 0)),
+    "no failure": ([], None),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 5])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_the_engine_names_the_first_failure_in_loop_order(case, rows, monkeypatch):
+    cells, first = ENGINE_CASES[case]
+    cube = np.zeros((5, 2, 4, 4), dtype=bool)
+    for cell in cells:
+        cube[cell] = True
+    monkeypatch.setattr(core, "_BLOCK_CELLS", rows * 4 * 4)
+    blocks = []
+
+    def sides(block):
+        blocks.append(block)
+        return [cube[block, 0], cube[block, 1]]
+    assert suites._first_cell(5, 4, sides, lambda *cell: cell) == first
+    if first is None or first[0] == 4:
+        # every block is scanned; below 5 rows a block, the last has one row
+        assert [i for b in blocks for i in range(5)[b]] == list(range(5))
+        assert rows == 5 or blocks[-1] == slice(4, 5)
