@@ -226,8 +226,8 @@ def _cmd_filters(args) -> int:
         print(f"  covering relation: "
               + (", ".join(f"F{i} < F{j}" for i, j in sorted(edges)) if edges else "none"))
         return PASS
-    print(rig.describe())
     prin = frames.principal_table(rig)
+    print(rig.describe())
     names = rig.carrier.names
     for a, i in enumerate(prin.index):
         print(f"  F_{names[a]} = {ideals.format_subset(rig, prin.pfilters[i])}")

@@ -29,6 +29,17 @@ first, then (y, z), as an element-by-element scan gives them.  The law
 checks of ``suites`` walk the same blocks.  A commutative product has the
 same right-hand laws as left-hand ones, so their scan runs once.
 
+A failed law names one witness: its first failing cell in the order of the
+element-by-element loop, row-major over the law's indices.  Every module
+reads that cell through one of two functions here.  :func:`_first` is the
+first true cell of a boolean table, each index read through its axis's
+labels.  :func:`_first_cell` runs a law over ``_blocks`` of its outer
+index and stacks the law's sides as (block, side, ...), so at each outer
+index the sides are met in their order before the next index.  Three scans
+stay apart: :func:`_scan_per_element` and the ``_recorded`` reports count
+every failure and keep samples, :func:`_rows_agree` names no witness, and
+``ideals._congruence_check`` meets its rows in its own class order.
+
 Every gather of a table at index arrays, in the scans and on the library
 paths alike, is an ``ndarray.take``, which at n = 1024 reads an n x n grid
 about five times faster than broadcast fancy indexing.  A grid
@@ -302,8 +313,7 @@ class FiniteMvwRig:
         # x <= y <= x off the diagonal: counted first, located only when found
         both = self.leq_table & self.leq_table.T
         if np.count_nonzero(both) > np.count_nonzero(both.diagonal()):
-            x, y = (int(v) for v in np.argwhere(both & ~np.eye(n, dtype=bool))[0])
-            raise OrderNotAntisymmetric(x, y)
+            raise OrderNotAntisymmetric(*_first(both & ~np.eye(n, dtype=bool)))
 
         _read_only(self.neg_table, self.add_table, self.mul_table, self.monus_table,
                    self.leq_table)
@@ -576,6 +586,38 @@ def _blocks(count, cells):
     step = max(1, _BLOCK_CELLS // cells)
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
+
+
+def _first(bad, *labels):
+    """The first true cell of a boolean table in row-major order, as a
+    tuple of ints, or None when no cell is true.  Each index is read
+    through its axis's labels (an array or a range) where they are given."""
+    if not bad.any():
+        return None
+    cell = np.unravel_index(int(bad.argmax()), bad.shape)
+    labels += tuple(range(size) for size in bad.shape[len(labels):])
+    return tuple(int(axis[i]) for axis, i in zip(labels, cell))
+
+
+def _first_cell(count, cells, sides, detail):
+    """The first failure of a law over an outer index space range(count),
+    ``cells`` cells an outer index, scanned in ``_blocks``.  ``sides(block)``
+    gives, for the slice ``block`` of outer indices, one (rows, ...)
+    failure table per side of the law.  Stacked as (rows, side, ...), they
+    are met in (outer index, side, cell) order, the order of the
+    element-by-element loop.  Returns ``detail(outer index, side, *cell)``
+    of the first failure, or None."""
+    for block in _blocks(count, cells):
+        cell = _first(np.stack(sides(block), axis=1), range(block.start, block.stop))
+        if cell is not None:
+            return detail(*cell)
+
+
+def _hits(rows, rel):
+    """[i, c]: some a in boolean row i has rel[a, c].  Each count of such a
+    is at most the length of a row, below 2^24 for any table that fits in
+    memory, so it is exact in float32 and the product runs in BLAS."""
+    return rows.astype(np.float32) @ rel.astype(np.float32) > 0
 
 
 def _grid(table, rows, cols):

@@ -674,12 +674,11 @@ def _formula_table(opname, formula, values):
         nums, den, top = _grid_value(formula.body, env)
         nums = np.broadcast_to(_exact(nums, top), out[block].shape)
         pos, hit = _carrier_index(nums, den, top, scaled, scale)
-        misses = np.flatnonzero(~hit)
-        if misses.size:
-            cell = int(misses[0])
-            inputs = (values[block.start + cell],) if unary else \
-                (values[block.start + cell // n], values[cell % n])
-            raise ClosureViolation(opname, inputs, Fraction(int(nums.flat[cell]), den))
+        cell = core._first(~hit)
+        if cell is not None:
+            x, *y = cell
+            inputs = (values[block.start + x], *(values[j] for j in y))
+            raise ClosureViolation(opname, inputs, Fraction(int(nums[cell]), den))
         out[block] = pos
     return out
 

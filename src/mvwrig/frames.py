@@ -157,10 +157,10 @@ def is_filter(rig: FiniteMvwRig, members):
     if not mask.any():
         return False, ("nonempty", ())
     inside = np.flatnonzero(mask)
-    pair = ideals._first_pair(rig.leq_table.take(inside, axis=0) & ~mask, inside, rig.elements())
+    pair = core._first(rig.leq_table.take(inside, axis=0) & ~mask, inside)
     if pair is not None:
         return False, ("upward", pair)
-    pair = ideals._first_pair(~mask[core._grid(rig.mul_table, inside, inside)], inside, inside)
+    pair = core._first(~mask[core._grid(rig.mul_table, inside, inside)], inside, inside)
     if pair is not None:
         return False, ("product", pair)
     return True, None
@@ -175,9 +175,9 @@ def is_pfilter(rig: FiniteMvwRig, members):
     if not ok:
         return ok, witness
     mask = ideals._member_mask(rig, members)
-    bad = np.flatnonzero(~mask & mask[_dotsum_tops(rig)])
-    if bad.size:
-        x = int(bad[0])
+    cell = core._first(~mask & mask[_dotsum_tops(rig)])
+    if cell is not None:
+        x, = cell
         return False, ("dotted-sum", (x, min(dotsum_closure(rig, x) & core._members(mask))))
     return True, None
 
@@ -381,16 +381,11 @@ def _theta_map(rig):
     return ThetaMap(space=space, frame=fr, open_to_filter=tuple(mapping.tolist()))
 
 
-def _first(bad):
-    return tuple(int(i) for i in np.argwhere(bad)[0])
-
-
 def principal_law_failure(table, prin, op):
     """The first pair (a, b) in row-major order where the frame table does
     not send (F_a, F_b) to F_(a op b), or None; ``prin`` maps each element
     to the index of F_a, as ``FrameLA.principal`` does."""
-    bad = core._grid(table, prin, prin) != prin[op]
-    return _first(bad) if bad.any() else None
+    return core._first(core._grid(table, prin, prin) != prin[op])
 
 
 def _verify_theta(rig, tm, principal_idx):
@@ -410,13 +405,13 @@ def _verify_theta(rig, tm, principal_idx):
     if pair is not None:
         a, b = pair
         raise MvwError(f"F_{a} v F_{b} is not F_ab at ({a}, {b})")
-    bad = mapping[open_of] != prin
-    if bad.any():
-        a = int(np.flatnonzero(bad)[0])
-        raise MvwError(f"open map depends on the presentation ({a},)")
-    bad = np.flatnonzero(spectrum._open_words(space)[open_of] != words)
-    if bad.size:
-        raise MvwError(f"open {open_of[bad[0]]} is not V({bad[0]}) at ({bad[0]},)")
+    cell = core._first(mapping[open_of] != prin)
+    if cell is not None:
+        raise MvwError(f"open map depends on the presentation {cell}")
+    cell = core._first(spectrum._open_words(space)[open_of] != words)
+    if cell is not None:
+        a, = cell
+        raise MvwError(f"open {open_of[a]} is not V({a}) at {cell}")
 
     if sorted(set(tm.open_to_filter)) != list(range(len(fr.pfilters))):
         raise MvwError("open map is not a bijection onto the P-filters")

@@ -77,15 +77,6 @@ def _member_mask(rig, members):
     return mask
 
 
-def _first_pair(bad, rows, cols):
-    """(rows[i], cols[j]) for the first true bad[i, j] in row-major order,
-    or None when there is none."""
-    if not bad.any():
-        return None
-    i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-    return int(rows[i]), int(cols[j])
-
-
 @core.per_structure
 @core.reads_name
 def _mv_reduct(rig):
@@ -125,17 +116,17 @@ def _ideal_check(rig, members):
     if not mask[0]:
         return False, ("zero", (0,))
     inside = np.flatnonzero(mask)
-    below = _first_pair(rig.leq_table.take(inside, axis=1).T & ~mask, inside, rig.elements())
+    below = core._first(rig.leq_table.take(inside, axis=1).T & ~mask, inside)
     if below is not None:
         b, a = below
         return False, ("downward", (a, b))
-    pair = _first_pair(~mask[core._grid(rig.add_table, inside, inside)], inside, inside)
+    pair = core._first(~mask[core._grid(rig.add_table, inside, inside)], inside, inside)
     if pair is not None:
         return False, ("sum", pair)
     mul = rig.mul_table
     if mul is not None:
-        pair = _first_pair(~mask[mul.take(inside, axis=0)] | ~mask[mul.take(inside, axis=1).T],
-                           inside, rig.elements())
+        pair = core._first(~mask[mul.take(inside, axis=0)] | ~mask[mul.take(inside, axis=1).T],
+                           inside)
         if pair is not None:
             return False, ("absorb", pair)
     return True, None
@@ -498,13 +489,12 @@ def check_homomorphism(f: Homomorphism):
     # column 0 holds the negation clause at x, column y + 1 the sum at (x, y)
     mv_bad = np.column_stack([m[a.neg_table] != b.neg_table.take(m),
                               m[a.add_table] != core._grid(b.add_table, m, m)])
-    pair = _first_pair(mv_bad, range(a.size), range(-1, a.size))
+    pair = core._first(mv_bad, range(a.size), range(-1, a.size))
     if pair is not None:
         x, y = pair
         return False, ("neg", (x,)) if y < 0 else ("add", (x, y))
     if _preserves_product(f):
-        pair = _first_pair(m[a.mul_table] != core._grid(b.mul_table, m, m),
-                           range(a.size), range(a.size))
+        pair = core._first(m[a.mul_table] != core._grid(b.mul_table, m, m))
         if pair is not None:
             return False, ("mul", pair)
     return True, None
@@ -598,7 +588,7 @@ def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
     if len(pairs) != len(below):
         raise MvwError("correspondence is not surjective")
     # [j1, j2]: some member of j1 lies outside j2
-    if ((above @ ~above.T) != (images @ ~images.T)).any():
+    if (core._hits(above, ~above.T) != core._hits(images, ~images.T)).any():
         raise MvwError("correspondence does not preserve inclusion")
     return pairs
 

@@ -89,24 +89,13 @@ def _spec(rig):
         raise MvwError("V(u) is not empty")
     for table, combine, law in ((rig.add_table, np.bitwise_and, "intersection"),
                                 (rig.mul_table, np.bitwise_or, "union")):
-        pair = _base_law_failure(table, words, combine)
-        if pair is not None:
-            a, b = pair
-            raise MvwError(f"V({a}) and V({b}) break the {law} law")
+        failure = core._first_cell(
+            rig.size, rig.size,
+            lambda block: [combine(words[block, None], words) != words.take(table[block])],
+            lambda a, _, b: f"V({a}) and V({b}) break the {law} law")
+        if failure is not None:
+            raise MvwError(failure)
     return space
-
-
-def _base_law_failure(table, words, combine):
-    """The first pair (a, b) in row-major order with
-    combine(V(a), V(b)) != V(table[a, b]), or None, the rows a in
-    ``core._blocks`` of n cells each."""
-    n = len(words)
-    for block in core._blocks(n, n):
-        bad = combine(words[block, None], words) != words.take(table[block])
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            return block.start + int(a), int(b)
-    return None
 
 
 def _pack(rows):
@@ -205,24 +194,21 @@ def spec_map(f: ideals.Homomorphism) -> SpecMap:
     pre = sb.words.take(f.mapping)
     pre_rows = _point_rows(sb).take(f.mapping, axis=1)
     same = (pre_rows[:, None] == _point_rows(sa)).all(axis=2)
-    missed = np.flatnonzero(~same.any(axis=1))
-    if missed.size:
-        raise MvwError(f"preimage {np.flatnonzero(pre_rows[missed[0]]).tolist()} "
+    missed = core._first(~same.any(axis=1))
+    if missed is not None:
+        raise MvwError(f"preimage {np.flatnonzero(pre_rows[missed]).tolist()} "
                        f"is not a proper prime")
     # each preimage is one point of Spec a; Spec b has none when Spec a has none
     mapping = (same.argmax(axis=1) if sa.points else np.zeros(0)).astype(np.uint64)
     phi = SpecMap(hom=f, source=sb, target=sa, mapping=tuple(mapping.tolist()))
     own = _BITS[:len(sb.points)]
 
-    pulled = _moved(sa.words, mapping, own)
-    bad = ~np.isin(pulled, sb.words)
-    if bad.any():
-        raise MvwError(f"preimage of V({int(bad.argmax())}) is not open")
-    law = np.stack([pulled, pre], axis=1)
-    for ideal in ideals.enumerate_ideals(a):
-        lhs, rhs = np.bitwise_and.reduce(law.take(ideal.sorted_members(), axis=0))
-        if lhs != rhs:
-            raise MvwError(f"preimage law fails for ideal {ideal.display()}")
+    # phi^-1(V(x)) = V(f(x)) for every x.  The right side is a basic open,
+    # and moving bits commutes with the AND over an ideal's members, so the
+    # preimage of V(I) is V(f(I)) for every ideal I
+    bad = core._first(_moved(sa.words, mapping, own) != pre)
+    if bad is not None:
+        raise MvwError(f"preimage law fails at element {bad[0]}")
 
     image = np.bitwise_or.reduce(np.uint64(1) << mapping, initial=0)
     if len(set(f.mapping)) == a.size:
@@ -241,22 +227,19 @@ def spec_map(f: ideals.Homomorphism) -> SpecMap:
 
 
 def _inclusion(masks):
-    """inside[i, j]: row i of the boolean masks lies inside row j.  The
-    counts of row i's members outside row j are at most n, exact in
-    float32 for any carrier below 2^24, so the product runs in BLAS."""
-    m = masks.astype(np.float32)
-    return m @ (1 - m).T == 0
+    """inside[i, j]: no member of row i of the boolean masks lies outside
+    row j."""
+    return ~core._hits(masks, ~masks.T)
 
 
 def covering_edges(rows):
     """Transitive reduction of strict containment among the sets given as
     the rows of a boolean matrix: the pairs (i, j), in row-major order,
-    with set i strictly inside set j and no listed set strictly between.
-    The product of the strict-inclusion matrix with itself counts the sets
-    between, exact in float32."""
+    with set i strictly inside set j and no listed set strictly between,
+    read off the strict-inclusion matrix and its boolean square."""
     inside = _inclusion(rows)
-    strict = (inside & ~inside.T).astype(np.float32)
-    return [(int(i), int(j)) for i, j in np.argwhere((strict > 0) & (strict @ strict == 0))]
+    strict = inside & ~inside.T
+    return [(int(i), int(j)) for i, j in np.argwhere(strict & ~core._hits(strict, strict))]
 
 
 def export_dot(space: SpecSpace) -> str:

@@ -28,16 +28,15 @@ table in one call (``ideals.generated_ideals``,
 
 The laws over triples (``order-lattice``, ``residuation``,
 ``monus-superadditive``, whose outer index is the pair (x1, y1), and the
-``product-*`` laws) run on one engine, ``_first_cell``, over the blocks of
-``core._blocks``: each block of outer indices is answered by a few
-``ndarray.take`` gathers on whole rows, one (block, n, n) failure table
-per side of the law.  The engine stacks the sides as (block, side, n, n),
-so one ``argmax`` names the first failure in the order the
-element-by-element loop met it: outer index, then side, then (y, z).  The
-three ``product-*`` laws are one map law, ``_map_law``: the row a*_ and
-the column _*a of the product are read as maps, in the law's own order
-(the column first for ``product-monotone``, the row first for the two
-bounds), and each check gives only where one map fails.  The n^2-cell
+``product-*`` laws) run on one engine, ``core._first_cell``, over the
+blocks of ``core._blocks``: each block of outer indices is answered by a
+few ``ndarray.take`` gathers on whole rows, one (block, n, n) failure
+table per side of the law, and the first failure is named in the witness
+order of the ``core`` module docstring: outer index, then side, then
+(y, z).  The three ``product-*`` laws are one map law, ``_map_law``: the
+row a*_ and the column _*a of the product are read as maps, in the law's
+own order (the column first for ``product-monotone``, the row first for
+the two bounds), and each check gives only where one map fails.  The n^2-cell
 tables that ``take`` reads as indices are cast to intp once per check,
 not once per block.
 """
@@ -124,18 +123,12 @@ def _ranks(rows):
     return np.where(rows, rows.cumsum(axis=1) - 1, -1)
 
 
-def _hits(rows, rel):
-    """[i, c]: some a in row i has rel[a, c].  The counts are at most n,
-    exact in float32, so the product runs in BLAS."""
-    return rows.astype(np.float32) @ rel.astype(np.float32) > 0
-
-
 def _pair_images(rows, op):
     """[i, c]: c = op[a, b] for some a, b in row i.  One product per a keeps
     each temporary the size of the row table."""
     images = np.zeros(rows.shape, dtype=bool)
     for a, row in enumerate(op):
-        images |= _hits(rows & rows[:, [a]], row[:, None] == np.arange(len(op)))
+        images |= core._hits(rows & rows[:, [a]], row[:, None] == np.arange(len(op)))
     return images
 
 
@@ -151,33 +144,17 @@ def _fixpoint(rows, *steps):
 
 def _escapes(seeds, answers, listed):
     """[i, j]: listed set j holds seed row i but not answer row i."""
-    return ~_hits(seeds, ~listed.T) & _hits(answers, ~listed.T)
+    return ~core._hits(seeds, ~listed.T) & core._hits(answers, ~listed.T)
 
 
 def _first_failure(clauses):
     """The detail of the first failing row, its clauses tried in order.
     Each clause is a boolean vector over the rows and a function giving the
     detail of a failing row."""
-    failing = np.logical_or.reduce([bad for bad, _ in clauses])
-    if failing.any():
-        i = int(failing.argmax())
-        return next(detail(i) for bad, detail in clauses if bad[i])
-
-
-def _first_cell(count, n, sides, detail):
-    """The first failure of a law over an outer index space range(count)
-    and all (y, z) in range(n)^2, scanned in the blocks of ``core._blocks``.
-    ``sides(block)`` gives, for the slice ``block`` of outer indices, one
-    (rows, n, n) failure table per side of the law.  Stacked as
-    (rows, side, n, n), the tables are met in (outer index, side, y, z)
-    order, the order of the element-by-element loop, so the first failure
-    is the first cell set.  Returns ``detail(outer index, side, y, z)``, or
-    None."""
-    for block in core._blocks(count, n * n):
-        bad = np.stack(sides(block), axis=1)
-        if bad.any():
-            i, side, y, z = map(int, np.unravel_index(int(bad.argmax()), bad.shape))
-            return detail(block.start + i, side, y, z)
+    cell = core._first(np.stack([bad for bad, _ in clauses], axis=1))
+    if cell is not None:
+        i, clause = cell
+        return clauses[clause][1](i)
 
 
 def _not_leq(leq, lo, hi):
@@ -196,7 +173,7 @@ def _map_law(r, fails, text, column_first=False):
     def sides(block):
         maps = [mul[block], np.ascontiguousarray(mul[:, block].T)]
         return [fails(f) for f in (maps[::-1] if column_first else maps)]
-    return _first_cell(r.size, r.size, sides, lambda a, _, y, z: text.format(a, y, z))
+    return core._first_cell(r.size, r.size ** 2, sides, lambda a, _, y, z: text.format(a, y, z))
 
 
 # -- core laws ---------------------------------------------------------------
@@ -222,7 +199,7 @@ def _check_order_lattice(r):
     leq = r.leq_table
     if not leq.diagonal().all():
         return "order is not reflexive"
-    if (_hits(leq, leq) & ~leq).any():
+    if (core._hits(leq, leq) & ~leq).any():
         return "order is not transitive"
     if not (leq[0, :].all() and leq[:, r.u].all()):
         return "0 is not bottom or u is not top"
@@ -239,7 +216,7 @@ def _check_order_lattice(r):
         up, dn = geq[block], leq[block]            # [z, x]: x <= z, z <= x
         return [(up[:, :, None] & up[:, None, :]) > up.take(join, axis=1),
                 (dn[:, :, None] & dn[:, None, :]) > dn.take(meet, axis=1)]
-    return _first_cell(n, n, sides, lambda z, side, x, y: (
+    return core._first_cell(n, n * n, sides, lambda z, side, x, y: (
         f"join is not the least upper bound (against {z})",
         f"meet is not the greatest lower bound (against {z})")[side])
 
@@ -251,7 +228,8 @@ def _check_residuation(r):
         lhs = leq[block].take(add, axis=1)                        # [x, y, z]: x <= y + z
         rhs = leq.take(monus[block], axis=0).transpose(0, 2, 1)   # [x, y, z]: x - z <= y
         return [lhs != rhs]
-    return _first_cell(r.size, r.size, sides, lambda x, _, y, z: f"fails at ({x}, {y}, {z})")
+    return core._first_cell(r.size, r.size ** 2, sides,
+                            lambda x, _, y, z: f"fails at ({x}, {y}, {z})")
 
 
 def _check_monus_superadditive(r):
@@ -266,8 +244,8 @@ def _check_monus_superadditive(r):
         lhs = core._pair_cells(monus, add.take(x1[block], axis=0), add.take(y1[block], axis=0))
         rhs = add.take(monus.ravel()[block], axis=0).take(monus_index, axis=1)
         return [_not_leq(r.leq_table, lhs, rhs)]
-    return _first_cell(n * n, n, sides,
-                       lambda p, _, x2, y2: f"fails at x=({p // n},{x2}) y=({p % n},{y2})")
+    return core._first_cell(n * n, n * n, sides,
+                            lambda p, _, x2, y2: f"fails at x=({p // n},{x2}) y=({p % n},{y2})")
 
 
 def _check_monus_superadditive_nary(r):
@@ -302,8 +280,9 @@ def _nary_scan(r):
         rhs = monus[vecs[:, None, 0], vecs[None, :, 0]]
         for k in range(1, arity):
             rhs = add[rhs, monus[vecs[:, None, k], vecs[None, :, k]]]
-        if not leq[lhs, rhs].all():
-            i, j = map(int, np.argwhere(~leq[lhs, rhs])[0])
+        cell = core._first(~leq[lhs, rhs])
+        if cell is not None:
+            i, j = cell
             return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
 
 
@@ -340,10 +319,9 @@ def _power_bound(r, op, order):
     row-major order, where ``order`` (the order or its transpose) fails
     between the two."""
     for n, p in enumerate(itertools.islice(core._powers(r), 3), start=1):
-        bad = ~order[p[op], op[p[:, None], p]]
-        if bad.any():
-            a, b = map(int, np.argwhere(bad)[0])
-            return f"fails at n={n} ({a}, {b})"
+        cell = core._first(~order[p[op], op[p[:, None], p]])
+        if cell is not None:
+            return f"fails at n={n} {cell}"
 
 
 def _check_power_join_bound(r):
@@ -404,12 +382,12 @@ def _ideal_closure(rig, seeds):
     read off the raw tables.  The independent oracle for
     ``generated_ideal``."""
     rows = seeds | (np.arange(rig.size) == 0)
-    steps = [lambda f: _pair_images(f, rig.add_table), lambda f: _hits(f, rig.leq_table.T)]
+    steps = [lambda f: _pair_images(f, rig.add_table), lambda f: core._hits(f, rig.leq_table.T)]
     if rig.mul_table is not None:
         # row a: the products a.y and y.a for every y
         absorb = core._member_rows(rig.size, [row + col for row, col in zip(
             rig.mul_table.tolist(), rig.mul_table.T.tolist())])
-        steps.append(lambda f: _hits(f, absorb))
+        steps.append(lambda f: core._hits(f, absorb))
     return _fixpoint(rows, *steps)
 
 
@@ -524,10 +502,9 @@ def _check_hom_kernel_order(r):
         f = ideals.Homomorphism(r, q.rig, q.projection)
         ker = ideals._member_mask(r, ideals.kernel(f).members)
         proj = np.asarray(q.projection)
-        bad = q.rig.leq_table[proj[:, None], proj] != ker[r.monus_table]
-        if bad.any():
-            x, y = np.unravel_index(int(bad.argmax()), bad.shape)
-            return f"fails at ({x}, {y}) over {ideal.display()}"
+        cell = core._first(q.rig.leq_table[proj[:, None], proj] != ker[r.monus_table])
+        if cell is not None:
+            return f"fails at {cell} over {ideal.display()}"
 
 
 def _check_ideal_correspondence(r):
@@ -740,10 +717,10 @@ def _check_spec_compactness(r):
     s, fr = spectrum.spec(r), frames.frame(r)
     seeds, table = _seed_table(r, 0)
     basic = core._member_rows(len(s.points), [s.base[a] for a in r.elements()])
-    covering = np.flatnonzero(_hits(table, basic).all(axis=1))
+    covering = np.flatnonzero(core._hits(table, basic).all(axis=1))
     cov = frames.finite_subcovers(r, _ranks(table[covering]))
     # a cover refused or not sound comes first, since it has no subfamily
-    misses = ~_hits(cov.members, basic).all(axis=1) & ~fr.masks[fr.bottom].all()
+    misses = ~core._hits(cov.members, basic).all(axis=1) & ~fr.masks[fr.bottom].all()
     return _first_failure([
         (cov.refused | cov.unsound, lambda k: f"cover {seeds[covering[k]]}: {cov.fault(k)}"),
         (misses, lambda k: f"subcover of {seeds[covering[k]]} misses a point")])
@@ -760,8 +737,8 @@ def _pfilter_rows(rig, rows, dotted):
     """Which rows are P-filters, by the definition: nonempty, upward
     closed, closed under the product, and holding x whenever they hold a
     dotted sum of x (``dotted`` as from ``_dotted_sums``)."""
-    reached = (_hits(rows, rig.leq_table) | _pair_images(rows, rig.mul_table)
-               | _hits(rows, dotted.T))
+    reached = (core._hits(rows, rig.leq_table) | _pair_images(rows, rig.mul_table)
+               | core._hits(rows, dotted.T))
     return rows.any(axis=1) & ~(reached & ~rows).any(axis=1)
 
 
@@ -775,17 +752,14 @@ def _check_pfilters_complete(r):
 
 
 def _check_pfilter_decomposition(r):
-    """Row a of masks[prin] is F_a, so row f of the product masks @
-    masks[prin] counts, for each x, the a in filter f with x in F_a; the
-    union of those F_a is where the count is positive.  The counts are at
-    most n, exact in float32, so the product runs in BLAS."""
+    """Row a of masks[prin] is F_a, so row f of ``core._hits(masks,
+    masks[prin])`` holds x when some a in filter f has x in F_a: the union
+    of those F_a."""
     _need_product(r)
     fr = frames.frame(r)
-    union = fr.masks.astype(np.float32) @ fr.masks[fr.principal] > 0
-    bad = (union != fr.masks).any(axis=1)
-    if bad.any():
-        f = fr.pfilters[int(bad.argmax())]
-        return f"{sorted(f)} is not the union of its principal parts"
+    cell = core._first(core._hits(fr.masks, fr.masks[fr.principal]) != fr.masks)
+    if cell is not None:
+        return f"{sorted(fr.pfilters[cell[0]])} is not the union of its principal parts"
 
 
 def _principal_law(fr, table, op):
@@ -818,7 +792,7 @@ def _pfilter_formula(rig, seeds, dotted):
     x belongs iff a dotted sum of x lies above a product of seed elements.
     The oracle for ``pfilter_generated`` on commutative structures."""
     products = _fixpoint(seeds, lambda f: _pair_images(f, rig.mul_table))
-    return _hits(_hits(products, rig.leq_table), dotted.T)
+    return core._hits(core._hits(products, rig.leq_table), dotted.T)
 
 
 def _check_pfilter_generated_least(r):
@@ -853,10 +827,9 @@ def _check_frame_distributivity(r):
     for fi in range(len(fr.pfilters)):
         row = meet[fi]
         # (f ^ g) v (f ^ h) is join[row[g], row[h]], gathered rows then columns
-        bad = row.take(join) != join.take(row, axis=0).take(row, axis=1)
-        if bad.any():
-            g, h = map(int, np.argwhere(bad)[0])
-            return f"fails for filter {fi} against family {(g, h)}"
+        cell = core._first(row.take(join) != join.take(row, axis=0).take(row, axis=1))
+        if cell is not None:
+            return f"fails for filter {fi} against family {cell}"
     prin_idx = sorted(set(fr.principal.tolist()))
     if len(prin_idx) > SUBSET_SIZE_LIMIT:
         return None
@@ -889,9 +862,9 @@ def _check_theta_iso(r):
     seeds, rows = _seed_table(r, 0)
     width = len(space.points)
     opens = core._member_rows(width, space.opens)
-    unions = _hits(rows, core._member_rows(width, [space.base[a] for a in r.elements()]))
+    unions = core._hits(rows, core._member_rows(width, [space.base[a] for a in r.elements()]))
     # [i, o]: the union of row i is open o
-    same = ~_hits(unions, ~opens.T) & ~_hits(~unions, opens.T)
+    same = ~core._hits(unions, ~opens.T) & ~core._hits(~unions, opens.T)
     mapped = np.asarray(tm.open_to_filter)[same.argmax(axis=1)]
     return _first_failure([(~same.any(axis=1) | (mapped != _joins(fr, prin, rows)),
                             lambda i: f"open map depends on the presentation {seeds[i]}")])

@@ -205,7 +205,7 @@ def test_the_engine_names_the_first_failure_in_loop_order(case, rows, monkeypatc
     def sides(block):
         blocks.append(block)
         return [cube[block, 0], cube[block, 1]]
-    assert suites._first_cell(5, 4, sides, lambda *cell: cell) == first
+    assert core._first_cell(5, 4 * 4, sides, lambda *cell: cell) == first
     if first is None or first[0] == 4:
         # every block is scanned; below 5 rows a block, the last has one row
         assert [i for b in blocks for i in range(5)[b]] == list(range(5))

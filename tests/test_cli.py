@@ -365,6 +365,13 @@ def test_filters_json_needs_target(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["filters"], ["filters", "--frame"], ["spec"]])
+def test_a_product_free_structure_is_refused_before_any_output(capsys, argv):
+    code, out, err = run(capsys, *argv, str(algebra_path("luk3.mvw")))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("order", [("--principal", "1", "--frame"), ("--frame", "--principal", "1")])
 def test_filters_principal_and_frame_exclude_each_other(capsys, order):
     with pytest.raises(SystemExit) as exc:

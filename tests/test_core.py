@@ -942,3 +942,31 @@ def test_read_only_skips_none_and_returns_the_first():
     a, b = np.zeros(3), np.ones(2)
     assert core._read_only(a, None, b) is a
     assert not a.flags.writeable and not b.flags.writeable
+
+
+def _scanned_first(bad, labels):
+    """The first true cell by a nested loop over every index in row-major
+    order, each index read through its axis's labels."""
+    for cell in itertools.product(*(range(size) for size in bad.shape)):
+        if bad[cell]:
+            return tuple(int(axis[i]) for axis, i in zip(labels, cell))
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_is_the_nested_loop_scan(seed):
+    # tables of 1 to 4 axes: a random one, one all false and one whose only
+    # true cell is the last; each read with no labels and with the labels of
+    # its first k axes, an array of distinct values or a range that starts
+    # below 0
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 5)))
+    last = np.zeros(shape, dtype=bool)
+    last[tuple(s - 1 for s in shape)] = True
+    starts = -rng.integers(1, 4, size=len(shape))
+    labels = [rng.choice(100, size, replace=False) if rng.random() < 0.5
+              else range(int(start), int(start) + size) for size, start in zip(shape, starts)]
+    for bad in (rng.random(shape) < rng.choice([0.05, 0.3]), np.zeros(shape, dtype=bool), last):
+        for k in range(len(shape) + 1):
+            own = labels[:k] + [range(size) for size in shape[k:]]
+            assert core._first(bad, *labels[:k]) == _scanned_first(bad, own), (shape, k)

@@ -152,6 +152,27 @@ def test_spec_map_subalgebra_inclusion(sz3):
     assert phi.mapping == (0,)
 
 
+def test_spec_map_checks_the_preimage_of_every_basic_open(monkeypatch):
+    # phi^-1(V(x)) = V(f(x)) for every x.  The points of a space are the low
+    # bits of its words, so a bit past the last point added to V(f(x))
+    # leaves the points and the map alone and changes V(f(x)) only.  For a
+    # non-idempotent x the old word stays listed, as V(x + x) = V(x), and
+    # every ideal holds 0, whose word is unchanged, so only the element law
+    # sees the bit
+    z3 = ZOO["Z3"]
+    image = copy.copy(z3)
+    f = ideals.Homomorphism(z3, image, tuple(range(4)))
+    original = spectrum.spec
+    space = original(z3)
+    for x in (1, 2):
+        words = space.words.copy()
+        words[x] |= np.uint64(1) << np.uint64(len(space.points))
+        twin = dataclasses.replace(space, rig=image, words=words)
+        monkeypatch.setattr(spectrum, "spec", lambda r: twin if r is image else original(r))
+        with pytest.raises(MvwError, match=f"^preimage law fails at element {x}$"):
+            spectrum.spec_map(f)
+
+
 def test_radical_order_check(sz3, ssq):
     def order(space, a, b):
         # V(a) inside V(b) iff the radical of <b> is inside the radical of <a>
