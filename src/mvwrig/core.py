@@ -40,6 +40,13 @@ stay apart: :func:`_scan_per_element` and the ``_recorded`` reports count
 every failure and keep samples, :func:`_rows_agree` names no witness, and
 ``ideals._congruence_check`` meets its rows in its own class order.
 
+A family of sets is a boolean table, one row per set, and every relation
+between two families is read off one boolean product, :func:`_counts`
+([i, c]: how many members of row i relate to c), run in float32 through
+BLAS.  :func:`_hits` is its > 0, and :func:`_inclusion` ([i, j]: set i
+lies inside set j) is no hit of a row on the complement of the other:
+every module that orders sets by inclusion reads it here.
+
 Every gather of a table at index arrays, in the scans and on the library
 paths alike, is an ``ndarray.take``, which at n = 1024 reads an n x n grid
 about five times faster than broadcast fancy indexing.  A grid
@@ -613,11 +620,24 @@ def _first_cell(count, cells, sides, detail):
             return detail(*cell)
 
 
+def _counts(rows, rel):
+    """[i, c]: how many a in boolean row i have rel[a, c], the one boolean
+    product.  Each count is at most the length of a row, below 2^24 for
+    any table that fits in memory, so it is exact in float32 and the
+    product runs in BLAS."""
+    return rows.astype(np.float32) @ rel.astype(np.float32)
+
+
 def _hits(rows, rel):
-    """[i, c]: some a in boolean row i has rel[a, c].  Each count of such a
-    is at most the length of a row, below 2^24 for any table that fits in
-    memory, so it is exact in float32 and the product runs in BLAS."""
-    return rows.astype(np.float32) @ rel.astype(np.float32) > 0
+    """[i, c]: some a in boolean row i has rel[a, c]."""
+    return _counts(rows, rel) > 0
+
+
+def _inclusion(rows, into=None):
+    """[i, j]: boolean row i of ``rows`` lies inside row j of ``into``,
+    which defaults to ``rows``: no member of row i is outside row j."""
+    into = rows if into is None else into
+    return ~_hits(rows, ~into.T)
 
 
 def _grid(table, rows, cols):

@@ -305,6 +305,17 @@ def frame(rig: FiniteMvwRig) -> FrameLA:
     return _frame(rig)
 
 
+def _first_common(rel):
+    """[i, j]: the first column m with rel[i, m] and rel[j, m], one
+    ``argmax`` per block of rows i, over a contiguous copy (a strided view
+    reads several times slower)."""
+    rel = np.ascontiguousarray(rel)
+    out = np.empty(rel.shape, dtype=np.int64)
+    for block in core._blocks(len(rel), rel.size):
+        out[block] = (rel[block, None] & rel).argmax(axis=2)
+    return out
+
+
 @core.per_structure
 def _frame(rig):
     """Every P-filter is listed: with a certified principal table, its
@@ -328,19 +339,20 @@ def _frame(rig):
                 todo.extend(_closure(rig, mask | p) for p in prin.masks)
         masks = core._canonical_rows(list(found.values()))[0]
         filters = tuple(core._members(row) for row in masks)
-    inside = spectrum._inclusion(masks)
-    # below[j, k - 1 - l]: filter l lies inside filter j
-    below = np.ascontiguousarray(inside.T[:, ::-1])
+    # smaller filters come first, so the least upper bound is the first
+    # common upper bound and the greatest lower bound the last common lower
+    # bound
+    inside = core._inclusion(masks)
     k = len(filters)
-    join = np.empty((k, k), dtype=np.int64)
-    meet = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        # smaller filters come first, so the least upper bound is the first
-        # upper bound and the greatest lower bound the last lower bound
-        join[i] = (inside[i] & inside).argmax(axis=1)
-        meet[i] = k - 1 - (below[i] & below).argmax(axis=1)
-        if (masks[meet[i]] != (masks[i] & masks)).any():
-            raise MvwError("intersection of P-filters is not a P-filter")
+    join = _first_common(inside)
+    meet = k - 1 - _first_common(inside.T[:, ::-1])
+    # the meet lies inside the intersection, so it is the intersection
+    # exactly when it has as many members.  Where no lower bound is listed
+    # the read gives the last filter, one of the largest, which has as
+    # many members only when F_i lies inside F_j, a lower bound after all
+    counts = core._counts(masks, masks.T)
+    if (counts.diagonal()[meet] != counts).any():
+        raise MvwError("intersection of P-filters is not a P-filter")
     # F_a lies inside every P-filter holding a, so it is the first listed one
     principal = masks.argmax(axis=0)
     core._read_only(join, meet, principal)
@@ -426,8 +438,10 @@ def _verify_theta(rig, tm, principal_idx):
     if (mapping[open_of[core._grid(rig.add_table, reps, reps)]]
             != core._grid(fr.meet_table, mapping, mapping)).any():
         raise MvwError("open map does not preserve meets")
-    if (spectrum._word_inclusion(words.take(reps))
-            != core._grid(spectrum._inclusion(fr.masks), mapping, mapping)).any():
+    # the opens are listed in the order of ``mapping``, and each is the word
+    # of its elements by the check above
+    if (core._inclusion(core._member_rows(len(space.points), space.opens))
+            != core._grid(core._inclusion(fr.masks), mapping, mapping)).any():
         raise MvwError("open map does not preserve order")
 
 

@@ -587,8 +587,7 @@ def ideal_correspondence(rig: FiniteMvwRig, ideal: Ideal):
         raise MvwError("correspondence is not injective")
     if len(pairs) != len(below):
         raise MvwError("correspondence is not surjective")
-    # [j1, j2]: some member of j1 lies outside j2
-    if (core._hits(above, ~above.T) != core._hits(images, ~images.T)).any():
+    if (core._inclusion(above) != core._inclusion(images)).any():
         raise MvwError("correspondence does not preserve inclusion")
     return pairs
 

@@ -119,11 +119,6 @@ def _open_words(space):
     return _pack(core._member_rows(len(space.points), space.opens))
 
 
-def _word_inclusion(words):
-    """inside[i, j]: the points of word i lie inside those of word j."""
-    return (words[:, None] & ~words) == 0
-
-
 def _check_point(space, i):
     if not 0 <= i < len(space.points):
         raise IndexError(f"point index {i} out of range 0..{len(space.points) - 1}")
@@ -144,7 +139,7 @@ def v_of_set(space: SpecSpace, members):
 def is_t0(space: SpecSpace) -> bool:
     """Some open tells every two points apart: no two points are equal as
     masks over the carrier."""
-    inside = _inclusion(_point_rows(space))
+    inside = core._inclusion(_point_rows(space))
     return int((inside & inside.T).sum()) == len(space.points)
 
 
@@ -172,7 +167,7 @@ def point_closure(space: SpecSpace, i: int):
 def specialization_downset(space: SpecSpace, i: int):
     """{Q : Q contained in P} for the point P; equals the closure of P."""
     rows = _point_rows(space)
-    return core._members(~(rows & ~rows[_check_point(space, i)]).any(axis=1))
+    return core._members(core._inclusion(rows, rows[[_check_point(space, i)]])[:, 0])
 
 
 @dataclass
@@ -212,9 +207,9 @@ def spec_map(f: ideals.Homomorphism) -> SpecMap:
 
     image = np.bitwise_or.reduce(np.uint64(1) << mapping, initial=0)
     if len(set(f.mapping)) == a.size:
-        bad = _moved(pre, own, mapping) != sa.words
-        if bad.any():
-            raise MvwError(f"image law fails at element {int(np.asarray(f.mapping)[bad].min())}")
+        bad = core._first(_moved(pre, own, mapping) != sa.words)
+        if bad is not None:
+            raise MvwError(f"image law fails at element {bad[0]}")
         if image != sa.words[0]:
             raise MvwError("image of the spectrum map misses a prime")
     if len(set(f.mapping)) == b.size:
@@ -226,18 +221,12 @@ def spec_map(f: ideals.Homomorphism) -> SpecMap:
     return phi
 
 
-def _inclusion(masks):
-    """inside[i, j]: no member of row i of the boolean masks lies outside
-    row j."""
-    return ~core._hits(masks, ~masks.T)
-
-
 def covering_edges(rows):
     """Transitive reduction of strict containment among the sets given as
     the rows of a boolean matrix: the pairs (i, j), in row-major order,
     with set i strictly inside set j and no listed set strictly between,
     read off the strict-inclusion matrix and its boolean square."""
-    inside = _inclusion(rows)
+    inside = core._inclusion(rows)
     strict = inside & ~inside.T
     return [(int(i), int(j)) for i, j in np.argwhere(strict & ~core._hits(strict, strict))]
 

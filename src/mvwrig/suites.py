@@ -144,7 +144,7 @@ def _fixpoint(rows, *steps):
 
 def _escapes(seeds, answers, listed):
     """[i, j]: listed set j holds seed row i but not answer row i."""
-    return ~core._hits(seeds, ~listed.T) & core._hits(answers, ~listed.T)
+    return core._inclusion(seeds, listed) & ~core._inclusion(answers, listed)
 
 
 def _first_failure(clauses):
@@ -283,7 +283,7 @@ def _nary_scan(r):
         cell = core._first(~leq[lhs, rhs])
         if cell is not None:
             i, j = cell
-            return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
+            return f"{arity}-ary fails at x={tuple(vecs[i].tolist())} y={tuple(vecs[j].tolist())}"
 
 
 def _check_product_monotone(r):
@@ -739,7 +739,7 @@ def _pfilter_rows(rig, rows, dotted):
     dotted sum of x (``dotted`` as from ``_dotted_sums``)."""
     reached = (core._hits(rows, rig.leq_table) | _pair_images(rows, rig.mul_table)
                | core._hits(rows, dotted.T))
-    return rows.any(axis=1) & ~(reached & ~rows).any(axis=1)
+    return rows.any(axis=1) & (reached <= rows).all(axis=1)
 
 
 def _check_pfilters_complete(r):
@@ -864,7 +864,7 @@ def _check_theta_iso(r):
     opens = core._member_rows(width, space.opens)
     unions = core._hits(rows, core._member_rows(width, [space.base[a] for a in r.elements()]))
     # [i, o]: the union of row i is open o
-    same = ~core._hits(unions, ~opens.T) & ~core._hits(~unions, opens.T)
+    same = core._inclusion(unions, opens) & core._inclusion(opens, unions).T
     mapped = np.asarray(tm.open_to_filter)[same.argmax(axis=1)]
     return _first_failure([(~same.any(axis=1) | (mapped != _joins(fr, prin, rows)),
                             lambda i: f"open map depends on the presentation {seeds[i]}")])

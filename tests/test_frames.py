@@ -761,6 +761,55 @@ def test_frame_matches_join_closure(rig):
     assert fr.pfilters[fr.top] == frozenset(rig.elements())
 
 
+def _min_chain(m):
+    """The chain 0..m with the meet as its product."""
+    idx = np.arange(m + 1)
+    return core.derive(m - idx, np.minimum(m, idx[:, None] + idx[None, :]),
+                       np.minimum(idx[:, None], idx[None, :]))
+
+
+# every product of the zoo and the ladder distributes over the sum, so the
+# multiples of x are closed under it; these two strict MVW-iv structures
+# are the test structures whose dotted sums need a second round
+STRICT_RIGS = [pytest.param(_min_chain(6), id="min0..6"),
+               pytest.param(builders.direct_product([_min_chain(3), builders.build_zn(2)]),
+                            id="min0..3xZ2")]
+
+
+@pytest.mark.parametrize("rig", STRICT_RIGS)
+def test_dotted_sums_and_frame_on_a_product_that_is_not_a_semiring(rig):
+    mul, add, leq = rig.mul_table, rig.add_table, rig.leq_table
+    # a(b + c) < ab + ac somewhere: MVW-iv is strict
+    assert (mul[:, add] != add[mul[:, :, None], mul[:, None, :]]).any()
+    ref = Scalar(rig)
+    tops = frames._dotsum_tops(rig)
+    for x in rig.elements():
+        sums = ref.dotsums[x]
+        assert frames.dotsum_closure(rig, x) == sums, x
+        assert [d for d in sums if all(leq[e, d] for e in sums)] == [tops[x]], x
+    prin = frames.principal_table(rig)
+    for a in rig.elements():
+        assert prin.pfilters[prin.index[a]] == ref.generated({a}), a
+    filters, join, meet = reference_frame(rig)
+    fr = frames.frame(rig)
+    assert list(fr.pfilters) == filters
+    assert fr.join_table.tolist() == join
+    assert fr.meet_table.tolist() == meet
+
+
+def test_min_chain_dotted_sums_need_a_second_round():
+    # the multiples of x are 0..x, closed under the sum only for x = 0 and
+    # x = 6; the dotted sums of every x >= 1 are the whole chain
+    rig = _min_chain(6)
+    add = rig.add_table
+    multiples = [set(rig.mul_table[:, x].tolist()) for x in rig.elements()]
+    assert [x for x, s in enumerate(multiples)
+            if {int(add[p, q]) for p in s for q in s} - s] == [1, 2, 3, 4, 5]
+    for x in range(1, 7):
+        assert frames.dotsum_closure(rig, x) == frozenset(range(7)), x
+    assert frames._dotsum_tops(rig).tolist() == [0, 6, 6, 6, 6, 6, 6]
+
+
 @pytest.mark.parametrize("rig", [p for p in TABLE_RIGS if p.values[0].commutative])
 def test_uncertified_table_matches_fallback(rig, monkeypatch):
     # a copy whose table is forced to be uncertified answers by closures and
@@ -808,6 +857,23 @@ def test_frame_fallback_closes_a_partial_table_under_join(monkeypatch):
         assert getattr(fr, field) == getattr(full, field)
     for field in ("masks", "join_table", "meet_table"):
         assert (getattr(fr, field) == getattr(full, field)).all()
+
+
+def test_frame_refuses_a_family_not_closed_under_intersection(square, monkeypatch):
+    # Z1xZ1's certified table without its least filter {3}: the listed
+    # {1, 3} and {2, 3} meet in {3}, which is not listed, so their greatest
+    # listed lower bound is not their intersection
+    table = frames.principal_table(square)
+    twin = copy.copy(square)
+    rows = table.masks[1:]
+    partial = dataclasses.replace(table, rig=twin, masks=rows,
+                                  pfilters=tuple(core._members(r) for r in rows))
+    assert partial.certified and partial.pfilters[:2] == ({1, 3}, {2, 3})
+    original = frames.principal_table
+    monkeypatch.setattr(frames, "principal_table",
+                        lambda r: partial if r is twin else original(r))
+    with pytest.raises(MvwError, match="^intersection of P-filters is not a P-filter$"):
+        frames.frame(twin)
 
 
 @pytest.mark.parametrize("rig", TABLE_RIGS)

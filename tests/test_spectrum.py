@@ -107,6 +107,25 @@ def test_t0_matches_the_pairwise_scan(rig):
             assert spectrum.is_t0(smaller) == reference_is_t0(smaller) is True
 
 
+@pytest.mark.parametrize("rig", [
+    pytest.param(r, id=k) for k, r in ZOO.items() if r.mul_table is not None and r.commutative
+] + [pytest.param(LADDER[k](), id=k) for k in sorted(LADDER)])
+def test_specialization_downset_is_every_point_inside(rig):
+    # the points of a spectrum are pairwise incomparable, so each down-set
+    # is its point alone; a copy with a point strictly inside the last one
+    # puts it in the last point's down-set, and not the other way round
+    space = spectrum.spec(rig)
+    spaces = [space]
+    if space.points and _point_matrix(space)[:, -1].sum() > 1:
+        inner = _point_matrix(space)[:, -1].copy()
+        inner[np.flatnonzero(inner)[-1]] = False
+        spaces.append(_with_point(space, inner))
+    for s in spaces:
+        for i, p in enumerate(s.points):
+            assert spectrum.specialization_downset(s, i) == \
+                {q for q, other in enumerate(s.points) if other <= p}, i
+
+
 def test_irreducible(sz3, ssq):
     assert spectrum.is_irreducible(sz3)
     assert not spectrum.is_irreducible(ssq)
@@ -171,6 +190,23 @@ def test_spec_map_checks_the_preimage_of_every_basic_open(monkeypatch):
         monkeypatch.setattr(spectrum, "spec", lambda r: twin if r is image else original(r))
         with pytest.raises(MvwError, match=f"^preimage law fails at element {x}$"):
             spectrum.spec_map(f)
+
+
+def test_spec_map_names_the_first_element_breaking_the_image_law(monkeypatch):
+    # on an injective map, the words of Spec(Z1) moved back through the
+    # inclusion Z1 -> Z3 must give V(x) for every x.  A bit past the last
+    # point of V(1) breaks only that law, and the witness is the element
+    # x = 1 of the domain, not its image f(1) = 3
+    z1 = copy.copy(ZOO["Z1"])
+    f = ideals.Homomorphism(z1, ZOO["Z3"], (0, 3))
+    original = spectrum.spec
+    space = original(z1)
+    words = space.words.copy()
+    words[1] |= np.uint64(1) << np.uint64(len(space.points))
+    twin = dataclasses.replace(space, words=words)
+    monkeypatch.setattr(spectrum, "spec", lambda r: twin if r is z1 else original(r))
+    with pytest.raises(MvwError, match="^image law fails at element 1$"):
+        spectrum.spec_map(f)
 
 
 def test_radical_order_check(sz3, ssq):

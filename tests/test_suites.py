@@ -372,7 +372,7 @@ def reference_nary(r):
             rhs = add[rhs, monus[vecs[:, None, k], vecs[None, :, k]]]
         if not leq[lhs, rhs].all():
             i, j = map(int, np.argwhere(~leq[lhs, rhs])[0])
-            return f"{arity}-ary fails at x={tuple(vecs[i])} y={tuple(vecs[j])}"
+            return f"{arity}-ary fails at x={tuple(vecs[i].tolist())} y={tuple(vecs[j].tolist())}"
 
 
 def reference_frame_distributivity(rig):
@@ -414,6 +414,15 @@ def test_nary_check_matches_tuple_scan_on_corrupted_tables():
         assert detail == reference_nary(fake)
         caught += detail is not None
     assert caught
+
+
+def test_nary_detail_names_plain_ints():
+    # Z3 with 0 + 0 = 2: the tuples print as Python ints, not NumPy scalars
+    z3 = builders.build_zn(3)
+    add = z3.add_table.copy()
+    add[0, 0] = 2
+    rig = core.derive(z3.neg_table, add, z3.mul_table)
+    assert suites._check_monus_superadditive_nary(rig) == "3-ary fails at x=(0, 3, 0) y=(1, 0, 0)"
 
 
 def _corrupted_products():
